@@ -16,7 +16,7 @@ from .curve1d import (CurveDiscretization, Grid2, PlaneCurve,
                       resolvent_positivity)
 from .diffusion import bdf2_solve, forward_euler_solve
 from .discretization import (CutPoint, Grid3, QualityReport,
-                             SurfaceDiscretization, discretize, equilibrate,
+                             SurfaceDiscretization, discretize,
                              interpolation_coefficients, quality_report)
 from .errors import (BracketingError, DegenerateGradientError,
                      EmptySurfaceError, FormatError, GridError,

@@ -15,10 +15,8 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import experiments as ex
-from .curve1d import Grid2, discretize_curve, make_curve
+from .curve1d import make_curve
 from .discretization import Grid3, discretize
 from .errors import SurfPDEError, UsageError
 from .geometry import make_surface
@@ -63,9 +61,9 @@ def _float_list(text):
 
 _CONFIG_PARSERS = {
     "n": _int_list, "surface": str, "curve": str, "form": str,
-    "stepper": str, "alpha": float, "nu": float, "eta": float,
+    "stepper": str, "nu": float, "eta": float,
     "t_end": float, "times": _float_list, "days": _float_list,
-    "sigma": _float_list, "count": int, "jobs": int, "out": str,
+    "sigma": _float_list, "jobs": int, "out": str,
 }
 
 
@@ -254,9 +252,6 @@ def _add(parser, *flags):
         elif flag == "stepper":
             parser.add_argument("--stepper", choices=("fe", "bdf2", "both"),
                                 help="time integrator")
-        elif flag == "alpha":
-            parser.add_argument("--alpha", type=float,
-                                help="diffusion coefficient")
         elif flag == "nu":
             parser.add_argument("--nu", type=float,
                                 help="artificial viscosity coefficient")
@@ -276,9 +271,6 @@ def _add(parser, *flags):
             parser.add_argument("--sigma", type=_float_list,
                                 metavar="S[,S...]",
                                 help="resolvent coefficients k/h^2")
-        elif flag == "count":
-            parser.add_argument("--count", type=int,
-                                help="number of eigenvalues")
         elif flag == "out":
             parser.add_argument("--out", help="output file path")
         elif flag == "jobs":

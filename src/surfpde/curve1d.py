@@ -3,8 +3,12 @@ discretization, used to study resolvent positivity of the reduced Laplacian.
 
 Cut points are taken on grid intervals in two direction sets; each primary
 point differences along the grid axis transverse to its interval, with
-coefficients built from the arclength density.  The module also constructs,
-explicitly, the near-M-matrix of the positivity argument and the row
+coefficients built from the arclength density.  The cut points, roles,
+stencil neighbors and interpolation blocks come from the construction core
+in `discretization`, shared with surfaces, and so does equilibration: the
+extension matrix E is its only route.  This module adds the curve-only
+parts: the coverage gap above eta = 1/sqrt(2), the stencil coefficients,
+and, explicitly, the near-M-matrix of the positivity argument and the row
 operations that finish it, so the structural claims can be checked directly
 instead of only observing signs of the inverse.
 """
@@ -12,16 +16,15 @@ instead of only observing signs of the inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (BracketingError, EmptySurfaceError, GridError,
-                     StencilError)
+from .discretization import (SurfaceDiscretization, _cut_points,
+                             _with_interpolation)
+from .errors import BracketingError, GridError, StencilError
 from .linalg import assemble_csr, factorize, resolvent_entry_report
-
-_SNAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,10 @@ class Grid2:
 
     def coords(self, axis: int) -> np.ndarray:
         return self.origin[axis] + self.h * np.arange(self.n_cells[axis] + 1)
+
+    @property
+    def shape(self):
+        return tuple(n + 1 for n in self.n_cells)
 
 
 class PlaneCurve:
@@ -113,94 +120,46 @@ def make_curve(name, **params):
     return factory(**params)
 
 
-@dataclass
-class CurveDiscretization:
+class CurveDiscretization(SurfaceDiscretization):
     """Cut points of a closed plane curve with equilibration data.
 
     Points are ordered primaries first.  `chart_neighbors[i] = (minus, plus)`
     are the same-axis cut points one grid column away along the graph
     direction of primary i (-1 when absent).  `dropped_cuts` counts interval
-    crossings discarded by the admissibility threshold; it is nonzero only
-    when eta exceeds 1/sqrt(2) and flags arcs left uncovered.
+    crossings discarded by the admissibility threshold, plus, when eta
+    exceeds 1/sqrt(2), the secondaries left without an interpolation
+    stencil; those flag arcs left uncovered.
     """
-    grid: Grid2
-    eta: float
-    positions: np.ndarray
-    axis: np.ndarray
-    base_index: np.ndarray
-    closest_node: np.ndarray
-    theta: np.ndarray
-    normals: np.ndarray
-    n_p: int
-    associated_primary: np.ndarray
-    chart_neighbors: np.ndarray
-    interp_points: np.ndarray
-    interp_coeffs: np.ndarray
-    pi_sp: sp.csr_matrix
-    pi_ss: sp.csr_matrix
-    dropped_cuts: int
-    curve_kind: str = "custom"
-    _factor_cache: object = field(default=None, repr=False)
-    _ext_cache: object = field(default=None, repr=False)
 
-    @property
-    def n_tot(self):
-        return self.positions.shape[0]
-
-    @property
-    def n_s(self):
-        return self.n_tot - self.n_p
-
-    @property
-    def h(self):
-        return self.grid.h
-
-    def extend(self, values_p):
-        """Equilibrated values at all points from primary values."""
-        values_p = np.asarray(values_p, dtype=float)
-        if self.n_s == 0:
-            return values_p.copy()
-        if self._factor_cache is None:
-            eye = sp.identity(self.n_s, format="csc")
-            self._factor_cache = factorize(eye - self.pi_ss)
-        u_s = self._factor_cache.solve(self.pi_sp @ values_p)
-        return np.concatenate([values_p, u_s])
-
-    def extension_matrix(self):
-        """Sparse (n_tot, n_p) map from primary values to all values."""
-        if self._ext_cache is not None:
-            return self._ext_cache
-        eye_p = sp.identity(self.n_p, format="csr")
-        if self.n_s == 0:
-            self._ext_cache = eye_p.tocsr()
-            return self._ext_cache
-        w = self.pi_sp.tocsr()
-        term = w.copy()
-        for _ in range(200):
-            term = (self.pi_ss @ term).tocsr()
-            if term.nnz == 0 or np.abs(term.data).max() < 1e-17:
-                break
-            w = w + term
-        else:
-            raise RuntimeError("equilibration series failed to converge")
-        self._ext_cache = sp.vstack([eye_p, w]).tocsr()
-        return self._ext_cache
+    def __init__(self, dropped_cuts, **fields):
+        super().__init__(**fields)
+        self.dropped_cuts = int(dropped_cuts)
 
 
-def _bisect_1d(curve, lo_pts, hi_pts, axis, tol):
-    # keeps phi(lo) <= 0 <= phi(hi); frozen coordinate stays exact
-    lo = lo_pts.copy()
-    hi = hi_pts.copy()
-    n_iter = max(1, math.ceil(math.log2(max(2.0, 1.0 / tol))))
-    for _ in range(n_iter):
-        mid = lo.copy()
-        mid[:, axis] = 0.5 * (lo[:, axis] + hi[:, axis])
-        neg = curve.phi(mid) <= 0.0
-        lo[neg, axis] = mid[neg, axis]
-        hi[~neg, axis] = mid[~neg, axis]
-    out = lo.copy()
-    out[:, axis] = 0.5 * (lo[:, axis] + hi[:, axis])
-    return out
+def _drop_coverage_gap(fields):
+    """Remove secondaries whose interpolation stencil is missing or was
+    itself removed, until none is left; returns how many were removed."""
+    n_p = fields["n_p"]
+    m = fields["positions"].shape[0]
+    sec = np.arange(n_p, m)
+    stencil = fields["chart_neighbors"][fields["associated_primary"][sec]]
+    gone = np.zeros(m + 1, dtype=bool)
+    gone[-1] = True                      # an absent neighbor (-1) is gone
+    while True:
+        lost = gone[stencil].any(axis=1) & ~gone[sec]
+        if not lost.any():
+            break
+        gone[sec[lost]] = True
+    keep = ~gone[:-1]
+    if keep.all():
+        return 0
+    new_id = np.cumsum(keep) - 1
+    nb = fields["chart_neighbors"]
+    fields["chart_neighbors"] = np.where((nb >= 0) & keep[nb], new_id[nb], -1)
+    for name in ("positions", "axis", "base_index", "closest_gp", "theta",
+                 "normals", "associated_primary"):
+        fields[name] = fields[name][keep]
+    return int(m - keep.sum())
 
 
 def discretize_curve(curve, grid, eta=0.45, tol=1e-12):
@@ -212,228 +171,12 @@ def discretize_curve(curve, grid, eta=0.45, tol=1e-12):
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    xs, ys = grid.coords(0), grid.coords(1)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    nodes = np.stack([gx, gy], axis=-1)
-    phi = curve.phi(nodes)
-    if not np.isfinite(phi).all():
-        raise GridError("curve level set is not finite on the grid")
-    boundary = np.zeros(phi.shape, dtype=bool)
-    boundary[0, :] = boundary[-1, :] = True
-    boundary[:, 0] = boundary[:, -1] = True
-    if (phi[boundary] <= 0.0).any():
-        raise GridError("curve touches or leaves the grid box")
-    inside = phi <= 0.0
-    if not inside.any():
-        raise EmptySurfaceError("curve interior contains no grid node")
-
-    h = grid.h
-    positions = []
-    axes = []
-    bases = []
-    for ax in range(2):
-        flip = np.diff(inside, axis=ax)
-        idx = np.argwhere(flip)
-        if idx.size == 0:
-            continue
-        lo_nodes = nodes[idx[:, 0], idx[:, 1]]
-        hi_nodes = lo_nodes.copy()
-        hi_nodes[:, ax] += h
-        phi_lo = curve.phi(lo_nodes)
-        lo = np.where(phi_lo[:, None] <= 0.0, lo_nodes, hi_nodes)
-        hi = np.where(phi_lo[:, None] <= 0.0, hi_nodes, lo_nodes)
-        cuts = _bisect_1d(curve, lo, hi, ax, tol)
-        positions.append(cuts)
-        axes.append(np.full(len(cuts), ax, dtype=np.int64))
-        bases.append(idx)
-    if not positions:
-        raise EmptySurfaceError("no grid interval crosses the curve")
-    positions = np.vstack(positions)
-    axis = np.concatenate(axes)
-    base = np.vstack(bases).astype(np.int64)
-
-    normals = curve.unit_normal(positions)
-
-    # snap near-node cuts onto the node and merge duplicates across axes
-    m = len(positions)
-    scaled = (positions[np.arange(m), axis]
-              - np.asarray(grid.origin)[axis]) / h
-    frac = scaled - base[np.arange(m), axis]
-    snap_lo = frac < _SNAP_TOL
-    snap_hi = frac > 1.0 - _SNAP_TOL
-    snapped = bool(snap_lo.any() or snap_hi.any())
-    if snapped:
-        node_of = base.copy()
-        node_of[np.arange(m), axis] += snap_hi.astype(np.int64)
-        at_node = snap_lo | snap_hi
-        positions = positions.copy()
-        rows = np.where(at_node)[0]
-        for r in rows:
-            positions[r, axis[r]] = (grid.origin[axis[r]]
-                                     + h * node_of[r, axis[r]])
-        keep = np.ones(m, dtype=bool)
-        groups = {}
-        for r in rows:
-            groups.setdefault((node_of[r, 0], node_of[r, 1]), []).append(r)
-        for members in groups.values():
-            if len(members) > 1:
-                best = max(members,
-                           key=lambda r: (abs(normals[r, axis[r]]), -axis[r]))
-                for r in members:
-                    if r != best:
-                        keep[r] = False
-        positions = positions[keep]
-        axis = axis[keep]
-        base = base[keep]
-        normals = curve.unit_normal(positions)
-        m = len(positions)
-        scaled = (positions[np.arange(m), axis]
-                  - np.asarray(grid.origin)[axis]) / h
-        frac = scaled - base[np.arange(m), axis]
-
-    admissible = np.abs(normals[np.arange(m), axis]) >= eta
-    dropped = int(m - admissible.sum())
-    positions = positions[admissible]
-    axis = axis[admissible]
-    base = base[admissible]
-    normals = normals[admissible]
-    frac = frac[admissible]
-    m = len(positions)
-    if m == 0:
-        raise EmptySurfaceError("all curve crossings failed the "
-                                "admissibility threshold")
-
-    interval_key = axis * (max(grid.n_cells) + 2) ** 2 \
-        + base[:, 0] * (max(grid.n_cells) + 2) + base[:, 1]
-    if len(np.unique(interval_key)) != m:
-        raise GridError("multiple admissible cuts on one grid interval; "
-                        "refine the grid")
-
-    offset = (frac > 0.5).astype(np.int64)
-    closest = base.copy()
-    closest[np.arange(m), axis] += offset
-    theta = frac - offset
-
-    # primary = cut nearest its node; deterministic tie-break
-    node_key = closest[:, 0] * (max(grid.n_cells) + 2) + closest[:, 1]
-    order = np.lexsort((base[:, 1], base[:, 0], axis, np.abs(theta),
-                        node_key))
-    sorted_keys = node_key[order]
-    first = np.ones(m, dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    is_primary = np.zeros(m, dtype=bool)
-    is_primary[order[first]] = True
-    rep_of_key = {}
-    for r in order[first]:
-        rep_of_key[node_key[r]] = r
-
-    block = np.lexsort((base[:, 1], base[:, 0], axis,
-                        (~is_primary).astype(np.int64)))
-    new_id = np.empty(m, dtype=np.int64)
-    new_id[block] = np.arange(m)
-    positions = positions[block]
-    axis = axis[block]
-    base = base[block]
-    closest = closest[block]
-    theta = theta[block]
-    normals = normals[block]
-    node_key = node_key[block]
-    n_p = int(is_primary.sum())
-
-    assoc = np.full(m, -1, dtype=np.int64)
-    for i in range(n_p, m):
-        assoc[i] = new_id[rep_of_key[node_key[i]]]
-
-    # same-axis chart neighbors of each primary, one column over
-    big = max(grid.n_cells) + 3
-    col_lookup = {}
-    for j in range(m):
-        f = 1 - axis[j]
-        key = (axis[j], base[j, f])
-        col_lookup.setdefault(key, []).append(j)
-    neighbors = np.full((n_p, 2), -1, dtype=np.int64)
-    for i in range(n_p):
-        f = 1 - axis[i]
-        mu = axis[i]
-        for slot, delta in enumerate((-1, 1)):
-            cands = col_lookup.get((axis[i], base[i, f] + delta), [])
-            if cands:
-                j_best = min(cands,
-                             key=lambda j: abs(positions[j, mu]
-                                               - positions[i, mu]))
-                neighbors[i, slot] = j_best
-
-    for s in range(n_p, m):
-        if axis[s] == axis[assoc[s]]:
-            raise StencilError(
-                f"secondary point {s} shares its axis with its primary; "
-                "interpolation direction unavailable (grid too coarse)")
-
-    # secondaries whose interpolation neighbors are missing (or themselves
-    # uncovered) cannot be equilibrated; below the guaranteed threshold
-    # that is a hard error, above it they join the coverage-gap count
-    removed = np.zeros(m, dtype=bool)
-    while True:
-        changed = False
-        for s in range(n_p, m):
-            if removed[s]:
-                continue
-            q_minus, q_plus = neighbors[assoc[s]]
-            ok = (q_minus >= 0 and q_plus >= 0
-                  and not removed[q_minus] and not removed[q_plus])
-            if not ok:
-                removed[s] = True
-                changed = True
-        if not changed:
-            break
-    if removed.any():
-        if eta <= 1.0 / math.sqrt(2.0):
-            bad = int(np.where(removed)[0][0])
-            raise StencilError(
-                f"secondary point {bad} lacks interpolation neighbors")
-        dropped += int(removed.sum())
-        keep2 = ~removed
-        old_to_new = np.full(m, -1, dtype=np.int64)
-        old_to_new[keep2] = np.arange(int(keep2.sum()))
-        nb_ok = (neighbors >= 0) & keep2[np.maximum(neighbors, 0)]
-        neighbors = np.where(nb_ok, old_to_new[np.maximum(neighbors, 0)], -1)
-        positions = positions[keep2]
-        axis = axis[keep2]
-        base = base[keep2]
-        closest = closest[keep2]
-        theta = theta[keep2]
-        normals = normals[keep2]
-        assoc = assoc[keep2]
-        m = int(keep2.sum())
-
-    n_s = m - n_p
-    interp_points = np.full((n_s, 3), -1, dtype=np.int64)
-    interp_coeffs = np.zeros((n_s, 3))
-    for s in range(n_p, m):
-        q_minus, q_plus = neighbors[assoc[s]]
-        t = theta[s]
-        interp_points[s - n_p] = (q_minus, assoc[s], q_plus)
-        interp_coeffs[s - n_p] = (0.5 * (-t + t * t), 1.0 - t * t,
-                                  0.5 * (t + t * t))
-
-    rows = np.repeat(np.arange(n_s), 3)
-    cols = interp_points.ravel()
-    vals = interp_coeffs.ravel()
-    in_p = cols < n_p
-    pi_sp = assemble_csr(rows[in_p], cols[in_p], vals[in_p], (n_s, n_p))
-    pi_ss = assemble_csr(rows[~in_p], cols[~in_p] - n_p, vals[~in_p],
-                         (n_s, n_s))
-    if n_s:
-        row_abs = np.abs(pi_ss).sum(axis=1)
-        assert float(row_abs.max()) <= 0.5 + 1e-12
-
+    fields, dropped = _cut_points(curve, grid, eta, tol)
+    if eta > 1.0 / math.sqrt(2.0):
+        dropped += _drop_coverage_gap(fields)
     return CurveDiscretization(
-        grid=grid, eta=eta, positions=positions, axis=axis, base_index=base,
-        closest_node=closest, theta=theta, normals=normals, n_p=n_p,
-        associated_primary=assoc, chart_neighbors=neighbors,
-        interp_points=interp_points, interp_coeffs=interp_coeffs,
-        pi_sp=pi_sp, pi_ss=pi_ss, dropped_cuts=dropped,
-        curve_kind=curve.kind)
+        grid=grid, eta=eta, dropped_cuts=dropped, surface_kind=curve.kind,
+        surface_params=curve.params, **_with_interpolation(fields))
 
 
 def curve_coefficients(disc):

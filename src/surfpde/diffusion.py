@@ -11,22 +11,18 @@ from .operators import laplace_beltrami, reduced_operator
 
 
 def forward_euler_solve(disc, u0_p, alpha, k, n_steps, form="divergence",
-                        lb=None, use_reduced=True):
+                        lb=None):
     """March u^{n+1} = u^n + k*alpha*L(E u^n) at the primary points.
 
-    With `use_reduced` the product L E is materialized once and each step is a
-    single matrix-vector product; otherwise extend/apply are interleaved.  The
-    two routes agree to rounding (L E is exact, not an approximation).
+    The product L E is materialized once, so each step is a single
+    matrix-vector product on the primaries.
     """
     lb = laplace_beltrami(disc, form) if lb is None else lb
     u = np.asarray(u0_p, dtype=float).copy()
     ka = k * alpha
-    red = reduced_operator(lb, disc) if use_reduced else None
+    red = reduced_operator(lb, disc)
     for step in range(n_steps):
-        if use_reduced:
-            u = u + ka * (red @ u)
-        else:
-            u = u + ka * (lb @ disc.extend(u))
+        u = u + ka * (red @ u)
         if not np.isfinite(u).all():
             raise SolverAbortError(
                 f"diffusion step {step + 1} produced non-finite values",

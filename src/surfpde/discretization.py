@@ -1,10 +1,17 @@
-"""Cut-point discretization of a closed level-set surface on a Cartesian grid.
+"""Cut-point discretization of a closed level set on a Cartesian grid.
 
-Cut points are the intersections of the surface with grid intervals.  Points
-cut from intervals along axis nu form the set Gamma_nu and carry a local chart
-over the other two coordinate planes.  Each cut point is owned by its closest
-grid point; the nearest cut point of each grid point is "primary", the rest
-are "secondary" and carry values interpolated from primary data (equilibration).
+Cut points are the intersections of the level set with grid intervals.
+Points cut from intervals along axis nu form the set Gamma_nu and carry a
+local chart over the other coordinate axes.  Each cut point is owned by its
+closest grid point; the nearest cut point of each grid point is "primary",
+the rest are "secondary" and carry values interpolated from primary data
+(equilibration).
+
+The construction is shared by surfaces on a 3-D grid (charts over the two
+cyclic axes, 3x3 stencil) and by plane curves on a 2-D grid (`curve1d`:
+chart over the one other axis, stencil offsets -1 and +1).  Equilibration
+has one route: the extension matrix E, the Neumann series of the
+interpolation blocks, and `extend(u_p) = E @ u_p`.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from .errors import EmptySurfaceError, GridError, StencilError
@@ -35,12 +41,16 @@ SLOT_SW, SLOT_NE = SLOT[(-1, -1)], SLOT[(1, 1)]
 SLOT_NW, SLOT_SE = SLOT[(-1, 1)], SLOT[(1, -1)]
 AXIS_SLOTS = (SLOT_W, SLOT_E, SLOT_S, SLOT_N)
 
+# chart-stencil offsets by grid dimension: a curve's chart is one grid line
+STENCIL_OFFSETS = {2: ((-1,), (1,)), 3: NEIGHBOR_OFFSETS}
+
 _SNAP_TOL = 1e-9  # fraction of h below which a cut is snapped to a grid point
 
 
-def chart_axes(axis):
-    """Chart coordinate axes for Gamma_axis, cyclic: (y,z), (z,x), (x,y)."""
-    return (axis + 1) % 3, (axis + 2) % 3
+def chart_axes(axis, dim):
+    """Chart coordinate axes for Gamma_axis: the other axes taken cyclically,
+    (y,z), (z,x), (x,y) on a 3-D grid and the one other axis on a 2-D grid."""
+    return tuple((axis + k) % dim for k in range(1, dim))
 
 
 @dataclass(frozen=True)
@@ -96,7 +106,7 @@ class CutPoint:
 
 
 class SurfaceDiscretization:
-    """Cut points, roles, chart stencils and equilibration matrices."""
+    """Cut points, roles, chart stencils and the extension matrix."""
 
     def __init__(self, grid, eta, positions, axis, base_index, closest_gp,
                  theta, normals, n_p, associated_primary, chart_neighbors,
@@ -119,7 +129,6 @@ class SurfaceDiscretization:
         self.pi_ss = pi_ss
         self.surface_kind = surface_kind
         self.surface_params = dict(surface_params or {})
-        self._pi_factor = None
         self._extension = None
 
     # -- basic queries ---------------------------------------------------
@@ -135,6 +144,11 @@ class SurfaceDiscretization:
     @property
     def h(self):
         return self.grid.h
+
+    @property
+    def offsets(self):
+        """Chart offsets of the `chart_neighbors` slots, in slot order."""
+        return STENCIL_OFFSETS[self.positions.shape[1]]
 
     @property
     def role(self):
@@ -153,7 +167,7 @@ class SurfaceDiscretization:
         nbrs = None
         if primary:
             nbrs = {off: int(j) for off, j in
-                    zip(NEIGHBOR_OFFSETS, self.chart_neighbors[i]) if j >= 0}
+                    zip(self.offsets, self.chart_neighbors[i]) if j >= 0}
         return CutPoint(
             index=i,
             position=self.positions[i].copy(),
@@ -170,25 +184,13 @@ class SurfaceDiscretization:
 
     # -- equilibration ---------------------------------------------------
 
-    def _factor(self):
-        if self._pi_factor is None:
-            n_s = self.n_s
-            mat = (sp.identity(n_s, format="csc") - self.pi_ss.tocsc())
-            self._pi_factor = spla.splu(mat)
-        return self._pi_factor
-
     def extend(self, values_p):
-        """Extend primary values to all cut points by solving the
-        interpolation system exactly (sparse direct factorization)."""
+        """Extend primary values to all cut points: E @ values_p."""
         values_p = np.asarray(values_p, dtype=float)
         if values_p.shape[0] != self.n_p:
             raise ValueError(f"expected {self.n_p} primary values, "
                              f"got {values_p.shape[0]}")
-        if self.n_s == 0:
-            return values_p.copy()
-        rhs = self.pi_sp @ values_p
-        u_s = self._factor().solve(rhs)
-        return np.concatenate([values_p, u_s], axis=0)
+        return self.extension_matrix() @ values_p
 
     def restrict(self, values):
         return np.asarray(values)[:self.n_p]
@@ -222,27 +224,21 @@ class SurfaceDiscretization:
         r = u_s - (self.pi_sp @ u_p + self.pi_ss @ u_s)
         return float(np.abs(r).max())
 
-    # -- stencil gathers used by the operators ---------------------------
-
-    def stencil_ids(self, slots=None):
-        """(n_p, len(slots)) neighbor ids for the requested slots (default all 8)."""
-        if slots is None:
-            return self.chart_neighbors.copy()
-        return self.chart_neighbors[:, list(slots)]
+    # -- stencil checks used by the operators ----------------------------
 
     def require_full_stencil(self, what="operator stencil", slots=None):
         """Raise StencilError if any primary lacks a neighbor in `slots`.
 
-        `slots=None` demands the full 3x3 stencil; operators that read only
-        part of it (one-sided differences need the axis slots, the
+        `slots=None` demands the full chart stencil; operators that read
+        only part of it (one-sided differences need the axis slots, the
         divergence form needs one diagonal pair per point) pass a subset.
         """
-        slot_ids = list(range(8) if slots is None else slots)
+        slot_ids = list(range(len(self.offsets)) if slots is None else slots)
         nb = self.chart_neighbors[:, slot_ids]
         missing = np.nonzero((nb < 0).any(axis=1))[0]
         if missing.size:
             i = int(missing[0])
-            offs = [NEIGHBOR_OFFSETS[slot_ids[s]] for s in
+            offs = [self.offsets[slot_ids[s]] for s in
                     np.nonzero(nb[i] < 0)[0]]
             raise StencilError(
                 f"{what}: {missing.size} primary points lack chart-stencil "
@@ -251,34 +247,28 @@ class SurfaceDiscretization:
                 f"Try a finer grid or a smaller eta (eta={self.eta}).")
 
 
-def equilibrate(disc, values_p):
-    """Extend primary values to all cut points (module-level convenience)."""
-    return disc.extend(values_p)
-
-
-# -- construction --------------------------------------------------------
+# -- construction, shared by curves (2-D grid) and surfaces (3-D grid) ---
 
 
 def _grid_phi(surface, grid):
-    xs, ys, zs = (grid.coords(a) for a in range(3))
+    coords = [grid.coords(a) for a in range(len(grid.shape))]
     shape = grid.shape
     out = np.empty(shape)
-    plane = shape[1] * shape[2]
+    plane = math.prod(shape[1:])
     chunk = max(1, int(4_000_000 // max(plane, 1)))
     for i0 in range(0, shape[0], chunk):
         i1 = min(shape[0], i0 + chunk)
-        x, y, z = np.meshgrid(xs[i0:i1], ys, zs, indexing="ij")
-        out[i0:i1] = surface.phi(np.stack([x, y, z], axis=-1))
+        mesh = np.meshgrid(coords[0][i0:i1], *coords[1:], indexing="ij")
+        out[i0:i1] = surface.phi(np.stack(mesh, axis=-1))
     return out
 
 
 def _check_containment(phi_grid):
-    faces = [phi_grid[0], phi_grid[-1], phi_grid[:, 0], phi_grid[:, -1],
-             phi_grid[:, :, 0], phi_grid[:, :, -1]]
-    worst = min(float(f.min()) for f in faces)
+    worst = min(float(np.take(phi_grid, end, axis=a).min())
+                for a in range(phi_grid.ndim) for end in (0, -1))
     if worst <= 0.0:
         raise GridError(
-            f"surface is not strictly inside the grid box "
+            f"level set is not strictly inside the grid box "
             f"(min boundary phi = {worst:.3e})")
 
 
@@ -291,7 +281,10 @@ def _admissible_mask(normals, axis, eta):
 
 
 def _batch_bisect(surface, p_in, p_out, axis, tol):
-    """Bisection on many segments at once along one axis (phi(p_in) <= 0)."""
+    """Bisection on many segments at once along one axis (phi(p_in) <= 0).
+
+    Only the `axis` coordinate moves, so the frozen coordinates of every
+    cut are exact grid coordinates."""
     m = p_in.shape[0]
     lo = np.zeros(m)
     hi = np.ones(m)
@@ -310,8 +303,8 @@ def _batch_bisect(surface, p_in, p_out, axis, tol):
 def _locate_axis_cuts(surface, grid, phi_grid, axis, tol):
     """Find all sign-change intervals along one axis and their cut points."""
     inside = phi_grid <= 0.0
-    lo_slice = [slice(None)] * 3
-    hi_slice = [slice(None)] * 3
+    lo_slice = [slice(None)] * inside.ndim
+    hi_slice = [slice(None)] * inside.ndim
     lo_slice[axis] = slice(None, -1)
     hi_slice[axis] = slice(1, None)
     in_lo = inside[tuple(lo_slice)]
@@ -319,7 +312,7 @@ def _locate_axis_cuts(surface, grid, phi_grid, axis, tol):
     change = in_lo != in_hi
     base = np.argwhere(change).astype(np.int64)
     if base.shape[0] == 0:
-        return base, np.empty((0, 3))
+        return base, np.empty((0, inside.ndim))
     origin = np.asarray(grid.origin)
     p_lo = origin + grid.h * base
     p_hi = p_lo.copy()
@@ -327,12 +320,7 @@ def _locate_axis_cuts(surface, grid, phi_grid, axis, tol):
     lo_is_in = in_lo[change]
     p_in = np.where(lo_is_in[:, None], p_lo, p_hi)
     p_out = np.where(lo_is_in[:, None], p_hi, p_lo)
-    cuts = _batch_bisect(surface, p_in, p_out, axis, tol)
-    # frozen coordinates are exact grid coordinates by construction
-    for a in range(3):
-        if a != axis:
-            cuts[:, a] = p_lo[:, a]
-    return base, cuts
+    return base, _batch_bisect(surface, p_in, p_out, axis, tol)
 
 
 def _snap_and_dedupe(grid, positions, axis, base, normals):
@@ -353,7 +341,7 @@ def _snap_and_dedupe(grid, positions, axis, base, normals):
     node[np.arange(len(axis)), axis] = 0
     node[snap, axis[snap]] = nearest[snap].astype(np.int64)
     snap_ids = np.nonzero(snap)[0]
-    key = np.ravel_multi_index(node[snap_ids].T, [n + 1 for n in grid.n_cells])
+    key = np.ravel_multi_index(node[snap_ids].T, grid.shape)
     for k in np.unique(key):
         group = snap_ids[key == k]
         if group.size == 1:
@@ -368,39 +356,44 @@ def _snap_and_dedupe(grid, positions, axis, base, normals):
     return keep, positions, True
 
 
-def _resolve_neighbors(grid, positions, axis, base, n_p):
-    """For each primary point, resolve the 8 chart-stencil neighbor ids.
+def _column_key(axis, chart_index, bmax):
+    """Integer id of the chart column (set, chart indices) of each row."""
+    key = axis.astype(np.int64)
+    for c in chart_index.T:
+        key = key * bmax + (c + 1)
+    return key
 
-    Candidates share the primary's set Gamma_nu and the queried chart index
-    pair; when a chart column crosses several sheets of the surface the
-    candidate nearest in the free coordinate is taken.
+
+def _resolve_neighbors(grid, positions, axis, base, n_p):
+    """For each primary point, resolve its chart-stencil neighbor ids.
+
+    Candidates share the primary's set Gamma_nu and the queried chart
+    indices; when a chart column crosses several sheets of the level set
+    the candidate nearest in the free coordinate is taken.
     """
-    n_tot = positions.shape[0]
-    c1 = (axis + 1) % 3
-    c2 = (axis + 2) % 3
+    n_tot, dim = positions.shape
     idx = np.arange(n_tot)
-    c1i = base[idx, c1]
-    c2i = base[idx, c2]
+    chart = np.stack([base[idx, c] for c in chart_axes(axis, dim)], axis=1)
     bmax = max(grid.n_cells) + 3
-    key = (axis.astype(np.int64) * bmax + (c1i + 1)) * bmax + (c2i + 1)
+    key = _column_key(axis, chart, bmax)
     pos_free = positions[idx, axis]
-    span = float(pos_free.max() - pos_free.min()) * 1.5 + 1.0
-    sortval = key.astype(float) * span + (pos_free - pos_free.min())
-    order = np.argsort(sortval, kind="stable")
+    # exact (column, free coordinate) order; the rank of each free
+    # coordinate makes it one int64 sort key for the searches below
+    order = np.lexsort((pos_free, key))
+    distinct, rank = np.unique(pos_free, return_inverse=True)
+    sortval = key * distinct.size + rank
     s_sortval = sortval[order]
     s_key = key[order]
     s_pos = pos_free[order]
 
-    prim = np.arange(n_p)
-    p_axis = axis[:n_p].astype(np.int64)
-    p_c1 = c1i[:n_p]
-    p_c2 = c2i[:n_p]
+    p_axis = axis[:n_p]
+    p_rank = rank[:n_p]
     p_pos = pos_free[:n_p]
-    out = np.full((n_p, 8), -1, dtype=np.int64)
-    for slot, (d1, d2) in enumerate(NEIGHBOR_OFFSETS):
-        qkey = (p_axis * bmax + (p_c1 + d1 + 1)) * bmax + (p_c2 + d2 + 1)
-        qval = qkey.astype(float) * span + (p_pos - pos_free.min())
-        j = np.searchsorted(s_sortval, qval)
+    offsets = np.asarray(STENCIL_OFFSETS[dim])
+    out = np.full((n_p, len(offsets)), -1, dtype=np.int64)
+    for slot, off in enumerate(offsets):
+        qkey = _column_key(p_axis, chart[:n_p] + off, bmax)
+        j = np.searchsorted(s_sortval, qkey * distinct.size + p_rank)
         best = np.full(n_p, -1, dtype=np.int64)
         best_d = np.full(n_p, np.inf)
         for cand in (j - 1, j):
@@ -411,83 +404,27 @@ def _resolve_neighbors(grid, positions, axis, base, n_p):
             better = d < best_d
             best = np.where(better, order[cc], best)
             best_d = np.where(better, d, best_d)
-        out[prim, slot] = best
+        out[:, slot] = best
     return out
 
 
-def _interpolation_data(positions, axis, theta, n_p, associated_primary,
-                        neighbors):
-    """Secondary interpolation triples (q-, p, q+) and their weights."""
-    n_tot = positions.shape[0]
-    n_s = n_tot - n_p
-    sec = np.arange(n_p, n_tot)
-    p = associated_primary[sec]
-    mu = axis[p]
-    nu = axis[sec]
-    same = nu == mu
-    if same.any():
-        i = sec[same][0]
-        raise StencilError(
-            f"secondary cut point at {positions[i]} shares its interval axis "
-            f"with its associated primary; interpolation along the chart is "
-            f"impossible (under-resolved surface)")
-    along_c1 = nu == (mu + 1) % 3
-    slot_minus = np.where(along_c1, SLOT_W, SLOT_S)
-    slot_plus = np.where(along_c1, SLOT_E, SLOT_N)
-    qm = neighbors[p, slot_minus]
-    qp = neighbors[p, slot_plus]
-    bad = (qm < 0) | (qp < 0)
-    if bad.any():
-        i = sec[bad][0]
-        raise StencilError(
-            f"secondary cut point at {positions[i]} needs chart neighbors of "
-            f"its primary at {positions[p[bad][0]]} that do not exist "
-            f"(admissibility gap); refine the grid or lower eta")
-    wm, wc, wp = interpolation_coefficients(theta[sec])
-    points = np.stack([qm, p, qp], axis=1).astype(np.int64)
-    coeffs = np.stack([wm, wc, wp], axis=1)
-    return points, coeffs
+def _cut_points(surface, grid, eta, tol):
+    """Cut points, roles and chart neighbors of `surface` on `grid`.
 
-
-def _pi_matrices(points, coeffs, n_p, n_s):
-    rows = np.repeat(np.arange(n_s), 3)
-    cols = points.ravel()
-    vals = coeffs.ravel()
-    in_p = cols < n_p
-    pi_sp = sp.coo_matrix((vals[in_p], (rows[in_p], cols[in_p])),
-                          shape=(n_s, n_p)).tocsr()
-    pi_ss = sp.coo_matrix((vals[~in_p], (rows[~in_p], cols[~in_p] - n_p)),
-                          shape=(n_s, n_s)).tocsr()
-    return pi_sp, pi_ss
-
-
-def discretize(surface, grid, eta=0.45, tol=1e-12):
-    """Build the cut-point discretization of `surface` on `grid`.
-
-    Parameters
-    ----------
-    surface : LevelSetSurface
-    grid : Grid3
-        Must strictly contain the surface (checked on the boundary faces).
-    eta : float
-        Admissibility threshold on |n_nu| at the cut point; 0 < eta < 1/sqrt(3).
-    tol : float
-        Bisection parameter tolerance (fraction of a grid interval).
-
-    Returns
-    -------
-    SurfaceDiscretization with primary points first (each block ordered by
-    (axis, base index) for deterministic output).
+    The steps shared by curves and surfaces, from the phi grid to the
+    stencil lookup.  Returns the per-point arrays under the constructor
+    names of SurfaceDiscretization (primary points first, each block
+    ordered by (axis, base index)) and the number of located cuts that
+    failed the admissibility test.
     """
-    if not 0.0 < eta < 1.0 / math.sqrt(3.0):
-        raise ValueError(f"eta must lie in (0, 1/sqrt(3)), got {eta}")
     phi_grid = _grid_phi(surface, grid)
     if not np.isfinite(phi_grid).all():
         raise GridError("phi evaluated to non-finite values on the grid")
     _check_containment(phi_grid)
+    dim = phi_grid.ndim
 
     bases, cuts, axes = [], [], []
-    for ax in range(3):
+    for ax in range(dim):
         base, q = _locate_axis_cuts(surface, grid, phi_grid, ax, tol)
         bases.append(base)
         cuts.append(q)
@@ -496,7 +433,7 @@ def discretize(surface, grid, eta=0.45, tol=1e-12):
     positions = np.concatenate(cuts, axis=0)
     axis = np.concatenate(axes)
     if positions.shape[0] == 0:
-        raise EmptySurfaceError("no grid interval crosses the surface")
+        raise EmptySurfaceError("no grid interval crosses the level set")
 
     normals = surface.unit_normal(positions)
     keep, positions, snapped = _snap_and_dedupe(grid, positions, axis, base,
@@ -527,14 +464,15 @@ def discretize(surface, grid, eta=0.45, tol=1e-12):
 
     # at most one admissible cut per grid interval
     interval_key = np.ravel_multi_index(
-        np.vstack([axis.astype(np.int64), base.T]),
-        (3,) + tuple(n + 1 for n in grid.n_cells))
+        np.vstack([axis.astype(np.int64), base.T]), (dim,) + grid.shape)
     if np.unique(interval_key).size != m:
         raise GridError("duplicate cut points on a single grid interval")
 
+    # primary = smallest |theta| at its grid point; exact ties go to the
+    # lowest base index, then the lowest axis
     gp_key = np.ravel_multi_index(closest.T, grid.shape)
-    order = np.lexsort((axis, base[:, 2], base[:, 1], base[:, 0],
-                        np.abs(theta), gp_key))
+    order = np.lexsort((axis,) + tuple(base[:, ::-1].T)
+                       + (np.abs(theta), gp_key))
     sorted_gp = gp_key[order]
     first = np.ones(m, dtype=bool)
     first[1:] = sorted_gp[1:] != sorted_gp[:-1]
@@ -546,8 +484,8 @@ def discretize(surface, grid, eta=0.45, tol=1e-12):
 
     # deterministic final ordering: primaries then secondaries, each block
     # sorted by (axis, base index)
-    block_order = np.lexsort((base[:, 2], base[:, 1], base[:, 0], axis,
-                              ~is_primary * 1))
+    block_order = np.lexsort(tuple(base[:, ::-1].T)
+                             + (axis, ~is_primary * 1))
     new_id = np.empty(m, dtype=np.int64)
     new_id[block_order] = np.arange(m)
     n_p = int(is_primary.sum())
@@ -555,27 +493,119 @@ def discretize(surface, grid, eta=0.45, tol=1e-12):
     positions = positions[block_order]
     axis = axis[block_order]
     base = base[block_order]
-    closest = closest[block_order]
-    theta = theta[block_order]
-    normals = normals[block_order]
     associated = np.full(m, -1, dtype=np.int64)
     associated[n_p:] = new_id[group_rep[block_order[n_p:]]]
+    fields = dict(
+        positions=positions, axis=axis, base_index=base,
+        closest_gp=closest[block_order], theta=theta[block_order],
+        normals=normals[block_order], n_p=n_p,
+        associated_primary=associated,
+        chart_neighbors=_resolve_neighbors(grid, positions, axis, base, n_p))
+    return fields, int(admissible.size - m)
 
-    neighbors = _resolve_neighbors(grid, positions, axis, base, n_p)
-    interp_points, interp_coeffs = _interpolation_data(
-        positions, axis, theta, n_p, associated, neighbors)
-    pi_sp, pi_ss = _pi_matrices(interp_points, interp_coeffs, n_p, m - n_p)
-    if m - n_p:
-        row_sums = np.abs(pi_ss).sum(axis=1)
-        assert float(row_sums.max()) <= 0.5 + 1e-12
 
+def _interpolation_data(positions, axis, theta, n_p, associated_primary,
+                        neighbors):
+    """Secondary interpolation triples (q-, p, q+) and their weights.
+
+    A secondary cut along axis nu is interpolated along nu in the chart of
+    its primary, from the primary and its two stencil neighbors there.
+    """
+    n_tot, dim = positions.shape
+    sec = np.arange(n_p, n_tot)
+    p = associated_primary[sec]
+    mu = axis[p].astype(np.int64)
+    nu = axis[sec].astype(np.int64)
+    same = nu == mu
+    if same.any():
+        i = sec[same][0]
+        raise StencilError(
+            f"secondary cut point at {positions[i]} shares its interval axis "
+            f"with its associated primary; interpolation along the chart is "
+            f"impossible (under-resolved level set)")
+    # (minus, plus) stencil slots along each chart axis
+    offsets = STENCIL_OFFSETS[dim]
+    unit = np.eye(dim - 1, dtype=np.int64)
+    pairs = np.array([[offsets.index(tuple((-u).tolist())),
+                       offsets.index(tuple(u.tolist()))] for u in unit])
+    slots = pairs[(nu - mu) % dim - 1]
+    qm = neighbors[p, slots[:, 0]]
+    qp = neighbors[p, slots[:, 1]]
+    bad = (qm < 0) | (qp < 0)
+    if bad.any():
+        i = sec[bad][0]
+        raise StencilError(
+            f"secondary cut point at {positions[i]} needs chart neighbors of "
+            f"its primary at {positions[p[bad][0]]} that do not exist "
+            f"(admissibility gap); refine the grid or lower eta")
+    wm, wc, wp = interpolation_coefficients(theta[sec])
+    points = np.stack([qm, p, qp], axis=1).astype(np.int64)
+    coeffs = np.stack([wm, wc, wp], axis=1)
+    return points, coeffs
+
+
+def _pi_matrices(points, coeffs, positions, n_p):
+    """Split the interpolation rows into Pi_sp (onto primaries) and Pi_ss.
+
+    Raises StencilError unless every row of |Pi_ss| sums to at most 1/2,
+    the bound that makes the extension series converge geometrically.
+    """
+    n_s = points.shape[0]
+    rows = np.repeat(np.arange(n_s), 3)
+    cols = points.ravel()
+    vals = coeffs.ravel()
+    in_p = cols < n_p
+    pi_sp = sp.coo_matrix((vals[in_p], (rows[in_p], cols[in_p])),
+                          shape=(n_s, n_p)).tocsr()
+    pi_ss = sp.coo_matrix((vals[~in_p], (rows[~in_p], cols[~in_p] - n_p)),
+                          shape=(n_s, n_s)).tocsr()
+    if n_s:
+        row_sums = np.asarray(abs(pi_ss).sum(axis=1)).ravel()
+        worst = int(np.argmax(row_sums))
+        if row_sums[worst] > 0.5 + 1e-12:
+            raise StencilError(
+                f"interpolation weights on secondary points sum to "
+                f"{row_sums[worst]:.6g} > 1/2 in the row of the secondary "
+                f"cut point at {positions[n_p + worst]}; the extension "
+                f"series needs every such row sum at most 1/2")
+    return pi_sp, pi_ss
+
+
+def _with_interpolation(fields):
+    """`fields` plus the interpolation triples and the Pi blocks."""
+    points, coeffs = _interpolation_data(
+        fields["positions"], fields["axis"], fields["theta"], fields["n_p"],
+        fields["associated_primary"], fields["chart_neighbors"])
+    pi_sp, pi_ss = _pi_matrices(points, coeffs, fields["positions"],
+                                fields["n_p"])
+    return dict(fields, interp_points=points, interp_coeffs=coeffs,
+                pi_sp=pi_sp, pi_ss=pi_ss)
+
+
+def discretize(surface, grid, eta=0.45, tol=1e-12):
+    """Build the cut-point discretization of `surface` on `grid`.
+
+    Parameters
+    ----------
+    surface : LevelSetSurface
+    grid : Grid3
+        Must strictly contain the surface (checked on the boundary faces).
+    eta : float
+        Admissibility threshold on |n_nu| at the cut point; 0 < eta < 1/sqrt(3).
+    tol : float
+        Bisection parameter tolerance (fraction of a grid interval).
+
+    Returns
+    -------
+    SurfaceDiscretization with primary points first (each block ordered by
+    (axis, base index) for deterministic output).
+    """
+    if not 0.0 < eta < 1.0 / math.sqrt(3.0):
+        raise ValueError(f"eta must lie in (0, 1/sqrt(3)), got {eta}")
+    fields, _ = _cut_points(surface, grid, eta, tol)
     return SurfaceDiscretization(
-        grid=grid, eta=eta, positions=positions, axis=axis, base_index=base,
-        closest_gp=closest, theta=theta, normals=normals, n_p=n_p,
-        associated_primary=associated, chart_neighbors=neighbors,
-        interp_points=interp_points, interp_coeffs=interp_coeffs,
-        pi_sp=pi_sp, pi_ss=pi_ss, surface_kind=surface.kind,
-        surface_params=surface.params)
+        grid=grid, eta=eta, surface_kind=surface.kind,
+        surface_params=surface.params, **_with_interpolation(fields))
 
 
 # -- discretization quality report ---------------------------------------

@@ -22,7 +22,7 @@ from .discretization import Grid3, discretize, interpolation_coefficients
 from .errors import StencilError
 from .fields import error_norms
 from .geometry import make_surface
-from .operators import laplace_beltrami, primary_chart_axes
+from .operators import primary_chart_axes
 from .poisson import poisson_solve
 from .quadrature import quadrature_weights
 from .spectrum import cluster_errors, laplacian_eigenvalues

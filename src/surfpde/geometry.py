@@ -77,13 +77,6 @@ class LevelSetSurface:
         n = g / mag[..., None]
         return n.reshape(np.shape(pts))
 
-    def with_fd_step(self, step):
-        """Copy of this surface whose gradient fallback uses a new FD step."""
-        if self._grad is not None:
-            return self
-        return LevelSetSurface(self.kind, self._phi, None, self.params,
-                               self.c0, step)
-
     def __repr__(self):
         ps = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
         return f"LevelSetSurface({self.kind}{', ' + ps if ps else ''})"

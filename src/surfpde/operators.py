@@ -116,10 +116,6 @@ def nondivergence_weights(g11_c, g22_c, g12_c, b1_c, b2_c, h):
 
 
 def _sphere_chart_coefficients(disc):
-    if disc.surface_kind != "sphere":
-        raise ValueError(
-            "nondivergence form uses closed-form sphere coefficients; "
-            f"surface kind is {disc.surface_kind!r} (use form='divergence')")
     r2 = float(disc.surface_params.get("radius", 1.0)) ** 2
     c1, c2 = primary_chart_axes(disc)
     idx = np.arange(disc.n_p)

@@ -52,6 +52,17 @@ def test_config_errors_carry_path_and_line(tmp_path, capsys):
     assert f"{cfg}:2" in err and "wibble" in err
 
 
+def test_config_rejects_fields_no_subcommand_reads(tmp_path, capsys):
+    # keys that no subcommand declares are rejected, not silently ignored
+    for field in ("alpha = 0.5", "count = 4"):
+        cfg = tmp_path / "dead.cfg"
+        cfg.write_text(f"n = 20\n{field}\n")
+        assert main(["discretize", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2" in err
+        assert f"unknown field {field.split()[0]!r}" in err
+
+
 def test_missing_config_exits_two(tmp_path, capsys):
     assert main(["discretize", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err

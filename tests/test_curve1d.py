@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from surfpde.curve1d import (
     CURVE_CATALOG,
@@ -125,9 +127,12 @@ def circle_cut_inventory(n):
     return recs, groups, n_bad
 
 
-def test_circle_inventory_matches_construction(circle80):
-    d = circle80
-    recs, groups, n_bad = circle_cut_inventory(80)
+@pytest.mark.parametrize("n", [40, 80, 160])
+def test_circle_inventory_matches_construction(n, circle40, circle80):
+    # N = 40 and 160 put exact |theta| ties inside node groups, N = 80 none
+    d = {40: circle40, 80: circle80}.get(n) or discretize_curve(
+        circle(), Grid2.square(-1.2, 1.2, n))
+    recs, groups, n_bad = circle_cut_inventory(n)
     assert d.n_tot == len(recs)
     assert d.n_p == len(groups)
     assert d.dropped_cuts == n_bad
@@ -144,10 +149,17 @@ def test_circle_inventory_matches_construction(circle80):
     # smallest |theta| (symmetry can tie two cuts exactly; the designated
     # one must still be minimal up to roundoff)
     assert sorted(seen_primary) == sorted(groups)
+    primary_key = {(int(d.axis[i]), tuple(int(b) for b in d.base_index[i]))
+                   for i in range(d.n_p)}
     for node, keys in groups.items():
         assert len(seen_primary[node]) == 1
         best = min(abs(recs[k][1]) for k in keys)
         assert seen_primary[node][0] <= best + 1e-9
+        # a tie goes to the lowest base index, then the lowest axis, as
+        # on surfaces
+        tied = [k for k in keys if abs(recs[k][1]) <= best + 1e-12]
+        winner = min(tied, key=lambda k: (k[1], k[0]))
+        assert winner in primary_key
 
 
 # ----------------------------------------------------- structural invariants
@@ -165,7 +177,7 @@ def test_points_on_curve_and_theta_bounds(circle80):
     for s in range(d.n_p, d.n_tot):
         p = d.associated_primary[s]
         assert abs(d.theta[s]) >= abs(d.theta[p]) - 1e-9
-        assert (d.closest_node[s] == d.closest_node[p]).all()
+        assert (d.closest_gp[s] == d.closest_gp[p]).all()
 
 
 def test_interpolation_rows(circle80):
@@ -194,8 +206,10 @@ def test_equilibration_routes_and_constants(circle80):
     up = rng.standard_normal(d.n_p)
     full = d.extend(up)
     assert np.abs(full[: d.n_p] - up).max() == 0.0
-    other = d.extension_matrix() @ up
-    assert np.abs(full[d.n_p:] - other[d.n_p:]).max() < 1e-12
+    # independent oracle: solve (I - Pi_ss) u_s = Pi_sp u_p directly
+    other = spla.spsolve((sp.identity(d.n_s, format="csc") - d.pi_ss).tocsc(),
+                         d.pi_sp @ up)
+    assert np.abs(full[d.n_p:] - other).max() < 1e-12
     const = d.extend(np.ones(d.n_p))
     assert np.abs(const - 1.0).max() < 1e-13
 

@@ -1,13 +1,21 @@
 """Construction of the cut-point set, checked against an independent
 enumeration of the unit sphere's grid-line crossings."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
+import surfpde
 from surfpde.discretization import (AXIS_SLOTS, Grid3, NEIGHBOR_OFFSETS,
                                     SLOT_E, SurfaceDiscretization, discretize,
-                                    equilibrate, interpolation_coefficients,
+                                    interpolation_coefficients,
                                     quality_report)
 from surfpde.errors import (EmptySurfaceError, GridError, StencilError)
 from surfpde.geometry import from_callables, make_surface
@@ -177,6 +185,34 @@ def test_pi_row_sums(sphere80):
     assert np.abs(d.pi_ss).sum(axis=1).max() <= 0.5 + 1e-12
 
 
+def test_pi_row_sum_bound_is_checked_under_optimize():
+    # made-up interpolation rows: secondary 1 leans on secondary 2 with
+    # weights summing to 0.8 > 1/2; the check must survive python -O
+    script = textwrap.dedent("""
+        import numpy as np
+        from surfpde.discretization import _pi_matrices
+        from surfpde.errors import StencilError
+        points = np.array([[0, 0, 0], [1, 0, 2], [0, 0, 0]])
+        coeffs = np.array([[0.0, 1.0, 0.0], [0.4, 0.2, 0.4],
+                           [0.0, 1.0, 0.0]])
+        positions = np.array([[0.0, 0.0, 0.0], [0.1, 0.2, 0.3],
+                              [0.25, 0.5, 0.75], [0.4, 0.5, 0.6]])
+        try:
+            _pi_matrices(points, coeffs, positions, 1)
+        except StencilError as exc:
+            print(exc)
+        else:
+            raise SystemExit("no StencilError")
+    """)
+    src = os.path.dirname(os.path.dirname(surfpde.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert "0.8" in proc.stdout
+    assert "[0.25 0.5  0.75]" in proc.stdout
+
+
 def test_roles_and_point_view(sphere40):
     d = sphere40
     assert (d.role[:d.n_p] == 0).all() and (d.role[d.n_p:] == 1).all()
@@ -197,13 +233,19 @@ def exact_field(points):
     return np.cos(points[:, 0] + points[:, 1] - 2.0 * points[:, 2])
 
 
+def direct_extension(d, u_p):
+    """Independent oracle: solve (I - Pi_ss) u_s = Pi_sp u_p directly."""
+    mat = (sp.identity(d.n_s, format="csc") - d.pi_ss).tocsc()
+    return np.concatenate([u_p, spla.spsolve(mat, d.pi_sp @ u_p)])
+
+
 def test_equilibration_routes_agree(sphere40):
     d = sphere40
     u_p = exact_field(d.positions)[:d.n_p]
-    direct = d.extend(u_p)
+    direct = direct_extension(d, u_p)
     series = d.extension_matrix() @ u_p
     assert np.abs(direct - series).max() < 1e-12
-    assert np.abs(equilibrate(d, u_p) - direct).max() == 0.0
+    assert np.abs(d.extend(u_p) - series).max() == 0.0
 
 
 def test_equilibration_preserves_constants(sphere40):
