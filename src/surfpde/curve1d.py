@@ -273,22 +273,20 @@ def proof_row_operations(disc, sigma):
     diagonal and those multipliers in the (secondary, primary) slots.
     """
     c_minus, c_plus, _ = curve_coefficients(disc)
-    n_p, n_s, n = disc.n_p, disc.n_s, disc.n_tot
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [np.ones(n)]
-    for s in range(n_s):
-        t = disc.theta[n_p + s]
-        if t == 0.0:
-            continue
-        p = int(disc.associated_primary[n_p + s])
-        # positive entry sits at q_minus for t > 0, q_plus for t < 0
-        c_side = c_minus[p] if t > 0.0 else c_plus[p]
-        rows.append(np.array([n_p + s]))
-        cols.append(np.array([p]))
-        vals.append(np.array([1.0 / (8.0 * sigma * c_side)]))
-    return assemble_csr(np.concatenate(rows), np.concatenate(cols),
-                        np.concatenate(vals), (n, n))
+    n_p, n = disc.n_p, disc.n_tot
+    sec = np.arange(n_p, n)
+    t = disc.theta[sec]
+    sec = sec[t != 0.0]
+    t = t[t != 0.0]
+    p = disc.associated_primary[sec]
+    # positive entry sits at q_minus for t > 0, q_plus for t < 0
+    c_side = np.where(t > 0.0, c_minus[p], c_plus[p])
+    diag = np.arange(n)
+    return assemble_csr(np.concatenate([diag, sec]),
+                        np.concatenate([diag, p]),
+                        np.concatenate([np.ones(n),
+                                        1.0 / (8.0 * sigma * c_side)]),
+                        (n, n))
 
 
 def m_matrix_report(disc, sigma):

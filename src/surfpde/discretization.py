@@ -11,7 +11,9 @@ The construction is shared by surfaces on a 3-D grid (charts over the two
 cyclic axes, 3x3 stencil) and by plane curves on a 2-D grid (`curve1d`:
 chart over the one other axis, stencil offsets -1 and +1).  Equilibration
 has one route: the extension matrix E, the Neumann series of the
-interpolation blocks, and `extend(u_p) = E @ u_p`.
+interpolation blocks, and `extend(u_p) = E @ u_p`.  Explicit chart
+differences have one route too: the one-sided difference matrices of
+`chart_differences`, built once per discretization like E.
 """
 
 from __future__ import annotations
@@ -45,6 +47,15 @@ AXIS_SLOTS = (SLOT_W, SLOT_E, SLOT_S, SLOT_N)
 STENCIL_OFFSETS = {2: ((-1,), (1,)), 3: NEIGHBOR_OFFSETS}
 
 _SNAP_TOL = 1e-9  # fraction of h below which a cut is snapped to a grid point
+
+
+def _axis_slot_pairs(dim):
+    """(minus, plus) stencil slots along each chart axis, one row per axis:
+    (W, E) and (S, N) on a 3-D grid, the two slots on a 2-D grid."""
+    offsets = STENCIL_OFFSETS[dim]
+    unit = np.eye(dim - 1, dtype=np.int64)
+    return np.array([[offsets.index(tuple((-u).tolist())),
+                      offsets.index(tuple(u.tolist()))] for u in unit])
 
 
 def chart_axes(axis, dim):
@@ -130,6 +141,7 @@ class SurfaceDiscretization:
         self.surface_kind = surface_kind
         self.surface_params = dict(surface_params or {})
         self._extension = None
+        self._differences = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -214,6 +226,37 @@ class SurfaceDiscretization:
             self._extension = sp.vstack(
                 [sp.identity(self.n_p, format="csr"), w], format="csr")
         return self._extension
+
+    def chart_differences(self, direction=None):
+        """Cached one-sided chart-difference matrix, built on first use.
+
+        Rows come in blocks of n_p, one block per chart axis (c1, then c2
+        on a surface): u(q+) - u(p) for direction='forward' and
+        u(p) - u(q-) for 'backward', with q-/q+ the primary's axis
+        neighbors in its own set.  `direction=None` stacks the forward
+        blocks over the backward ones.  Entries are +-1; divide the
+        product by h for derivatives.  Raises StencilError on the first
+        call if a primary lacks an axis neighbor.
+        """
+        if self._differences is None:
+            pairs = _axis_slot_pairs(self.positions.shape[1])
+            self.require_full_stencil("one-sided chart differences",
+                                      slots=pairs.ravel())
+            nb = self.chart_neighbors
+            own = [np.arange(self.n_p)] * len(pairs)
+            hi = np.concatenate([nb[:, pairs[:, 1]].T.ravel()] + own)
+            lo = np.concatenate(own + [nb[:, pairs[:, 0]].T.ravel()])
+            m = hi.size
+            both = sp.csr_matrix(
+                (np.tile([1.0, -1.0], m), np.stack([hi, lo], axis=1).ravel(),
+                 np.arange(0, 2 * m + 1, 2)), shape=(m, self.n_tot))
+            half = m // 2
+            self._differences = {None: both, "forward": both[:half],
+                                 "backward": both[half:]}
+        if direction not in self._differences:
+            raise ValueError(f"direction must be 'forward' or 'backward', "
+                             f"got {direction!r}")
+        return self._differences[direction]
 
     def equilibration_residual(self, values):
         """max |u_s - (Pi_sp u_p + Pi_ss u_s)| for a full field."""
@@ -523,12 +566,7 @@ def _interpolation_data(positions, axis, theta, n_p, associated_primary,
             f"secondary cut point at {positions[i]} shares its interval axis "
             f"with its associated primary; interpolation along the chart is "
             f"impossible (under-resolved level set)")
-    # (minus, plus) stencil slots along each chart axis
-    offsets = STENCIL_OFFSETS[dim]
-    unit = np.eye(dim - 1, dtype=np.int64)
-    pairs = np.array([[offsets.index(tuple((-u).tolist())),
-                       offsets.index(tuple(u.tolist()))] for u in unit])
-    slots = pairs[(nu - mu) % dim - 1]
+    slots = _axis_slot_pairs(dim)[(nu - mu) % dim - 1]
     qm = neighbors[p, slots[:, 0]]
     qp = neighbors[p, slots[:, 1]]
     bad = (qm < 0) | (qp < 0)

@@ -5,6 +5,10 @@ locally a graph with slopes read off the stored unit normals.  The
 Laplace-Beltrami operator is built on the 3x3 chart stencil in either
 divergence form (metric-weighted second differences, nonnegative off-diagonal
 weights) or nondivergence form (sphere only, closed-form coefficients).
+Explicit chart differences (upwinding, switched viscosity, the sphere's
+surface divergence) are products with the one-sided difference matrices
+that `SurfaceDiscretization.chart_differences` builds once per
+discretization.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (AXIS_SLOTS, NEIGHBOR_OFFSETS, SLOT_E, SLOT_N,
-                             SLOT_NE, SLOT_NW, SLOT_S, SLOT_SE, SLOT_SW,
-                             SLOT_W)
+from .discretization import (NEIGHBOR_OFFSETS, SLOT_E, SLOT_N, SLOT_NE,
+                             SLOT_NW, SLOT_S, SLOT_SE, SLOT_SW, SLOT_W)
 from .errors import StencilError
 from .linalg import assemble_csr
 
@@ -212,29 +215,40 @@ def advection_coefficients(disc, velocity, tangency_tol=1e-10):
     return v[idx, c1], v[idx, c2]
 
 
+def sphere_geometry_weights(disc):
+    """Weights of the sphere's chart geometry term, shape (3, n_p).
+
+    Row c holds x_c / height^2 where c is a chart axis of the primary and
+    0 on its normal axis, so `(w * v).sum(axis=0)` is
+    (xi1 v_c1 + xi2 v_c2) / height^2 for Cartesian component rows v.
+    """
+    n_p = disc.n_p
+    idx = np.arange(n_p)
+    ax = disc.axis[:n_p].astype(np.int64)
+    pos = disc.positions[:n_p]
+    w = np.ascontiguousarray(pos.T) / pos[idx, ax] ** 2
+    w[ax, idx] = 0.0
+    return w
+
+
 def sphere_surface_divergence(disc, vec_full):
     """Surface divergence of a tangential field on the sphere, per primary.
 
-    Chart derivatives are centered differences of the Cartesian chart
-    components; the geometric factor (xi_i / height^2) is exact for the
-    sphere.  `vec_full` holds equilibrated Cartesian vectors at all points.
+    Chart derivatives are centered differences, the mean of the forward
+    and backward ones, of the Cartesian chart components; the geometric
+    factor (xi_i / height^2) is exact for the sphere.  `vec_full` holds
+    equilibrated Cartesian vectors at all points.
     """
     if disc.surface_kind != "sphere":
         raise ValueError("closed-form surface divergence only on the sphere")
-    disc.require_full_stencil("surface divergence", slots=AXIS_SLOTS)
     v = np.asarray(vec_full, dtype=float)
     n_p = disc.n_p
+    d = (disc.chart_differences() @ v).reshape(2, 2, n_p, 3)
+    centred = (d[0] + d[1]) / (2.0 * disc.h)
     c1, c2 = primary_chart_axes(disc)
     idx = np.arange(n_p)
-    nb = disc.chart_neighbors
-    h2 = 2.0 * disc.h
-    dv1 = (v[nb[:, SLOT_E], c1] - v[nb[:, SLOT_W], c1]) / h2
-    dv2 = (v[nb[:, SLOT_N], c2] - v[nb[:, SLOT_S], c2]) / h2
-    height = disc.positions[idx, disc.axis[:n_p].astype(np.int64)]
-    xi1 = disc.positions[idx, c1]
-    xi2 = disc.positions[idx, c2]
-    geo = (xi1 * v[idx, c1] + xi2 * v[idx, c2]) / height ** 2
-    return dv1 + dv2 + geo
+    geo = (sphere_geometry_weights(disc) * v[:n_p].T).sum(axis=0)
+    return centred[0, idx, c1] + centred[1, idx, c2] + geo
 
 
 def upwind_differences(disc, field, direction):
@@ -243,20 +257,12 @@ def upwind_differences(disc, field, direction):
     direction='forward' uses E/N neighbors, 'backward' uses W/S.  Works on
     scalar fields (n_tot,) or stacked components (n_tot, m).
     """
-    f = np.asarray(field, dtype=float)
-    disc.require_full_stencil("one-sided chart differences", slots=AXIS_SLOTS)
-    nb = disc.chart_neighbors
-    c = np.arange(disc.n_p)
-    if direction == "forward":
-        d1 = (f[nb[:, SLOT_E]] - f[c]) / disc.h
-        d2 = (f[nb[:, SLOT_N]] - f[c]) / disc.h
-    elif direction == "backward":
-        d1 = (f[c] - f[nb[:, SLOT_W]]) / disc.h
-        d2 = (f[c] - f[nb[:, SLOT_S]]) / disc.h
-    else:
+    if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', "
                          f"got {direction!r}")
-    return d1, d2
+    d = disc.chart_differences(direction) @ np.asarray(field, dtype=float)
+    d /= disc.h
+    return d[:disc.n_p], d[disc.n_p:]
 
 
 def artificial_viscosity(disc, field, nu, k):
@@ -267,15 +273,16 @@ def artificial_viscosity(disc, field, nu, k):
     component's differences.  Returns increments at primary points.
     """
     f = np.asarray(field, dtype=float)
-    dp1, dp2 = upwind_differences(disc, f, "forward")
-    dm1, dm2 = upwind_differences(disc, f, "backward")
-    if f.ndim == 1:
-        mag_p = np.sqrt(dp1 ** 2 + dp2 ** 2)
-        mag_m = np.sqrt(dm1 ** 2 + dm2 ** 2)
-    else:
-        mag_p = np.sqrt((dp1 ** 2 + dp2 ** 2).sum(axis=1, keepdims=True))
-        mag_m = np.sqrt((dm1 ** 2 + dm2 ** 2).sum(axis=1, keepdims=True))
-    return nu * k * disc.h * (mag_p * (dp1 + dp2) - mag_m * (dm1 + dm2))
+    diffs = disc.chart_differences()
+    # one product per component row, on contiguous rows (m, 4 n_p)
+    d = np.stack([diffs @ row for row in f.reshape(f.shape[0], -1).T])
+    d /= disc.h
+    d = d.reshape(-1, 2, 2, disc.n_p).transpose(1, 2, 0, 3)
+    (dp1, dp2), (dm1, dm2) = d
+    mag_p = np.sqrt((dp1 ** 2 + dp2 ** 2).sum(axis=0))
+    mag_m = np.sqrt((dm1 ** 2 + dm2 ** 2).sum(axis=0))
+    incr = nu * k * disc.h * (mag_p * (dp1 + dp2) - mag_m * (dm1 + dm2))
+    return incr.T.reshape((disc.n_p,) + f.shape[1:])
 
 
 def row_sign_structure(lb, disc, metric=None):

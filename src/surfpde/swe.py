@@ -1,8 +1,11 @@
 """Shallow water equations on the rotating unit sphere.
 
 State is the geopotential height Phi and the Cartesian momentum Phi*v at
-the primary points.  Fluxes and the pressure gradient are differenced in
-each primary's chart; vector terms are projected back to the tangent plane.
+the primary points, stored component-major as contiguous (4, n) rows.
+Fluxes are formed per point on the equilibrated state and differenced in
+each primary's chart by sparse products with the chart-difference matrices
+that the discretization builds once; vector terms are projected back to
+the tangent plane.
 The standard test is a zonal flow tilted 30 degrees from the rotation axis,
 a steady solution whose drift measures the scheme's error.
 
@@ -16,11 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .discretization import AXIS_SLOTS, SLOT_E, SLOT_N, SLOT_S, SLOT_W
 from .maccormack import check_finite, maccormack_step
 from .operators import (artificial_viscosity, primary_chart_axes,
-                        tangential_projection)
+                        sphere_geometry_weights, tangential_projection)
 
 EARTH_RADIUS = 6.37122e6          # m
 EARTH_OMEGA = 7.292e-5            # 1/s
@@ -89,88 +92,63 @@ def exact_energy_integral(params):
 
 
 class _Workspace:
-    """Frozen per-primary geometry used by every right-hand side call."""
+    """Frozen per-primary geometry and the chart operators of the RHS.
+
+    Per direction, `div` (n_p, 3 n_tot) differences a component-major
+    stack of per-point fields along each primary's chart axes, reading
+    component c1 along c1 and c2 along c2 (column c * n_tot + j); `grad`
+    (3 n_p, n_tot) puts the chart differences of a scalar into rows
+    c1 * n_p + i and c2 * n_p + i, a Cartesian vector with a zero
+    normal-axis component.  Both hold +-1 entries.
+    """
 
     def __init__(self, disc, params):
-        disc.require_full_stencil("shallow water chart differences",
-                                  slots=AXIS_SLOTS)
         self.disc = disc
-        n_p = disc.n_p
-        c1, c2 = primary_chart_axes(disc)
-        self.c1, self.c2 = c1, c2
-        idx = np.arange(n_p)
-        self.idx = idx
-        pos = disc.positions
-        ax = disc.axis[:n_p].astype(np.int64)
-        self.ax = ax
-        self.xi1 = pos[idx, c1]
-        self.xi2 = pos[idx, c2]
-        height = pos[idx, ax]
-        self.inv_h2 = 1.0 / height ** 2
-        self.normals = disc.normals[:n_p]
-        self.f = coriolis_parameter(pos[:n_p], params)
-        nb = disc.chart_neighbors
-        self.nb_e = nb[:, SLOT_E]
-        self.nb_w = nb[:, SLOT_W]
-        self.nb_n = nb[:, SLOT_N]
-        self.nb_s = nb[:, SLOT_S]
-
-    def chart_diffs(self, direction):
-        if direction == "forward":
-            return (self.nb_e, self.idx), (self.nb_n, self.idx)
-        return (self.idx, self.nb_w), (self.idx, self.nb_s)
+        n_p, n_tot = disc.n_p, disc.n_tot
+        self.normals = np.ascontiguousarray(disc.normals[:n_p].T)
+        self.geo = sphere_geometry_weights(disc)
+        # f n, rolled by one and two components for the cross product
+        f_normals = coriolis_parameter(disc.positions[:n_p],
+                                       params) * self.normals
+        self.f_normals = f_normals[[1, 2, 0]], f_normals[[2, 0, 1]]
+        comp = np.concatenate(primary_chart_axes(disc))
+        self.ops = {}
+        for direction in ("forward", "backward"):
+            d = disc.chart_differences(direction).tocoo()
+            c, i = comp[d.row], d.row % n_p
+            div = sp.csr_matrix((d.data, (i, c * n_tot + d.col)),
+                                shape=(n_p, 3 * n_tot))
+            grad = sp.csr_matrix((d.data, (c * n_p + i, d.col)),
+                                 shape=(3 * n_p, n_tot))
+            self.ops[direction] = div, grad
 
 
 def _swe_rhs(ws, direction, full):
     """Right-hand side of both equations with one-sided chart differences.
 
-    `full` is the equilibrated (n_tot, 4) state [Phi, m_x, m_y, m_z];
-    returns the (n_p, 4) time derivative at the primaries.
+    `full` is the equilibrated state as contiguous (4, n_tot) rows
+    [Phi, m_x, m_y, m_z]; returns the (4, n_p) time derivative at the
+    primaries.
     """
-    disc = ws.disc
-    h = disc.h
-    idx, c1, c2 = ws.idx, ws.c1, ws.c2
-    phi = full[:, 0]
-    mom = full[:, 1:4]
-    (hi1, lo1), (hi2, lo2) = ws.chart_diffs(direction)
+    n_p, h = ws.disc.n_p, ws.disc.h
+    div, grad = ws.ops[direction]
+    phi, mom = full[0], full[1:]
+    mom_c = mom[:, :n_p]
+    geo = (ws.geo * mom_c).sum(axis=0)
+    out = np.empty((4, n_p))
+    out[0] = -(div @ mom.ravel() / h + geo)
 
-    # chart momentum components at the four stencil roles, per primary chart
-    m1_hi = mom[hi1, c1]
-    m1_lo = mom[lo1, c1]
-    m2_hi = mom[hi2, c2]
-    m2_lo = mom[lo2, c2]
-    m1_c = mom[idx, c1]
-    m2_c = mom[idx, c2]
+    # momentum advection: chart divergence of the point fluxes v_c * m,
+    # plus the pressure gradient of Phi^2/2, projected
+    vel = mom / phi
+    adv = np.stack([div @ (vel * m).ravel() for m in mom])
+    adv += (grad @ (0.5 * phi ** 2)).reshape(3, n_p)
+    adv /= h
+    tangential = tangential_projection(adv.T, ws.normals.T).T
 
-    geo1 = ws.xi1 * ws.inv_h2
-    geo2 = ws.xi2 * ws.inv_h2
-    dphi = -((m1_hi - m1_lo) / h + (m2_hi - m2_lo) / h
-             + geo1 * m1_c + geo2 * m2_c)
-
-    # momentum advection: divergence of the fluxes v1*m, v2*m, projected
-    flux1_hi = (m1_hi / phi[hi1])[:, None] * mom[hi1]
-    flux1_lo = (m1_lo / phi[lo1])[:, None] * mom[lo1]
-    flux2_hi = (m2_hi / phi[hi2])[:, None] * mom[hi2]
-    flux2_lo = (m2_lo / phi[lo2])[:, None] * mom[lo2]
-    adv = (flux1_hi - flux1_lo + flux2_hi - flux2_lo) / h
-
-    # pressure gradient of Phi^2/2 as a chart vector (zero normal-axis slot)
-    half_sq = 0.5 * phi ** 2
-    press = np.zeros_like(adv)
-    press[idx, c1] = (half_sq[hi1] - half_sq[lo1]) / h
-    press[idx, c2] = (half_sq[hi2] - half_sq[lo2]) / h
-
-    tangential = tangential_projection(adv + press, ws.normals)
-
-    mom_c = mom[idx]
-    phi_c = phi[idx]
-    coriolis = ws.f[:, None] * np.cross(ws.normals, mom_c)
-    geo = ((geo1 * m1_c + geo2 * m2_c) / phi_c)[:, None] * mom_c
-
-    dmom = -(tangential + coriolis + geo)
-    out = np.empty((disc.n_p, 4))
-    out[:, 0] = dphi
-    out[:, 1:4] = dmom
+    fn1, fn2 = ws.f_normals
+    coriolis = fn1 * mom_c[[2, 0, 1]] - fn2 * mom_c[[1, 2, 0]]
+    out[1:] = -(tangential + coriolis + (geo / phi[:n_p]) * mom_c)
     return out
 
 
@@ -185,9 +163,10 @@ def solve_swe(disc, params, t_ends, k=None):
         k = 1.0 / (2.0 * max(disc.grid.n_cells))
     ws = _Workspace(disc, params)
     phi0, mom0 = initial_state(disc, params)
-    state = np.empty((disc.n_p, 4))
-    state[:, 0] = phi0
-    state[:, 1:4] = mom0
+    state = np.vstack([phi0, mom0.T])
+
+    def extend(state_p):
+        return np.ascontiguousarray(disc.extend(state_p.T).T)
 
     def rhs_f(full):
         return _swe_rhs(ws, "forward", full)
@@ -198,9 +177,9 @@ def solve_swe(disc, params, t_ends, k=None):
     nu = params.nu
 
     def viscosity(full_old):
-        incr = np.empty((disc.n_p, 4))
-        incr[:, 0] = artificial_viscosity(disc, full_old[:, 0], nu, k)
-        incr[:, 1:4] = artificial_viscosity(disc, full_old[:, 1:4], nu, k)
+        incr = np.empty((4, disc.n_p))
+        incr[0] = artificial_viscosity(disc, full_old[0], nu, k)
+        incr[1:] = artificial_viscosity(disc, full_old[1:].T, nu, k).T
         return incr
 
     extra = viscosity if nu != 0.0 else None
@@ -216,10 +195,10 @@ def solve_swe(disc, params, t_ends, k=None):
     done = 0
     for t, n in zip(t_ends, targets):
         for step in range(done, n):
-            state = maccormack_step(state, k, rhs_f, rhs_b, disc.extend,
+            state = maccormack_step(state, k, rhs_f, rhs_b, extend,
                                     extra_corrector=extra)
-            state[:, 1:4] = tangential_projection(state[:, 1:4], ws.normals)
+            state[1:] = tangential_projection(state[1:].T, ws.normals.T).T
             check_finite(state, step + 1, (step + 1) * k)
         done = n
-        out.append((t, state[:, 0].copy(), state[:, 1:4].copy()))
+        out.append((t, state[0].copy(), state[1:].T.copy()))
     return out

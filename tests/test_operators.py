@@ -3,8 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from surfpde import Grid3, discretize, make_surface
 from surfpde.discretization import (SLOT_E, SLOT_N, SLOT_NE, SLOT_NW, SLOT_S,
-                                    SLOT_SE, SLOT_SW, SLOT_W)
+                                    SLOT_SE, SLOT_SW, SLOT_W,
+                                    SurfaceDiscretization)
+from surfpde.errors import StencilError
 from surfpde.operators import (advection_coefficients, artificial_viscosity,
                                chart_metric, divergence_weights,
                                laplace_beltrami, nondivergence_weights,
@@ -238,3 +241,118 @@ def test_artificial_viscosity_vector_shares_magnitude(sphere40):
     # scaling the field by c scales the quadratic increment by c^2
     out2 = artificial_viscosity(sphere40, 2.0 * f, nu=1.0, k=0.01)
     np.testing.assert_allclose(out2, 4.0 * out, rtol=1e-12)
+
+
+# -- cached chart-difference matrices against the neighbor gathers --------
+
+
+def copy_discretization(d, **changes):
+    """A fresh SurfaceDiscretization over the arrays of `d` (no caches)."""
+    names = ("grid", "eta", "positions", "axis", "base_index", "closest_gp",
+             "theta", "normals", "n_p", "associated_primary",
+             "chart_neighbors", "interp_points", "interp_coeffs", "pi_sp",
+             "pi_ss", "surface_kind", "surface_params")
+    return SurfaceDiscretization(**dict({k: getattr(d, k) for k in names},
+                                        **changes))
+
+
+def gather_differences(d, f, direction):
+    """The one-sided differences by indexing, before the division by h."""
+    nb = d.chart_neighbors
+    c = np.arange(d.n_p)
+    if direction == "forward":
+        return f[nb[:, SLOT_E]] - f[c], f[nb[:, SLOT_N]] - f[c]
+    return f[c] - f[nb[:, SLOT_W]], f[c] - f[nb[:, SLOT_S]]
+
+
+@pytest.fixture(scope="module", params=[
+    ("sphere", 0), ("sphere", 1), ("ellipsoid", 0), ("ellipsoid", 1)],
+    ids=["sphere-centred", "sphere-shifted", "ellipsoid-centred",
+         "ellipsoid-shifted"])
+def any_disc(request):
+    name, seed = request.param
+    h = 2.4 / 40
+    shift = (np.zeros(3) if seed == 0
+             else np.random.default_rng(seed).uniform(0.0, h, 3))
+    grid = Grid3(tuple(float(v) for v in shift - 1.2), h, (40, 40, 40))
+    return discretize(make_surface(name), grid)
+
+
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "vector"])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_chart_differences_match_gathers(any_disc, shape, direction):
+    d = any_disc
+    rng = np.random.default_rng(31)
+    f = rng.normal(size=(d.n_tot,) + shape)
+    raw = d.chart_differences(direction) @ f
+    g1, g2 = gather_differences(d, f, direction)
+    np.testing.assert_array_equal(raw, np.concatenate([g1, g2]))
+    d1, d2 = upwind_differences(d, f, direction)
+    for got, want in ((d1, g1 / d.h), (d2, g2 / d.h)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_stacked_chart_differences_are_forward_over_backward(any_disc):
+    d = any_disc
+    f = np.cos(3.0 * d.positions[:, 0]) * d.positions[:, 2]
+    both = d.chart_differences() @ f
+    np.testing.assert_array_equal(both, np.concatenate(
+        gather_differences(d, f, "forward")
+        + gather_differences(d, f, "backward")))
+
+
+def test_artificial_viscosity_matches_gather_formula(any_disc):
+    d = any_disc
+    rng = np.random.default_rng(32)
+    nu, k = 0.7, 0.01
+    for f in (rng.normal(size=d.n_tot), rng.normal(size=(d.n_tot, 3))):
+        dp1, dp2 = (g / d.h for g in gather_differences(d, f, "forward"))
+        dm1, dm2 = (g / d.h for g in gather_differences(d, f, "backward"))
+        sq_p, sq_m = dp1 ** 2 + dp2 ** 2, dm1 ** 2 + dm2 ** 2
+        if f.ndim == 2:
+            sq_p = sq_p.sum(axis=1, keepdims=True)
+            sq_m = sq_m.sum(axis=1, keepdims=True)
+        want = nu * k * d.h * (np.sqrt(sq_p) * (dp1 + dp2)
+                               - np.sqrt(sq_m) * (dm1 + dm2))
+        got = artificial_viscosity(d, f, nu, k)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_chart_differences_are_cached(sphere40):
+    d = copy_discretization(sphere40)
+    calls = []
+    check = d.require_full_stencil
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    d.require_full_stencil = counted
+    both = d.chart_differences()
+    assert d.chart_differences() is both
+    for direction in ("forward", "backward"):
+        assert d.chart_differences(direction) is \
+            d.chart_differences(direction)
+    f = sphere40.positions[:, 1]
+    upwind_differences(d, f, "forward")
+    upwind_differences(d, f, "backward")
+    artificial_viscosity(d, f, 1.0, 0.01)
+    assert len(calls) == 1
+    assert both.shape == (4 * d.n_p, d.n_tot)
+    assert both.nnz == 8 * d.n_p
+    assert set(np.unique(both.data)) == {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("slot", [SLOT_E, SLOT_W, SLOT_N, SLOT_S])
+def test_missing_axis_neighbor_fails_on_first_use(sphere40, slot):
+    nb = sphere40.chart_neighbors.copy()
+    i = 17
+    nb[i, slot] = -1
+    broken = copy_discretization(sphere40, chart_neighbors=nb)
+    with pytest.raises(StencilError) as err:
+        upwind_differences(broken, sphere40.positions[:, 0], "forward")
+    assert str(sphere40.positions[i]) in str(err.value)
+    with pytest.raises(StencilError):
+        artificial_viscosity(broken, sphere40.positions[:, 0], 1.0, 0.01)

@@ -6,9 +6,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from surfpde import Grid3, discretize, make_surface
+from surfpde.discretization import SLOT_E, SLOT_N, SLOT_S, SLOT_W
 from surfpde.experiments import get_discretization
+from surfpde.operators import primary_chart_axes
 from surfpde.quadrature import surface_integral
-from surfpde.swe import (exact_energy_integral, exact_height,
+from surfpde.serialization import dump_discretization, load_discretization
+from surfpde.swe import (_swe_rhs, _Workspace, coriolis_parameter,
+                         exact_energy_integral, exact_height,
                          exact_height_integral, exact_velocity, initial_state,
                          solve_swe, williamson_params)
 
@@ -89,3 +94,88 @@ def test_unaligned_time_is_rejected(params):
     d = get_discretization("sphere", 40)
     with pytest.raises(ValueError):
         solve_swe(d, params, [1.0 / 3.0])
+
+
+def gather_rhs(disc, params, direction, full):
+    """The right-hand side by neighbor gathers on a point-major (n_tot, 4)
+    state, returning (n_p, 4): the oracle for the chart-difference form."""
+    n_p, h = disc.n_p, disc.h
+    c1, c2 = primary_chart_axes(disc)
+    idx = np.arange(n_p)
+    pos = disc.positions
+    ax = disc.axis[:n_p].astype(np.int64)
+    inv_h2 = 1.0 / pos[idx, ax] ** 2
+    geo1, geo2 = pos[idx, c1] * inv_h2, pos[idx, c2] * inv_h2
+    normals = disc.normals[:n_p]
+    f = coriolis_parameter(pos[:n_p], params)
+    nb = disc.chart_neighbors
+    if direction == "forward":
+        hi1, lo1, hi2, lo2 = nb[:, SLOT_E], idx, nb[:, SLOT_N], idx
+    else:
+        hi1, lo1, hi2, lo2 = idx, nb[:, SLOT_W], idx, nb[:, SLOT_S]
+    phi, mom = full[:, 0], full[:, 1:4]
+    m1_hi, m1_lo = mom[hi1, c1], mom[lo1, c1]
+    m2_hi, m2_lo = mom[hi2, c2], mom[lo2, c2]
+    m1_c, m2_c = mom[idx, c1], mom[idx, c2]
+    dphi = -((m1_hi - m1_lo) / h + (m2_hi - m2_lo) / h
+             + geo1 * m1_c + geo2 * m2_c)
+    flux1_hi = (m1_hi / phi[hi1])[:, None] * mom[hi1]
+    flux1_lo = (m1_lo / phi[lo1])[:, None] * mom[lo1]
+    flux2_hi = (m2_hi / phi[hi2])[:, None] * mom[hi2]
+    flux2_lo = (m2_lo / phi[lo2])[:, None] * mom[lo2]
+    adv = (flux1_hi - flux1_lo + flux2_hi - flux2_lo) / h
+    half_sq = 0.5 * phi ** 2
+    press = np.zeros_like(adv)
+    press[idx, c1] = (half_sq[hi1] - half_sq[lo1]) / h
+    press[idx, c2] = (half_sq[hi2] - half_sq[lo2]) / h
+    v = adv + press
+    tangential = v - (v * normals).sum(axis=1, keepdims=True) * normals
+    mom_c = mom[idx]
+    coriolis = f[:, None] * np.cross(normals, mom_c)
+    geo = ((geo1 * m1_c + geo2 * m2_c) / phi[idx])[:, None] * mom_c
+    return np.column_stack([dphi, -(tangential + coriolis + geo)])
+
+
+def perturbed_full_state(disc, params, seed):
+    phi, mom = initial_state(disc, params)
+    state = np.column_stack([phi, mom])
+    rng = np.random.default_rng(seed)
+    return disc.extend(state * (1.0 + 0.01 * rng.normal(size=state.shape)))
+
+
+@pytest.fixture(scope="module")
+def shifted_sphere40():
+    h = 2.4 / 40
+    shift = np.random.default_rng(1).uniform(0.0, h, 3)
+    return discretize(make_surface("sphere"),
+                      Grid3(tuple(float(v) for v in shift - 1.2), h,
+                            (40, 40, 40)))
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("which", ["centred", "shifted"])
+def test_rhs_matches_gather_formula(params, direction, which,
+                                    shifted_sphere40):
+    d = get_discretization("sphere", 40) if which == "centred" \
+        else shifted_sphere40
+    full = perturbed_full_state(d, params, seed=3)
+    want = gather_rhs(d, params, direction, full)
+    got = _swe_rhs(_Workspace(d, params), direction,
+                   np.ascontiguousarray(full.T))
+    assert got.shape == (4, d.n_p)
+    scale = np.abs(want).max(axis=0)
+    assert (np.abs(got.T - want).max(axis=0) <= 1e-12 * scale).all()
+
+
+def test_reloaded_discretization_builds_its_own_operators(params, tmp_path):
+    d = get_discretization("sphere", 40)
+    path = tmp_path / "sphere40.npz"
+    dump_discretization(d, path)
+    back = load_discretization(path)
+    assert back.chart_differences() is not d.chart_differences()
+    assert (back.chart_differences() != d.chart_differences()).nnz == 0
+    full = np.ascontiguousarray(perturbed_full_state(d, params, seed=4).T)
+    for direction in ("forward", "backward"):
+        np.testing.assert_array_equal(
+            _swe_rhs(_Workspace(back, params), direction, full),
+            _swe_rhs(_Workspace(d, params), direction, full))
