@@ -1,9 +1,10 @@
 """Surface Poisson problems Laplace-Beltrami(u) = f with a mean constraint.
 
-On a closed surface the operator kernel holds the constants, so the linear
-system is bordered with a uniform row and column: the extra multiplier
-absorbs the component of f outside the discrete range and the solution is
-pinned to zero mean over the primaries.
+On a closed surface the operator kernel holds the constants, so the system
+is the bordered one, L u + beta 1 = f with sum(u) = 0: the multiplier beta
+absorbs the component of f outside the discrete range and the solution has
+zero mean over the primaries.  `bordered_solve` factors L with one pinned
+diagonal entry instead of the dense border row and column.
 """
 
 from __future__ import annotations

@@ -165,8 +165,18 @@ def solve_swe(disc, params, t_ends, k=None):
     phi0, mom0 = initial_state(disc, params)
     state = np.vstack([phi0, mom0.T])
 
+    # E is the identity on the primaries; its rows below are the
+    # secondaries' weights, applied to each component row.  Each call fills
+    # a new array: maccormack_step reads the old state's extension after
+    # extending the predictor.
+    n_p, weights = disc.n_p, disc.extension_matrix()[disc.n_p:]
+
     def extend(state_p):
-        return np.ascontiguousarray(disc.extend(state_p.T).T)
+        full = np.empty((4, disc.n_tot))
+        full[:, :n_p] = state_p
+        for row, values in zip(full[:, n_p:], state_p):
+            row[:] = weights @ values
+        return full
 
     def rhs_f(full):
         return _swe_rhs(ws, "forward", full)

@@ -1,10 +1,16 @@
+import functools
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from surfpde import Grid3, discretize, make_surface
 from surfpde.errors import SingularMatrixError
 from surfpde.linalg import (assemble_csr, bordered_solve, factorize,
                             resolvent_entry_report, smallest_eigenvalues)
+from surfpde.operators import laplace_beltrami, reduced_operator
 
 
 def periodic_laplacian(n, h=1.0):
@@ -35,6 +41,17 @@ def test_factorize_singular_raises():
     mat = sp.csr_matrix((3, 3))
     with pytest.raises(SingularMatrixError):
         factorize(mat)
+
+
+def test_refinement_failure_raises():
+    # the stored matrix is not the factored one, so refinement cannot
+    # converge; the last residual must raise instead of returning x
+    rng = np.random.default_rng(4)
+    dense = rng.normal(size=(40, 40)) + 40 * np.eye(40)
+    fac = factorize(sp.csr_matrix(dense))
+    fac._mat = sp.csc_matrix(2.0 * dense)
+    with pytest.raises(SingularMatrixError, match="residual"):
+        fac.solve(rng.normal(size=40))
 
 
 def closed_form_smallest(n, h, count):
@@ -79,3 +96,63 @@ def test_resolvent_entry_report_m_matrix_case():
         # classic five-point resolvent is entrywise nonnegative, row sums 1
         assert rep["min_entry"] >= -1e-14
         assert rep["max_rowsum_dev"] < 1e-12
+
+
+def explicit_bordered_solve(mat, rhs):
+    """The (n+1) bordered system [[A, 1], [1^T, 0]], solved directly."""
+    n = mat.shape[0]
+    ones = sp.csr_matrix(np.ones((n, 1)))
+    big = sp.bmat([[mat, ones], [ones.T, None]], format="csc")
+    sol = spla.spsolve(big, np.concatenate([rhs, [0.0]]))
+    return sol[:n], sol[n]
+
+
+@functools.lru_cache(maxsize=None)
+def disc40(name, seed):
+    h = 2.4 / 40
+    shift = (np.zeros(3) if seed == 0
+             else np.random.default_rng(seed).uniform(0.0, h, 3))
+    grid = Grid3(tuple(float(v) for v in shift - 1.2), h, (40, 40, 40))
+    return discretize(make_surface(name), grid)
+
+
+# the nondivergence form exists for the sphere only
+@pytest.mark.parametrize("name,seed,form", [
+    ("sphere", 0, "divergence"), ("sphere", 0, "nondivergence"),
+    ("sphere", 1, "divergence"), ("sphere", 1, "nondivergence"),
+    ("ellipsoid", 0, "divergence"), ("ellipsoid", 1, "divergence")])
+def test_pinned_solve_matches_explicit_border(name, seed, form):
+    disc = disc40(name, seed)
+    red = reduced_operator(laplace_beltrami(disc, form), disc)
+    f = np.random.default_rng(17).normal(size=disc.n_p)
+    u, beta = bordered_solve(red, f)
+    u_ref, beta_ref = explicit_bordered_solve(red, f)
+    scale = np.abs(u_ref).max()
+    assert np.abs(u - u_ref).max() <= 1e-12 * scale
+    assert abs(beta - beta_ref) <= 1e-12 * scale
+    assert abs(u.sum()) <= 1e-12 * scale * disc.n_p
+
+
+def test_bordered_solve_rejects_two_dimensional_null_space():
+    # two uncoupled periodic Laplacians: constants on each block separately
+    lap = sp.block_diag([periodic_laplacian(16), periodic_laplacian(24)],
+                        format="csr")
+    f = np.random.default_rng(19).normal(size=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NaN or inf on the way fails
+        with pytest.raises(SingularMatrixError):
+            bordered_solve(lap, f)
+
+
+@pytest.mark.parametrize("name", ["sphere40", "ellipsoid40"])
+def test_factorization_fill_below_colamd(name, request):
+    disc = request.getfixturevalue(name)
+    k, alpha = 1.0 / 80.0, 0.1
+    red = reduced_operator(laplace_beltrami(disc, "divergence"), disc)
+    mat = sp.csc_matrix(sp.identity(disc.n_p)
+                        - (2.0 / 3.0) * k * alpha * red)
+    lu = factorize(mat)._lu
+    fill = (lu.L.nnz + lu.U.nnz) / mat.nnz
+    colamd = spla.splu(mat, permc_spec="COLAMD")
+    colamd_fill = (colamd.L.nnz + colamd.U.nnz) / mat.nnz
+    assert fill <= 0.8 * colamd_fill

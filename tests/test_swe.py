@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from surfpde import Grid3, discretize, make_surface
+from surfpde import swe as swe_mod
 from surfpde.discretization import SLOT_E, SLOT_N, SLOT_S, SLOT_W
 from surfpde.experiments import get_discretization
+from surfpde.maccormack import maccormack_step
 from surfpde.operators import primary_chart_axes
 from surfpde.quadrature import surface_integral
 from surfpde.serialization import dump_discretization, load_discretization
@@ -179,3 +181,27 @@ def test_reloaded_discretization_builds_its_own_operators(params, tmp_path):
         np.testing.assert_array_equal(
             _swe_rhs(_Workspace(back, params), direction, full),
             _swe_rhs(_Workspace(d, params), direction, full))
+
+
+def test_step_extension_is_the_e_product(params, shifted_sphere40,
+                                         monkeypatch):
+    # solve_swe extends the component-major state row by row; every
+    # extension must equal E applied to the point-major state, bit for bit,
+    # and must not be overwritten by the next one
+    d = shifted_sphere40
+    ext = d.extension_matrix()
+    steps = []
+
+    def checked_step(state_p, k, rhs_f, rhs_b, equilibrate, **kwargs):
+        first = equilibrate(state_p)
+        second = equilibrate(2.0 * state_p)
+        want = (ext @ np.ascontiguousarray(state_p.T)).T
+        np.testing.assert_array_equal(first, want)
+        np.testing.assert_array_equal(second, (ext @ (2.0 * state_p.T)).T)
+        steps.append(k)
+        return maccormack_step(state_p, k, rhs_f, rhs_b, equilibrate,
+                               **kwargs)
+
+    monkeypatch.setattr(swe_mod, "maccormack_step", checked_step)
+    solve_swe(d, params, [2.0 / 80.0])
+    assert len(steps) == 2
