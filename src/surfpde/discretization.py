@@ -14,6 +14,14 @@ has one route: the extension matrix E, the Neumann series of the
 interpolation blocks, and `extend(u_p) = E @ u_p`.  Explicit chart
 differences have one route too: the one-sided difference matrices of
 `chart_differences`, built once per discretization like E.
+
+Cut location never holds phi on the whole grid.  One scan streams slabs of
+whole planes along axis 0 (at most `_SLAB_NODES` nodes per phi call, or a
+single plane when one holds more), evaluates each node once, checks
+finiteness and box containment on the way, and keeps only the sign-change
+intervals and the last plane's inside flags; the cuts on those intervals
+are then bisected.  Working memory is
+one slab plus O(N^2) per-cut arrays rather than (N+1)^3 values of phi.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ AXIS_SLOTS = (SLOT_W, SLOT_E, SLOT_S, SLOT_N)
 STENCIL_OFFSETS = {2: ((-1,), (1,)), 3: NEIGHBOR_OFFSETS}
 
 _SNAP_TOL = 1e-9  # fraction of h below which a cut is snapped to a grid point
+_SLAB_NODES = 1 << 18  # grid nodes per phi call in the streamed cut scan
 
 
 def _axis_slot_pairs(dim):
@@ -293,26 +302,92 @@ class SurfaceDiscretization:
 # -- construction, shared by curves (2-D grid) and surfaces (3-D grid) ---
 
 
-def _grid_phi(surface, grid):
-    coords = [grid.coords(a) for a in range(len(grid.shape))]
+def _node_text(grid, node):
+    """A grid node's index and coordinates, for error messages."""
+    idx = tuple(int(i) for i in node)
+    xyz = ", ".join(f"{float(grid.coords(a)[i]):.6g}"
+                    for a, i in enumerate(idx))
+    return f"{idx} at ({xyz})"
+
+
+def _boundary_min(f, i0, shape):
+    """(phi, node index) of the smallest phi among the box-boundary nodes of
+    the slab `f`, whose first plane is plane i0 along axis 0; ties go to the
+    first node in C order."""
+    faces = [(a, end) for a in range(1, f.ndim)
+             for end in (0, f.shape[a] - 1)]
+    faces += [(0, k) for k in {-i0, shape[0] - 1 - i0} if 0 <= k < f.shape[0]]
+    best = (np.inf, ())
+    for a, end in faces:
+        face = np.take(f, end, axis=a)
+        k = int(np.argmin(face))
+        idx = list(np.unravel_index(k, face.shape))
+        idx.insert(a, end)
+        idx[0] += i0
+        best = min(best, (float(face.flat[k]), tuple(int(i) for i in idx)))
+    return best
+
+
+def _sign_changes(inside, axis, offset):
+    """(base index, low end inside) of every sign change of `inside` along
+    `axis`, in C order; `offset` is the axis-0 index of its first plane."""
+    lo = [slice(None)] * inside.ndim
+    hi = [slice(None)] * inside.ndim
+    lo[axis] = slice(None, -1)
+    hi[axis] = slice(1, None)
+    in_lo = inside[tuple(lo)]
+    flat = np.flatnonzero(in_lo != inside[tuple(hi)])
+    base = np.stack(np.unravel_index(flat, in_lo.shape), axis=1)
+    base[:, 0] += offset
+    return base.astype(np.int64, copy=False), np.take(in_lo, flat)
+
+
+def _scan_sign_changes(surface, grid):
+    """Sign-change intervals of phi between neighbouring grid nodes.
+
+    One pass over slabs of whole planes along axis 0, at most _SLAB_NODES
+    nodes per phi call (one plane when a plane holds more); every node is
+    evaluated once and only the last plane's inside flags carry over to
+    the next slab.  Raises GridError at the first non-finite phi, and
+    after the pass if a boundary node has phi <= 0.  Returns, per axis,
+    the base indices of the changing intervals in C order and whether
+    each interval's low end is inside.
+    """
     shape = grid.shape
-    out = np.empty(shape)
-    plane = math.prod(shape[1:])
-    chunk = max(1, int(4_000_000 // max(plane, 1)))
-    for i0 in range(0, shape[0], chunk):
-        i1 = min(shape[0], i0 + chunk)
-        mesh = np.meshgrid(coords[0][i0:i1], *coords[1:], indexing="ij")
-        out[i0:i1] = surface.phi(np.stack(mesh, axis=-1))
-    return out
-
-
-def _check_containment(phi_grid):
-    worst = min(float(np.take(phi_grid, end, axis=a).min())
-                for a in range(phi_grid.ndim) for end in (0, -1))
-    if worst <= 0.0:
+    dim = len(shape)
+    coords = [grid.coords(a) for a in range(dim)]
+    depth = max(1, min(shape[0], _SLAB_NODES // math.prod(shape[1:])))
+    pts = np.empty((depth,) + shape[1:] + (dim,))
+    for a in range(1, dim):
+        pts[..., a] = coords[a].reshape((-1,) + (1,) * (dim - 1 - a))
+    found = [[] for _ in range(dim)]
+    worst = (np.inf, ())
+    prev = None
+    for i0 in range(0, shape[0], depth):
+        slab = pts[:min(depth, shape[0] - i0)]
+        slab[..., 0] = coords[0][i0:i0 + slab.shape[0]].reshape(
+            (-1,) + (1,) * (dim - 1))
+        f = surface.phi(slab)
+        bad = np.flatnonzero(~np.isfinite(f))
+        if bad.size:
+            node = np.unravel_index(int(bad[0]), f.shape)
+            raise GridError(
+                f"phi evaluated to non-finite values on the grid; first "
+                f"{f[node]} at node "
+                f"{_node_text(grid, (i0 + node[0],) + node[1:])}")
+        worst = min(worst, _boundary_min(f, i0, shape))
+        inside = f <= 0.0
+        # axis 0 also crosses the seam from the previous slab's last plane
+        seam = inside if prev is None else np.concatenate([prev[None], inside])
+        found[0].append(_sign_changes(seam, 0, i0 - (prev is not None)))
+        for a in range(1, dim):
+            found[a].append(_sign_changes(inside, a, i0))
+        prev = inside[-1]
+    if worst[0] <= 0.0:
         raise GridError(
-            f"level set is not strictly inside the grid box "
-            f"(min boundary phi = {worst:.3e})")
+            f"level set is not strictly inside the grid box (min boundary "
+            f"phi = {worst[0]:.3e} at node {_node_text(grid, worst[1])})")
+    return [tuple(map(np.concatenate, zip(*parts))) for parts in found]
 
 
 def _admissible_mask(normals, axis, eta):
@@ -343,27 +418,22 @@ def _batch_bisect(surface, p_in, p_out, axis, tol):
     return q
 
 
-def _locate_axis_cuts(surface, grid, phi_grid, axis, tol):
-    """Find all sign-change intervals along one axis and their cut points."""
-    inside = phi_grid <= 0.0
-    lo_slice = [slice(None)] * inside.ndim
-    hi_slice = [slice(None)] * inside.ndim
-    lo_slice[axis] = slice(None, -1)
-    hi_slice[axis] = slice(1, None)
-    in_lo = inside[tuple(lo_slice)]
-    in_hi = inside[tuple(hi_slice)]
-    change = in_lo != in_hi
-    base = np.argwhere(change).astype(np.int64)
-    if base.shape[0] == 0:
-        return base, np.empty((0, inside.ndim))
+def _locate_cuts(surface, grid, tol):
+    """Per axis, the base indices of all sign-change intervals (C order)
+    and the bisected cut point on each."""
     origin = np.asarray(grid.origin)
-    p_lo = origin + grid.h * base
-    p_hi = p_lo.copy()
-    p_hi[:, axis] += grid.h
-    lo_is_in = in_lo[change]
-    p_in = np.where(lo_is_in[:, None], p_lo, p_hi)
-    p_out = np.where(lo_is_in[:, None], p_hi, p_lo)
-    return base, _batch_bisect(surface, p_in, p_out, axis, tol)
+    out = []
+    for axis, (base, lo_is_in) in enumerate(_scan_sign_changes(surface, grid)):
+        if base.shape[0] == 0:
+            out.append((base, np.empty((0, base.shape[1]))))
+            continue
+        p_lo = origin + grid.h * base
+        p_hi = p_lo.copy()
+        p_hi[:, axis] += grid.h
+        p_in = np.where(lo_is_in[:, None], p_lo, p_hi)
+        p_out = np.where(lo_is_in[:, None], p_hi, p_lo)
+        out.append((base, _batch_bisect(surface, p_in, p_out, axis, tol)))
+    return out
 
 
 def _snap_and_dedupe(grid, positions, axis, base, normals):
@@ -454,27 +524,18 @@ def _resolve_neighbors(grid, positions, axis, base, n_p):
 def _cut_points(surface, grid, eta, tol):
     """Cut points, roles and chart neighbors of `surface` on `grid`.
 
-    The steps shared by curves and surfaces, from the phi grid to the
-    stencil lookup.  Returns the per-point arrays under the constructor
+    The steps shared by curves and surfaces, from the streamed sign-change
+    scan to the stencil lookup.  Returns the per-point arrays under the constructor
     names of SurfaceDiscretization (primary points first, each block
     ordered by (axis, base index)) and the number of located cuts that
     failed the admissibility test.
     """
-    phi_grid = _grid_phi(surface, grid)
-    if not np.isfinite(phi_grid).all():
-        raise GridError("phi evaluated to non-finite values on the grid")
-    _check_containment(phi_grid)
-    dim = phi_grid.ndim
-
-    bases, cuts, axes = [], [], []
-    for ax in range(dim):
-        base, q = _locate_axis_cuts(surface, grid, phi_grid, ax, tol)
-        bases.append(base)
-        cuts.append(q)
-        axes.append(np.full(base.shape[0], ax, dtype=np.int8))
-    base = np.concatenate(bases, axis=0)
-    positions = np.concatenate(cuts, axis=0)
-    axis = np.concatenate(axes)
+    located = _locate_cuts(surface, grid, tol)
+    dim = len(located)
+    base = np.concatenate([b for b, _ in located], axis=0)
+    positions = np.concatenate([q for _, q in located], axis=0)
+    axis = np.concatenate([np.full(b.shape[0], ax, dtype=np.int8)
+                           for ax, (b, _) in enumerate(located)])
     if positions.shape[0] == 0:
         raise EmptySurfaceError("no grid interval crosses the level set")
 
@@ -628,6 +689,10 @@ def discretize(surface, grid, eta=0.45, tol=1e-12):
     surface : LevelSetSurface
     grid : Grid3
         Must strictly contain the surface (checked on the boundary faces).
+        phi is evaluated once per grid node in one streamed pass over
+        slabs of planes, so working memory grows like the number of cut
+        points, O(N^2), not like the (N+1)^3 grid.  A non-finite phi or a
+        boundary node with phi <= 0 raises GridError naming the node.
     eta : float
         Admissibility threshold on |n_nu| at the cut point; 0 < eta < 1/sqrt(3).
     tol : float

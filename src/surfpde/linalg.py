@@ -14,6 +14,9 @@ import scipy.sparse.linalg as spla
 
 from .errors import SingularMatrixError
 
+# LU pivot ratio below which a zero shift counts as numerically singular
+_SINGULAR_PIVOT_RTOL = 1e-10
+
 
 def assemble_csr(rows, cols, vals, shape):
     """COO triplets -> CSR; duplicate entries are summed."""
@@ -103,7 +106,8 @@ def smallest_eigenvalues(mat, count, sigma=None, residual_tol=1e-8,
     """Eigenvalues of smallest magnitude, sorted by |lambda|.
 
     Uses shift-invert ARPACK around `sigma` (default 0, retried with a tiny
-    positive shift if the matrix is exactly singular).  Falls back to a dense
+    positive shift when the matrix is singular: the LU fails, or its
+    smallest pivot is at most _SINGULAR_PIVOT_RTOL of the largest).  Falls back to a dense
     solve for small matrices or when count is too close to the dimension.
     Intended for real nonpositive spectra, where any sigma > 0 preserves the
     by-magnitude ordering.
@@ -127,6 +131,13 @@ def smallest_eigenvalues(mat, count, sigma=None, residual_tol=1e-8,
         except SingularMatrixError as exc:
             last_exc = exc
             continue
+        if s != trial_sigmas[-1]:
+            pivots = np.abs(lu.U.diagonal())
+            if pivots.min() <= _SINGULAR_PIVOT_RTOL * pivots.max():
+                last_exc = SingularMatrixError(
+                    f"smallest LU pivot {pivots.min():.3e} at shift {s:g} "
+                    f"is numerically zero")
+                continue
         op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         v0 = np.ones(n) / np.sqrt(n)  # fixed start vector for determinism
         evals, evecs = spla.eigs(op, k=count, which="LM", v0=v0)

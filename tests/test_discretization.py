@@ -279,7 +279,10 @@ def test_extend_rejects_wrong_length(sphere40):
 # -- degenerate grids and failure paths ------------------------------------
 
 def test_surface_must_fit_in_box():
-    with pytest.raises(GridError):
+    # the six face centres tie at phi = 1.2^2 - 1.25^2; the first node in
+    # C order is named
+    with pytest.raises(GridError, match=r"min boundary phi = -1\.225e-01 "
+                       r"at node \(0, 10, 10\) at \(-1\.2, "):
         discretize(make_surface("sphere", radius=1.25),
                    Grid3.cube(-1.2, 1.2, 20))
 
@@ -373,16 +376,13 @@ def test_marginal_sphere_axis_crossings_are_primary():
     designation rule, must come out admissible and be alone at their nodes
     (hence primary).  The configuration is too coarse for the later
     equilibration stage, so the check runs on the sweep output."""
-    from surfpde.discretization import (_admissible_mask, _grid_phi,
-                                        _locate_axis_cuts)
+    from surfpde.discretization import _admissible_mask, _locate_cuts
     n = 40
     h = 2.4 / n
     grid = Grid3.cube(-1.2, 1.2, n)
     surf = make_surface("sphere", radius=2.5 * h)
-    phi_grid = _grid_phi(surf, grid)
     cuts, axes, nodes, thetas = [], [], [], []
-    for ax in range(3):
-        base, q = _locate_axis_cuts(surf, grid, phi_grid, ax, 1e-12)
+    for ax, (base, q) in enumerate(_locate_cuts(surf, grid, 1e-12)):
         normals = surf.unit_normal(q)
         keep = _admissible_mask(normals, np.full(len(q), ax), ETA)
         scaled = (q[keep, ax] + 1.2) / h

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from surfpde import Grid3, discretize, make_surface
+from surfpde import Grid3, discretize, linalg, make_surface
 from surfpde.errors import SingularMatrixError
 from surfpde.linalg import (assemble_csr, bordered_solve, factorize,
                             resolvent_entry_report, smallest_eigenvalues)
@@ -68,10 +68,21 @@ def test_periodic_laplacian_eigenvalues_closed_form():
                   ).max() < 1e-8
 
 
-def test_shift_invert_path_matches_dense_path():
+def test_shift_invert_path_matches_dense_path(monkeypatch):
     # large enough to take the iterative branch; singular zero shift retried
     n, h = 2000, 0.1
-    vals = smallest_eigenvalues(periodic_laplacian(n, h), 5)
+    lap = periodic_laplacian(n, h)
+    shifts = []
+
+    class Recording(linalg.Factorization):
+        def __init__(self, mat):
+            shifts.append(float(np.max(lap.diagonal() - mat.diagonal())))
+            super().__init__(mat)
+
+    monkeypatch.setattr(linalg, "Factorization", Recording)
+    vals = smallest_eigenvalues(lap, 5)
+    # the zero shift factors with a pivot near 1e-11 and is not used
+    assert shifts == [0.0, pytest.approx(1e-6 * 4 / h ** 2)]
     assert np.abs(vals.imag).max() < 1e-7
     assert np.abs(np.sort(vals.real) - np.sort(closed_form_smallest(n, h, 5))
                   ).max() < 1e-6
