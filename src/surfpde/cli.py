@@ -1,9 +1,12 @@
-"""Command-line experiment driver.
+"""Command-line entry point for the experiments, defined by two tables.
 
-Every report table has a named subcommand (`surfpde --list` enumerates them);
-single-run subcommands cover the individual solvers.  Output goes to the
-console as a small table and, when `--out` or SURFPDE_OUTDIR is set, to a CSV
-with schema (experiment, N, time, metric, value).
+`FLAGS` gives each key its CLI spelling, one parser, a metavar and help; the
+same parser reads the flag and the `--config` file key, so both are checked
+alike.  `COMMANDS` gives each subcommand, one per report table (`table-*`)
+or solver, its help, its defaults (whose keys are the flags it takes) and the
+function it runs.  A value comes from the command line, else the config
+file, else the defaults.  Results print as a console table and, with `--out`
+or SURFPDE_OUTDIR set, go to a CSV of (experiment, N, time, metric, value).
 
 Exit status: 0 on success, 1 for bad arguments, 2 for semantic or runtime
 failures (unknown surface, config errors, solver aborts).
@@ -14,6 +17,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import namedtuple
+from functools import partial
 
 from . import experiments as ex
 from .curve1d import make_curve
@@ -24,12 +29,8 @@ from .serialization import dump_discretization, load_discretization
 
 OUTDIR_ENV = "SURFPDE_OUTDIR"
 
-TABLE_COMMANDS = ("table-3.1", "table-3.2", "table-3.3",
-                  "table-4.1", "table-4.2", "table-4.3")
-SINGLE_COMMANDS = ("discretize", "diffuse", "poisson", "advect", "swe",
-                   "eig", "quad", "curve-resolvent")
-
 _FORM_NAMES = {"div": "divergence", "nondiv": "nondivergence"}
+_STEPPERS = ("fe", "bdf2", "both")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,11 +60,33 @@ def _float_list(text):
             f"expected comma-separated numbers, got {text!r}") from None
 
 
-_CONFIG_PARSERS = {
-    "n": _int_list, "surface": str, "curve": str, "form": str,
-    "stepper": str, "nu": float, "eta": float,
-    "t_end": float, "times": _float_list, "days": _float_list,
-    "sigma": _float_list, "jobs": int, "out": str,
+def _stepper(text):
+    if text not in _STEPPERS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} "
+            f"(choose from {', '.join(map(repr, _STEPPERS))})")
+    return text
+
+
+Flag = namedtuple("Flag", "spelling parse metavar help")
+
+FLAGS = {
+    "n": Flag("--N", _int_list, "N[,N...]",
+              "grid sizes (cells across the box)"),
+    "surface": Flag("--surface", str, None, "catalog surface name"),
+    "curve": Flag("--curve", str, "NAME[,NAME...]", "catalog curve names"),
+    "form": Flag("--form", str, None, "operator form: div | nondiv"),
+    "stepper": Flag("--stepper", _stepper, "{" + ",".join(_STEPPERS) + "}",
+                    "time integrator"),
+    "nu": Flag("--nu", float, None, "artificial viscosity coefficient"),
+    "eta": Flag("--eta", float, None, "normal-component admissibility bound"),
+    "t_end": Flag("--t-end", float, None, "final time (days for swe)"),
+    "times": Flag("--times", _float_list, "T[,T...]", "snapshot times"),
+    "days": Flag("--days", _float_list, "D[,D...]", "snapshot days"),
+    "sigma": Flag("--sigma", _float_list, "S[,S...]",
+                  "resolvent coefficients k/h^2"),
+    "jobs": Flag("--jobs", int, None, "worker processes for independent runs"),
+    "out": Flag("--out", str, None, "output file path"),
 }
 
 
@@ -83,13 +106,12 @@ def read_config(path):
                 f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_").lower()
-        value = value.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in FLAGS:
             raise SurfPDEError(
                 f"{path}:{lineno}: unknown field {key!r} "
-                f"(known: {', '.join(sorted(_CONFIG_PARSERS))})")
+                f"(known: {', '.join(sorted(FLAGS))})")
         try:
-            overrides[key] = _CONFIG_PARSERS[key](value)
+            overrides[key] = FLAGS[key].parse(value.strip())
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise SurfPDEError(f"{path}:{lineno}: field {key}: {exc}") \
                 from exc
@@ -98,44 +120,39 @@ def read_config(path):
 
 def _merge(args, defaults):
     """Fill unset argparse values from config file, then builtin defaults."""
-    config = read_config(args.config) if getattr(args, "config", None) else {}
+    config = read_config(args.config) if args.config else {}
     for key, builtin in defaults.items():
-        if getattr(args, key, None) is None:
+        if getattr(args, key) is None:
             setattr(args, key, config.get(key, builtin))
     return args
 
 
 def _resolve_form(name):
-    if name in _FORM_NAMES:
-        return _FORM_NAMES[name]
-    if name in _FORM_NAMES.values():
-        return name
+    form = _FORM_NAMES.get(name, name)
+    if form in _FORM_NAMES.values():
+        return form
     raise SurfPDEError(f"unknown operator form {name!r} (div or nondiv)")
 
 
 def _emit(args, experiment, records):
     print(ex.render_table(experiment, records))
-    out = getattr(args, "out", None)
+    out = args.out
     if out is None and os.environ.get(OUTDIR_ENV):
         out = os.path.join(os.environ[OUTDIR_ENV], f"{experiment}.csv")
     if out:
         ex.write_csv(out, experiment, records)
         print(f"wrote {out}")
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# subcommand bodies
+# subcommand bodies; runners are looked up in `experiments` at call time
 
-def _cmd_discretize(args):
-    args = _merge(args, {"n": (40,), "surface": "sphere", "eta": 0.45,
-                         "out": None})
+def _discretize(args):
     if args.load:
         disc = load_discretization(args.load)
         print(f"{args.load}: surface={disc.surface_kind} "
               f"n_tot={disc.n_tot} n_p={disc.n_p} h={disc.grid.h:g} "
               f"eta={disc.eta:g}")
-        return 0
+        return
     n = args.n[0]
     disc = discretize(make_surface(args.surface),
                       Grid3.cube(-ex.BOX_HALF, ex.BOX_HALF, n), eta=args.eta)
@@ -148,137 +165,91 @@ def _cmd_discretize(args):
     if out:
         dump_discretization(disc, out)
         print(f"wrote {out}")
-    return 0
 
 
-def _cmd_diffuse(args):
-    args = _merge(args, {"n": (80,), "surface": "sphere", "form": "nondiv",
-                         "stepper": "fe", "jobs": 1, "out": None})
-    form = _resolve_form(args.form)
-    if args.surface != "sphere":
+def _diffusion(args):
+    """diffuse and table-3.1; `both` runs every form or every stepper."""
+    forms = (("divergence", "nondivergence") if args.form == "both"
+             else (_resolve_form(args.form),))
+    steppers = ("fe", "bdf2") if args.stepper == "both" else (args.stepper,)
+    if getattr(args, "surface", "sphere") != "sphere":
         raise SurfPDEError(
             "diffuse reports exact-solution errors, defined on the sphere "
             "only; use table-3.2 for other surfaces")
-    records = ex.run_diffusion_sphere(args.n, jobs=args.jobs,
-                                      forms=(form,), steppers=(args.stepper,))
-    return _emit(args, "diffuse", records)
+    return ex.run_diffusion_sphere(args.n, jobs=args.jobs, forms=forms,
+                                   steppers=steppers)
 
 
-def _cmd_poisson(args):
-    args = _merge(args, {"n": (80, 160), "jobs": 1, "out": None})
-    return _emit(args, "poisson", ex.run_poisson(args.n, jobs=args.jobs))
+def _swe(args, nu=None):
+    """swe runs to one end day at --nu; tables 4.2/4.3 fix nu, take --days."""
+    days = args.days if nu is not None else (args.t_end,)
+    return ex.run_swe(args.nu if nu is None else nu, args.n, days=days,
+                      jobs=args.jobs)
 
 
-def _cmd_advect(args):
-    args = _merge(args, {"n": (80,), "t_end": 1.0, "jobs": 1, "out": None})
-    records = ex.run_advection(args.n, times=(args.t_end,), jobs=args.jobs)
-    return _emit(args, "advect", records)
-
-
-def _cmd_swe(args):
-    args = _merge(args, {"n": (80,), "nu": 1.0, "t_end": 1.0, "jobs": 1,
-                         "out": None})
-    records = ex.run_swe(args.nu, args.n, days=(args.t_end,), jobs=args.jobs)
-    return _emit(args, "swe", records)
-
-
-def _cmd_eig(args):
-    args = _merge(args, {"n": (40,), "form": "div", "jobs": 1, "out": None})
-    records = ex.run_eigenvalues(args.n, jobs=args.jobs,
-                                 form=_resolve_form(args.form))
-    return _emit(args, "eig", records)
-
-
-def _cmd_quad(args):
-    args = _merge(args, {"n": (40, 80, 160), "jobs": 1, "out": None})
-    return _emit(args, "quad", ex.run_quadrature(args.n, jobs=args.jobs))
-
-
-def _cmd_curve_resolvent(args):
-    args = _merge(args, {"n": (80, 160), "curve": "circle,ellipse",
-                         "sigma": (0.75, 1.0, 2.0), "out": None})
+def _curve_resolvent(args):
     curves = tuple(tok for tok in args.curve.split(",") if tok)
     for kind in curves:
         make_curve(kind)
-    records = ex.run_curve_resolvent(curves, args.n, args.sigma)
-    return _emit(args, "curve-resolvent", records)
+    return ex.run_curve_resolvent(curves, args.n, args.sigma)
 
 
-def _cmd_table(args):
-    table = args.command
-    if table == "table-3.1":
-        args = _merge(args, {"n": (80, 160), "form": "both",
-                             "stepper": "both", "jobs": 1, "out": None})
-        forms = (("divergence", "nondivergence") if args.form == "both"
-                 else (_resolve_form(args.form),))
-        steppers = (("fe", "bdf2") if args.stepper == "both"
-                    else (args.stepper,))
-        records = ex.run_diffusion_sphere(args.n, jobs=args.jobs,
-                                          forms=forms, steppers=steppers)
-    elif table == "table-3.2":
-        args = _merge(args, {"n": (80, 160), "jobs": 1, "out": None})
-        records = ex.run_diffusion_pair(args.n, jobs=args.jobs)
-    elif table == "table-3.3":
-        args = _merge(args, {"n": (40, 80), "jobs": 1, "out": None})
-        records = ex.run_eigenvalues(args.n, jobs=args.jobs)
-    elif table == "table-4.1":
-        args = _merge(args, {"n": (80, 160, 320), "times": (1.0, 2.0, 5.0),
-                             "jobs": 1, "out": None})
-        records = ex.run_advection(args.n, times=args.times, jobs=args.jobs)
-    else:
-        nu = 1.0 if table == "table-4.2" else 0.5
-        args = _merge(args, {"n": (80, 160), "days": (1.0, 2.0, 5.0),
-                             "jobs": 1, "out": None})
-        records = ex.run_swe(nu, args.n, days=args.days, jobs=args.jobs)
-    return _emit(args, table, records)
+# `run` takes the merged arguments and returns the records to emit, or None
+# when it reports by itself
+Command = namedtuple("Command", "help defaults run")
+_RUN = {"jobs": 1, "out": None}  # the last flags of most subcommands
 
+COMMANDS = {
+    "discretize": Command("build a discretization, optionally dump to npz",
+                          {"n": (40,), "surface": "sphere", "eta": 0.45,
+                           "out": None}, _discretize),
+    "diffuse": Command("sphere diffusion with exact-solution errors",
+                       {"n": (80,), "form": "nondiv", "stepper": "fe",
+                        "surface": "sphere", **_RUN}, _diffusion),
+    "poisson": Command("sphere Poisson test with bordered constant mode",
+                       {"n": (80, 160), **_RUN},
+                       lambda a: ex.run_poisson(a.n, jobs=a.jobs)),
+    "advect": Command("sphere advection test at one end time",
+                      {"n": (80,), "t_end": 1.0, **_RUN},
+                      lambda a: ex.run_advection(a.n, times=(a.t_end,),
+                                                 jobs=a.jobs)),
+    "swe": Command("rotated steady shallow water state at one end day",
+                   {"n": (80,), "nu": 1.0, "t_end": 1.0, **_RUN}, _swe),
+    "eig": Command("low eigenvalue clusters of the reduced operator",
+                   {"n": (40,), "form": "div", **_RUN},
+                   lambda a: ex.run_eigenvalues(a.n, jobs=a.jobs,
+                                                form=_resolve_form(a.form))),
+    "quad": Command("sphere area by the partition-of-unity quadrature",
+                    {"n": (40, 80, 160), **_RUN},
+                    lambda a: ex.run_quadrature(a.n, jobs=a.jobs)),
+    "curve-resolvent": Command("plane-curve resolvent sign reports",
+                               {"n": (80, 160), "curve": "circle,ellipse",
+                                "sigma": (0.75, 1.0, 2.0), "out": None},
+                               _curve_resolvent),
+    "table-3.1": Command("diffusion errors on the unit sphere",
+                         {"n": (80, 160), "form": "both", "stepper": "both",
+                          **_RUN}, _diffusion),
+    "table-3.2": Command("successive-grid diffusion errors, two surfaces",
+                         {"n": (80, 160), **_RUN},
+                         lambda a: ex.run_diffusion_pair(a.n, jobs=a.jobs)),
+    "table-3.3": Command("eigenvalue cluster errors on the sphere",
+                         {"n": (40, 80), **_RUN},
+                         lambda a: ex.run_eigenvalues(a.n, jobs=a.jobs)),
+    "table-4.1": Command("advection errors on the sphere",
+                         {"n": (80, 160, 320), "times": (1.0, 2.0, 5.0),
+                          **_RUN},
+                         lambda a: ex.run_advection(a.n, times=a.times,
+                                                    jobs=a.jobs)),
+    "table-4.2": Command("shallow water errors, viscosity 1",
+                         {"n": (80, 160), "days": (1.0, 2.0, 5.0), **_RUN},
+                         partial(_swe, nu=1.0)),
+    "table-4.3": Command("shallow water errors, viscosity 0.5",
+                         {"n": (80, 160), "days": (1.0, 2.0, 5.0), **_RUN},
+                         partial(_swe, nu=0.5)),
+}
 
-# ---------------------------------------------------------------------------
-# parser assembly
-
-def _add(parser, *flags):
-    for flag in flags:
-        if flag == "n":
-            parser.add_argument("--N", dest="n", type=_int_list,
-                                metavar="N[,N...]",
-                                help="grid sizes (cells across the box)")
-        elif flag == "surface":
-            parser.add_argument("--surface", help="catalog surface name")
-        elif flag == "curve":
-            parser.add_argument("--curve", metavar="NAME[,NAME...]",
-                                help="catalog curve names")
-        elif flag == "form":
-            parser.add_argument("--form", help="operator form: div | nondiv")
-        elif flag == "stepper":
-            parser.add_argument("--stepper", choices=("fe", "bdf2", "both"),
-                                help="time integrator")
-        elif flag == "nu":
-            parser.add_argument("--nu", type=float,
-                                help="artificial viscosity coefficient")
-        elif flag == "eta":
-            parser.add_argument("--eta", type=float,
-                                help="normal-component admissibility bound")
-        elif flag == "t_end":
-            parser.add_argument("--t-end", dest="t_end", type=float,
-                                help="final time (days for swe)")
-        elif flag == "times":
-            parser.add_argument("--times", type=_float_list,
-                                metavar="T[,T...]", help="snapshot times")
-        elif flag == "days":
-            parser.add_argument("--days", type=_float_list,
-                                metavar="D[,D...]", help="snapshot days")
-        elif flag == "sigma":
-            parser.add_argument("--sigma", type=_float_list,
-                                metavar="S[,S...]",
-                                help="resolvent coefficients k/h^2")
-        elif flag == "out":
-            parser.add_argument("--out", help="output file path")
-        elif flag == "jobs":
-            parser.add_argument("--jobs", type=int,
-                                help="worker processes for independent runs")
-        elif flag == "config":
-            parser.add_argument("--config",
-                                help="key=value file with defaults")
+TABLE_COMMANDS = tuple(name for name in COMMANDS if name.startswith("table-"))
+SINGLE_COMMANDS = tuple(n for n in COMMANDS if n not in TABLE_COMMANDS)
 
 
 def build_parser():
@@ -289,51 +260,16 @@ def build_parser():
     parser.add_argument("--list", action="store_true",
                         help="list subcommands and exit")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    specs = {
-        "discretize": ("build a discretization, optionally dump to npz",
-                       ("n", "surface", "eta", "out", "config")),
-        "diffuse": ("sphere diffusion with exact-solution errors",
-                    ("n", "form", "stepper", "surface", "jobs", "out",
-                     "config")),
-        "poisson": ("sphere Poisson test with bordered constant mode",
-                    ("n", "jobs", "out", "config")),
-        "advect": ("sphere advection test at one end time",
-                   ("n", "t_end", "jobs", "out", "config")),
-        "swe": ("rotated steady shallow water state at one end day",
-                ("n", "nu", "t_end", "jobs", "out", "config")),
-        "eig": ("low eigenvalue clusters of the reduced operator",
-                ("n", "form", "jobs", "out", "config")),
-        "quad": ("sphere area by the partition-of-unity quadrature",
-                 ("n", "jobs", "out", "config")),
-        "curve-resolvent": ("plane-curve resolvent sign reports",
-                            ("n", "curve", "sigma", "out", "config")),
-        "table-3.1": ("diffusion errors on the unit sphere",
-                      ("n", "form", "stepper", "jobs", "out", "config")),
-        "table-3.2": ("successive-grid diffusion errors, two surfaces",
-                      ("n", "jobs", "out", "config")),
-        "table-3.3": ("eigenvalue cluster errors on the sphere",
-                      ("n", "jobs", "out", "config")),
-        "table-4.1": ("advection errors on the sphere",
-                      ("n", "times", "jobs", "out", "config")),
-        "table-4.2": ("shallow water errors, viscosity 1",
-                      ("n", "days", "jobs", "out", "config")),
-        "table-4.3": ("shallow water errors, viscosity 0.5",
-                      ("n", "days", "jobs", "out", "config")),
-    }
-    handlers = {
-        "discretize": _cmd_discretize, "diffuse": _cmd_diffuse,
-        "poisson": _cmd_poisson, "advect": _cmd_advect, "swe": _cmd_swe,
-        "eig": _cmd_eig, "quad": _cmd_quad,
-        "curve-resolvent": _cmd_curve_resolvent,
-    }
-    for name, (help_text, flags) in specs.items():
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        _add(p, *flags)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help)
+        for key in command.defaults:
+            flag = FLAGS[key]
+            p.add_argument(flag.spelling, dest=key, type=flag.parse,
+                           metavar=flag.metavar, help=flag.help)
+        p.add_argument("--config", help="key=value file with defaults")
         if name == "discretize":
             p.add_argument("--load", metavar="FILE",
                            help="read a dumped discretization and summarize")
-        p.set_defaults(func=handlers.get(name, _cmd_table))
     return parser
 
 
@@ -342,15 +278,18 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.list:
-            for name in SINGLE_COMMANDS + TABLE_COMMANDS:
-                print(name)
+            print("\n".join(COMMANDS))
             return 0
         if args.command is None:
             parser.print_usage(sys.stderr)
             print("surfpde: a subcommand is required (see --list)",
                   file=sys.stderr)
             return 1
-        return args.func(args)
+        command = COMMANDS[args.command]
+        records = command.run(_merge(args, command.defaults))
+        if records is not None:
+            _emit(args, args.command, records)
+        return 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -25,6 +25,7 @@ from .discretization import (SurfaceDiscretization, _cut_points,
                              _with_interpolation)
 from .errors import BracketingError, GridError, StencilError
 from .linalg import assemble_csr, factorize, resolvent_entry_report
+from .operators import reduced_operator
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,7 @@ def lb_curve(disc):
 
 
 def reduced_lb_curve(disc):
-    return (lb_curve(disc) @ disc.extension_matrix()).tocsr()
+    return reduced_operator(lb_curve(disc), disc)
 
 
 def coefficient_report(disc):

@@ -5,39 +5,33 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import SolverAbortError
 from .linalg import factorize
+from .maccormack import check_finite
 from .operators import laplace_beltrami, reduced_operator
 
 
-def forward_euler_solve(disc, u0_p, alpha, k, n_steps, form="divergence",
-                        lb=None):
+def forward_euler_solve(disc, u0_p, alpha, k, n_steps, form="divergence"):
     """March u^{n+1} = u^n + k*alpha*L(E u^n) at the primary points.
 
     The product L E is materialized once, so each step is a single
     matrix-vector product on the primaries.
     """
-    lb = laplace_beltrami(disc, form) if lb is None else lb
     u = np.asarray(u0_p, dtype=float).copy()
     ka = k * alpha
-    red = reduced_operator(lb, disc)
+    red = reduced_operator(laplace_beltrami(disc, form), disc)
     for step in range(n_steps):
         u = u + ka * (red @ u)
-        if not np.isfinite(u).all():
-            raise SolverAbortError(
-                f"diffusion step {step + 1} produced non-finite values",
-                step=step + 1, time=(step + 1) * k)
+        check_finite(u, step + 1, (step + 1) * k)
     return u
 
 
-def bdf2_solve(disc, u0_p, alpha, k, n_steps, form="divergence", lb=None):
+def bdf2_solve(disc, u0_p, alpha, k, n_steps, form="divergence"):
     """Second-order implicit (two-step backward differentiation) diffusion.
 
     Startup is one backward Euler step.  Both implicit matrices involve the
     reduced operator L E and are factored once up front.
     """
-    red = reduced_operator(laplace_beltrami(disc, form) if lb is None else lb,
-                           disc)
+    red = reduced_operator(laplace_beltrami(disc, form), disc)
     n_p = disc.n_p
     eye = sp.identity(n_p, format="csr")
     fac_be = factorize(eye - k * alpha * red)
@@ -48,8 +42,5 @@ def bdf2_solve(disc, u0_p, alpha, k, n_steps, form="divergence", lb=None):
     fac = factorize(eye - (2.0 / 3.0) * k * alpha * red)
     for step in range(1, n_steps):
         u, u_prev = fac.solve((4.0 * u - u_prev) / 3.0), u
-        if not np.isfinite(u).all():
-            raise SolverAbortError(
-                f"diffusion step {step + 1} produced non-finite values",
-                step=step + 1, time=(step + 1) * k)
+        check_finite(u, step + 1, (step + 1) * k)
     return u

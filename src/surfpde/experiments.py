@@ -103,17 +103,21 @@ def _sphere_initial(points):
     return 7.0 * (x - 2.0 * y) * (15.0 * z ** 2 - 3.0) / 8.0
 
 
+def _time_stepper(stepper, k_fe, k_bdf2):
+    """The solver and time step of `stepper`: fe or bdf2."""
+    choices = {"fe": (forward_euler_solve, k_fe), "bdf2": (bdf2_solve, k_bdf2)}
+    if stepper not in choices:
+        raise ValueError(f"unknown stepper {stepper!r} (fe or bdf2)")
+    return choices[stepper]
+
+
 def _diffusion_sphere_case(args):
     n, stepper, form = args
+    solver, k = _time_stepper(stepper, 8.0 / n ** 2, 1.0 / (2.0 * n))
     disc = get_discretization("sphere", n)
     u0 = _sphere_initial(disc.positions)[:disc.n_p]
     alpha = 1.0 / 12.0
-    if stepper == "fe":
-        k = 8.0 / n ** 2
-    else:
-        k = 1.0 / (2.0 * n)
     n_steps = round(1.0 / k)
-    solver = forward_euler_solve if stepper == "fe" else bdf2_solve
     u = solver(disc, u0, alpha, k, n_steps, form=form)
     exact = math.exp(-1.0) * _sphere_initial(disc.positions)
     return error_norms(disc.extend(u), exact)
@@ -139,15 +143,11 @@ def run_diffusion_sphere(n_list=(80, 160), jobs=1,
 
 def _diffusion_pair_case(args):
     surface, stepper, n = args
+    solver, k = _time_stepper(stepper, 8.0 / n ** 2, 1.0 / (10.0 * n))
     disc = get_discretization(surface, n)
     p = disc.positions
     u0 = np.cos(p[:, 0] - p[:, 1] + p[:, 2])[:disc.n_p]
     alpha = 0.1
-    if stepper == "fe":
-        k = 8.0 / n ** 2
-    else:
-        k = 1.0 / (10.0 * n)
-    solver = forward_euler_solve if stepper == "fe" else bdf2_solve
     u = solver(disc, u0, alpha, k, round(1.0 / k), form="divergence")
     return disc.extend(u)
 
@@ -311,7 +311,7 @@ def run_quadrature(n_list=(40, 80, 160), jobs=1):
 # resolvent sign reports for plane curves
 
 def run_curve_resolvent(curves=("circle", "ellipse"), n_list=(80, 160),
-                        sigmas=(0.75, 1.0, 2.0), jobs=None):
+                        sigmas=(0.75, 1.0, 2.0)):
     records = []
     for kind in curves:
         curve = make_curve(kind)

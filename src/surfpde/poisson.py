@@ -15,12 +15,11 @@ from .linalg import bordered_solve
 from .operators import laplace_beltrami, reduced_operator
 
 
-def poisson_solve(disc, f_p, form="divergence", lb=None):
+def poisson_solve(disc, f_p, form="divergence"):
     """Solve L u = f at the primary points; returns (u_p, beta).
 
     beta is the bordering multiplier; for consistent data it shrinks at the
     rate of the truncation error (O(h^2)).
     """
-    red = reduced_operator(laplace_beltrami(disc, form) if lb is None else lb,
-                           disc)
+    red = reduced_operator(laplace_beltrami(disc, form), disc)
     return bordered_solve(red, np.asarray(f_p, dtype=float))

@@ -8,7 +8,7 @@ from .linalg import resolvent_entry_report, smallest_eigenvalues
 from .operators import laplace_beltrami, reduced_operator
 
 
-def laplacian_eigenvalues(disc, count, form="divergence", sigma=0.5, lb=None):
+def laplacian_eigenvalues(disc, count, form="divergence", sigma=0.5):
     """The `count` eigenvalues of smallest magnitude of the reduced operator.
 
     The reduced operator is not symmetric but its spectrum sits near the
@@ -16,8 +16,7 @@ def laplacian_eigenvalues(disc, count, form="divergence", sigma=0.5, lb=None):
     ordering under shift-invert.  Returns real parts sorted decreasingly
     (0 first), plus the max imaginary residue as a sanity value.
     """
-    red = reduced_operator(laplace_beltrami(disc, form) if lb is None else lb,
-                           disc)
+    red = reduced_operator(laplace_beltrami(disc, form), disc)
     vals = smallest_eigenvalues(red, count, sigma=sigma)
     max_imag = float(np.abs(vals.imag).max(initial=0.0))
     return np.sort(vals.real)[::-1], max_imag
@@ -37,14 +36,12 @@ def cluster_errors(eigs, exact_levels, sizes):
     return out
 
 
-def resolvent_report(disc, sigmas, form="divergence", lb=None,
-                     dense_limit=9000):
+def resolvent_report(disc, sigmas, form="divergence", dense_limit=9000):
     """Entrywise signs of (I - sigma h^2 L_red)^{-1} for several sigmas.
 
     The inverse is formed densely (guarded by dense_limit), so this is a
     diagnostic for coarse grids.  Each row reports the minimum entry, the
     worst row-sum deviation from one, and invertibility.
     """
-    red = reduced_operator(laplace_beltrami(disc, form) if lb is None else lb,
-                           disc)
+    red = reduced_operator(laplace_beltrami(disc, form), disc)
     return resolvent_entry_report(red, sigmas, disc.h, dense_limit=dense_limit)

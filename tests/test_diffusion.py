@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from surfpde.diffusion import bdf2_solve, forward_euler_solve
 from surfpde.errors import SolverAbortError
-from surfpde.experiments import get_discretization
+from surfpde.experiments import get_discretization, run_diffusion_sphere
 from surfpde.linalg import factorize
 from surfpde.operators import laplace_beltrami, reduced_operator
 
@@ -89,3 +89,8 @@ def test_unstable_step_aborts_with_location(sphere40, cubic_harmonic):
 def test_zero_steps_returns_initial_state(sphere40, cubic_harmonic):
     out = bdf2_solve(sphere40, cubic_harmonic, ALPHA, 1e-3, 0)
     assert np.array_equal(out, cubic_harmonic)
+
+
+def test_unknown_stepper_is_rejected():
+    with pytest.raises(ValueError, match="'x'"):
+        run_diffusion_sphere((20,), steppers=("x",))
