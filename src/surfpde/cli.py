@@ -54,10 +54,26 @@ def _int_list(text):
 
 def _float_list(text):
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok)
+        values = tuple(float(tok) for tok in text.split(",") if tok)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected at least one number, got {text!r}")
+    return values
+
+
+def _jobs(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"worker count must be at least 1, got {value}")
+    return value
 
 
 def _stepper(text):
@@ -85,7 +101,8 @@ FLAGS = {
     "days": Flag("--days", _float_list, "D[,D...]", "snapshot days"),
     "sigma": Flag("--sigma", _float_list, "S[,S...]",
                   "resolvent coefficients k/h^2"),
-    "jobs": Flag("--jobs", int, None, "worker processes for independent runs"),
+    "jobs": Flag("--jobs", _jobs, None,
+                 "worker processes for independent runs"),
     "out": Flag("--out", str, None, "output file path"),
 }
 

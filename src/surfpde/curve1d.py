@@ -333,13 +333,13 @@ def block_elimination_residual(disc, sigma, seed=0):
     y = rng.standard_normal(n_p)
     a = proof_matrix(disc, sigma)
     rhs = np.concatenate([y, np.zeros(disc.n_s)])
-    u_all = factorize(a.tocsc()).solve(rhs)
+    u_all = factorize(a.tocsc(), disc.positions).solve(rhs)
     u_p = u_all[:n_p]
     k = sigma * disc.h ** 2
     red = reduced_lb_curve(disc)
     lhs = u_p - k * (red @ u_p)
-    direct = factorize(sp.identity(n_p, format="csc")
-                       - k * red.tocsc()).solve(y)
+    direct = factorize(sp.identity(n_p, format="csc") - k * red.tocsc(),
+                       disc.positions[:n_p]).solve(y)
     return {
         "defect": float(np.abs(lhs - y).max() / np.abs(y).max()),
         "route_gap": float(np.abs(u_p - direct).max()

@@ -4,6 +4,9 @@ Everything here wraps scipy.sparse machinery behind the small set of
 operations the solvers need: a reusable LU factorization with iterative
 refinement, the mean-constrained (bordered) solve used by the surface
 Poisson problem, shift-invert eigenvalues, and dense resolvent entry reports.
+Every factorization is ordered by geometric nested dissection of the
+unknowns' coordinates (`dissection_order`), so each entry point that
+factors takes `points`, the (n, d) positions of the matrix's unknowns.
 """
 
 from __future__ import annotations
@@ -14,8 +17,11 @@ import scipy.sparse.linalg as spla
 
 from .errors import SingularMatrixError
 
-# LU pivot ratio below which a zero shift counts as numerically singular
+# reciprocal condition below which a matrix counts as numerically singular:
+# the LU pivot ratio of a zero shift, or 1 / (||B|| |B^-1 1|) of a pin
 _SINGULAR_PIVOT_RTOL = 1e-10
+# nested-dissection parts of at most this many unknowns are not split
+_ND_LEAF = 8
 
 
 def assemble_csr(rows, cols, vals, shape):
@@ -23,24 +29,97 @@ def assemble_csr(rows, cols, vals, shape):
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
+def dissection_order(points, mat):
+    """Nested-dissection elimination order of the unknowns of `mat`.
+
+    Level by level, every part with more than _ND_LEAF unknowns is split at
+    the median of its widest coordinate; the separator is the set of
+    left-half unknowns with an edge of A^T + A into the right half.  On
+    unknowns sampling a surface it has O(sqrt(n)) of them (George 1973;
+    Lipton, Rose and Tarjan 1979).  Returns the post-order of the tree:
+    left subtree, right subtree, then the separator, with ties by index.
+    """
+    n = mat.shape[0]
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] != n or pts.shape[1] < 1:
+        raise ValueError(f"points must have shape ({n}, d), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        bad = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
+        raise ValueError(f"points must be finite; row {bad} is {pts[bad]}")
+    # each edge of A^T + A once, as (i, j) with i < j
+    coo = sp.coo_matrix(mat)
+    lo, hi = np.minimum(coo.row, coo.col), np.maximum(coo.row, coo.col)
+    off = lo < hi
+    graph = sp.csr_matrix((np.ones(int(off.sum()), dtype=np.int8),
+                           (lo[off], hi[off])), shape=(n, n))
+    ei = np.repeat(np.arange(n, dtype=graph.indices.dtype),
+                   np.diff(graph.indptr))
+    ej = graph.indices
+    # rank of each unknown along each axis, ties by index
+    rank = np.empty(pts.shape[::-1], dtype=np.int64)
+    for axis in range(pts.shape[1]):
+        rank[axis, np.argsort(pts[:, axis], kind="stable")] = np.arange(n)
+    # base-3 path in the tree (0 left, 1 right, 2 separator); finished
+    # unknowns pad with 0, and a depth of log2(n / _ND_LEAF) + 1 keeps
+    # 3**depth far inside int64
+    path = np.zeros(n, dtype=np.int64)
+    nodes = np.arange(n)  # unknowns of unsplit parts, each part contiguous
+    sizes = np.array([n])
+    while True:
+        split = sizes > _ND_LEAF
+        nodes = nodes[np.repeat(split, sizes)]
+        sizes = sizes[split]
+        if not sizes.size:
+            break
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        pid = np.repeat(np.arange(sizes.size), sizes)
+        xyz = pts.take(nodes, axis=0)
+        widest = np.argmax(np.maximum.reduceat(xyz, starts)
+                           - np.minimum.reduceat(xyz, starts), axis=1)
+        nodes = nodes[np.argsort(pid * n + rank[widest[pid], nodes])]
+        half = sizes // 2
+        right = np.arange(nodes.size) - starts[pid] >= half[pid]
+        label = np.full(n, -2)  # 2 * part + (1 if right half)
+        label[nodes] = 2 * pid + right
+        li, lj = label[ei], label[ej]
+        # edges between parts or to finished unknowns never matter again
+        same = ((li >> 1) == (lj >> 1)) & (li >= 0)
+        ei, ej, li, lj = ei[same], ej[same], li[same], lj[same]
+        cut = li != lj
+        sep = np.zeros(n, dtype=bool)
+        sep[np.where(li[cut] & 1, ej[cut], ei[cut])] = True
+        path *= 3
+        path[nodes] += np.where(sep[nodes], 2, right)
+        keep = ~sep[nodes]
+        left_sizes = half - np.bincount(pid[~keep], minlength=sizes.size)
+        sizes = np.column_stack([left_sizes, sizes - half]).ravel()
+        nodes = nodes[keep]
+    return np.argsort(path, kind="stable")
+
+
 class Factorization:
     """Reusable sparse LU factorization with cheap iterative refinement.
 
-    SuperLU orders by minimum degree on A^T + A and prefers diagonal pivots
-    (SymmetricMode, partial pivoting kept); on the nearly symmetric cut-point
-    operators this fills 20-40% less than the default COLAMD.  solve()
-    refines at most twice, until the residual is at roundoff scale relative
-    to ||A||_inf ||x||_inf + ||b||_inf, and raises if it never gets there.
+    A is permuted symmetrically by `dissection_order(points, A)` and SuperLU
+    factors it in that order, preferring diagonal pivots (SymmetricMode,
+    partial pivoting kept); on the pinned N = 320 Poisson matrix this fills
+    15.5, where minimum degree on A^T + A fills 20.6-23.4.  `_lu` is the
+    SuperLU object of the permuted matrix and `_mat` the unpermuted A.
+    solve() refines at most twice, until the residual is at roundoff scale
+    relative to ||A||_inf ||x||_inf + ||b||_inf, and raises if it never
+    gets there.
     """
 
-    def __init__(self, mat):
+    def __init__(self, mat, points):
         mat = sp.csc_matrix(mat)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got {mat.shape}")
         self._mat = mat
         self._norm = float(np.abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
+        self._perm = dissection_order(points, mat)
         try:
-            self._lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A",
+            self._lu = spla.splu(mat[self._perm][:, self._perm],
+                                 permc_spec="NATURAL",
                                  options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SingularMatrixError(
@@ -51,9 +130,15 @@ class Factorization:
     def shape(self):
         return self._mat.shape
 
+    def lu_solve(self, rhs):
+        """One unrefined solve with the permuted factors, in A's ordering."""
+        x = np.empty(np.shape(rhs))
+        x[self._perm] = self._lu.solve(rhs[self._perm])
+        return x
+
     def solve(self, rhs, refine=2, rtol=1e-10):
         rhs = np.asarray(rhs, dtype=float)
-        x = self._lu.solve(rhs)
+        x = self.lu_solve(rhs)
         for passes in range(refine + 1):
             r = rhs - self._mat @ x
             resid = np.abs(r).max(initial=0.0)
@@ -62,25 +147,27 @@ class Factorization:
             if np.isfinite(x).all() and resid <= rtol * max(scale, 1e-300):
                 return x
             if passes < refine:
-                x = x + self._lu.solve(r)
+                x = x + self.lu_solve(r)
         raise SingularMatrixError(
             f"solve residual {resid:.3e} exceeds {rtol:.1e} x scale "
             f"{scale:.3e} after {refine} refinement passes (matrix "
             f"numerically singular)")
 
 
-def factorize(mat):
-    return Factorization(mat)
+def factorize(mat, points):
+    return Factorization(mat, points)
 
 
-def bordered_solve(mat, rhs, residual_rtol=1e-9):
+def bordered_solve(mat, rhs, points, residual_rtol=1e-9):
     """Solve [[A, 1], [1^T, 0]] (u, beta) = (f, 0) for A with A 1 = 0.
 
     No border is built: B = A + d e_j e_j^T pins the largest diagonal entry
-    d = |a_jj|, keeps A's pattern and has B 1 = d e_j.  One solve of B on
-    [f, 1] gives v and z; u = v - beta z with beta = v_j / z_j solves A u +
-    beta 1 = f and is shifted to sum(u) = 0.  The residual check raises
-    when A's null space is not the constant vector."""
+    d = |a_jj|, keeps A's pattern and has B 1 = d e_j, so B factors in the
+    nested-dissection order of `points`, the unknowns' (n, d) positions.
+    One solve of B on [f, 1] gives v and z; u = v - beta z with beta =
+    v_j / z_j solves A u + beta 1 = f and is shifted to sum(u) = 0.  When
+    A's null space is not the constant vector B is singular, and the
+    condition bound ||B|| |z| or the residual check raises."""
     mat = sp.csc_matrix(mat)
     n = mat.shape[0]
     rhs = np.asarray(rhs, dtype=float)
@@ -88,7 +175,13 @@ def bordered_solve(mat, rhs, residual_rtol=1e-9):
         raise ValueError(f"rhs must have shape ({n},), got {rhs.shape}")
     j = int(np.argmax(np.abs(mat.diagonal())))
     pin = sp.csc_matrix(([abs(mat[j, j])], ([j], [j])), shape=(n, n))
-    v, z = Factorization(mat + pin).solve(np.column_stack([rhs, np.ones(n)])).T
+    fac = Factorization(mat + pin, points)
+    v, z = fac.solve(np.column_stack([rhs, np.ones(n)])).T
+    if not fac._norm * np.abs(z).max() * _SINGULAR_PIVOT_RTOL <= 1.0:
+        raise SingularMatrixError(
+            f"pinned matrix is numerically singular (|B^-1 1| = "
+            f"{np.abs(z).max():.3e}); null space is probably not the "
+            f"constant vector")
     beta = float(v[j] / z[j])
     u = v - beta * z
     u -= u.mean()
@@ -101,16 +194,18 @@ def bordered_solve(mat, rhs, residual_rtol=1e-9):
     return u, beta
 
 
-def smallest_eigenvalues(mat, count, sigma=None, residual_tol=1e-8,
+def smallest_eigenvalues(mat, count, points, sigma=None, residual_tol=1e-8,
                          dense_threshold=1200):
     """Eigenvalues of smallest magnitude, sorted by |lambda|.
 
     Uses shift-invert ARPACK around `sigma` (default 0, retried with a tiny
     positive shift when the matrix is singular: the LU fails, or its
-    smallest pivot is at most _SINGULAR_PIVOT_RTOL of the largest).  Falls back to a dense
-    solve for small matrices or when count is too close to the dimension.
-    Intended for real nonpositive spectra, where any sigma > 0 preserves the
-    by-magnitude ordering.
+    smallest pivot is at most _SINGULAR_PIVOT_RTOL of the largest).  The
+    shifted matrix is factored in the nested-dissection order of `points`,
+    the unknowns' (n, d) positions, and applied through that permutation.
+    Falls back to a dense solve for small matrices or when count is too
+    close to the dimension.  Intended for real nonpositive spectra, where
+    any sigma > 0 preserves the by-magnitude ordering.
     """
     mat = sp.csc_matrix(mat)
     n = mat.shape[0]
@@ -127,18 +222,20 @@ def smallest_eigenvalues(mat, count, sigma=None, residual_tol=1e-8,
     last_exc = None
     for s in trial_sigmas:
         try:
-            lu = Factorization(mat - s * sp.identity(n, format="csc"))._lu
+            fac = Factorization(mat - s * sp.identity(n, format="csc"),
+                                points)
         except SingularMatrixError as exc:
             last_exc = exc
             continue
         if s != trial_sigmas[-1]:
-            pivots = np.abs(lu.U.diagonal())
+            pivots = np.abs(fac._lu.U.diagonal())
             if pivots.min() <= _SINGULAR_PIVOT_RTOL * pivots.max():
                 last_exc = SingularMatrixError(
                     f"smallest LU pivot {pivots.min():.3e} at shift {s:g} "
                     f"is numerically zero")
                 continue
-        op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        op = spla.LinearOperator((n, n), matvec=fac.lu_solve,
+                                 dtype=float)
         v0 = np.ones(n) / np.sqrt(n)  # fixed start vector for determinism
         evals, evecs = spla.eigs(op, k=count, which="LM", v0=v0)
         evals = 1.0 / evals + s

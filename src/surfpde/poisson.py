@@ -4,7 +4,8 @@ On a closed surface the operator kernel holds the constants, so the system
 is the bordered one, L u + beta 1 = f with sum(u) = 0: the multiplier beta
 absorbs the component of f outside the discrete range and the solution has
 zero mean over the primaries.  `bordered_solve` factors L with one pinned
-diagonal entry instead of the dense border row and column.
+diagonal entry instead of the dense border row and column, in the
+nested-dissection order of the primary positions.
 """
 
 from __future__ import annotations
@@ -22,4 +23,5 @@ def poisson_solve(disc, f_p, form="divergence"):
     rate of the truncation error (O(h^2)).
     """
     red = reduced_operator(laplace_beltrami(disc, form), disc)
-    return bordered_solve(red, np.asarray(f_p, dtype=float))
+    return bordered_solve(red, np.asarray(f_p, dtype=float),
+                          disc.positions[:disc.n_p])

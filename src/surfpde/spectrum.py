@@ -17,7 +17,8 @@ def laplacian_eigenvalues(disc, count, form="divergence", sigma=0.5):
     (0 first), plus the max imaginary residue as a sanity value.
     """
     red = reduced_operator(laplace_beltrami(disc, form), disc)
-    vals = smallest_eigenvalues(red, count, sigma=sigma)
+    vals = smallest_eigenvalues(red, count, disc.positions[:disc.n_p],
+                                sigma=sigma)
     max_imag = float(np.abs(vals.imag).max(initial=0.0))
     return np.sort(vals.real)[::-1], max_imag
 

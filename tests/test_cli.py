@@ -27,6 +27,29 @@ def test_bad_argument_exits_one(capsys):
     assert "grid sizes must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["table-4.1", "--N", "20", "--times", ","], "at least one number"),
+    (["table-4.2", "--days", ""], "at least one number"),
+    (["curve-resolvent", "--sigma", ",,"], "at least one number"),
+    (["quad", "--N", "20", "--jobs", "-4"], "at least 1, got -4"),
+    (["quad", "--N", "20", "--jobs", "0"], "at least 1, got 0")])
+def test_empty_list_or_no_workers_exits_one(argv, message, capsys):
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,message", [
+    ("times = ,", "at least one number"),
+    ("jobs = 0", "at least 1, got 0")])
+def test_config_rejects_empty_list_or_no_workers(field, message, tmp_path,
+                                                 capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"n = 20\n{field}\n")
+    assert main(["table-4.1", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2" in err and message in err
+
+
 def test_unknown_surface_exits_two(capsys):
     assert main(["discretize", "--surface", "banana"]) == 2
     err = capsys.readouterr().err

@@ -73,7 +73,8 @@ def test_bdf2_startup_is_one_backward_euler_step(sphere40, cubic_harmonic):
     k = 1.0 / 400
     red = reduced_operator(laplace_beltrami(sphere40), sphere40)
     eye = sp.identity(sphere40.n_p, format="csr")
-    manual = factorize(eye - k * ALPHA * red).solve(cubic_harmonic)
+    manual = factorize(eye - k * ALPHA * red,
+                       sphere40.positions[:sphere40.n_p]).solve(cubic_harmonic)
     assert np.abs(bdf2_solve(sphere40, cubic_harmonic, ALPHA, k, 1) - manual) \
         .max() < 1e-12
 

@@ -21,6 +21,16 @@ def periodic_laplacian(n, h=1.0):
     return assemble_csr(rows, cols, vals, (n, n))
 
 
+def circle(n):
+    # coordinates of the periodic Laplacian's unknowns, equally spaced
+    angle = 2 * np.pi * np.arange(n) / n
+    return np.column_stack([np.cos(angle), np.sin(angle)])
+
+
+def line(n):
+    return np.arange(n, dtype=float)[:, None]
+
+
 def test_assemble_sums_duplicates():
     mat = assemble_csr([0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0], (2, 2))
     assert mat[0, 1] == 5.0
@@ -33,14 +43,14 @@ def test_factorize_solves():
     dense = rng.normal(size=(40, 40)) + 40 * np.eye(40)
     mat = sp.csr_matrix(dense)
     x = rng.normal(size=40)
-    fac = factorize(mat)
+    fac = factorize(mat, line(40))
     assert np.abs(fac.solve(mat @ x) - x).max() < 1e-10
 
 
 def test_factorize_singular_raises():
     mat = sp.csr_matrix((3, 3))
     with pytest.raises(SingularMatrixError):
-        factorize(mat)
+        factorize(mat, line(3))
 
 
 def test_refinement_failure_raises():
@@ -48,7 +58,7 @@ def test_refinement_failure_raises():
     # converge; the last residual must raise instead of returning x
     rng = np.random.default_rng(4)
     dense = rng.normal(size=(40, 40)) + 40 * np.eye(40)
-    fac = factorize(sp.csr_matrix(dense))
+    fac = factorize(sp.csr_matrix(dense), line(40))
     fac._mat = sp.csc_matrix(2.0 * dense)
     with pytest.raises(SingularMatrixError, match="residual"):
         fac.solve(rng.normal(size=40))
@@ -62,7 +72,7 @@ def closed_form_smallest(n, h, count):
 
 def test_periodic_laplacian_eigenvalues_closed_form():
     n, h = 64, 0.1
-    vals = smallest_eigenvalues(periodic_laplacian(n, h), 5)
+    vals = smallest_eigenvalues(periodic_laplacian(n, h), 5, circle(n))
     assert np.abs(vals.imag).max() < 1e-9
     assert np.abs(np.sort(vals.real) - np.sort(closed_form_smallest(n, h, 5))
                   ).max() < 1e-8
@@ -75,12 +85,12 @@ def test_shift_invert_path_matches_dense_path(monkeypatch):
     shifts = []
 
     class Recording(linalg.Factorization):
-        def __init__(self, mat):
+        def __init__(self, mat, points):
             shifts.append(float(np.max(lap.diagonal() - mat.diagonal())))
-            super().__init__(mat)
+            super().__init__(mat, points)
 
     monkeypatch.setattr(linalg, "Factorization", Recording)
-    vals = smallest_eigenvalues(lap, 5)
+    vals = smallest_eigenvalues(lap, 5, circle(n))
     # the zero shift factors with a pivot near 1e-11 and is not used
     assert shifts == [0.0, pytest.approx(1e-6 * 4 / h ** 2)]
     assert np.abs(vals.imag).max() < 1e-7
@@ -93,7 +103,7 @@ def test_bordered_solve_constant_shift():
     lap = periodic_laplacian(32)
     rng = np.random.default_rng(11)
     f = rng.normal(size=32)
-    u, beta = bordered_solve(lap, f)
+    u, beta = bordered_solve(lap, f, circle(32))
     assert abs(u.sum()) < 1e-9
     assert np.abs(lap @ u + beta - f).max() < 1e-9
     assert beta == pytest.approx(f.mean())
@@ -136,7 +146,7 @@ def test_pinned_solve_matches_explicit_border(name, seed, form):
     disc = disc40(name, seed)
     red = reduced_operator(laplace_beltrami(disc, form), disc)
     f = np.random.default_rng(17).normal(size=disc.n_p)
-    u, beta = bordered_solve(red, f)
+    u, beta = bordered_solve(red, f, disc.positions[:disc.n_p])
     u_ref, beta_ref = explicit_bordered_solve(red, f)
     scale = np.abs(u_ref).max()
     assert np.abs(u - u_ref).max() <= 1e-12 * scale
@@ -152,7 +162,7 @@ def test_bordered_solve_rejects_two_dimensional_null_space():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a NaN or inf on the way fails
         with pytest.raises(SingularMatrixError):
-            bordered_solve(lap, f)
+            bordered_solve(lap, f, np.vstack([circle(16), circle(24) + 3]))
 
 
 @pytest.mark.parametrize("name", ["sphere40", "ellipsoid40"])
@@ -162,7 +172,7 @@ def test_factorization_fill_below_colamd(name, request):
     red = reduced_operator(laplace_beltrami(disc, "divergence"), disc)
     mat = sp.csc_matrix(sp.identity(disc.n_p)
                         - (2.0 / 3.0) * k * alpha * red)
-    lu = factorize(mat)._lu
+    lu = factorize(mat, disc.positions[:disc.n_p])._lu
     fill = (lu.L.nnz + lu.U.nnz) / mat.nnz
     colamd = spla.splu(mat, permc_spec="COLAMD")
     colamd_fill = (colamd.L.nnz + colamd.U.nnz) / mat.nnz
