@@ -9,13 +9,12 @@ and standard planar stencils apply on the chart.
 from .advection import exact_integral as advection_exact_integral
 from .advection import exact_solution as advection_exact_solution
 from .advection import rotation_velocity, solve_advection
-from .curve1d import (CurveDiscretization, Grid2, PlaneCurve,
-                      block_elimination_residual, circle, coefficient_report,
+from .curve1d import (block_elimination_residual, circle, coefficient_report,
                       discretize_curve, ellipse, lb_curve, m_matrix_report,
                       make_curve, perturbed_circle, reduced_lb_curve,
                       resolvent_positivity)
 from .diffusion import bdf2_solve, forward_euler_solve
-from .discretization import (CutPoint, Grid3, QualityReport,
+from .discretization import (CutPoint, Grid, Grid3, QualityReport,
                              SurfaceDiscretization, discretize,
                              interpolation_coefficients, quality_report)
 from .errors import (BracketingError, DegenerateGradientError,
@@ -26,7 +25,7 @@ from .fields import error_norms, mean_over_primaries
 from .geometry import (SURFACE_CATALOG, LevelSetSurface, cassini_oval,
                        ellipsoid, find_cut, from_callables, make_surface,
                        sphere)
-from .linalg import (Factorization, assemble_csr, bordered_solve, factorize,
+from .linalg import (Factorization, assemble_csr, bordered_solve,
                      resolvent_entry_report, smallest_eigenvalues)
 from .operators import (ChartMetric, advection_coefficients,
                         artificial_viscosity, chart_metric, laplace_beltrami,

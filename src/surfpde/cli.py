@@ -22,7 +22,7 @@ from functools import partial
 
 from . import experiments as ex
 from .curve1d import make_curve
-from .discretization import Grid3, discretize
+from .discretization import Grid, discretize
 from .errors import SurfPDEError, UsageError
 from .geometry import make_surface
 from .serialization import dump_discretization, load_discretization
@@ -172,7 +172,7 @@ def _discretize(args):
         return
     n = args.n[0]
     disc = discretize(make_surface(args.surface),
-                      Grid3.cube(-ex.BOX_HALF, ex.BOX_HALF, n), eta=args.eta)
+                      Grid.cube(-ex.BOX_HALF, ex.BOX_HALF, n), eta=args.eta)
     print(f"surface={args.surface} N={n}: n_tot={disc.n_tot} "
           f"n_p={disc.n_p} h={disc.grid.h:g}")
     out = args.out

@@ -1,13 +1,16 @@
 """Closed curves in the plane: the one-dimensional analogue of the surface
 discretization, used to study resolvent positivity of the reduced Laplacian.
 
+A curve is a `geometry.LevelSetSurface` whose phi and gradient act on
+(..., 2) points, and it is discretized on a 2-D `discretization.Grid`.
 Cut points are taken on grid intervals in two direction sets; each primary
 point differences along the grid axis transverse to its interval, with
 coefficients built from the arclength density.  The cut points, roles,
 stencil neighbors and interpolation blocks come from the construction core
-in `discretization`, shared with surfaces, and so does equilibration: the
-extension matrix E is its only route.  This module adds the curve-only
-parts: the coverage gap above eta = 1/sqrt(2), the stencil coefficients,
+in `discretization`, shared with surfaces, and so do the result class
+`SurfaceDiscretization` and equilibration: the extension matrix E is its
+only route.  This module adds the curve-only parts: the catalog curves,
+the coverage gap above eta = 1/sqrt(2), the stencil coefficients,
 and, explicitly, the near-M-matrix of the positivity argument and the row
 operations that finish it, so the structural claims can be checked directly
 instead of only observing signs of the inverse.
@@ -16,93 +19,59 @@ instead of only observing signs of the inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .discretization import (SurfaceDiscretization, _cut_points,
                              _with_interpolation)
-from .errors import BracketingError, GridError, StencilError
-from .linalg import assemble_csr, factorize, resolvent_entry_report
+from .geometry import LevelSetSurface
+from .linalg import Factorization, assemble_csr, resolvent_entry_report
 from .operators import reduced_operator
-
-
-@dataclass(frozen=True)
-class Grid2:
-    """Uniform square-cell grid on a rectangle."""
-    origin: tuple[float, float]
-    h: float
-    n_cells: tuple[int, int]
-
-    @staticmethod
-    def square(lo: float, hi: float, n: int) -> "Grid2":
-        if n < 2 or hi <= lo:
-            raise GridError(f"bad grid request: [{lo}, {hi}] with {n} cells")
-        return Grid2(origin=(lo, lo), h=(hi - lo) / n, n_cells=(n, n))
-
-    def coords(self, axis: int) -> np.ndarray:
-        return self.origin[axis] + self.h * np.arange(self.n_cells[axis] + 1)
-
-    @property
-    def shape(self):
-        return tuple(n + 1 for n in self.n_cells)
-
-
-class PlaneCurve:
-    """Closed curve as the zero set of phi(x, y) with an analytic gradient."""
-
-    def __init__(self, kind, phi, grad, params=None):
-        self.kind = kind
-        self._phi = phi
-        self._grad = grad
-        self.params = dict(params or {})
-
-    def phi(self, points):
-        p = np.asarray(points, dtype=float)
-        return self._phi(p[..., 0], p[..., 1])
-
-    def unit_normal(self, points):
-        p = np.asarray(points, dtype=float)
-        gx, gy = self._grad(p[..., 0], p[..., 1])
-        g = np.stack([gx, gy], axis=-1)
-        norm = np.linalg.norm(g, axis=-1, keepdims=True)
-        if (norm < 1e-12).any():
-            raise BracketingError("vanishing gradient on the curve")
-        return g / norm
 
 
 def circle(radius=1.0):
     r2 = radius ** 2
-    return PlaneCurve("circle",
-                      lambda x, y: x ** 2 + y ** 2 - r2,
-                      lambda x, y: (2.0 * x, 2.0 * y),
-                      {"radius": radius})
+
+    def phi(p):
+        return p[..., 0] ** 2 + p[..., 1] ** 2 - r2
+
+    def grad(p):
+        return np.stack([2.0 * p[..., 0], 2.0 * p[..., 1]], axis=-1)
+
+    return LevelSetSurface("circle", phi, grad, {"radius": radius})
 
 
 def ellipse(a=1.0, b=0.65):
-    return PlaneCurve("ellipse",
-                      lambda x, y: (x / a) ** 2 + (y / b) ** 2 - 1.0,
-                      lambda x, y: (2.0 * x / a ** 2, 2.0 * y / b ** 2),
-                      {"a": a, "b": b})
+    def phi(p):
+        return (p[..., 0] / a) ** 2 + (p[..., 1] / b) ** 2 - 1.0
+
+    def grad(p):
+        return np.stack([2.0 * p[..., 0] / a ** 2, 2.0 * p[..., 1] / b ** 2],
+                        axis=-1)
+
+    return LevelSetSurface("ellipse", phi, grad, {"a": a, "b": b})
 
 
 def perturbed_circle(base=1.0, amp=0.2, lobes=3):
     """Non-convex closed curve r(polar angle) = base + amp*cos(lobes*angle)."""
-    def phi(x, y):
+    def phi(p):
+        x, y = p[..., 0], p[..., 1]
         rho = np.sqrt(x ** 2 + y ** 2)
         tau = np.arctan2(y, x)
         return rho - base - amp * np.cos(lobes * tau)
 
-    def grad(x, y):
+    def grad(p):
+        x, y = p[..., 0], p[..., 1]
         rho2 = x ** 2 + y ** 2
         rho = np.sqrt(rho2)
         tau = np.arctan2(y, x)
         s = amp * lobes * np.sin(lobes * tau)
-        return x / rho - s * y / rho2, y / rho + s * x / rho2
+        return np.stack([x / rho - s * y / rho2, y / rho + s * x / rho2],
+                        axis=-1)
 
-    return PlaneCurve("perturbed_circle", phi, grad,
-                      {"base": base, "amp": amp, "lobes": lobes})
+    return LevelSetSurface("perturbed_circle", phi, grad,
+                           {"base": base, "amp": amp, "lobes": lobes})
 
 
 CURVE_CATALOG = {
@@ -119,22 +88,6 @@ def make_curve(name, **params):
         raise ValueError(f"unknown curve {name!r}; "
                          f"available: {sorted(CURVE_CATALOG)}") from None
     return factory(**params)
-
-
-class CurveDiscretization(SurfaceDiscretization):
-    """Cut points of a closed plane curve with equilibration data.
-
-    Points are ordered primaries first.  `chart_neighbors[i] = (minus, plus)`
-    are the same-axis cut points one grid column away along the graph
-    direction of primary i (-1 when absent).  `dropped_cuts` counts interval
-    crossings discarded by the admissibility threshold, plus, when eta
-    exceeds 1/sqrt(2), the secondaries left without an interpolation
-    stencil; those flag arcs left uncovered.
-    """
-
-    def __init__(self, dropped_cuts, **fields):
-        super().__init__(**fields)
-        self.dropped_cuts = int(dropped_cuts)
 
 
 def _drop_coverage_gap(fields):
@@ -164,7 +117,7 @@ def _drop_coverage_gap(fields):
 
 
 def discretize_curve(curve, grid, eta=0.45, tol=1e-12):
-    """Cut-point discretization of a closed plane curve.
+    """Cut-point discretization of a closed plane curve on a 2-D grid.
 
     eta below 1/sqrt(2) guarantees every crossing keeps an admissible
     direction; larger values are allowed and the discarded crossings are
@@ -172,10 +125,11 @@ def discretize_curve(curve, grid, eta=0.45, tol=1e-12):
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    grid.require_dim(2, "discretize_curve")
     fields, dropped = _cut_points(curve, grid, eta, tol)
     if eta > 1.0 / math.sqrt(2.0):
         dropped += _drop_coverage_gap(fields)
-    return CurveDiscretization(
+    return SurfaceDiscretization(
         grid=grid, eta=eta, dropped_cuts=dropped, surface_kind=curve.kind,
         surface_params=curve.params, **_with_interpolation(fields))
 
@@ -189,12 +143,10 @@ def curve_coefficients(disc):
     is their sum, so the averaging identity holds exactly.  Returns
     (c_minus, c_plus, c_center) arrays over primaries.
     """
+    disc.require_full_stencil("curve stencil")
     idx = np.arange(disc.n_tot)
     gamma = np.abs(disc.normals[idx, disc.axis])
     nb = disc.chart_neighbors
-    if (nb < 0).any():
-        bad = int(np.where((nb < 0).any(axis=1))[0][0])
-        raise StencilError(f"primary point {bad} lacks a chart neighbor")
     g_c = gamma[:disc.n_p]
     c_minus = 0.5 * g_c * (g_c + gamma[nb[:, 0]])
     c_plus = 0.5 * g_c * (g_c + gamma[nb[:, 1]])
@@ -333,13 +285,13 @@ def block_elimination_residual(disc, sigma, seed=0):
     y = rng.standard_normal(n_p)
     a = proof_matrix(disc, sigma)
     rhs = np.concatenate([y, np.zeros(disc.n_s)])
-    u_all = factorize(a.tocsc(), disc.positions).solve(rhs)
+    u_all = Factorization(a.tocsc(), disc.positions).solve(rhs)
     u_p = u_all[:n_p]
     k = sigma * disc.h ** 2
     red = reduced_lb_curve(disc)
     lhs = u_p - k * (red @ u_p)
-    direct = factorize(sp.identity(n_p, format="csc") - k * red.tocsc(),
-                       disc.positions[:n_p]).solve(y)
+    direct = Factorization(sp.identity(n_p, format="csc") - k * red.tocsc(),
+                           disc.positions[:n_p]).solve(y)
     return {
         "defect": float(np.abs(lhs - y).max() / np.abs(y).max()),
         "route_gap": float(np.abs(u_p - direct).max()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import factorize
+from .linalg import Factorization
 from .maccormack import check_finite
 from .operators import laplace_beltrami, reduced_operator
 
@@ -36,12 +36,12 @@ def bdf2_solve(disc, u0_p, alpha, k, n_steps, form="divergence"):
     n_p = disc.n_p
     eye = sp.identity(n_p, format="csr")
     points = disc.positions[:n_p]
-    fac_be = factorize(eye - k * alpha * red, points)
+    fac_be = Factorization(eye - k * alpha * red, points)
     u_prev = np.asarray(u0_p, dtype=float).copy()
     if n_steps == 0:
         return u_prev
     u = fac_be.solve(u_prev)
-    fac = factorize(eye - (2.0 / 3.0) * k * alpha * red, points)
+    fac = Factorization(eye - (2.0 / 3.0) * k * alpha * red, points)
     for step in range(1, n_steps):
         u, u_prev = fac.solve((4.0 * u - u_prev) / 3.0), u
         check_finite(u, step + 1, (step + 1) * k)

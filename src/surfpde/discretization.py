@@ -9,7 +9,9 @@ the rest are "secondary" and carry values interpolated from primary data
 
 The construction is shared by surfaces on a 3-D grid (charts over the two
 cyclic axes, 3x3 stencil) and by plane curves on a 2-D grid (`curve1d`:
-chart over the one other axis, stencil offsets -1 and +1).  Equilibration
+chart over the one other axis, stencil offsets -1 and +1).  Both are
+`geometry.LevelSetSurface` objects, both grids are one `Grid` class, and
+both results are one `SurfaceDiscretization` class.  Equilibration
 has one route: the extension matrix E, the Neumann series of the
 interpolation blocks, and `extend(u_p) = E @ u_p`.  Explicit chart
 differences have one route too: the one-sided difference matrices of
@@ -20,8 +22,8 @@ whole planes along axis 0 (at most `_SLAB_NODES` nodes per phi call, or a
 single plane when one holds more), evaluates each node once, checks
 finiteness and box containment on the way, and keeps only the sign-change
 intervals and the last plane's inside flags; the cuts on those intervals
-are then bisected.  Working memory is
-one slab plus O(N^2) per-cut arrays rather than (N+1)^3 values of phi.
+are then bisected by `geometry._batch_bisect`.  Working memory is one slab
+plus O(N^2) per-cut arrays rather than (N+1)^3 values of phi.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .errors import EmptySurfaceError, GridError, StencilError
+from .geometry import _batch_bisect
 
 ROLE_PRIMARY = 0
 ROLE_SECONDARY = 1
@@ -74,8 +77,9 @@ def chart_axes(axis, dim):
 
 
 @dataclass(frozen=True)
-class Grid3:
-    """Axis-aligned grid: points origin + (i,j,k)*h, 0 <= i <= n_cells."""
+class Grid:
+    """Axis-aligned grid of any dimension: nodes origin + index * h,
+    0 <= index[a] <= n_cells[a]."""
     origin: tuple
     h: float
     n_cells: tuple
@@ -85,11 +89,26 @@ class Grid3:
             raise GridError(f"grid spacing must be positive, got {self.h}")
 
     @classmethod
+    def _box(cls, lo, hi, n, dim):
+        if not hi > lo or n < 2:
+            raise GridError(f"bad grid request: [{lo}, {hi}] with {n} cells")
+        return cls((lo,) * dim, (hi - lo) / n, (n,) * dim)
+
+    @classmethod
     def cube(cls, lo, hi, n):
-        """Cubic grid with n intervals per axis spanning [lo, hi]^3."""
-        if not hi > lo or n < 1:
-            raise GridError(f"bad cube bounds ({lo}, {hi}) or count {n}")
-        return cls((lo, lo, lo), (hi - lo) / n, (n, n, n))
+        """3-D grid with n intervals per axis spanning [lo, hi]^3."""
+        return cls._box(lo, hi, n, 3)
+
+    @classmethod
+    def square(cls, lo, hi, n):
+        """2-D grid with n intervals per axis spanning [lo, hi]^2."""
+        return cls._box(lo, hi, n, 2)
+
+    def require_dim(self, dim, what):
+        """Raise GridError naming both dimensions unless the grid is dim-D."""
+        if len(self.n_cells) != dim:
+            raise GridError(f"{what} needs a {dim}-D grid, got a "
+                            f"{len(self.n_cells)}-D grid")
 
     def coords(self, axis):
         return self.origin[axis] + self.h * np.arange(self.n_cells[axis] + 1)
@@ -97,6 +116,9 @@ class Grid3:
     @property
     def shape(self):
         return tuple(n + 1 for n in self.n_cells)
+
+
+Grid3 = Grid  # the surface grid's former name, kept for outside callers
 
 
 def interpolation_coefficients(theta):
@@ -126,14 +148,22 @@ class CutPoint:
 
 
 class SurfaceDiscretization:
-    """Cut points, roles, chart stencils and the extension matrix."""
+    """Cut points, roles, chart stencils and the extension matrix.
+
+    Points are ordered primaries first.  `chart_neighbors[i]` lists the
+    stencil neighbors of primary i in `offsets` order (-1 when absent).
+    `dropped_cuts` counts located crossings discarded by the admissibility
+    test, plus, for a plane curve above eta = 1/sqrt(2), the secondaries
+    left without an interpolation stencil.
+    """
 
     def __init__(self, grid, eta, positions, axis, base_index, closest_gp,
                  theta, normals, n_p, associated_primary, chart_neighbors,
                  interp_points, interp_coeffs, pi_sp, pi_ss,
-                 surface_kind="user", surface_params=None):
+                 surface_kind="user", surface_params=None, dropped_cuts=0):
         self.grid = grid
         self.eta = float(eta)
+        self.dropped_cuts = int(dropped_cuts)
         self.positions = positions
         self.axis = axis
         self.base_index = base_index
@@ -212,9 +242,6 @@ class SurfaceDiscretization:
             raise ValueError(f"expected {self.n_p} primary values, "
                              f"got {values_p.shape[0]}")
         return self.extension_matrix() @ values_p
-
-    def restrict(self, values):
-        return np.asarray(values)[:self.n_p]
 
     def extension_matrix(self):
         """Explicit sparse extension E: u_p -> all points.
@@ -396,26 +423,6 @@ def _admissible_mask(normals, axis, eta):
     normals = np.atleast_2d(normals)
     ax = np.broadcast_to(np.asarray(axis), normals.shape[:1])
     return np.abs(normals[np.arange(normals.shape[0]), ax]) >= eta
-
-
-def _batch_bisect(surface, p_in, p_out, axis, tol):
-    """Bisection on many segments at once along one axis (phi(p_in) <= 0).
-
-    Only the `axis` coordinate moves, so the frozen coordinates of every
-    cut are exact grid coordinates."""
-    m = p_in.shape[0]
-    lo = np.zeros(m)
-    hi = np.ones(m)
-    delta = p_out[:, axis] - p_in[:, axis]
-    q = p_in.copy()
-    for _ in range(max(1, math.ceil(math.log2(1.0 / tol)))):
-        mid = 0.5 * (lo + hi)
-        q[:, axis] = p_in[:, axis] + mid * delta
-        neg = surface.phi(q) <= 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    q[:, axis] = p_in[:, axis] + 0.5 * (lo + hi) * delta
-    return q
 
 
 def _locate_cuts(surface, grid, tol):
@@ -687,12 +694,13 @@ def discretize(surface, grid, eta=0.45, tol=1e-12):
     Parameters
     ----------
     surface : LevelSetSurface
-    grid : Grid3
-        Must strictly contain the surface (checked on the boundary faces).
-        phi is evaluated once per grid node in one streamed pass over
-        slabs of planes, so working memory grows like the number of cut
-        points, O(N^2), not like the (N+1)^3 grid.  A non-finite phi or a
-        boundary node with phi <= 0 raises GridError naming the node.
+    grid : Grid
+        A 3-D grid (GridError otherwise) that strictly contains the
+        surface (checked on the boundary faces).  phi is evaluated once
+        per grid node in one streamed pass over slabs of planes, so
+        working memory grows like the number of cut points, O(N^2), not
+        like the (N+1)^3 grid.  A non-finite phi or a boundary node with
+        phi <= 0 raises GridError naming the node.
     eta : float
         Admissibility threshold on |n_nu| at the cut point; 0 < eta < 1/sqrt(3).
     tol : float
@@ -701,14 +709,17 @@ def discretize(surface, grid, eta=0.45, tol=1e-12):
     Returns
     -------
     SurfaceDiscretization with primary points first (each block ordered by
-    (axis, base index) for deterministic output).
+    (axis, base index) for deterministic output), and the number of cuts
+    dropped by admissibility in `dropped_cuts`.
     """
     if not 0.0 < eta < 1.0 / math.sqrt(3.0):
         raise ValueError(f"eta must lie in (0, 1/sqrt(3)), got {eta}")
-    fields, _ = _cut_points(surface, grid, eta, tol)
+    grid.require_dim(3, "discretize")
+    fields, dropped = _cut_points(surface, grid, eta, tol)
     return SurfaceDiscretization(
         grid=grid, eta=eta, surface_kind=surface.kind,
-        surface_params=surface.params, **_with_interpolation(fields))
+        surface_params=surface.params, dropped_cuts=dropped,
+        **_with_interpolation(fields))
 
 
 # -- discretization quality report ---------------------------------------

@@ -15,10 +15,10 @@ from scipy.spatial import cKDTree
 
 from . import advection as adv_mod
 from . import swe as swe_mod
-from .curve1d import (Grid2, discretize_curve, m_matrix_report, make_curve,
+from .curve1d import (discretize_curve, m_matrix_report, make_curve,
                       resolvent_positivity)
 from .diffusion import bdf2_solve, forward_euler_solve
-from .discretization import Grid3, discretize, interpolation_coefficients
+from .discretization import Grid, discretize, interpolation_coefficients
 from .errors import StencilError
 from .fields import error_norms
 from .geometry import make_surface
@@ -39,7 +39,7 @@ def get_discretization(surface_name, n, eta=0.45):
     key = (surface_name, int(n), float(eta))
     if key not in _DISC_CACHE:
         surf = make_surface(surface_name)
-        grid = Grid3.cube(-BOX_HALF, BOX_HALF, int(n))
+        grid = Grid.cube(-BOX_HALF, BOX_HALF, int(n))
         _DISC_CACHE[key] = discretize(surf, grid, eta=eta)
     return _DISC_CACHE[key]
 
@@ -317,7 +317,7 @@ def run_curve_resolvent(curves=("circle", "ellipse"), n_list=(80, 160),
         curve = make_curve(kind)
         for n in n_list:
             disc = discretize_curve(curve,
-                                    Grid2.square(-BOX_HALF, BOX_HALF, n))
+                                    Grid.square(-BOX_HALF, BOX_HALF, n))
             reports = resolvent_positivity(disc, list(sigmas))
             for rep in reports:
                 tag = f"{kind}_s{rep['sigma']:g}"

@@ -1,7 +1,11 @@
-"""Closed level-set surfaces and cut-point location on grid segments.
+"""Closed level sets and cut-point location on grid segments.
 
-A surface is the zero set of a smooth function phi with phi < 0 inside
-(phi = 0 counts as inside).  Outward unit normals come from grad phi.
+A level set is the zero set of a smooth function phi with phi < 0 inside
+(phi = 0 counts as inside).  Outward unit normals come from grad phi.  The
+same class holds surfaces, on (..., 3) points, and the plane curves of
+`curve1d`, on (..., 2) points.  Cuts are located by one bisection loop,
+`_batch_bisect`, used both by the grid scan of `discretization` and by the
+single-segment `find_cut`.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ def _fd_gradient(phi, pts, step):
     """Central-difference gradient fallback for user surfaces without one."""
     pts = np.asarray(pts, dtype=float)
     out = np.empty(pts.shape)
-    for ax in range(3):
-        e = np.zeros(3)
+    for ax in range(pts.shape[-1]):
+        e = np.zeros(pts.shape[-1])
         e[ax] = step
         out[..., ax] = (phi(pts + e) - phi(pts - e)) / (2.0 * step)
     return out
@@ -155,18 +159,37 @@ def make_surface(name, **params):
     return SURFACE_CATALOG[name](**params)
 
 
+def _batch_bisect(surface, p_in, p_out, axis, tol):
+    """Bisection on many segments at once along one axis (phi(p_in) <= 0).
+
+    Runs until the bracketing parameter window is below `tol` (fraction of
+    the segment).  Only the `axis` coordinate moves, so the frozen
+    coordinates of every cut are those of the endpoints exactly."""
+    m = p_in.shape[0]
+    lo = np.zeros(m)
+    hi = np.ones(m)
+    delta = p_out[:, axis] - p_in[:, axis]
+    q = p_in.copy()
+    for _ in range(max(1, math.ceil(math.log2(1.0 / tol)))):
+        mid = 0.5 * (lo + hi)
+        q[:, axis] = p_in[:, axis] + mid * delta
+        neg = surface.phi(q) <= 0.0
+        lo = np.where(neg, mid, lo)
+        hi = np.where(neg, hi, mid)
+    q[:, axis] = p_in[:, axis] + 0.5 * (lo + hi) * delta
+    return q
+
+
 def find_cut(surface, p_in, p_out, tol=1e-12):
     """Locate the surface crossing on an axis-aligned grid segment.
 
     p_in must satisfy phi <= 0 and p_out phi >= 0 (not both zero), and the
-    endpoints must differ in exactly one coordinate.  Bisection runs until
-    the bracketing parameter window is below `tol` (fraction of the segment);
-    the returned point keeps the frozen coordinates of the endpoints exactly.
+    endpoints must differ in exactly one coordinate.  The crossing is then
+    bisected by `_batch_bisect` on this one segment.
     """
     p_in = np.asarray(p_in, dtype=float)
     p_out = np.asarray(p_out, dtype=float)
-    diff = p_out - p_in
-    moving = np.nonzero(diff)[0]
+    moving = np.nonzero(p_out - p_in)[0]
     if len(moving) != 1:
         raise ValueError("segment endpoints must differ in exactly one coordinate")
     axis = int(moving[0])
@@ -181,16 +204,4 @@ def find_cut(surface, p_in, p_out, tol=1e-12):
         return p_in.copy()
     if f_out == 0.0:
         return p_out.copy()
-
-    lo, hi = 0.0, 1.0
-    n_iter = max(1, math.ceil(math.log2(1.0 / tol)))
-    q = p_in.copy()
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        q[axis] = p_in[axis] + mid * diff[axis]
-        if float(surface.phi(q)) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    q[axis] = p_in[axis] + 0.5 * (lo + hi) * diff[axis]
-    return q
+    return _batch_bisect(surface, p_in[None], p_out[None], axis, tol)[0]

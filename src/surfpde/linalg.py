@@ -154,10 +154,6 @@ class Factorization:
             f"numerically singular)")
 
 
-def factorize(mat, points):
-    return Factorization(mat, points)
-
-
 def bordered_solve(mat, rhs, points, residual_rtol=1e-9):
     """Solve [[A, 1], [1^T, 0]] (u, beta) = (f, 0) for A with A 1 = 0.
 

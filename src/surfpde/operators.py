@@ -289,7 +289,7 @@ def row_sign_structure(lb, disc, metric=None):
     """Diagnostics of the stencil sign pattern of an assembled operator.
 
     Returns (min_offdiag_uniform, max_center_uniform, min_offdiag_all,
-    max_abs_rowsum): the first two restricted to rows whose stencil carries a
+    max_abs_rowsum): the first two taken over the rows whose stencil carries a
     uniform-sign g12 (where the sign guarantees apply), the last two global.
     """
     lb = lb.tocsr()

@@ -1,8 +1,10 @@
-"""Portable dump/load of a surface discretization (npz container).
+"""Portable dump/load of a cut-point discretization (npz container).
 
 The file carries a versioned JSON header plus the per-point record arrays and
 the interpolation matrices, so a reloaded discretization is array-for-array
-identical to the original.
+identical to the original.  Surfaces (3-D grids) and plane curves (2-D
+grids) share the format.  Version 2 added `dropped_cuts`, the count of cuts
+dropped by admissibility, to the header; version 1 files are rejected.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ import json
 import numpy as np
 import scipy.sparse as sp
 
-from .discretization import Grid3, SurfaceDiscretization
+from .discretization import Grid, SurfaceDiscretization
 from .errors import FormatError, VersionError
 
 FORMAT_NAME = "surfpde-discretization"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _ARRAYS = ("positions", "axis", "base_index", "closest_gp", "theta",
            "normals", "associated_primary", "chart_neighbors",
@@ -42,6 +44,7 @@ def dump_discretization(disc, path):
         "version": FORMAT_VERSION,
         "n_tot": disc.n_tot,
         "n_p": disc.n_p,
+        "dropped_cuts": disc.dropped_cuts,
         "eta": disc.eta,
         "grid": {"origin": list(disc.grid.origin), "h": disc.grid.h,
                  "n_cells": list(disc.grid.n_cells)},
@@ -82,17 +85,19 @@ def load_discretization(path):
             arrays = {name: blob[name] for name in _ARRAYS}
             pi_sp = _csr_restore("pi_sp", blob)
             pi_ss = _csr_restore("pi_ss", blob)
+            g = header["grid"]
+            grid = Grid(tuple(g["origin"]), float(g["h"]), tuple(g["n_cells"]))
+            n_p, n_tot = int(header["n_p"]), int(header["n_tot"])
+            eta, dropped = float(header["eta"]), int(header["dropped_cuts"])
         except KeyError as exc:
             raise FormatError(f"{path}: missing record {exc}") from exc
 
-    g = header["grid"]
-    grid = Grid3(tuple(g["origin"]), float(g["h"]), tuple(g["n_cells"]))
     disc = SurfaceDiscretization(
-        grid=grid, eta=float(header["eta"]),
+        grid=grid, eta=eta,
         positions=arrays["positions"], axis=arrays["axis"],
         base_index=arrays["base_index"], closest_gp=arrays["closest_gp"],
         theta=arrays["theta"], normals=arrays["normals"],
-        n_p=int(header["n_p"]),
+        n_p=n_p, dropped_cuts=dropped,
         associated_primary=arrays["associated_primary"],
         chart_neighbors=arrays["chart_neighbors"],
         interp_points=arrays["interp_points"],
@@ -100,7 +105,7 @@ def load_discretization(path):
         pi_sp=pi_sp, pi_ss=pi_ss,
         surface_kind=header.get("surface_kind", "user"),
         surface_params=header.get("surface_params", {}))
-    if disc.n_tot != int(header["n_tot"]):
+    if disc.n_tot != n_tot:
         raise FormatError(f"{path}: point count mismatch with header")
     return disc
 

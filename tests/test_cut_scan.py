@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from surfpde import discretization
-from surfpde.curve1d import Grid2, circle, ellipse
-from surfpde.discretization import (Grid3, _batch_bisect, _cut_points,
-                                    _locate_cuts, discretize)
+from surfpde.curve1d import circle, ellipse
+from surfpde.discretization import Grid, _cut_points, _locate_cuts, discretize
 from surfpde.errors import GridError
-from surfpde.geometry import from_callables, make_surface
+from surfpde.geometry import _batch_bisect, from_callables, make_surface
 
 ETA = 0.45
 TOL = 1e-12
@@ -100,7 +99,7 @@ CASES = [(kind, n, seed) for kind, n in
 @pytest.mark.parametrize("kind,n,seed", CASES)
 def test_streamed_scan_matches_dense_scan(kind, n, seed, slab, monkeypatch):
     surface = make_surface(kind)
-    grid = shifted(Grid3.cube(-1.2, 1.2, n), seed)
+    grid = shifted(Grid.cube(-1.2, 1.2, n), seed)
     monkeypatch.setattr(discretization, "_SLAB_NODES", SLABS[slab](grid))
     streamed = _locate_cuts(surface, grid, TOL)
     dense = dense_locate_cuts(surface, grid, TOL)
@@ -119,7 +118,7 @@ def test_streamed_scan_matches_dense_scan(kind, n, seed, slab, monkeypatch):
                                           for seed in (None, 1)])
 def test_streamed_scan_matches_dense_scan_on_curves(curve, n, seed, slab,
                                                     monkeypatch):
-    grid = shifted(Grid2.square(-1.2, 1.2, n), seed)
+    grid = shifted(Grid.square(-1.2, 1.2, n), seed)
     monkeypatch.setattr(discretization, "_SLAB_NODES", SLABS[slab](grid))
     got = _cut_points(curve(), grid, ETA, TOL)
     monkeypatch.setattr(discretization, "_locate_cuts", dense_locate_cuts)
@@ -140,7 +139,7 @@ def recording_sphere(calls, radius=1.0):
 def test_scan_evaluates_each_node_once_within_the_slab_bound(slab,
                                                              monkeypatch):
     n = 64
-    grid = Grid3.cube(-1.2, 1.2, n)
+    grid = Grid.cube(-1.2, 1.2, n)
     bound = SLABS[slab](grid)
     monkeypatch.setattr(discretization, "_SLAB_NODES", bound)
     calls = []
@@ -165,7 +164,7 @@ def test_scan_evaluates_each_node_once_within_the_slab_bound(slab,
 # -- located failures ------------------------------------------------------
 
 def test_non_finite_phi_names_the_first_node():
-    grid = Grid3.cube(-1.2, 1.2, 40)
+    grid = Grid.cube(-1.2, 1.2, 40)
     c = [grid.coords(a) for a in range(3)]
     bad = [(c[0][17], c[1][23], c[2][9]), (c[0][30], c[1][2], c[2][5])]
 
@@ -191,7 +190,7 @@ def test_non_finite_phi_is_reported_before_containment():
     surface = from_callables(phi, grad=lambda p: 2.0 * p, c0=1.0)
     with pytest.raises(GridError, match=r"non-finite .* first inf at node "
                        r"\(20, 0, 0\)"):
-        discretize(surface, Grid3.cube(-1.2, 1.2, 20))
+        discretize(surface, Grid.cube(-1.2, 1.2, 20))
 
 
 @pytest.mark.parametrize("face_axis", [1, 2])
@@ -200,7 +199,7 @@ def test_containment_failure_on_a_middle_slab_face(face_axis, monkeypatch):
     exactly one boundary node, in the middle plane along axis 0, has
     phi <= 0; with one plane per slab that node is seen mid-scan."""
     n = 20
-    grid = Grid3.cube(-1.2, 1.2, n)
+    grid = Grid.cube(-1.2, 1.2, n)
     centre = np.zeros(3)
     centre[face_axis] = 0.205
     calls = []

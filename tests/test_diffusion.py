@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from surfpde.diffusion import bdf2_solve, forward_euler_solve
 from surfpde.errors import SolverAbortError
 from surfpde.experiments import get_discretization, run_diffusion_sphere
-from surfpde.linalg import factorize
+from surfpde.linalg import Factorization
 from surfpde.operators import laplace_beltrami, reduced_operator
 
 ALPHA = 1.0 / 12.0
@@ -73,7 +73,7 @@ def test_bdf2_startup_is_one_backward_euler_step(sphere40, cubic_harmonic):
     k = 1.0 / 400
     red = reduced_operator(laplace_beltrami(sphere40), sphere40)
     eye = sp.identity(sphere40.n_p, format="csr")
-    manual = factorize(eye - k * ALPHA * red,
+    manual = Factorization(eye - k * ALPHA * red,
                        sphere40.positions[:sphere40.n_p]).solve(cubic_harmonic)
     assert np.abs(bdf2_solve(sphere40, cubic_harmonic, ALPHA, k, 1) - manual) \
         .max() < 1e-12

@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 import surfpde
-from surfpde.discretization import (AXIS_SLOTS, Grid3, NEIGHBOR_OFFSETS,
+from surfpde.discretization import (AXIS_SLOTS, Grid, NEIGHBOR_OFFSETS,
                                     SLOT_E, SurfaceDiscretization, discretize,
                                     interpolation_coefficients,
                                     quality_report)
@@ -284,19 +284,29 @@ def test_surface_must_fit_in_box():
     with pytest.raises(GridError, match=r"min boundary phi = -1\.225e-01 "
                        r"at node \(0, 10, 10\) at \(-1\.2, "):
         discretize(make_surface("sphere", radius=1.25),
-                   Grid3.cube(-1.2, 1.2, 20))
+                   Grid.cube(-1.2, 1.2, 20))
 
 
 def test_grid_validation():
+    assert Grid.cube(-1.2, 1.2, 40) == Grid((-1.2,) * 3, 2.4 / 40, (40,) * 3)
     with pytest.raises(GridError):
-        Grid3.cube(1.0, -1.0, 10)
+        Grid.cube(1.0, -1.0, 10)
     with pytest.raises(GridError):
-        Grid3((0.0, 0.0, 0.0), -0.1, (4, 4, 4))
+        # one cell has no interior node
+        Grid.cube(-1.0, 1.0, 1)
+    with pytest.raises(GridError):
+        Grid((0.0, 0.0, 0.0), -0.1, (4, 4, 4))
+
+
+def test_surface_needs_a_space_grid():
+    with pytest.raises(GridError, match="discretize needs a 3-D grid, got a "
+                       "2-D grid"):
+        discretize(make_surface("sphere"), Grid.square(-1.2, 1.2, 40))
 
 
 def test_eta_range_is_validated(sphere40):
     surf = make_surface("sphere")
-    grid = Grid3.cube(-1.2, 1.2, 10)
+    grid = Grid.cube(-1.2, 1.2, 10)
     for eta in (0.0, 0.65, 1.0):
         with pytest.raises(ValueError):
             discretize(surf, grid, eta=eta)
@@ -308,17 +318,17 @@ def test_surface_missing_every_grid_line():
     surf = from_callables(lambda p: ((p - c) ** 2).sum(axis=-1) - (0.66 * h) ** 2,
                           lambda p: 2.0 * (p - c))
     with pytest.raises(EmptySurfaceError):
-        discretize(surf, Grid3.cube(-1.2, 1.2, 80))
+        discretize(surf, Grid.cube(-1.2, 1.2, 80))
 
 
 def test_under_resolved_surface_fails_loudly():
     with pytest.raises(StencilError):
-        discretize(make_surface("sphere"), Grid3.cube(-1.2, 1.2, 16))
+        discretize(make_surface("sphere"), Grid.cube(-1.2, 1.2, 16))
 
 
 def test_large_eta_fails_loudly():
     with pytest.raises(StencilError):
-        discretize(make_surface("sphere"), Grid3.cube(-1.2, 1.2, 40), eta=0.55)
+        discretize(make_surface("sphere"), Grid.cube(-1.2, 1.2, 40), eta=0.55)
 
 
 def test_missing_weighted_neighbor_aborts_assembly(sphere40):
@@ -342,7 +352,7 @@ def test_missing_weighted_neighbor_aborts_assembly(sphere40):
 def test_unused_diagonal_may_be_absent():
     # the waist of this surface leaves some off-branch diagonals unresolved;
     # they carry no weight, so assembly must succeed regardless
-    disc = discretize(make_surface("cassini_oval"), Grid3.cube(-1.2, 1.2, 48))
+    disc = discretize(make_surface("cassini_oval"), Grid.cube(-1.2, 1.2, 48))
     assert (disc.chart_neighbors < 0).any()
     with pytest.raises(StencilError):
         disc.require_full_stencil("full 3x3 gather")
@@ -357,7 +367,7 @@ def test_grid_point_cut_is_deduplicated():
     # radius 0.6 = 20 h puts the six extreme points exactly on grid nodes;
     # several axis sweeps locate each one, a single record must survive
     disc = discretize(make_surface("sphere", radius=0.6),
-                      Grid3.cube(-1.2, 1.2, 80))
+                      Grid.cube(-1.2, 1.2, 80))
     poles = 0.6 * np.vstack([np.eye(3), -np.eye(3)])
     dist, idx = cKDTree(disc.positions).query(poles, k=2)
     assert dist[:, 0].max() < 1e-9          # pole present
@@ -379,7 +389,7 @@ def test_marginal_sphere_axis_crossings_are_primary():
     from surfpde.discretization import _admissible_mask, _locate_cuts
     n = 40
     h = 2.4 / n
-    grid = Grid3.cube(-1.2, 1.2, n)
+    grid = Grid.cube(-1.2, 1.2, n)
     surf = make_surface("sphere", radius=2.5 * h)
     cuts, axes, nodes, thetas = [], [], [], []
     for ax, (base, q) in enumerate(_locate_cuts(surf, grid, 1e-12)):
@@ -419,8 +429,8 @@ def test_quality_report_bounds(sphere80):
 
 
 def test_determinism():
-    a = discretize(make_surface("sphere"), Grid3.cube(-1.2, 1.2, 40))
-    b = discretize(make_surface("sphere"), Grid3.cube(-1.2, 1.2, 40))
+    a = discretize(make_surface("sphere"), Grid.cube(-1.2, 1.2, 40))
+    b = discretize(make_surface("sphere"), Grid.cube(-1.2, 1.2, 40))
     assert a.n_p == b.n_p
     assert (a.positions == b.positions).all()
     assert (a.chart_neighbors == b.chart_neighbors).all()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from surfpde.curve1d import CURVE_CATALOG, make_curve
 from surfpde.errors import BracketingError, DegenerateGradientError
 from surfpde.geometry import find_cut, from_callables, make_surface
 
@@ -33,17 +34,23 @@ def test_cassini_phi_waist_and_lobe():
     assert abs(s.phi(np.array([rho, 0.0, 0.0]))) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["sphere", "ellipsoid", "cassini_oval"])
+# scale of the random sample points around each shape
+SAMPLE_SCALE = {"ellipsoid": [1.0, 0.8, 0.65], "cassini_oval": 0.6,
+                "ellipse": [1.0, 0.65]}
+
+
+@pytest.mark.parametrize("name", ["sphere", "ellipsoid", "cassini_oval",
+                                  *CURVE_CATALOG])
 def test_analytic_gradient_matches_differences(name):
-    surf = make_surface(name)
+    # a wrong analytic gradient corrupts every admissibility decision
+    # downstream; the plane curves also run the difference fallback in 2-D
+    curve = name in CURVE_CATALOG
+    surf = make_curve(name) if curve else make_surface(name)
     fd_surf = from_callables(surf.phi, params=surf.params)
     rng = np.random.default_rng(42)
-    pts = rng.normal(size=(100, 3))
+    pts = rng.normal(size=(100, 2 if curve else 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    if name == "ellipsoid":
-        pts *= np.array([1.0, 0.8, 0.65])
-    elif name == "cassini_oval":
-        pts *= 0.6
+    pts *= np.asarray(SAMPLE_SCALE.get(name, 1.0))
     pts += 0.01 * rng.normal(size=pts.shape)
     g_exact = surf.gradient(pts)
     g_fd = fd_surf.gradient(pts)
@@ -95,6 +102,9 @@ def test_degenerate_gradient_raises():
     surf = from_callables(lambda p: (p ** 2).sum(axis=-1) - 1.0, c0=10.0)
     with pytest.raises(DegenerateGradientError):
         surf.unit_normal(np.array([[1.0, 0.0, 0.0]]))
+    # a plane curve's vanishing gradient is caught the same way
+    with pytest.raises(DegenerateGradientError):
+        make_curve("circle").unit_normal(np.zeros((1, 2)))
 
 
 def test_find_cut_tolerance_scales():

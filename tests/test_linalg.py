@@ -6,9 +6,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from surfpde import Grid3, discretize, linalg, make_surface
+from surfpde import Grid, discretize, linalg, make_surface
 from surfpde.errors import SingularMatrixError
-from surfpde.linalg import (assemble_csr, bordered_solve, factorize,
+from surfpde.linalg import (Factorization, assemble_csr, bordered_solve,
                             resolvent_entry_report, smallest_eigenvalues)
 from surfpde.operators import laplace_beltrami, reduced_operator
 
@@ -43,14 +43,14 @@ def test_factorize_solves():
     dense = rng.normal(size=(40, 40)) + 40 * np.eye(40)
     mat = sp.csr_matrix(dense)
     x = rng.normal(size=40)
-    fac = factorize(mat, line(40))
+    fac = Factorization(mat, line(40))
     assert np.abs(fac.solve(mat @ x) - x).max() < 1e-10
 
 
 def test_factorize_singular_raises():
     mat = sp.csr_matrix((3, 3))
     with pytest.raises(SingularMatrixError):
-        factorize(mat, line(3))
+        Factorization(mat, line(3))
 
 
 def test_refinement_failure_raises():
@@ -58,7 +58,7 @@ def test_refinement_failure_raises():
     # converge; the last residual must raise instead of returning x
     rng = np.random.default_rng(4)
     dense = rng.normal(size=(40, 40)) + 40 * np.eye(40)
-    fac = factorize(sp.csr_matrix(dense), line(40))
+    fac = Factorization(sp.csr_matrix(dense), line(40))
     fac._mat = sp.csc_matrix(2.0 * dense)
     with pytest.raises(SingularMatrixError, match="residual"):
         fac.solve(rng.normal(size=40))
@@ -133,7 +133,7 @@ def disc40(name, seed):
     h = 2.4 / 40
     shift = (np.zeros(3) if seed == 0
              else np.random.default_rng(seed).uniform(0.0, h, 3))
-    grid = Grid3(tuple(float(v) for v in shift - 1.2), h, (40, 40, 40))
+    grid = Grid(tuple(float(v) for v in shift - 1.2), h, (40, 40, 40))
     return discretize(make_surface(name), grid)
 
 
@@ -172,7 +172,7 @@ def test_factorization_fill_below_colamd(name, request):
     red = reduced_operator(laplace_beltrami(disc, "divergence"), disc)
     mat = sp.csc_matrix(sp.identity(disc.n_p)
                         - (2.0 / 3.0) * k * alpha * red)
-    lu = factorize(mat, disc.positions[:disc.n_p])._lu
+    lu = Factorization(mat, disc.positions[:disc.n_p])._lu
     fill = (lu.L.nnz + lu.U.nnz) / mat.nnz
     colamd = spla.splu(mat, permc_spec="COLAMD")
     colamd_fill = (colamd.L.nnz + colamd.U.nnz) / mat.nnz

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from surfpde import Grid3, discretize, make_surface
+from surfpde import Grid, discretize, make_surface
 from surfpde.discretization import (SLOT_E, SLOT_N, SLOT_NE, SLOT_NW, SLOT_S,
                                     SLOT_SE, SLOT_SW, SLOT_W,
                                     SurfaceDiscretization)
@@ -274,7 +274,7 @@ def any_disc(request):
     h = 2.4 / 40
     shift = (np.zeros(3) if seed == 0
              else np.random.default_rng(seed).uniform(0.0, h, 3))
-    grid = Grid3(tuple(float(v) for v in shift - 1.2), h, (40, 40, 40))
+    grid = Grid(tuple(float(v) for v in shift - 1.2), h, (40, 40, 40))
     return discretize(make_surface(name), grid)
 
 

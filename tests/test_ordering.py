@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from surfpde import Grid3, discretize, make_surface
+from surfpde import Grid, discretize, make_surface
 from surfpde.linalg import Factorization, assemble_csr, dissection_order
 from surfpde.operators import laplace_beltrami, reduced_operator
 
@@ -18,7 +18,7 @@ def disc_at(name, n, seed):
     h = 2.4 / n
     shift = (np.zeros(3) if seed == 0
              else np.random.default_rng(seed).uniform(0.0, h, 3))
-    grid = Grid3(tuple(float(v) for v in shift - 1.2), h, (n, n, n))
+    grid = Grid(tuple(float(v) for v in shift - 1.2), h, (n, n, n))
     return discretize(make_surface(name), grid)
 
 

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from surfpde.curve1d import circle, discretize_curve
+from surfpde.discretization import Grid
 from surfpde.errors import FormatError, VersionError
 from surfpde.serialization import (dump_discretization, load_discretization,
                                    save_triplets)
@@ -16,6 +18,7 @@ def test_round_trip(sphere40, tmp_path):
     assert back.n_tot == sphere40.n_tot
     assert back.grid.h == sphere40.grid.h
     assert back.surface_kind == "sphere"
+    assert back.dropped_cuts == sphere40.dropped_cuts > 0
     np.testing.assert_array_equal(back.positions, sphere40.positions)
     np.testing.assert_array_equal(back.axis, sphere40.axis)
     np.testing.assert_array_equal(back.theta, sphere40.theta)
@@ -23,6 +26,24 @@ def test_round_trip(sphere40, tmp_path):
                                   sphere40.chart_neighbors)
     assert (back.pi_ss - sphere40.pi_ss).nnz == 0
     assert (back.pi_sp - sphere40.pi_sp).nnz == 0
+
+
+def test_curve_round_trip(tmp_path):
+    # eta above 1/sqrt(2) drops crossings; the count survives the trip
+    disc = discretize_curve(circle(), Grid.square(-1.2, 1.2, 40), eta=0.75)
+    assert disc.dropped_cuts == 40
+    path = tmp_path / "curve.npz"
+    dump_discretization(disc, path)
+    back = load_discretization(path)
+    assert back.grid == disc.grid
+    assert (back.n_p, back.dropped_cuts, back.eta, back.surface_kind) == \
+        (disc.n_p, 40, 0.75, "circle")
+    for name in ("positions", "axis", "base_index", "closest_gp", "theta",
+                 "normals", "associated_primary", "chart_neighbors",
+                 "interp_points", "interp_coeffs"):
+        np.testing.assert_array_equal(getattr(back, name),
+                                      getattr(disc, name))
+    assert (back.extension_matrix() != disc.extension_matrix()).nnz == 0
 
 
 def test_reloaded_extension_identical(sphere40, tmp_path):
@@ -50,16 +71,30 @@ def test_load_rejects_foreign_header(tmp_path):
         load_discretization(path)
 
 
-def test_load_rejects_future_version(sphere40, tmp_path):
-    path = tmp_path / "disc.npz"
-    dump_discretization(sphere40, path)
+def rewrite_header(path, edit):
+    """Apply `edit` to the JSON header of the npz file at `path`."""
     blob = dict(np.load(path, allow_pickle=False))
     header = json.loads(bytes(blob["header"]).decode())
-    header["version"] = 999
+    edit(header)
     blob["header"] = np.frombuffer(json.dumps(header).encode(),
                                    dtype=np.uint8)
     np.savez(path, **blob)
+
+
+def test_load_rejects_future_version(sphere40, tmp_path):
+    path = tmp_path / "disc.npz"
+    dump_discretization(sphere40, path)
+    rewrite_header(path, lambda header: header.update(version=999))
     with pytest.raises(VersionError):
+        load_discretization(path)
+
+
+@pytest.mark.parametrize("field", ["dropped_cuts", "grid"])
+def test_load_rejects_header_without_a_field(sphere40, tmp_path, field):
+    path = tmp_path / "disc.npz"
+    dump_discretization(sphere40, path)
+    rewrite_header(path, lambda header: header.pop(field))
+    with pytest.raises(FormatError, match=field):
         load_discretization(path)
 
 

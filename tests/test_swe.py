@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from surfpde import Grid3, discretize, make_surface
+from surfpde import Grid, discretize, make_surface
 from surfpde import swe as swe_mod
 from surfpde.discretization import SLOT_E, SLOT_N, SLOT_S, SLOT_W
 from surfpde.experiments import get_discretization
@@ -150,7 +150,7 @@ def shifted_sphere40():
     h = 2.4 / 40
     shift = np.random.default_rng(1).uniform(0.0, h, 3)
     return discretize(make_surface("sphere"),
-                      Grid3(tuple(float(v) for v in shift - 1.2), h,
+                      Grid(tuple(float(v) for v in shift - 1.2), h,
                             (40, 40, 40)))
 
 
