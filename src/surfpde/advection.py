@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import dblquad
 
-from .maccormack import check_finite, maccormack_step
+from . import maccormack
 from .operators import advection_coefficients, upwind_differences
 
 
@@ -46,40 +46,22 @@ def exact_integral(t, epsabs=1e-12):
     return val
 
 
-def solve_advection(disc, t_ends, k=None):
+def solve_advection(disc, t_ends):
     """March the scalar with predictor-corrector upwinding; snapshot at t_ends.
 
-    Returns a list of (t, values_at_primaries).  Each requested time must be
-    an integer number of steps; the default step is 1/(2N) for a grid of
-    spacing 2.4/N.
+    Returns a list of (t, values_at_primaries).  The step is fixed at
+    k = 1/(2N), N the grid's largest cell count (spacing 2.4/N), and each
+    requested time must be a nonnegative whole number of steps.
     """
-    if k is None:
-        k = 1.0 / (2.0 * max(disc.grid.n_cells))
+    k = 1.0 / (2.0 * max(disc.grid.n_cells))
     v1, v2 = advection_coefficients(disc, rotation_velocity)
 
-    def rhs(direction):
-        def apply(full):
-            d1, d2 = upwind_differences(disc, full, direction)
-            return -(v1 * d1 + v2 * d2)
-        return apply
+    def rhs(direction, full):
+        d1, d2 = upwind_differences(disc, full, direction)
+        return -(v1 * d1 + v2 * d2)
 
-    rhs_f = rhs("forward")
-    rhs_b = rhs("backward")
-    t_ends = sorted(t_ends)
-    steps = []
-    for t in t_ends:
-        n = round(t / k)
-        if abs(n * k - t) > 1e-9:
-            raise ValueError(f"t = {t} is not a multiple of the step {k}")
-        steps.append(n)
+    def advance(u):
+        return maccormack.maccormack_step(u, k, rhs, disc.extend)
 
-    u = exact_solution(disc.positions[:disc.n_p], 0.0)
-    out = []
-    done = 0
-    for t, n in zip(t_ends, steps):
-        for step in range(done, n):
-            u = maccormack_step(u, k, rhs_f, rhs_b, disc.extend)
-            check_finite(u, step + 1, (step + 1) * k)
-        done = n
-        out.append((t, u.copy()))
-    return out
+    u0 = exact_solution(disc.positions[:disc.n_p], 0.0)
+    return maccormack.march(u0, advance, k, t_ends)

@@ -199,23 +199,13 @@ def proof_matrix(disc, sigma):
     """The (n_tot x n_tot) matrix A of the positivity argument.
 
     Upper rows are I - k*LB at the primaries (k = sigma h^2); lower rows
-    state that each secondary equals its quadratic interpolation.
+    state that each secondary equals its quadratic interpolation,
+    u_s - Pi_sp u_p - Pi_ss u_s = 0.
     """
-    c_minus, c_plus, c_center = curve_coefficients(disc)
-    nb = disc.chart_neighbors
     n_p, n_s, n = disc.n_p, disc.n_s, disc.n_tot
-    rows = [np.repeat(np.arange(n_p), 3)]
-    cols = [np.stack([nb[:, 0], nb[:, 1], np.arange(n_p)], axis=1).ravel()]
-    vals = [np.stack([-sigma * c_minus, -sigma * c_plus,
-                      1.0 + sigma * c_center], axis=1).ravel()]
-    if n_s:
-        rows.append(np.repeat(np.arange(n_p, n), 4))
-        sec_cols = np.column_stack([np.arange(n_p, n), disc.interp_points])
-        sec_vals = np.column_stack([np.ones(n_s), -disc.interp_coeffs])
-        cols.append(sec_cols.ravel())
-        vals.append(sec_vals.ravel())
-    return assemble_csr(np.concatenate(rows), np.concatenate(cols),
-                        np.concatenate(vals), (n, n))
+    upper = sp.eye(n_p, n) - sigma * disc.h ** 2 * lb_curve(disc)
+    lower = sp.hstack([-disc.pi_sp, sp.identity(n_s) - disc.pi_ss])
+    return sp.vstack([upper, lower], format="csr")
 
 
 def proof_row_operations(disc, sigma):

@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import Factorization
-from .maccormack import check_finite
+from .maccormack import check_finite, march
 from .operators import laplace_beltrami, reduced_operator
 
 
@@ -14,14 +14,12 @@ def forward_euler_solve(disc, u0_p, alpha, k, n_steps, form="divergence"):
     """March u^{n+1} = u^n + k*alpha*L(E u^n) at the primary points.
 
     The product L E is materialized once, so each step is a single
-    matrix-vector product on the primaries.
+    matrix-vector product on the primaries.  n_steps must be nonnegative.
     """
-    u = np.asarray(u0_p, dtype=float).copy()
     ka = k * alpha
     red = reduced_operator(laplace_beltrami(disc, form), disc)
-    for step in range(n_steps):
-        u = u + ka * (red @ u)
-        check_finite(u, step + 1, (step + 1) * k)
+    (_, u), = march(np.asarray(u0_p, dtype=float),
+                    lambda u: u + ka * (red @ u), k, [n_steps * k])
     return u
 
 

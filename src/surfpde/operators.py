@@ -285,36 +285,31 @@ def artificial_viscosity(disc, field, nu, k):
     return incr.T.reshape((disc.n_p,) + f.shape[1:])
 
 
-def row_sign_structure(lb, disc, metric=None):
+def row_sign_structure(lb, disc):
     """Diagnostics of the stencil sign pattern of an assembled operator.
 
     Returns (min_offdiag_uniform, max_center_uniform, min_offdiag_all,
     max_abs_rowsum): the first two taken over the rows whose stencil carries a
     uniform-sign g12 (where the sign guarantees apply), the last two global.
+    Stored zeros count as entries.
     """
     lb = lb.tocsr()
     n_p = disc.n_p
-    met = metric if metric is not None else chart_metric(disc)
+    met = chart_metric(disc)
     nb = disc.chart_neighbors
     center = met.g12[:n_p][:, None]
     # absent slots contribute nothing; count them with the center's sign
     g12_stencil = np.hstack([np.where(nb >= 0, met.g12[nb], center), center])
     uniform = (g12_stencil >= 0.0).all(axis=1) | (g12_stencil <= 0.0).all(axis=1)
 
-    dense_rows_min = np.full(n_p, np.inf)
-    center = np.empty(n_p)
-    rowsum = np.empty(n_p)
-    indptr, indices, data = lb.indptr, lb.indices, lb.data
-    for i in range(n_p):
-        sl = slice(indptr[i], indptr[i + 1])
-        cols = indices[sl]
-        vals = data[sl]
-        is_center = cols == i
-        center[i] = vals[is_center].sum()
-        off = vals[~is_center]
-        dense_rows_min[i] = off.min(initial=np.inf)
-        rowsum[i] = vals.sum()
-    return (float(dense_rows_min[uniform].min()),
+    rows = np.repeat(np.arange(lb.shape[0]), np.diff(lb.indptr))
+    is_center = lb.indices == rows
+    center = np.bincount(rows[is_center], weights=lb.data[is_center],
+                         minlength=n_p)
+    off_min = np.full(n_p, np.inf)
+    np.minimum.at(off_min, rows[~is_center], lb.data[~is_center])
+    rowsum = np.bincount(rows, weights=lb.data, minlength=n_p)
+    return (float(off_min[uniform].min()),
             float(center[uniform].max()),
-            float(dense_rows_min.min()),
+            float(off_min.min()),
             float(np.abs(rowsum).max()))

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
-from .maccormack import check_finite, maccormack_step
+from . import maccormack
 from .operators import (artificial_viscosity, primary_chart_axes,
                         sphere_geometry_weights, tangential_projection)
 
@@ -152,15 +153,15 @@ def _swe_rhs(ws, direction, full):
     return out
 
 
-def solve_swe(disc, params, t_ends, k=None):
+def solve_swe(disc, params, t_ends):
     """Run the steady-flow test; snapshot (t, phi_p, mom_p) at each t_end.
 
-    Uses predictor-corrector stepping with the switched artificial
-    viscosity evaluated at the old state, then projects the momentum back
-    to the tangent plane each step.
+    Each step, of fixed size k = 1/(2N) for N the largest cell count, is
+    predictor-corrector with the switched artificial viscosity evaluated at
+    the old state, then projects the momentum back to the tangent plane.
+    Every t_end must be a nonnegative whole number of steps.
     """
-    if k is None:
-        k = 1.0 / (2.0 * max(disc.grid.n_cells))
+    k = 1.0 / (2.0 * max(disc.grid.n_cells))
     ws = _Workspace(disc, params)
     phi0, mom0 = initial_state(disc, params)
     state = np.vstack([phi0, mom0.T])
@@ -178,37 +179,20 @@ def solve_swe(disc, params, t_ends, k=None):
             row[:] = weights @ values
         return full
 
-    def rhs_f(full):
-        return _swe_rhs(ws, "forward", full)
-
-    def rhs_b(full):
-        return _swe_rhs(ws, "backward", full)
-
-    nu = params.nu
-
     def viscosity(full_old):
         incr = np.empty((4, disc.n_p))
-        incr[0] = artificial_viscosity(disc, full_old[0], nu, k)
-        incr[1:] = artificial_viscosity(disc, full_old[1:].T, nu, k).T
+        incr[0] = artificial_viscosity(disc, full_old[0], params.nu, k)
+        incr[1:] = artificial_viscosity(disc, full_old[1:].T, params.nu, k).T
         return incr
 
-    extra = viscosity if nu != 0.0 else None
-    t_ends = sorted(t_ends)
-    targets = []
-    for t in t_ends:
-        n = round(t / k)
-        if abs(n * k - t) > 1e-9:
-            raise ValueError(f"t = {t} is not a multiple of the step {k}")
-        targets.append(n)
+    extra = viscosity if params.nu != 0.0 else None
+    rhs = partial(_swe_rhs, ws)
 
-    out = []
-    done = 0
-    for t, n in zip(t_ends, targets):
-        for step in range(done, n):
-            state = maccormack_step(state, k, rhs_f, rhs_b, extend,
-                                    extra_corrector=extra)
-            state[1:] = tangential_projection(state[1:].T, ws.normals.T).T
-            check_finite(state, step + 1, (step + 1) * k)
-        done = n
-        out.append((t, state[0].copy(), state[1:].T.copy()))
-    return out
+    def advance(state):
+        state = maccormack.maccormack_step(state, k, rhs, extend,
+                                           extra_corrector=extra)
+        state[1:] = tangential_projection(state[1:].T, ws.normals.T).T
+        return state
+
+    return [(t, s[0], s[1:].T.copy())
+            for t, s in maccormack.march(state, advance, k, t_ends)]

@@ -62,6 +62,13 @@ def test_unresolvable_grid_exits_two(capsys):
     assert "refine the grid or lower eta" in capsys.readouterr().err
 
 
+def test_negative_end_time_exits_two(capsys):
+    # a negative time is no whole number of steps; it used to print the
+    # errors of the unmarched initial state
+    assert main(["advect", "--N", "40", "--t-end", "-0.5"]) == 2
+    assert "t = -0.5" in capsys.readouterr().err
+
+
 def test_config_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults for a quick run\nn = 20\nsurface = sphere\n")

@@ -87,6 +87,11 @@ def test_unstable_step_aborts_with_location(sphere40, cubic_harmonic):
     assert info.value.time == pytest.approx(info.value.step * 10.0)
 
 
+def test_forward_euler_rejects_negative_step_count(sphere40, cubic_harmonic):
+    with pytest.raises(ValueError, match="nonnegative"):
+        forward_euler_solve(sphere40, cubic_harmonic, ALPHA, 1e-3, -1)
+
+
 def test_zero_steps_returns_initial_state(sphere40, cubic_harmonic):
     out = bdf2_solve(sphere40, cubic_harmonic, ALPHA, 1e-3, 0)
     assert np.array_equal(out, cubic_harmonic)

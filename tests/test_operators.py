@@ -156,6 +156,51 @@ def test_row_sign_structure_on_uniform_rows(sphere40):
     assert max_rowsum < 1e-9
 
 
+def row_sign_structure_loop(lb, disc):
+    """Row-by-row oracle of row_sign_structure: stored zeros are entries."""
+    lb = lb.tocsr()
+    n_p = disc.n_p
+    met = chart_metric(disc)
+    nb = disc.chart_neighbors
+    center = met.g12[:n_p][:, None]
+    g12_stencil = np.hstack([np.where(nb >= 0, met.g12[nb], center), center])
+    uniform = ((g12_stencil >= 0.0).all(axis=1)
+               | (g12_stencil <= 0.0).all(axis=1))
+
+    dense_rows_min = np.full(n_p, np.inf)
+    center = np.empty(n_p)
+    rowsum = np.empty(n_p)
+    indptr, indices, data = lb.indptr, lb.indices, lb.data
+    for i in range(n_p):
+        sl = slice(indptr[i], indptr[i + 1])
+        cols = indices[sl]
+        vals = data[sl]
+        is_center = cols == i
+        center[i] = vals[is_center].sum()
+        off = vals[~is_center]
+        dense_rows_min[i] = off.min(initial=np.inf)
+        rowsum[i] = vals.sum()
+    return (float(dense_rows_min[uniform].min()),
+            float(center[uniform].max()),
+            float(dense_rows_min.min()),
+            float(np.abs(rowsum).max()))
+
+
+@pytest.mark.parametrize("name,form", [("sphere40", "divergence"),
+                                       ("sphere40", "nondivergence"),
+                                       ("ellipsoid40", "divergence")])
+def test_row_sign_structure_matches_row_loop(name, form, request):
+    disc = request.getfixturevalue(name)
+    lb = laplace_beltrami(disc, form).copy()
+    # a stored zero is an entry of its row, as in the loop
+    lb.data[np.flatnonzero(lb.indices != 0)[:3]] = 0.0
+    fast = row_sign_structure(lb, disc)
+    slow = row_sign_structure_loop(lb, disc)
+    assert fast[:3] == slow[:3]
+    # the row sums are roundoff themselves; only their summation order differs
+    assert abs(fast[3] - slow[3]) <= 2e-12
+
+
 def test_tangential_projection_properties():
     rng = np.random.default_rng(8)
     n = rng.normal(size=(30, 3))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from surfpde import Grid, discretize, make_surface
-from surfpde import swe as swe_mod
+from surfpde import maccormack
 from surfpde.discretization import SLOT_E, SLOT_N, SLOT_S, SLOT_W
 from surfpde.experiments import get_discretization
 from surfpde.maccormack import maccormack_step
@@ -192,16 +192,15 @@ def test_step_extension_is_the_e_product(params, shifted_sphere40,
     ext = d.extension_matrix()
     steps = []
 
-    def checked_step(state_p, k, rhs_f, rhs_b, equilibrate, **kwargs):
+    def checked_step(state_p, k, rhs, equilibrate, **kwargs):
         first = equilibrate(state_p)
         second = equilibrate(2.0 * state_p)
         want = (ext @ np.ascontiguousarray(state_p.T)).T
         np.testing.assert_array_equal(first, want)
         np.testing.assert_array_equal(second, (ext @ (2.0 * state_p.T)).T)
         steps.append(k)
-        return maccormack_step(state_p, k, rhs_f, rhs_b, equilibrate,
-                               **kwargs)
+        return maccormack_step(state_p, k, rhs, equilibrate, **kwargs)
 
-    monkeypatch.setattr(swe_mod, "maccormack_step", checked_step)
+    monkeypatch.setattr(maccormack, "maccormack_step", checked_step)
     solve_swe(d, params, [2.0 / 80.0])
     assert len(steps) == 2
