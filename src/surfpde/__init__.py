@@ -14,7 +14,7 @@ from .curve1d import (block_elimination_residual, circle, coefficient_report,
                       make_curve, perturbed_circle, reduced_lb_curve,
                       resolvent_positivity)
 from .diffusion import bdf2_solve, forward_euler_solve
-from .discretization import (CutPoint, Grid, Grid3, QualityReport,
+from .discretization import (Grid, Grid3, QualityReport,
                              SurfaceDiscretization, discretize,
                              interpolation_coefficients, quality_report)
 from .errors import (BracketingError, DegenerateGradientError,

@@ -40,27 +40,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _int_list(text):
+def _list(text, convert, kind):
+    """Comma-separated values of one kind; an empty list is an error."""
     try:
-        values = tuple(int(tok) for tok in text.split(",") if tok)
+        values = tuple(convert(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
-    if not values or any(v <= 0 for v in values):
+            f"expected comma-separated {kind}s, got {text!r}") from None
+    if not values:
         raise argparse.ArgumentTypeError(
-            f"grid sizes must be positive, got {text!r}")
+            f"expected at least one {kind}, got {text!r}")
     return values
 
 
-def _float_list(text):
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok)
-    except ValueError:
+_float_list = partial(_list, convert=float, kind="number")
+_name_list = partial(_list, convert=str.strip, kind="name")
+
+
+def _int_list(text):
+    values = _list(text, int, "integer")
+    if any(v <= 0 for v in values):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError(
-            f"expected at least one number, got {text!r}")
+            f"grid sizes must be positive, got {text!r}")
     return values
 
 
@@ -90,7 +91,8 @@ FLAGS = {
     "n": Flag("--N", _int_list, "N[,N...]",
               "grid sizes (cells across the box)"),
     "surface": Flag("--surface", str, None, "catalog surface name"),
-    "curve": Flag("--curve", str, "NAME[,NAME...]", "catalog curve names"),
+    "curve": Flag("--curve", _name_list, "NAME[,NAME...]",
+                  "catalog curve names"),
     "form": Flag("--form", str, None, "operator form: div | nondiv"),
     "stepper": Flag("--stepper", _stepper, "{" + ",".join(_STEPPERS) + "}",
                     "time integrator"),
@@ -111,7 +113,8 @@ def read_config(path):
     """Parse a key=value config file into an override dict."""
     overrides = {}
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise SurfPDEError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
@@ -170,6 +173,9 @@ def _discretize(args):
               f"n_tot={disc.n_tot} n_p={disc.n_p} h={disc.grid.h:g} "
               f"eta={disc.eta:g}")
         return
+    if len(args.n) != 1:
+        raise UsageError(f"discretize builds one grid; got --N "
+                         f"{','.join(map(str, args.n))}")
     n = args.n[0]
     disc = discretize(make_surface(args.surface),
                       Grid.cube(-ex.BOX_HALF, ex.BOX_HALF, n), eta=args.eta)
@@ -205,10 +211,9 @@ def _swe(args, nu=None):
 
 
 def _curve_resolvent(args):
-    curves = tuple(tok for tok in args.curve.split(",") if tok)
-    for kind in curves:
+    for kind in args.curve:
         make_curve(kind)
-    return ex.run_curve_resolvent(curves, args.n, args.sigma)
+    return ex.run_curve_resolvent(args.curve, args.n, args.sigma)
 
 
 # `run` takes the merged arguments and returns the records to emit, or None
@@ -240,7 +245,7 @@ COMMANDS = {
                     {"n": (40, 80, 160), **_RUN},
                     lambda a: ex.run_quadrature(a.n, jobs=a.jobs)),
     "curve-resolvent": Command("plane-curve resolvent sign reports",
-                               {"n": (80, 160), "curve": "circle,ellipse",
+                               {"n": (80, 160), "curve": ("circle", "ellipse"),
                                 "sigma": (0.75, 1.0, 2.0), "out": None},
                                _curve_resolvent),
     "table-3.1": Command("diffusion errors on the unit sphere",

@@ -23,8 +23,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .discretization import (SurfaceDiscretization, _cut_points,
-                             _with_interpolation)
+from .discretization import (RECORD_ARRAYS, SurfaceDiscretization,
+                             _cut_points)
 from .geometry import LevelSetSurface
 from .linalg import Factorization, assemble_csr, resolvent_entry_report
 from .operators import reduced_operator
@@ -110,13 +110,13 @@ def _drop_coverage_gap(fields):
     new_id = np.cumsum(keep) - 1
     nb = fields["chart_neighbors"]
     fields["chart_neighbors"] = np.where((nb >= 0) & keep[nb], new_id[nb], -1)
-    for name in ("positions", "axis", "base_index", "closest_gp", "theta",
-                 "normals", "associated_primary"):
-        fields[name] = fields[name][keep]
+    for name in RECORD_ARRAYS:
+        if name != "chart_neighbors":   # rows of primaries, none dropped
+            fields[name] = fields[name][keep]
     return int(m - keep.sum())
 
 
-def discretize_curve(curve, grid, eta=0.45, tol=1e-12):
+def discretize_curve(curve, grid, eta=0.45):
     """Cut-point discretization of a closed plane curve on a 2-D grid.
 
     eta below 1/sqrt(2) guarantees every crossing keeps an admissible
@@ -126,12 +126,12 @@ def discretize_curve(curve, grid, eta=0.45, tol=1e-12):
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
     grid.require_dim(2, "discretize_curve")
-    fields, dropped = _cut_points(curve, grid, eta, tol)
+    fields, dropped = _cut_points(curve, grid, eta)
     if eta > 1.0 / math.sqrt(2.0):
         dropped += _drop_coverage_gap(fields)
     return SurfaceDiscretization(
         grid=grid, eta=eta, dropped_cuts=dropped, surface_kind=curve.kind,
-        surface_params=curve.params, **_with_interpolation(fields))
+        surface_params=curve.params, **fields)
 
 
 def curve_coefficients(disc):

@@ -11,9 +11,14 @@ The construction is shared by surfaces on a 3-D grid (charts over the two
 cyclic axes, 3x3 stencil) and by plane curves on a 2-D grid (`curve1d`:
 chart over the one other axis, stencil offsets -1 and +1).  Both are
 `geometry.LevelSetSurface` objects, both grids are one `Grid` class, and
-both results are one `SurfaceDiscretization` class.  Equilibration
-has one route: the extension matrix E, the Neumann series of the
-interpolation blocks, and `extend(u_p) = E @ u_p`.  Explicit chart
+both results are one `SurfaceDiscretization` class.
+
+A discretization is its cut-point record (the arrays of `RECORD_ARRAYS`,
+n_p, the grid and eta) plus what the constructor derives from it: the
+checked interpolation blocks Pi_sp and Pi_ss, which make each secondary
+the quadratic interpolant of three points in its primary's chart.  Files
+store only the record.  Equilibration has one route: the extension matrix
+E, the Neumann series of Pi, and `extend(u_p) = E @ u_p`.  Explicit chart
 differences have one route too: the one-sided difference matrices of
 `chart_differences`, built once per discretization like E.
 
@@ -36,12 +41,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .errors import EmptySurfaceError, GridError, StencilError
-from .geometry import _batch_bisect
-
-ROLE_PRIMARY = 0
-ROLE_SECONDARY = 1
-ROLE_NAMES = {ROLE_PRIMARY: "primary", ROLE_SECONDARY: "secondary",
-              2: "inadmissible"}
+from .geometry import BISECT_TOL, _batch_bisect
 
 # fixed slot order for the 3x3 chart stencil, offsets along (chart1, chart2)
 NEIGHBOR_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
@@ -56,6 +56,10 @@ AXIS_SLOTS = (SLOT_W, SLOT_E, SLOT_S, SLOT_N)
 
 # chart-stencil offsets by grid dimension: a curve's chart is one grid line
 STENCIL_OFFSETS = {2: ((-1,), (1,)), 3: NEIGHBOR_OFFSETS}
+
+# the per-point arrays of the cut-point record
+RECORD_ARRAYS = ("positions", "axis", "base_index", "closest_gp", "theta",
+                 "normals", "associated_primary", "chart_neighbors")
 
 _SNAP_TOL = 1e-9  # fraction of h below which a cut is snapped to a grid point
 _SLAB_NODES = 1 << 18  # grid nodes per phi call in the streamed cut scan
@@ -132,34 +136,20 @@ def interpolation_coefficients(theta):
             0.5 * (theta + theta ** 2))
 
 
-@dataclass
-class CutPoint:
-    """Per-point view onto a SurfaceDiscretization (see `point`)."""
-    index: int
-    position: np.ndarray
-    axis: int
-    base_index: tuple
-    closest_grid_point: tuple
-    theta: float
-    role: str
-    normal: np.ndarray
-    associated_primary: int | None
-    chart_neighbors: dict | None
-
-
 class SurfaceDiscretization:
-    """Cut points, roles, chart stencils and the extension matrix.
+    """The cut-point record and what it derives: Pi, E, chart differences.
 
     Points are ordered primaries first.  `chart_neighbors[i]` lists the
     stencil neighbors of primary i in `offsets` order (-1 when absent).
     `dropped_cuts` counts located crossings discarded by the admissibility
     test, plus, for a plane curve above eta = 1/sqrt(2), the secondaries
-    left without an interpolation stencil.
+    left without an interpolation stencil.  Pi_sp and Pi_ss are built here,
+    so a discretization, fresh or loaded, passes the StencilError checks of
+    `_interpolation_data` and `_pi_matrices`.
     """
 
     def __init__(self, grid, eta, positions, axis, base_index, closest_gp,
                  theta, normals, n_p, associated_primary, chart_neighbors,
-                 interp_points, interp_coeffs, pi_sp, pi_ss,
                  surface_kind="user", surface_params=None, dropped_cuts=0):
         self.grid = grid
         self.eta = float(eta)
@@ -173,12 +163,12 @@ class SurfaceDiscretization:
         self.n_p = int(n_p)
         self.associated_primary = associated_primary
         self.chart_neighbors = chart_neighbors
-        self.interp_points = interp_points
-        self.interp_coeffs = interp_coeffs
-        self.pi_sp = pi_sp
-        self.pi_ss = pi_ss
         self.surface_kind = surface_kind
         self.surface_params = dict(surface_params or {})
+        self.pi_sp, self.pi_ss = _pi_matrices(
+            *_interpolation_data(positions, axis, theta, self.n_p,
+                                 associated_primary, chart_neighbors),
+            positions, self.n_p)
         self._extension = None
         self._differences = None
 
@@ -200,38 +190,6 @@ class SurfaceDiscretization:
     def offsets(self):
         """Chart offsets of the `chart_neighbors` slots, in slot order."""
         return STENCIL_OFFSETS[self.positions.shape[1]]
-
-    @property
-    def role(self):
-        r = np.full(self.n_tot, ROLE_SECONDARY, dtype=np.int8)
-        r[:self.n_p] = ROLE_PRIMARY
-        return r
-
-    def points_in_set(self, axis):
-        """Indices of cut points in Gamma_axis."""
-        return np.nonzero(self.axis == axis)[0]
-
-    def point(self, i):
-        """Materialize one cut point as a CutPoint record."""
-        i = int(i)
-        primary = i < self.n_p
-        nbrs = None
-        if primary:
-            nbrs = {off: int(j) for off, j in
-                    zip(self.offsets, self.chart_neighbors[i]) if j >= 0}
-        return CutPoint(
-            index=i,
-            position=self.positions[i].copy(),
-            axis=int(self.axis[i]),
-            base_index=tuple(int(v) for v in self.base_index[i]),
-            closest_grid_point=tuple(int(v) for v in self.closest_gp[i]),
-            theta=float(self.theta[i]),
-            role=ROLE_NAMES[ROLE_PRIMARY if primary else ROLE_SECONDARY],
-            normal=self.normals[i].copy(),
-            associated_primary=None if primary
-            else int(self.associated_primary[i]),
-            chart_neighbors=nbrs,
-        )
 
     # -- equilibration ---------------------------------------------------
 
@@ -425,7 +383,7 @@ def _admissible_mask(normals, axis, eta):
     return np.abs(normals[np.arange(normals.shape[0]), ax]) >= eta
 
 
-def _locate_cuts(surface, grid, tol):
+def _locate_cuts(surface, grid, tol=BISECT_TOL):
     """Per axis, the base indices of all sign-change intervals (C order)
     and the bisected cut point on each."""
     origin = np.asarray(grid.origin)
@@ -528,7 +486,7 @@ def _resolve_neighbors(grid, positions, axis, base, n_p):
     return out
 
 
-def _cut_points(surface, grid, eta, tol):
+def _cut_points(surface, grid, eta, tol=BISECT_TOL):
     """Cut points, roles and chart neighbors of `surface` on `grid`.
 
     The steps shared by curves and surfaces, from the streamed sign-change
@@ -677,18 +635,7 @@ def _pi_matrices(points, coeffs, positions, n_p):
     return pi_sp, pi_ss
 
 
-def _with_interpolation(fields):
-    """`fields` plus the interpolation triples and the Pi blocks."""
-    points, coeffs = _interpolation_data(
-        fields["positions"], fields["axis"], fields["theta"], fields["n_p"],
-        fields["associated_primary"], fields["chart_neighbors"])
-    pi_sp, pi_ss = _pi_matrices(points, coeffs, fields["positions"],
-                                fields["n_p"])
-    return dict(fields, interp_points=points, interp_coeffs=coeffs,
-                pi_sp=pi_sp, pi_ss=pi_ss)
-
-
-def discretize(surface, grid, eta=0.45, tol=1e-12):
+def discretize(surface, grid, eta=0.45):
     """Build the cut-point discretization of `surface` on `grid`.
 
     Parameters
@@ -703,8 +650,6 @@ def discretize(surface, grid, eta=0.45, tol=1e-12):
         phi <= 0 raises GridError naming the node.
     eta : float
         Admissibility threshold on |n_nu| at the cut point; 0 < eta < 1/sqrt(3).
-    tol : float
-        Bisection parameter tolerance (fraction of a grid interval).
 
     Returns
     -------
@@ -715,11 +660,10 @@ def discretize(surface, grid, eta=0.45, tol=1e-12):
     if not 0.0 < eta < 1.0 / math.sqrt(3.0):
         raise ValueError(f"eta must lie in (0, 1/sqrt(3)), got {eta}")
     grid.require_dim(3, "discretize")
-    fields, dropped = _cut_points(surface, grid, eta, tol)
+    fields, dropped = _cut_points(surface, grid, eta)
     return SurfaceDiscretization(
         grid=grid, eta=eta, surface_kind=surface.kind,
-        surface_params=surface.params, dropped_cuts=dropped,
-        **_with_interpolation(fields))
+        surface_params=surface.params, dropped_cuts=dropped, **fields)
 
 
 # -- discretization quality report ---------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import BracketingError, DegenerateGradientError
 
 DEFAULT_FD_STEP = 1e-6
+BISECT_TOL = 1e-12  # bisection window, as a fraction of the segment
 
 
 def _fd_gradient(phi, pts, step):
@@ -180,7 +181,7 @@ def _batch_bisect(surface, p_in, p_out, axis, tol):
     return q
 
 
-def find_cut(surface, p_in, p_out, tol=1e-12):
+def find_cut(surface, p_in, p_out, tol=BISECT_TOL):
     """Locate the surface crossing on an axis-aligned grid segment.
 
     p_in must satisfy phi <= 0 and p_out phi >= 0 (not both zero), and the

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_POU_ANGLE = math.radians(62.5)
-
-# cos(62.5 deg) < 1/sqrt(3), so at least one direction is always active
-_MIN_MAX_COMPONENT = 1.0 / math.sqrt(3.0)
+# cutoff angle of each direction's bump; cos(62.5 deg) < 1/sqrt(3), so at
+# least one direction is always active
+POU_ANGLE = math.radians(62.5)
 
 
 def bump(r):
@@ -33,50 +32,45 @@ def bump(r):
     return out
 
 
-def direction_weights(normals, pou_angle=DEFAULT_POU_ANGLE):
+def direction_weights(normals):
     """Partition-of-unity weights psi_nu(n) over the three axes, shape (m, 3).
 
-    psi_nu is the normalized bump of arccos|n_nu| / pou_angle: directions
+    psi_nu is the normalized bump of arccos|n_nu| / POU_ANGLE: directions
     whose axis is within the cutoff angle of the normal share the weight,
     smoothly fading to zero at the cutoff.  Rows sum to one whenever
-    max_nu |n_nu| > cos(pou_angle), which holds for every unit normal when
+    max_nu |n_nu| > cos(POU_ANGLE), which holds for every unit normal when
     the cutoff exceeds arccos(1/sqrt(3)) ~ 54.7 degrees.
     """
     n = np.asarray(normals, dtype=float)
     if n.ndim == 1:
         n = n[None, :]
     ang = np.arccos(np.clip(np.abs(n), 0.0, 1.0))
-    sigma = bump(ang / pou_angle)
+    sigma = bump(ang / POU_ANGLE)
     total = sigma.sum(axis=1, keepdims=True)
     if (total <= 0.0).any():
-        raise ValueError("partition of unity vanished: pou_angle too small "
+        raise ValueError("partition of unity vanished: POU_ANGLE too small "
                          "for some normal directions")
     return sigma / total
 
 
 @dataclass
 class QuadratureWeights:
-    """Per-point surface quadrature weights and their ingredients."""
+    """Per-point surface quadrature weights."""
     weights: np.ndarray    # psi * h^2 / |n_axis| per cut point
-    psi: np.ndarray        # partition value of each point's own axis
-    pou_angle: float
 
     def integrate(self, values):
         values = np.asarray(values, dtype=float)
         return float(self.weights @ values)
 
 
-def quadrature_weights(disc, pou_angle=DEFAULT_POU_ANGLE):
+def quadrature_weights(disc):
     """Quadrature weights over all cut points of a discretization."""
-    psi_all = direction_weights(disc.normals, pou_angle)
     idx = np.arange(disc.n_tot)
     ax = disc.axis.astype(np.int64)
-    psi = psi_all[idx, ax]
-    n_free = np.abs(disc.normals[idx, ax])
-    w = psi * disc.h ** 2 / n_free
-    return QuadratureWeights(weights=w, psi=psi, pou_angle=pou_angle)
+    psi = direction_weights(disc.normals)[idx, ax]
+    return QuadratureWeights(psi * disc.h ** 2 / np.abs(disc.normals[idx, ax]))
 
 
-def surface_integral(disc, values, pou_angle=DEFAULT_POU_ANGLE):
+def surface_integral(disc, values):
     """Integrate point samples (all cut points) over the surface."""
-    return quadrature_weights(disc, pou_angle).integrate(values)
+    return quadrature_weights(disc).integrate(values)

@@ -1,10 +1,13 @@
 """Portable dump/load of a cut-point discretization (npz container).
 
-The file carries a versioned JSON header plus the per-point record arrays and
-the interpolation matrices, so a reloaded discretization is array-for-array
-identical to the original.  Surfaces (3-D grids) and plane curves (2-D
-grids) share the format.  Version 2 added `dropped_cuts`, the count of cuts
-dropped by admissibility, to the header; version 1 files are rejected.
+Format version 3: a JSON header (format, version, n_tot, n_p, dropped_cuts,
+eta, grid, surface kind and parameters) plus the eight record arrays of
+`discretization.RECORD_ARRAYS`, nothing derived from them.  The loader
+checks the arrays against the header (shape, kind, axis, owner and
+neighbor ranges) and raises FormatError naming the file and the array; the
+constructor then rebuilds Pi with the checks of a fresh build.  Surfaces
+and plane curves share the format.  Versions 1 and 2 (v2 also stored the
+interpolation rows and Pi) are rejected with VersionError.
 """
 
 from __future__ import annotations
@@ -14,31 +17,16 @@ import json
 import numpy as np
 import scipy.sparse as sp
 
-from .discretization import Grid, SurfaceDiscretization
+from .discretization import (RECORD_ARRAYS, STENCIL_OFFSETS, Grid,
+                             SurfaceDiscretization)
 from .errors import FormatError, VersionError
 
 FORMAT_NAME = "surfpde-discretization"
-FORMAT_VERSION = 2
-
-_ARRAYS = ("positions", "axis", "base_index", "closest_gp", "theta",
-           "normals", "associated_primary", "chart_neighbors",
-           "interp_points", "interp_coeffs")
-
-
-def _csr_payload(name, mat):
-    return {f"{name}_data": mat.data, f"{name}_indices": mat.indices,
-            f"{name}_indptr": mat.indptr,
-            f"{name}_shape": np.asarray(mat.shape, dtype=np.int64)}
-
-
-def _csr_restore(name, blob):
-    shape = tuple(int(v) for v in blob[f"{name}_shape"])
-    return sp.csr_matrix((blob[f"{name}_data"], blob[f"{name}_indices"],
-                          blob[f"{name}_indptr"]), shape=shape)
+FORMAT_VERSION = 3
 
 
 def dump_discretization(disc, path):
-    """Write a discretization to `path` (npz)."""
+    """Write a discretization's record to `path` (npz)."""
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -51,12 +39,44 @@ def dump_discretization(disc, path):
         "surface_kind": disc.surface_kind,
         "surface_params": disc.surface_params,
     }
-    payload = {name: getattr(disc, name) for name in _ARRAYS}
-    payload.update(_csr_payload("pi_sp", disc.pi_sp.tocsr()))
-    payload.update(_csr_payload("pi_ss", disc.pi_ss.tocsr()))
+    payload = {name: getattr(disc, name) for name in RECORD_ARRAYS}
     payload["header"] = np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8)
     np.savez_compressed(path, **payload)
+
+
+def _check_record(path, arrays, dim, n_p, n_tot):
+    """Raise FormatError naming the first record array that does not fit
+    the header in shape, kind (finite floats or integers) or range."""
+    point = (n_tot, dim)
+    # name: (shape, kind, None or (first point checked, low, high));
+    # primaries carry no owner
+    spec = {"positions": (point, "f", None),
+            "axis": ((n_tot,), "i", (0, 0, dim)),
+            "base_index": (point, "i", None), "closest_gp": (point, "i", None),
+            "theta": ((n_tot,), "f", None), "normals": (point, "f", None),
+            "associated_primary": ((n_tot,), "i", (n_p, 0, n_p)),
+            "chart_neighbors": ((n_p, len(STENCIL_OFFSETS[dim])), "i",
+                                (0, -1, n_tot))}
+    for name in RECORD_ARRAYS:
+        arr, (shape, kind, bounds) = arrays[name], spec[name]
+        if arr.shape != shape:
+            raise FormatError(f"{path}: array {name} has shape {arr.shape}, "
+                              f"expected {shape} for n_tot={n_tot}, n_p={n_p}")
+        if kind == "f" and not (arr.dtype.kind == "f"
+                                and np.isfinite(arr).all()):
+            raise FormatError(f"{path}: array {name} must hold finite floats")
+        if kind == "i" and arr.dtype.kind not in "iu":
+            raise FormatError(f"{path}: array {name} must hold integers, "
+                              f"got {arr.dtype}")
+        if bounds is not None:
+            first, lo, hi = bounds
+            bad = np.argwhere((arr[first:] < lo) | (arr[first:] >= hi))
+            if bad.size:
+                raise FormatError(
+                    f"{path}: array {name} has {len(bad)} entries outside "
+                    f"[{lo}, {hi}); first {arr[first:][tuple(bad[0])]} at "
+                    f"point {first + int(bad[0, 0])}")
 
 
 def load_discretization(path):
@@ -82,32 +102,25 @@ def load_discretization(path):
                 f"{path}: unsupported format version "
                 f"{header.get('version')!r} (expected {FORMAT_VERSION})")
         try:
-            arrays = {name: blob[name] for name in _ARRAYS}
-            pi_sp = _csr_restore("pi_sp", blob)
-            pi_ss = _csr_restore("pi_ss", blob)
+            arrays = {name: blob[name] for name in RECORD_ARRAYS}
             g = header["grid"]
             grid = Grid(tuple(g["origin"]), float(g["h"]), tuple(g["n_cells"]))
             n_p, n_tot = int(header["n_p"]), int(header["n_tot"])
             eta, dropped = float(header["eta"]), int(header["dropped_cuts"])
-        except KeyError as exc:
-            raise FormatError(f"{path}: missing record {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: missing or malformed record {exc}") \
+                from exc
 
-    disc = SurfaceDiscretization(
-        grid=grid, eta=eta,
-        positions=arrays["positions"], axis=arrays["axis"],
-        base_index=arrays["base_index"], closest_gp=arrays["closest_gp"],
-        theta=arrays["theta"], normals=arrays["normals"],
-        n_p=n_p, dropped_cuts=dropped,
-        associated_primary=arrays["associated_primary"],
-        chart_neighbors=arrays["chart_neighbors"],
-        interp_points=arrays["interp_points"],
-        interp_coeffs=arrays["interp_coeffs"],
-        pi_sp=pi_sp, pi_ss=pi_ss,
+    dim = len(grid.n_cells)
+    if dim not in STENCIL_OFFSETS or not 0 <= n_p <= n_tot:
+        raise FormatError(f"{path}: header grid of dimension {dim} with "
+                          f"n_p={n_p}, n_tot={n_tot} describes no "
+                          f"discretization")
+    _check_record(path, arrays, dim, n_p, n_tot)
+    return SurfaceDiscretization(
+        grid=grid, eta=eta, n_p=n_p, dropped_cuts=dropped,
         surface_kind=header.get("surface_kind", "user"),
-        surface_params=header.get("surface_params", {}))
-    if disc.n_tot != n_tot:
-        raise FormatError(f"{path}: point count mismatch with header")
-    return disc
+        surface_params=header.get("surface_params", {}), **arrays)
 
 
 def save_triplets(mat, path):

@@ -2,6 +2,7 @@
 and discretization dump/load."""
 
 import inspect
+import os
 import subprocess
 import sys
 
@@ -32,10 +33,30 @@ def test_bad_argument_exits_one(capsys):
     (["table-4.2", "--days", ""], "at least one number"),
     (["curve-resolvent", "--sigma", ",,"], "at least one number"),
     (["quad", "--N", "20", "--jobs", "-4"], "at least 1, got -4"),
-    (["quad", "--N", "20", "--jobs", "0"], "at least 1, got 0")])
+    (["quad", "--N", "20", "--jobs", "0"], "at least 1, got 0"),
+    (["curve-resolvent", "--N", "20", "--curve", ","], "at least one name")])
 def test_empty_list_or_no_workers_exits_one(argv, message, capsys):
     assert main(argv) == 1
     assert message in capsys.readouterr().err
+
+
+def test_discretize_takes_one_grid_size(capsys):
+    # it used to build N=20 and drop 40 without a word
+    assert main(["discretize", "--N", "20,40"]) == 1
+    assert "one grid; got --N 20,40" in capsys.readouterr().err
+
+
+def test_config_file_is_closed(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 20\n")
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m",
+         "surfpde.cli", "discretize", "--config", str(cfg)],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(ex.__file__))),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("field,message", [

@@ -25,7 +25,7 @@ from surfpde.curve1d import (
     reduced_lb_curve,
     resolvent_positivity,
 )
-from surfpde.discretization import Grid
+from surfpde.discretization import Grid, _interpolation_data
 from surfpde.errors import EmptySurfaceError, GridError, StencilError
 from surfpde.geometry import LevelSetSurface
 
@@ -165,13 +165,16 @@ def test_points_on_curve_and_theta_bounds(circle80):
 
 def test_interpolation_rows(circle80):
     d = circle80
+    points, coeffs = _interpolation_data(
+        d.positions, d.axis, d.theta, d.n_p, d.associated_primary,
+        d.chart_neighbors)
     for s in range(d.n_s):
-        q_minus, p, q_plus = d.interp_points[s]
+        q_minus, p, q_plus = points[s]
         assert p == d.associated_primary[d.n_p + s]
         t = d.theta[d.n_p + s]
         expect = (0.5 * (-t + t * t), 1.0 - t * t, 0.5 * (t + t * t))
-        assert np.abs(d.interp_coeffs[s] - expect).max() < 1e-13
-        assert abs(d.interp_coeffs[s].sum() - 1.0) < 1e-13
+        assert np.abs(coeffs[s] - expect).max() < 1e-13
+        assert abs(coeffs[s].sum() - 1.0) < 1e-13
         # stencil points live in adjacent chart columns of the primary
         pa = d.axis[p]
         fr = 1 - pa

@@ -13,8 +13,9 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 import surfpde
-from surfpde.discretization import (AXIS_SLOTS, Grid, NEIGHBOR_OFFSETS,
-                                    SLOT_E, SurfaceDiscretization, discretize,
+from surfpde.discretization import (AXIS_SLOTS, RECORD_ARRAYS, SLOT_E, Grid,
+                                    SurfaceDiscretization,
+                                    _interpolation_data, discretize,
                                     interpolation_coefficients,
                                     quality_report)
 from surfpde.errors import (EmptySurfaceError, GridError, StencilError)
@@ -129,9 +130,14 @@ def test_theta_bounds_and_primary_is_closest(sphere80):
     assert np.abs(d.theta).max() <= 0.5 + 1e-12
     sec = np.arange(d.n_p, d.n_tot)
     prim = d.associated_primary[sec]
+    assert ((prim >= 0) & (prim < d.n_p)).all()
     assert (np.abs(d.theta[prim]) <= np.abs(d.theta[sec]) + 1e-12).all()
     # secondary and its primary share the closest grid node
     assert (d.closest_gp[sec] == d.closest_gp[prim]).all()
+    # every set Gamma_axis is present, and each block is sorted by axis
+    assert np.unique(d.axis).tolist() == [0, 1, 2]
+    for block in (d.axis[:d.n_p], d.axis[d.n_p:]):
+        assert (np.diff(block) >= 0).all()
 
 
 def test_admissibility_on_kept_points(sphere80):
@@ -166,16 +172,24 @@ def test_frozen_coordinates_are_exact_grid_values(sphere80):
 def test_interpolation_slots_are_frozen_offsets(sphere80):
     d = sphere80
     sec = np.arange(d.n_p, d.n_tot)
-    prim = d.interp_points[:, 1]
+    points, coeffs = _interpolation_data(
+        d.positions, d.axis, d.theta, d.n_p, d.associated_primary,
+        d.chart_neighbors)
+    prim = points[:, 1]
     assert (prim == d.associated_primary[sec]).all()
     nu = d.axis[sec].astype(np.int64)
     rows = np.arange(len(sec))
     for col, sgn in ((0, -1.0), (2, 1.0)):
-        q = d.interp_points[:, col]
+        q = points[:, col]
         off = d.positions[q, nu[rows]] - d.positions[prim, nu[rows]]
         assert np.abs(off - sgn * d.h).max() < 1e-12
     w = np.stack(interpolation_coefficients(d.theta[sec]), axis=1)
-    assert np.abs(w - d.interp_coeffs).max() < 1e-14
+    assert np.abs(w - coeffs).max() < 1e-14
+    # Pi holds exactly these rows
+    expect = sp.csr_matrix((coeffs.ravel(), (np.repeat(rows, 3),
+                                             points.ravel())),
+                           shape=(len(sec), d.n_tot))
+    assert abs(sp.hstack([d.pi_sp, d.pi_ss]) - expect).max() == 0.0
 
 
 def test_pi_row_sums(sphere80):
@@ -211,20 +225,6 @@ def test_pi_row_sum_bound_is_checked_under_optimize():
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert "0.8" in proc.stdout
     assert "[0.25 0.5  0.75]" in proc.stdout
-
-
-def test_roles_and_point_view(sphere40):
-    d = sphere40
-    assert (d.role[:d.n_p] == 0).all() and (d.role[d.n_p:] == 1).all()
-    p = d.point(0)
-    assert p.role == "primary" and p.associated_primary is None
-    assert set(p.chart_neighbors) <= set(NEIGHBOR_OFFSETS)
-    s = d.point(d.n_p)
-    assert s.role == "secondary"
-    assert 0 <= s.associated_primary < d.n_p
-    for ax in range(3):
-        ids = d.points_in_set(ax)
-        assert (d.axis[ids] == ax).all()
 
 
 # -- equilibration ---------------------------------------------------------
@@ -333,16 +333,22 @@ def test_large_eta_fails_loudly():
 
 def test_missing_weighted_neighbor_aborts_assembly(sphere40):
     d = sphere40
-    nb = d.chart_neighbors.copy()
-    nb[0, SLOT_E] = -1
-    broken = SurfaceDiscretization(
-        grid=d.grid, eta=d.eta, positions=d.positions, axis=d.axis,
-        base_index=d.base_index, closest_gp=d.closest_gp, theta=d.theta,
-        normals=d.normals, n_p=d.n_p,
-        associated_primary=d.associated_primary, chart_neighbors=nb,
-        interp_points=d.interp_points, interp_coeffs=d.interp_coeffs,
-        pi_sp=d.pi_sp, pi_ss=d.pi_ss, surface_kind=d.surface_kind,
-        surface_params=d.surface_params)
+    sec = np.arange(d.n_p, d.n_tot)
+    owner = d.associated_primary[sec]
+    # owners of a secondary interpolated along their W-E chart line
+    interp_we = owner[(d.axis[sec] - d.axis[owner]) % 3 == 1]
+    record = {name: getattr(d, name) for name in RECORD_ARRAYS}
+
+    def without_east(i):
+        nb = d.chart_neighbors.copy()
+        nb[i, SLOT_E] = -1
+        return SurfaceDiscretization(
+            d.grid, d.eta, n_p=d.n_p, **dict(record, chart_neighbors=nb))
+
+    # the record's own interpolation needs the neighbor: construction fails
+    with pytest.raises(StencilError, match="chart neighbors"):
+        without_east(interp_we[0])
+    broken = without_east(np.setdiff1d(np.arange(d.n_p), interp_we)[0])
     with pytest.raises(StencilError):
         laplace_beltrami(broken, "divergence")
     with pytest.raises(StencilError):
@@ -434,4 +440,4 @@ def test_determinism():
     assert a.n_p == b.n_p
     assert (a.positions == b.positions).all()
     assert (a.chart_neighbors == b.chart_neighbors).all()
-    assert (a.interp_points == b.interp_points).all()
+    assert (a.pi_sp != b.pi_sp).nnz == 0 and (a.pi_ss != b.pi_ss).nnz == 0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from surfpde import Grid, discretize, make_surface
-from surfpde.discretization import (SLOT_E, SLOT_N, SLOT_NE, SLOT_NW, SLOT_S,
-                                    SLOT_SE, SLOT_SW, SLOT_W,
+from surfpde.discretization import (RECORD_ARRAYS, SLOT_E, SLOT_N, SLOT_NE,
+                                    SLOT_NW, SLOT_S, SLOT_SE, SLOT_SW, SLOT_W,
                                     SurfaceDiscretization)
 from surfpde.errors import StencilError
 from surfpde.operators import (advection_coefficients, artificial_viscosity,
@@ -293,10 +293,8 @@ def test_artificial_viscosity_vector_shares_magnitude(sphere40):
 
 def copy_discretization(d, **changes):
     """A fresh SurfaceDiscretization over the arrays of `d` (no caches)."""
-    names = ("grid", "eta", "positions", "axis", "base_index", "closest_gp",
-             "theta", "normals", "n_p", "associated_primary",
-             "chart_neighbors", "interp_points", "interp_coeffs", "pi_sp",
-             "pi_ss", "surface_kind", "surface_params")
+    names = ("grid", "eta", "n_p", "surface_kind", "surface_params",
+             *RECORD_ARRAYS)
     return SurfaceDiscretization(**dict({k: getattr(d, k) for k in names},
                                         **changes))
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from surfpde.quadrature import (DEFAULT_POU_ANGLE, bump, direction_weights,
+from surfpde.quadrature import (POU_ANGLE, bump, direction_weights,
                                 quadrature_weights, surface_integral)
 
 
@@ -40,8 +40,8 @@ def test_direction_weights_direct_evaluation():
     def b(r):
         return math.exp(r * r / (r * r - 1.0)) if abs(r) < 1 else 0.0
 
-    sy = b(math.acos(0.6) / DEFAULT_POU_ANGLE)
-    sz = b(math.acos(0.8) / DEFAULT_POU_ANGLE)
+    sy = b(math.acos(0.6) / POU_ANGLE)
+    sz = b(math.acos(0.8) / POU_ANGLE)
     assert psi[0, 0] == 0.0
     assert psi[0, 1] == pytest.approx(sy / (sy + sz), rel=1e-13)
     assert psi[0, 2] == pytest.approx(sz / (sy + sz), rel=1e-13)

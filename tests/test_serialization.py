@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import surfpde
 from surfpde.curve1d import circle, discretize_curve
-from surfpde.discretization import Grid
-from surfpde.errors import FormatError, VersionError
+from surfpde.discretization import RECORD_ARRAYS, Grid
+from surfpde.errors import FormatError, StencilError, VersionError
 from surfpde.serialization import (dump_discretization, load_discretization,
                                    save_triplets)
 
@@ -38,12 +43,19 @@ def test_curve_round_trip(tmp_path):
     assert back.grid == disc.grid
     assert (back.n_p, back.dropped_cuts, back.eta, back.surface_kind) == \
         (disc.n_p, 40, 0.75, "circle")
-    for name in ("positions", "axis", "base_index", "closest_gp", "theta",
-                 "normals", "associated_primary", "chart_neighbors",
-                 "interp_points", "interp_coeffs"):
+    for name in RECORD_ARRAYS:
         np.testing.assert_array_equal(getattr(back, name),
                                       getattr(disc, name))
+    for name in ("pi_sp", "pi_ss"):
+        assert (getattr(back, name) != getattr(disc, name)).nnz == 0
     assert (back.extension_matrix() != disc.extension_matrix()).nnz == 0
+
+
+def test_file_holds_only_the_record(sphere40, tmp_path):
+    path = tmp_path / "disc.npz"
+    dump_discretization(sphere40, path)
+    with np.load(path) as blob:
+        assert sorted(blob.files) == sorted(RECORD_ARRAYS + ("header",))
 
 
 def test_reloaded_extension_identical(sphere40, tmp_path):
@@ -81,11 +93,97 @@ def rewrite_header(path, edit):
     np.savez(path, **blob)
 
 
+def rewrite_array(path, name, edit):
+    """Replace the array `name` of the npz file at `path` by
+    edit(array, n_p, n_tot)."""
+    blob = dict(np.load(path, allow_pickle=False))
+    header = json.loads(bytes(blob["header"]).decode())
+    blob[name] = edit(blob[name].copy(), header["n_p"], header["n_tot"])
+    np.savez(path, **blob)
+
+
 def test_load_rejects_future_version(sphere40, tmp_path):
     path = tmp_path / "disc.npz"
     dump_discretization(sphere40, path)
     rewrite_header(path, lambda header: header.update(version=999))
     with pytest.raises(VersionError):
+        load_discretization(path)
+
+
+def test_load_rejects_version_2_file(sphere40, tmp_path):
+    # version 2 also stored the interpolation rows and Pi
+    path = tmp_path / "disc.npz"
+    dump_discretization(sphere40, path)
+    rewrite_header(path, lambda header: header.update(version=2))
+    with pytest.raises(VersionError, match="version 2"):
+        load_discretization(path)
+
+
+def _put(arr, index, value):
+    arr[index] = value
+    return arr
+
+
+TAMPERED = {
+    "neighbor-past-end": ("chart_neighbors",
+                          lambda a, n_p, n_tot: _put(a, (5, 1), n_tot)),
+    "neighbor-below-absent": ("chart_neighbors",
+                              lambda a, n_p, n_tot: _put(a, (5, 1), -2)),
+    "owner-is-secondary": ("associated_primary",
+                           lambda a, n_p, n_tot: _put(a, n_p + 3, n_p)),
+    "owner-absent": ("associated_primary",
+                     lambda a, n_p, n_tot: _put(a, n_tot - 1, -1)),
+    "axis-out-of-range": ("axis", lambda a, n_p, n_tot: _put(a, 0, 3)),
+    "truncated-theta": ("theta", lambda a, n_p, n_tot: a[:-1]),
+    "truncated-neighbors": ("chart_neighbors", lambda a, n_p, n_tot: a[:-2]),
+    "float-neighbors": ("chart_neighbors",
+                        lambda a, n_p, n_tot: a.astype(float)),
+    "nan-normal": ("normals", lambda a, n_p, n_tot: _put(a, (0, 0), np.nan)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED))
+def test_tampered_record_names_the_array(sphere40, tmp_path, case):
+    name, edit = TAMPERED[case]
+    path = tmp_path / "disc.npz"
+    dump_discretization(sphere40, path)
+    rewrite_array(path, name, edit)
+    with pytest.raises(FormatError, match=f"disc.npz: array {name} "):
+        load_discretization(path)
+
+
+def test_tampered_record_is_rejected_under_optimize(sphere40, tmp_path):
+    path = tmp_path / "disc.npz"
+    dump_discretization(sphere40, path)
+    rewrite_array(path, "chart_neighbors", TAMPERED["neighbor-past-end"][1])
+    script = textwrap.dedent(f"""
+        from surfpde.errors import FormatError
+        from surfpde.serialization import load_discretization
+        try:
+            load_discretization({str(path)!r})
+        except FormatError as exc:
+            print(exc)
+        else:
+            raise SystemExit("no FormatError")
+    """)
+    src = os.path.dirname(os.path.dirname(surfpde.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert "array chart_neighbors" in proc.stdout
+
+
+def test_loaded_record_passes_the_pi_checks(sphere40, tmp_path):
+    # a secondary leaning on another secondary, with theta pushed to 3:
+    # its Pi_ss row sum exceeds 1/2 and the rebuild on load refuses it
+    d = sphere40
+    rows = d.pi_ss.tocoo().row
+    s = d.n_p + int(rows[0])
+    path = tmp_path / "disc.npz"
+    dump_discretization(d, path)
+    rewrite_array(path, "theta", lambda a, n_p, n_tot: _put(a, s, 3.0))
+    with pytest.raises(StencilError, match="> 1/2"):
         load_discretization(path)
 
 
