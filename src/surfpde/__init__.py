@@ -10,9 +10,8 @@ from .advection import exact_integral as advection_exact_integral
 from .advection import exact_solution as advection_exact_solution
 from .advection import rotation_velocity, solve_advection
 from .curve1d import (block_elimination_residual, circle, coefficient_report,
-                      discretize_curve, ellipse, lb_curve, m_matrix_report,
-                      make_curve, perturbed_circle, reduced_lb_curve,
-                      resolvent_positivity)
+                      discretize_curve, ellipse, m_matrix_report, make_curve,
+                      perturbed_circle)
 from .diffusion import bdf2_solve, forward_euler_solve
 from .discretization import (Grid, Grid3, QualityReport,
                              SurfaceDiscretization, discretize,
@@ -21,7 +20,7 @@ from .errors import (BracketingError, DegenerateGradientError,
                      EmptySurfaceError, FormatError, GridError,
                      SingularMatrixError, SolverAbortError, StencilError,
                      SurfPDEError, VersionError)
-from .fields import error_norms, mean_over_primaries
+from .fields import error_norms
 from .geometry import (SURFACE_CATALOG, LevelSetSurface, cassini_oval,
                        ellipsoid, find_cut, from_callables, make_surface,
                        sphere)
@@ -34,8 +33,7 @@ from .operators import (ChartMetric, advection_coefficients,
 from .poisson import poisson_solve
 from .quadrature import (QuadratureWeights, direction_weights,
                          quadrature_weights, surface_integral)
-from .serialization import (dump_discretization, load_discretization,
-                            save_triplets)
+from .serialization import dump_discretization, load_discretization
 from .spectrum import cluster_errors, laplacian_eigenvalues, resolvent_report
 from .swe import (SWEParams, exact_energy_integral, exact_height,
                   exact_height_integral, exact_velocity, initial_state,

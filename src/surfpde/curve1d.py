@@ -1,19 +1,18 @@
-"""Closed curves in the plane: the one-dimensional analogue of the surface
-discretization, used to study resolvent positivity of the reduced Laplacian.
+"""Closed curves in the plane and the resolvent-positivity study of their
+reduced Laplacian.
 
 A curve is a `geometry.LevelSetSurface` whose phi and gradient act on
-(..., 2) points, and it is discretized on a 2-D `discretization.Grid`.
-Cut points are taken on grid intervals in two direction sets; each primary
-point differences along the grid axis transverse to its interval, with
-coefficients built from the arclength density.  The cut points, roles,
-stencil neighbors and interpolation blocks come from the construction core
-in `discretization`, shared with surfaces, and so do the result class
-`SurfaceDiscretization` and equilibration: the extension matrix E is its
-only route.  This module adds the curve-only parts: the catalog curves,
-the coverage gap above eta = 1/sqrt(2), the stencil coefficients,
-and, explicitly, the near-M-matrix of the positivity argument and the row
-operations that finish it, so the structural claims can be checked directly
-instead of only observing signs of the inverse.
+(..., 2) points, discretized on a 2-D `discretization.Grid` by the same
+construction core, into the same `SurfaceDiscretization` class, as a
+surface.  Each primary point's chart is the grid line transverse to its
+interval, and `operators.laplace_beltrami` assembles its second arclength
+derivative as the one-axis divergence form, so the operator, its reduced
+form L E and the resolvent report (`spectrum.resolvent_report`) are the
+surface ones.  This module adds only what is curve-specific: the catalog
+curves, the coverage gap above eta = 1/sqrt(2), and, explicitly, the
+near-M-matrix of the positivity argument and the row operations that
+finish it, so the structural claims can be checked directly instead of
+only observing signs of the inverse.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ import scipy.sparse as sp
 from .discretization import (RECORD_ARRAYS, SurfaceDiscretization,
                              _cut_points)
 from .geometry import LevelSetSurface
-from .linalg import Factorization, assemble_csr, resolvent_entry_report
-from .operators import reduced_operator
+from .linalg import Factorization, assemble_csr
+from .operators import laplace_beltrami, reduced_operator
 
 
 def circle(radius=1.0):
@@ -134,51 +133,29 @@ def discretize_curve(curve, grid, eta=0.45):
         surface_params=curve.params, **fields)
 
 
-def curve_coefficients(disc):
-    """Arclength-density stencil coefficients of each primary.
-
-    gamma is |n_axis| at a cut point, the local ds/dxi inverse of its chart.
-    The neighbor coefficients are the half-interval products
-    gamma_i (gamma_i + gamma_neighbor)/2 of the divergence form; the center
-    is their sum, so the averaging identity holds exactly.  Returns
-    (c_minus, c_plus, c_center) arrays over primaries.
-    """
-    disc.require_full_stencil("curve stencil")
-    idx = np.arange(disc.n_tot)
-    gamma = np.abs(disc.normals[idx, disc.axis])
+def _side_coefficients(disc):
+    """(c_minus, c_plus): the neighbor weights of each primary's row of the
+    Laplace-Beltrami operator, times h^2, close to
+    gamma_i (gamma_i + gamma_neighbor)/2 with gamma = |n_axis|."""
+    lb = laplace_beltrami(disc)
     nb = disc.chart_neighbors
-    g_c = gamma[:disc.n_p]
-    c_minus = 0.5 * g_c * (g_c + gamma[nb[:, 0]])
-    c_plus = 0.5 * g_c * (g_c + gamma[nb[:, 1]])
-    return c_minus, c_plus, c_minus + c_plus
-
-
-def lb_curve(disc):
-    """Second-arclength-derivative operator, one row per primary point."""
-    c_minus, c_plus, c_center = curve_coefficients(disc)
-    nb = disc.chart_neighbors
-    n_p = disc.n_p
+    i = np.arange(disc.n_p)
     h2 = disc.h ** 2
-    rows = np.repeat(np.arange(n_p), 3)
-    cols = np.stack([nb[:, 0], nb[:, 1], np.arange(n_p)], axis=1).ravel()
-    vals = np.stack([c_minus, c_plus, -c_center], axis=1).ravel() / h2
-    return assemble_csr(rows, cols, vals, (n_p, disc.n_tot))
-
-
-def reduced_lb_curve(disc):
-    return reduced_operator(lb_curve(disc), disc)
+    return tuple(np.asarray(lb[i, nb[:, side]]).ravel() * h2
+                 for side in (0, 1))
 
 
 def coefficient_report(disc):
     """Size and smoothness diagnostics of the stencil coefficients.
 
-    min_center_half is min of c_center/2 (compare 1/2 - O(h)); max_jump is
-    the largest |neighbor - center/2| (compare O(h)); pointwise_gap is the
-    largest |c_center/2 - gamma^2|, the discrepancy between the averaged
-    and the pointwise readings of the coefficient (O(h^2)).
+    With c_center = c_minus + c_plus: min_center_half is min of
+    c_center/2 (compare 1/2 - O(h)); max_jump is the largest
+    |neighbor - center/2| (compare O(h)); pointwise_gap is the largest
+    |c_center/2 - gamma^2|, the discrepancy between the averaged and the
+    pointwise readings of the coefficient (O(h^2)).
     """
-    c_minus, c_plus, c_center = curve_coefficients(disc)
-    half = 0.5 * c_center
+    c_minus, c_plus = _side_coefficients(disc)
+    half = 0.5 * (c_minus + c_plus)
     idx = np.arange(disc.n_p)
     gamma = np.abs(disc.normals[idx, disc.axis[:disc.n_p]])
     return {
@@ -189,12 +166,6 @@ def coefficient_report(disc):
     }
 
 
-def resolvent_positivity(disc, k_over_h2_list):
-    """Sign report on (I - k reduced_LB)^{-1} for each sigma = k/h^2."""
-    return resolvent_entry_report(reduced_lb_curve(disc), k_over_h2_list,
-                                  disc.h)
-
-
 def proof_matrix(disc, sigma):
     """The (n_tot x n_tot) matrix A of the positivity argument.
 
@@ -203,7 +174,7 @@ def proof_matrix(disc, sigma):
     u_s - Pi_sp u_p - Pi_ss u_s = 0.
     """
     n_p, n_s, n = disc.n_p, disc.n_s, disc.n_tot
-    upper = sp.eye(n_p, n) - sigma * disc.h ** 2 * lb_curve(disc)
+    upper = sp.eye(n_p, n) - sigma * disc.h ** 2 * laplace_beltrami(disc)
     lower = sp.hstack([-disc.pi_sp, sp.identity(n_s) - disc.pi_ss])
     return sp.vstack([upper, lower], format="csr")
 
@@ -215,7 +186,7 @@ def proof_row_operations(disc, sigma):
     primary, add 1/(8 sigma c_that_side) times the primary row.  P has unit
     diagonal and those multipliers in the (secondary, primary) slots.
     """
-    c_minus, c_plus, _ = curve_coefficients(disc)
+    c_minus, c_plus = _side_coefficients(disc)
     n_p, n = disc.n_p, disc.n_tot
     sec = np.arange(n_p, n)
     t = disc.theta[sec]
@@ -278,7 +249,7 @@ def block_elimination_residual(disc, sigma, seed=0):
     u_all = Factorization(a.tocsc(), disc.positions).solve(rhs)
     u_p = u_all[:n_p]
     k = sigma * disc.h ** 2
-    red = reduced_lb_curve(disc)
+    red = reduced_operator(laplace_beltrami(disc), disc)
     lhs = u_p - k * (red @ u_p)
     direct = Factorization(sp.identity(n_p, format="csc") - k * red.tocsc(),
                            disc.positions[:n_p]).solve(y)

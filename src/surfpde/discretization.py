@@ -10,8 +10,10 @@ the rest are "secondary" and carry values interpolated from primary data
 The construction is shared by surfaces on a 3-D grid (charts over the two
 cyclic axes, 3x3 stencil) and by plane curves on a 2-D grid (`curve1d`:
 chart over the one other axis, stencil offsets -1 and +1).  Both are
-`geometry.LevelSetSurface` objects, both grids are one `Grid` class, and
-both results are one `SurfaceDiscretization` class.
+`geometry.LevelSetSurface` objects, both grids are one `Grid` class, both
+results are one `SurfaceDiscretization` class, and the operators read the
+chart axes (`chart_axes`), the stencil (`offsets`) and its axis slot pairs
+from it, so one assembly serves both dimensions.
 
 A discretization is its cut-point record (the arrays of `RECORD_ARRAYS`,
 n_p, the grid and eta) plus what the constructor derives from it: the

@@ -15,8 +15,7 @@ from scipy.spatial import cKDTree
 
 from . import advection as adv_mod
 from . import swe as swe_mod
-from .curve1d import (discretize_curve, m_matrix_report, make_curve,
-                      resolvent_positivity)
+from .curve1d import discretize_curve, m_matrix_report, make_curve
 from .diffusion import bdf2_solve, forward_euler_solve
 from .discretization import Grid, discretize, interpolation_coefficients
 from .errors import StencilError
@@ -25,7 +24,8 @@ from .geometry import make_surface
 from .operators import primary_chart_axes
 from .poisson import poisson_solve
 from .quadrature import quadrature_weights
-from .spectrum import cluster_errors, laplacian_eigenvalues
+from .spectrum import (cluster_errors, laplacian_eigenvalues,
+                       resolvent_report)
 
 BOX_HALF = 1.2
 SPHERE_CLUSTERS = tuple(-n * (n + 1) for n in range(7))
@@ -318,7 +318,7 @@ def run_curve_resolvent(curves=("circle", "ellipse"), n_list=(80, 160),
         for n in n_list:
             disc = discretize_curve(curve,
                                     Grid.square(-BOX_HALF, BOX_HALF, n))
-            reports = resolvent_positivity(disc, list(sigmas))
+            reports = resolvent_report(disc, list(sigmas))
             for rep in reports:
                 tag = f"{kind}_s{rep['sigma']:g}"
                 records.append((n, 0.0, f"{tag}_min_entry",

@@ -1,4 +1,4 @@
-"""Point-value fields on a discretization and discrete error norms."""
+"""Discrete error norms of point-value fields."""
 
 from __future__ import annotations
 
@@ -33,7 +33,3 @@ def error_norms(computed, exact):
     rel_l2 = float(np.sqrt(np.mean(mag_d ** 2)) / denom_l2)
     return rel_max, rel_l2
 
-
-def mean_over_primaries(disc, values):
-    """Plain average of a field over the primary points."""
-    return float(np.mean(np.asarray(values, dtype=float)[:disc.n_p]))

@@ -1,14 +1,16 @@
 """Discrete surface operators on cut-point sets.
 
-Each primary point carries a chart over its coordinate plane; the surface is
-locally a graph with slopes read off the stored unit normals.  The
-Laplace-Beltrami operator is built on the 3x3 chart stencil in either
-divergence form (metric-weighted second differences, nonnegative off-diagonal
-weights) or nondivergence form (sphere only, closed-form coefficients).
-Explicit chart differences (upwinding, switched viscosity, the sphere's
-surface divergence) are products with the one-sided difference matrices
-that `SurfaceDiscretization.chart_differences` builds once per
-discretization.
+Each primary point carries a chart over the other coordinate axes; the
+level set is locally a graph with slopes read off the stored unit normals.
+The chart is two-dimensional on a surface (3x3 stencil) and one-dimensional
+on a plane curve (offsets -1 and +1); the chart metric and the
+divergence-form Laplace-Beltrami operator are assembled the same way for
+both, with the chart axes, the stencil slots and the row width taken from
+the discretization.  The nondivergence form (closed-form coefficients) is
+sphere only.  Explicit chart differences (upwinding, switched viscosity,
+the sphere's surface divergence) are products with the one-sided
+difference matrices that `SurfaceDiscretization.chart_differences` builds
+once per discretization.
 """
 
 from __future__ import annotations
@@ -18,17 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (NEIGHBOR_OFFSETS, SLOT_E, SLOT_N, SLOT_NE,
-                             SLOT_NW, SLOT_S, SLOT_SE, SLOT_SW, SLOT_W)
+from .discretization import (SLOT_E, SLOT_N, SLOT_NE, SLOT_NW, SLOT_S,
+                             SLOT_SE, SLOT_SW, SLOT_W, STENCIL_OFFSETS,
+                             _axis_slot_pairs, chart_axes)
 from .errors import StencilError
 from .linalg import assemble_csr
 
 
 @dataclass
 class ChartMetric:
-    """Per-point metric data of the local graph charts (arrays over all points)."""
+    """Per-point metric data of the local graph charts (arrays over all points).
+
+    On a plane curve the chart has one axis: w2 = 0, so g12 = 0 and
+    a11 = sqrt(g) g^{11} = |n_axis|.
+    """
     w1: np.ndarray       # chart slope along first chart axis
-    w2: np.ndarray
+    w2: np.ndarray       # along the second (0 on a curve)
     g: np.ndarray        # metric determinant 1 + w1^2 + w2^2
     sqrt_g: np.ndarray
     g11: np.ndarray      # inverse metric components
@@ -44,11 +51,10 @@ def chart_metric(disc):
     n = disc.normals
     ax = disc.axis.astype(np.int64)
     idx = np.arange(disc.n_tot)
-    c1 = (ax + 1) % 3
-    c2 = (ax + 2) % 3
     n_free = n[idx, ax]
-    w1 = -n[idx, c1] / n_free
-    w2 = -n[idx, c2] / n_free
+    # a plane curve's chart has one axis; its second slope is 0
+    w1, w2 = ([-n[idx, c] / n_free for c in chart_axes(ax, n.shape[1])]
+              + [np.zeros(disc.n_tot)])[:2]
     g = 1.0 + w1 ** 2 + w2 ** 2
     sqrt_g = np.sqrt(g)
     g11 = (1.0 + w2 ** 2) / g
@@ -60,24 +66,28 @@ def chart_metric(disc):
 
 
 def primary_chart_axes(disc):
-    """(c1, c2) chart coordinate axes for each primary point."""
+    """Chart coordinate axes for each primary point: (c1, c2) on a surface,
+    (c1,) on a plane curve."""
     ax = disc.axis[:disc.n_p].astype(np.int64)
-    return (ax + 1) % 3, (ax + 2) % 3
+    return chart_axes(ax, disc.positions.shape[1])
 
 
 def divergence_weights(a11_n, a22_n, a12_n, a11_c, a22_c, a12_c, g12_c,
                        sqrt_g_c, h):
     """Stencil weights of the divergence-form operator.
 
-    Neighbor coefficient arrays have shape (m, 8) in slot order; center
-    values shape (m,).  Returns (m, 9) weights, last column the center.
-    The branch follows sign(g12) at the center: the ⟋ diagonal pair for
+    Neighbor coefficient arrays have shape (m, width) in slot order, width 8
+    on a surface and 2 on a plane curve; center values shape (m,).  Returns
+    (m, width + 1) weights, last column the center.  Each chart axis gets
+    averaged coefficients at its (minus, plus) slots.  On a surface the
+    cross terms follow sign(g12) at the center: the ⟋ diagonal pair for
     g12 >= 0, the ⟍ pair otherwise, so every averaged coefficient that
     multiplies an off-center value is nonnegative wherever g12 does not
     change sign across the stencil.
     """
-    m = a11_c.shape[0]
-    w = np.zeros((m, 9))
+    m, width = a11_n.shape
+    dim, = (d for d, offs in STENCIL_OFFSETS.items() if len(offs) == width)
+    w = np.zeros((m, width + 1))
     pos = g12_c >= 0.0
 
     ta1_n = np.where(pos[:, None], a11_n - a12_n, a11_n + a12_n)
@@ -85,15 +95,16 @@ def divergence_weights(a11_n, a22_n, a12_n, a11_c, a22_c, a12_c, g12_c,
     ta2_n = np.where(pos[:, None], a22_n - a12_n, a22_n + a12_n)
     ta2_c = np.where(pos, a22_c - a12_c, a22_c + a12_c)
 
-    w[:, SLOT_E] = 0.5 * (ta1_n[:, SLOT_E] + ta1_c)
-    w[:, SLOT_W] = 0.5 * (ta1_n[:, SLOT_W] + ta1_c)
-    w[:, SLOT_N] = 0.5 * (ta2_n[:, SLOT_N] + ta2_c)
-    w[:, SLOT_S] = 0.5 * (ta2_n[:, SLOT_S] + ta2_c)
-    w[:, SLOT_NE] = np.where(pos, 0.5 * (a12_n[:, SLOT_NE] + a12_c), 0.0)
-    w[:, SLOT_SW] = np.where(pos, 0.5 * (a12_n[:, SLOT_SW] + a12_c), 0.0)
-    w[:, SLOT_NW] = np.where(pos, 0.0, -0.5 * (a12_n[:, SLOT_NW] + a12_c))
-    w[:, SLOT_SE] = np.where(pos, 0.0, -0.5 * (a12_n[:, SLOT_SE] + a12_c))
-    w[:, 8] = -w[:, :8].sum(axis=1)
+    for (minus, plus), ta_n, ta_c in zip(_axis_slot_pairs(dim),
+                                         (ta1_n, ta2_n), (ta1_c, ta2_c)):
+        w[:, minus] = 0.5 * (ta_n[:, minus] + ta_c)
+        w[:, plus] = 0.5 * (ta_n[:, plus] + ta_c)
+    if dim == 3:
+        w[:, SLOT_NE] = np.where(pos, 0.5 * (a12_n[:, SLOT_NE] + a12_c), 0.0)
+        w[:, SLOT_SW] = np.where(pos, 0.5 * (a12_n[:, SLOT_SW] + a12_c), 0.0)
+        w[:, SLOT_NW] = np.where(pos, 0.0, -0.5 * (a12_n[:, SLOT_NW] + a12_c))
+        w[:, SLOT_SE] = np.where(pos, 0.0, -0.5 * (a12_n[:, SLOT_SE] + a12_c))
+    w[:, width] = -w[:, :width].sum(axis=1)
     w /= (sqrt_g_c * h * h)[:, None]
     return w
 
@@ -135,9 +146,13 @@ def _sphere_chart_coefficients(disc):
 def laplace_beltrami(disc, form="divergence"):
     """Assemble the discrete Laplace-Beltrami operator, one row per primary.
 
-    Returns an (n_p, n_tot) CSR matrix acting on full (equilibrated) fields.
-    Constants are annihilated exactly in divergence form by construction and
-    in nondivergence form by the symmetric second differences.
+    The stencil is the primary's chart stencil plus its center: 3x3 (9
+    entries per row) on a surface, offsets -1, 0, +1 (3 entries) on a
+    plane curve, where the divergence form is the second arclength
+    derivative.  Returns an (n_p, n_tot) CSR matrix acting on full
+    (equilibrated) fields.  Constants are annihilated exactly in divergence
+    form by construction and in nondivergence form by the symmetric second
+    differences.
 
     A stencil slot may be unresolved (no cut point on that chart column) as
     long as its weight vanishes; the branch on sign(g12) leaves one diagonal
@@ -170,9 +185,9 @@ def laplace_beltrami(disc, form="divergence"):
             f"{int(bad.any(axis=1).sum())} primary points lack a stencil "
             f"neighbor carrying nonzero weight; first at {disc.positions[i]} "
             f"(set Gamma_{int(disc.axis[i]) + 1}), offset "
-            f"{NEIGHBOR_OFFSETS[s]}. Try a finer grid or a smaller eta "
+            f"{disc.offsets[s]}. Try a finer grid or a smaller eta "
             f"(eta={disc.eta}).")
-    rows = np.repeat(np.arange(n_p), 9)
+    rows = np.repeat(np.arange(n_p), cols.shape[1])
     keep = ~absent.ravel()
     return assemble_csr(rows[keep], cols.ravel()[keep], w.ravel()[keep],
                         (n_p, disc.n_tot))

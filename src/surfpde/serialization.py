@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-import scipy.sparse as sp
 
 from .discretization import (RECORD_ARRAYS, STENCIL_OFFSETS, Grid,
                              SurfaceDiscretization)
@@ -122,17 +121,3 @@ def load_discretization(path):
         surface_kind=header.get("surface_kind", "user"),
         surface_params=header.get("surface_params", {}), **arrays)
 
-
-def save_triplets(mat, path):
-    """Export a sparse operator as a coordinate-triplet text file.
-
-    First line: n_rows n_cols nnz.  Then one "row col value" line per entry,
-    sorted by (row, col), with full double precision.
-    """
-    coo = sp.coo_matrix(mat)
-    coo.sum_duplicates()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}\n")

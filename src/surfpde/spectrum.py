@@ -1,4 +1,5 @@
-"""Eigenvalues and resolvent diagnostics of the reduced surface Laplacian."""
+"""Eigenvalues and resolvent diagnostics of the reduced Laplace-Beltrami
+operator, on surfaces and on plane curves."""
 
 from __future__ import annotations
 

@@ -1,6 +1,20 @@
+import os
+
 import pytest
 
 from surfpde import Grid, discretize, make_surface
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+@pytest.fixture
+def subprocess_env():
+    """os.environ with this checkout's src first on PYTHONPATH, so a child
+    interpreter imports the package under test whatever the caller set."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=SRC + (os.pathsep + path if path else ""))
 
 
 @pytest.fixture(scope="session")

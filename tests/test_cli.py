@@ -2,7 +2,6 @@
 and discretization dump/load."""
 
 import inspect
-import os
 import subprocess
 import sys
 
@@ -46,15 +45,13 @@ def test_discretize_takes_one_grid_size(capsys):
     assert "one grid; got --N 20,40" in capsys.readouterr().err
 
 
-def test_config_file_is_closed(tmp_path):
+def test_config_file_is_closed(tmp_path, subprocess_env):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 20\n")
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m",
          "surfpde.cli", "discretize", "--config", str(cfg)],
-        env=dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(ex.__file__))),
-        capture_output=True, text=True)
+        env=subprocess_env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "ResourceWarning" not in proc.stderr
 
@@ -177,9 +174,9 @@ def test_dump_and_load_roundtrip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["--list"], ["discretize", "--N", "20"]])
-def test_module_entry_point(argv):
+def test_module_entry_point(argv, subprocess_env):
     proc = subprocess.run([sys.executable, "-m", "surfpde.cli"] + argv,
-                          capture_output=True, text=True)
+                          env=subprocess_env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

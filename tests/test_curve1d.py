@@ -1,4 +1,6 @@
-"""Closed plane curves: discretization, the 1-D surface Laplacian, and the
+"""Closed plane curves: discretization on a 2-D grid, the surface
+Laplace-Beltrami assembly on a one-axis chart (checked against its closed
+form and run through the surface eigenvalue and BDF2 solvers), and the
 resolvent-positivity study (row-operation M-matrix construction included)."""
 
 import math
@@ -16,18 +18,19 @@ from surfpde.curve1d import (
     coefficient_report,
     discretize_curve,
     ellipse,
-    lb_curve,
     m_matrix_report,
     make_curve,
     perturbed_circle,
     proof_matrix,
     proof_row_operations,
-    reduced_lb_curve,
-    resolvent_positivity,
 )
+from surfpde.diffusion import bdf2_solve
 from surfpde.discretization import Grid, _interpolation_data
 from surfpde.errors import EmptySurfaceError, GridError, StencilError
 from surfpde.geometry import LevelSetSurface
+from surfpde.operators import laplace_beltrami, reduced_operator
+from surfpde.spectrum import (cluster_errors, laplacian_eigenvalues,
+                              resolvent_report)
 
 ETA = 0.45
 
@@ -211,9 +214,28 @@ def test_determinism():
 # ------------------------------------------------------------- the operator
 
 
+def test_lb_rows_match_closed_form(circle80, ellipse80, perturbed80):
+    # on a one-axis chart the divergence form is the arclength-density
+    # stencil: neighbor weights gamma_c (gamma_c + gamma_nb) / (2 h^2) with
+    # gamma = |n_axis|, center minus their sum
+    for d in (circle80, ellipse80, perturbed80):
+        lb = laplace_beltrami(d)
+        gamma = np.abs(d.normals[np.arange(d.n_tot), d.axis])
+        nb = d.chart_neighbors
+        i = np.arange(d.n_p)
+        g_c = gamma[: d.n_p]
+        sides = [0.5 * g_c * (g_c + gamma[nb[:, s]]) / d.grid.h ** 2
+                 for s in (0, 1)]
+        expect = np.stack(sides + [-(sides[0] + sides[1])], axis=1)
+        got = np.stack([np.asarray(lb[i, c]).ravel()
+                        for c in (nb[:, 0], nb[:, 1], i)], axis=1)
+        assert lb.nnz == 3 * d.n_p
+        assert np.abs(got / expect - 1.0).max() <= 1e-14
+
+
 def test_lb_annihilates_constants(circle80, ellipse80, perturbed80):
     for d in (circle80, ellipse80, perturbed80):
-        red = reduced_lb_curve(d)
+        red = reduced_operator(laplace_beltrami(d), d)
         assert np.abs(red @ np.ones(d.n_p)).max() < 1e-10
 
 
@@ -224,7 +246,7 @@ def test_lb_cosine_arclength_second_order(circle80):
               discretize_curve(circle(), Grid.square(-1.2, 1.2, 160))):
         s = np.arctan2(d.positions[:, 1], d.positions[:, 0])
         u = np.cos(s)
-        errs.append(np.abs(lb_curve(d) @ u + u[: d.n_p]).max())
+        errs.append(np.abs(laplace_beltrami(d) @ u + u[: d.n_p]).max())
     assert errs[0] < 1.5e-3
     assert 3.4 < errs[0] / errs[1] < 4.6
 
@@ -252,7 +274,7 @@ def test_lb_full_consistency_second_order_circle_and_ellipse():
             ref = second_arclength_derivative(
                 d.positions[: d.n_p], d.normals[: d.n_p],
                 kap_fn(d.positions[: d.n_p]))
-            errs.append(np.abs(lb_curve(d) @ f - ref).max())
+            errs.append(np.abs(laplace_beltrami(d) @ f - ref).max())
         assert 3.2 < errs[0] / errs[1] < 4.8
         assert 3.2 < errs[1] / errs[2] < 4.8
 
@@ -265,8 +287,9 @@ def test_reduced_consistency_first_order_near_secondaries():
         f = np.cos(d.positions[:, 0] + 2.0 * d.positions[:, 1])
         ref = second_arclength_derivative(
             d.positions[: d.n_p], d.normals[: d.n_p], np.ones(d.n_p))
-        err_full = np.abs(lb_curve(d) @ f - ref)
-        err_red = np.abs(reduced_lb_curve(d) @ f[: d.n_p] - ref)
+        lb = laplace_beltrami(d)
+        err_full = np.abs(lb @ f - ref)
+        err_red = np.abs(reduced_operator(lb, d) @ f[: d.n_p] - ref)
         clean = (d.chart_neighbors < d.n_p).all(axis=1)
         assert np.abs(err_red[clean] - err_full[clean]).max() < 1e-9
         assert err_red.max() <= 3.0 * d.grid.h
@@ -279,7 +302,7 @@ def test_flat_side_reduces_to_standard_second_difference():
                            lambda p: (p ** 8).sum(axis=-1) - 0.8 ** 8,
                            lambda p: 8 * p ** 7)
     d = discretize_curve(flat, Grid.square(-1.2, 1.2, 80))
-    A = lb_curve(d).tocsr()
+    A = laplace_beltrami(d)
     h = d.grid.h
     rows = [i for i in range(d.n_p)
             if abs(d.positions[i, 0]) < 0.2 and d.positions[i, 1] < 0]
@@ -291,6 +314,34 @@ def test_flat_side_reduces_to_standard_second_difference():
         ref[d.chart_neighbors[i, 0]] += 1.0
         ref[d.chart_neighbors[i, 1]] += 1.0
         assert np.abs(r - ref).max() < 1e-6
+
+
+def test_circle_eigenvalue_clusters_second_order():
+    # the surface spectrum route on the unit circle: eigenvalues -m^2,
+    # once for m = 0 and twice for m = 1..4
+    errs = []
+    for n in (80, 160, 320):
+        d = discretize_curve(circle(), Grid.square(-1.2, 1.2, n))
+        eigs, _ = laplacian_eigenvalues(d, 9)
+        errs.append(max(cluster_errors(eigs, (0.0, -1.0, -4.0, -9.0, -16.0),
+                                       (1, 2, 2, 2, 2))))
+    assert errs[0] <= 0.03
+    assert np.log2(errs[0] / errs[1]) >= 1.8
+    assert np.log2(errs[1] / errs[2]) >= 1.8
+
+
+def test_circle_bdf2_diffusion_second_order():
+    # the surface BDF2 solver on the unit circle: cos 2s decays as e^{-4t}
+    t_end = 0.25
+    errs = []
+    for n in (80, 160, 320):
+        d = discretize_curve(circle(), Grid.square(-1.2, 1.2, n))
+        steps = round(t_end * 4.0 / d.grid.h)
+        s = np.arctan2(d.positions[: d.n_p, 1], d.positions[: d.n_p, 0])
+        u = bdf2_solve(d, np.cos(2.0 * s), 1.0, t_end / steps, steps)
+        errs.append(np.abs(u - np.cos(2.0 * s) * np.exp(-4.0 * t_end)).max())
+    assert np.log2(errs[0] / errs[1]) >= 1.8
+    assert np.log2(errs[1] / errs[2]) >= 1.8
 
 
 def test_coefficient_report_bounds():
@@ -310,7 +361,7 @@ def test_coefficient_report_bounds():
 
 
 def test_resolvent_reports(circle80, ellipse80, perturbed80):
-    rep = resolvent_positivity(circle80, [0.0, 1.0])
+    rep = resolvent_report(circle80, [0.0, 1.0])
     ident, at_one = rep
     assert ident["sigma"] == 0.0
     assert ident["min_entry"] == 0.0
@@ -320,7 +371,7 @@ def test_resolvent_reports(circle80, ellipse80, perturbed80):
     assert at_one["max_rowsum_dev"] <= 1e-10
     assert at_one["invertible"]
     for d, sig in ((ellipse80, 2.0), (perturbed80, 0.5), (perturbed80, 2.0)):
-        r = resolvent_positivity(d, [sig])[0]
+        r = resolvent_report(d, [sig])[0]
         assert r["min_entry"] >= -1e-12
         assert r["max_rowsum_dev"] <= 1e-10
 
@@ -468,9 +519,10 @@ def test_under_resolved_failures_are_loud():
         discretize_curve(circle(), Grid.square(-1.2, 1.2, 10))
     d = discretize_curve(circle(), Grid.square(-1.2, 1.2, 12))
     first = int(np.nonzero((d.chart_neighbors < 0).any(axis=1))[0][0])
-    with pytest.raises(StencilError, match="curve stencil: .* first at "
-                       + re.escape(str(d.positions[first]))):
-        lb_curve(d)
+    with pytest.raises(StencilError,
+                       match="divergence-form Laplace-Beltrami assembly: "
+                       ".* first at " + re.escape(str(d.positions[first]))):
+        laplace_beltrami(d)
 
 
 def test_large_eta_reports_coverage_gap():

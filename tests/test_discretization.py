@@ -1,7 +1,6 @@
 """Construction of the cut-point set, checked against an independent
 enumeration of the unit sphere's grid-line crossings."""
 
-import os
 import subprocess
 import sys
 import textwrap
@@ -12,7 +11,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
-import surfpde
 from surfpde.discretization import (AXIS_SLOTS, RECORD_ARRAYS, SLOT_E, Grid,
                                     SurfaceDiscretization,
                                     _interpolation_data, discretize,
@@ -199,7 +197,7 @@ def test_pi_row_sums(sphere80):
     assert np.abs(d.pi_ss).sum(axis=1).max() <= 0.5 + 1e-12
 
 
-def test_pi_row_sum_bound_is_checked_under_optimize():
+def test_pi_row_sum_bound_is_checked_under_optimize(subprocess_env):
     # made-up interpolation rows: secondary 1 leans on secondary 2 with
     # weights summing to 0.8 > 1/2; the check must survive python -O
     script = textwrap.dedent("""
@@ -218,10 +216,8 @@ def test_pi_row_sum_bound_is_checked_under_optimize():
         else:
             raise SystemExit("no StencilError")
     """)
-    src = os.path.dirname(os.path.dirname(surfpde.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=subprocess_env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert "0.8" in proc.stdout
     assert "[0.25 0.5  0.75]" in proc.stdout

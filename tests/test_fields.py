@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from surfpde.fields import error_norms, mean_over_primaries
+from surfpde.fields import error_norms
 
 
 def test_error_norms_scalar():
@@ -30,10 +30,3 @@ def test_error_norms_rejects_zero_reference():
     with pytest.raises(ValueError):
         error_norms(np.ones(3), np.zeros(3))
 
-
-def test_mean_over_primaries(sphere40):
-    vals = np.ones(sphere40.n_tot)
-    assert mean_over_primaries(sphere40, vals) == pytest.approx(1.0)
-    vals = np.zeros(sphere40.n_tot)
-    vals[: sphere40.n_p] = 2.0
-    assert mean_over_primaries(sphere40, vals) == pytest.approx(2.0)

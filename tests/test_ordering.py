@@ -67,7 +67,7 @@ def test_bad_points_raise(points):
         dissection_order(points, path_graph(40))
 
 
-def test_bad_points_raise_under_optimize_flag():
+def test_bad_points_raise_under_optimize_flag(subprocess_env):
     code = (
         "import numpy as np, scipy.sparse as sp\n"
         "from surfpde.linalg import Factorization\n"
@@ -79,7 +79,7 @@ def test_bad_points_raise_under_optimize_flag():
         "        continue\n"
         "    raise SystemExit('no ValueError')\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True)
+                          env=subprocess_env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

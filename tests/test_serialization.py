@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 import textwrap
@@ -7,12 +6,10 @@ import textwrap
 import numpy as np
 import pytest
 
-import surfpde
 from surfpde.curve1d import circle, discretize_curve
 from surfpde.discretization import RECORD_ARRAYS, Grid
 from surfpde.errors import FormatError, StencilError, VersionError
-from surfpde.serialization import (dump_discretization, load_discretization,
-                                   save_triplets)
+from surfpde.serialization import dump_discretization, load_discretization
 
 
 def test_round_trip(sphere40, tmp_path):
@@ -152,7 +149,8 @@ def test_tampered_record_names_the_array(sphere40, tmp_path, case):
         load_discretization(path)
 
 
-def test_tampered_record_is_rejected_under_optimize(sphere40, tmp_path):
+def test_tampered_record_is_rejected_under_optimize(sphere40, tmp_path,
+                                                   subprocess_env):
     path = tmp_path / "disc.npz"
     dump_discretization(sphere40, path)
     rewrite_array(path, "chart_neighbors", TAMPERED["neighbor-past-end"][1])
@@ -166,10 +164,8 @@ def test_tampered_record_is_rejected_under_optimize(sphere40, tmp_path):
         else:
             raise SystemExit("no FormatError")
     """)
-    src = os.path.dirname(os.path.dirname(surfpde.__file__))
     proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True)
+                          env=subprocess_env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert "array chart_neighbors" in proc.stdout
 
@@ -195,14 +191,3 @@ def test_load_rejects_header_without_a_field(sphere40, tmp_path, field):
     with pytest.raises(FormatError, match=field):
         load_discretization(path)
 
-
-def test_save_triplets_format(tmp_path):
-    import scipy.sparse as sp
-
-    mat = sp.csr_matrix(np.array([[0.0, 1.5], [-2.0, 0.0]]))
-    path = tmp_path / "mat.txt"
-    save_triplets(mat, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "2 2 2"
-    assert lines[1].split() == ["0", "1", "1.5"]
-    assert lines[2].split() == ["1", "0", "-2"]
