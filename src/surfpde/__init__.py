@@ -28,11 +28,10 @@ from .linalg import (Factorization, assemble_csr, bordered_solve,
                      resolvent_entry_report, smallest_eigenvalues)
 from .operators import (ChartMetric, advection_coefficients,
                         artificial_viscosity, chart_metric, laplace_beltrami,
-                        reduced_operator, sphere_surface_divergence,
-                        tangential_projection)
+                        reduced_operator, tangential_projection)
 from .poisson import poisson_solve
 from .quadrature import (QuadratureWeights, direction_weights,
-                         quadrature_weights, surface_integral)
+                         quadrature_weights)
 from .serialization import dump_discretization, load_discretization
 from .spectrum import cluster_errors, laplacian_eigenvalues, resolvent_report
 from .swe import (SWEParams, exact_energy_integral, exact_height,

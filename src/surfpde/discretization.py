@@ -254,15 +254,6 @@ class SurfaceDiscretization:
                              f"got {direction!r}")
         return self._differences[direction]
 
-    def equilibration_residual(self, values):
-        """max |u_s - (Pi_sp u_p + Pi_ss u_s)| for a full field."""
-        values = np.asarray(values, dtype=float)
-        u_p, u_s = values[:self.n_p], values[self.n_p:]
-        if self.n_s == 0:
-            return 0.0
-        r = u_s - (self.pi_sp @ u_p + self.pi_ss @ u_s)
-        return float(np.abs(r).max())
-
     # -- stencil checks used by the operators ----------------------------
 
     def require_full_stencil(self, what="operator stencil", slots=None):

@@ -22,6 +22,12 @@ from .errors import SingularMatrixError
 _SINGULAR_PIVOT_RTOL = 1e-10
 # nested-dissection parts of at most this many unknowns are not split
 _ND_LEAF = 8
+_REFINE_PASSES = 2            # at most, in Factorization.solve
+_SOLVE_RTOL = 1e-10           # its residual bound, relative (see the class)
+_BORDERED_RTOL = 1e-9         # bordered_solve residual bound, relative
+_EIG_RESIDUAL_TOL = 1e-8      # smallest_eigenvalues eigenpair residual bound
+_DENSE_EIG_LIMIT = 1200       # smallest_eigenvalues solves densely up to it
+_DENSE_INVERSE_LIMIT = 9000   # largest matrix resolvent_entry_report inverts
 
 
 def assemble_csr(rows, cols, vals, shape):
@@ -136,25 +142,25 @@ class Factorization:
         x[self._perm] = self._lu.solve(rhs[self._perm])
         return x
 
-    def solve(self, rhs, refine=2, rtol=1e-10):
+    def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
         x = self.lu_solve(rhs)
-        for passes in range(refine + 1):
+        for passes in range(_REFINE_PASSES + 1):
             r = rhs - self._mat @ x
             resid = np.abs(r).max(initial=0.0)
-            scale = (self._norm * np.abs(x).max(initial=0.0)
-                     + np.abs(rhs).max(initial=0.0))
-            if np.isfinite(x).all() and resid <= rtol * max(scale, 1e-300):
+            scale = max(self._norm * np.abs(x).max(initial=0.0)
+                        + np.abs(rhs).max(initial=0.0), 1e-300)
+            if np.isfinite(x).all() and resid <= _SOLVE_RTOL * scale:
                 return x
-            if passes < refine:
+            if passes < _REFINE_PASSES:
                 x = x + self.lu_solve(r)
         raise SingularMatrixError(
-            f"solve residual {resid:.3e} exceeds {rtol:.1e} x scale "
-            f"{scale:.3e} after {refine} refinement passes (matrix "
+            f"solve residual {resid:.3e} exceeds {_SOLVE_RTOL:.1e} x scale "
+            f"{scale:.3e} after {_REFINE_PASSES} refinement passes (matrix "
             f"numerically singular)")
 
 
-def bordered_solve(mat, rhs, points, residual_rtol=1e-9):
+def bordered_solve(mat, rhs, points):
     """Solve [[A, 1], [1^T, 0]] (u, beta) = (f, 0) for A with A 1 = 0.
 
     No border is built: B = A + d e_j e_j^T pins the largest diagonal entry
@@ -183,15 +189,14 @@ def bordered_solve(mat, rhs, points, residual_rtol=1e-9):
     u -= u.mean()
     resid = np.abs(mat @ u + beta - rhs).max()
     scale = max(np.abs(rhs).max(), np.abs(u).max(), 1.0)
-    if not resid <= residual_rtol * scale * max(1.0, abs(beta)):
+    if not resid <= _BORDERED_RTOL * scale * max(1.0, abs(beta)):
         raise SingularMatrixError(
             f"bordered solve residual {resid:.3e} too large; null space is "
             f"probably not the constant vector")
     return u, beta
 
 
-def smallest_eigenvalues(mat, count, points, sigma=None, residual_tol=1e-8,
-                         dense_threshold=1200):
+def smallest_eigenvalues(mat, count, points, sigma=None):
     """Eigenvalues of smallest magnitude, sorted by |lambda|.
 
     Uses shift-invert ARPACK around `sigma` (default 0, retried with a tiny
@@ -208,7 +213,7 @@ def smallest_eigenvalues(mat, count, points, sigma=None, residual_tol=1e-8,
     if count < 1 or count > n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
 
-    if n <= dense_threshold or count > n - 2:
+    if n <= _DENSE_EIG_LIMIT or count > n - 2:
         vals = np.linalg.eigvals(mat.toarray())
         order = np.argsort(np.abs(vals), kind="stable")
         return vals[order][:count]
@@ -238,17 +243,17 @@ def smallest_eigenvalues(mat, count, points, sigma=None, residual_tol=1e-8,
         # residual check against the original matrix
         res = np.linalg.norm(mat @ evecs - evecs * evals, axis=0)
         scale = np.maximum(np.abs(evals), 1.0)
-        if np.any(res / scale > residual_tol):
+        if np.any(res / scale > _EIG_RESIDUAL_TOL):
             raise SingularMatrixError(
                 f"eigensolver residual {res.max():.3e} exceeds "
-                f"{residual_tol:.1e}")
+                f"{_EIG_RESIDUAL_TOL:.1e}")
         order = np.argsort(np.abs(evals), kind="stable")
         return evals[order]
     raise SingularMatrixError(
         f"shift-invert factorization failed for all shifts: {last_exc}")
 
 
-def resolvent_entry_report(mat_reduced, sigmas, h, dense_limit=9000):
+def resolvent_entry_report(mat_reduced, sigmas, h):
     """Entrywise study of (I - k A)^{-1} for k = sigma h^2.
 
     Returns a list of dicts with keys sigma, min_entry, max_rowsum_dev,
@@ -256,9 +261,9 @@ def resolvent_entry_report(mat_reduced, sigmas, h, dense_limit=9000):
     """
     a = sp.csr_matrix(mat_reduced)
     n = a.shape[0]
-    if n > dense_limit:
+    if n > _DENSE_INVERSE_LIMIT:
         raise ValueError(f"resolvent report needs a dense inverse; "
-                         f"n={n} exceeds limit {dense_limit}")
+                         f"n={n} exceeds limit {_DENSE_INVERSE_LIMIT}")
     dense = a.toarray()
     eye = np.eye(n)
     out = []

@@ -2,8 +2,8 @@
 
 The forward predictor and backward corrector use mirrored one-sided chart
 differences; the average recovers second order in time and space.  State is
-kept at primary points and re-equilibrated after each substep so one-sided
-neighbors are always available.  `march` is the one explicit time loop,
+kept at primary points and extended after each substep, unless the operators
+fold the extension in (advection).  `march` is the one explicit time loop,
 shared by advection, shallow water and forward Euler diffusion.
 """
 
@@ -18,9 +18,9 @@ def maccormack_step(state_p, k, rhs, equilibrate, extra_corrector=None):
     """One predictor-corrector step of u_t = R(u) at the primary points.
 
     `rhs(direction, full)` evaluates R with 'forward' or 'backward' chart
-    differences on an equilibrated field; `equilibrate` extends primary
-    values to all points.  `extra_corrector(full_old)` may add a stabilizing
-    increment evaluated at the old state (applied once, after averaging).
+    differences on `full = equilibrate(state)`, the extended state or, when
+    R acts on primaries, the state itself.  `extra_corrector(full_old)` may
+    add a stabilizing increment at the old state (once, after averaging).
     """
     full = equilibrate(state_p)
     pred_p = state_p + k * rhs("forward", full)

@@ -7,10 +7,10 @@ on a plane curve (offsets -1 and +1); the chart metric and the
 divergence-form Laplace-Beltrami operator are assembled the same way for
 both, with the chart axes, the stencil slots and the row width taken from
 the discretization.  The nondivergence form (closed-form coefficients) is
-sphere only.  Explicit chart differences (upwinding, switched viscosity,
-the sphere's surface divergence) are products with the one-sided
-difference matrices that `SurfaceDiscretization.chart_differences` builds
-once per discretization.
+sphere only.  Explicit chart differences (upwinding, switched viscosity)
+are products with the one-sided difference matrices that
+`SurfaceDiscretization.chart_differences` builds once per discretization;
+with the extension matrix E as operand they act on primary values alone.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .discretization import (SLOT_E, SLOT_N, SLOT_NE, SLOT_NW, SLOT_S,
                              _axis_slot_pairs, chart_axes)
 from .errors import StencilError
 from .linalg import assemble_csr
+
+_TANGENCY_TOL = 1e-10  # relative normal velocity that advection warns above
 
 
 @dataclass
@@ -206,12 +208,12 @@ def tangential_projection(vectors, normals):
     return vectors - dot * normals
 
 
-def advection_coefficients(disc, velocity, tangency_tol=1e-10):
+def advection_coefficients(disc, velocity):
     """Chart components (v1, v2) of a tangential velocity at primary points.
 
     The chart components of a tangent vector equal its Cartesian components
     along the chart's free coordinate axes.  Warns if the supplied field has
-    a normal component beyond `tangency_tol` relative.
+    a normal component beyond _TANGENCY_TOL relative.
     """
     pos = disc.positions[:disc.n_p]
     v = np.asarray(velocity(pos), dtype=float)
@@ -222,7 +224,7 @@ def advection_coefficients(disc, velocity, tangency_tol=1e-10):
     normal_part = np.abs((v * n).sum(axis=1))
     scale = np.linalg.norm(v, axis=1) + 1e-300
     worst = float((normal_part / scale).max(initial=0.0))
-    if worst > tangency_tol:
+    if worst > _TANGENCY_TOL:
         warnings.warn(f"velocity field is not tangential: max relative "
                       f"normal component {worst:.3e}", stacklevel=2)
     c1, c2 = primary_chart_axes(disc)
@@ -246,37 +248,17 @@ def sphere_geometry_weights(disc):
     return w
 
 
-def sphere_surface_divergence(disc, vec_full):
-    """Surface divergence of a tangential field on the sphere, per primary.
-
-    Chart derivatives are centered differences, the mean of the forward
-    and backward ones, of the Cartesian chart components; the geometric
-    factor (xi_i / height^2) is exact for the sphere.  `vec_full` holds
-    equilibrated Cartesian vectors at all points.
-    """
-    if disc.surface_kind != "sphere":
-        raise ValueError("closed-form surface divergence only on the sphere")
-    v = np.asarray(vec_full, dtype=float)
-    n_p = disc.n_p
-    d = (disc.chart_differences() @ v).reshape(2, 2, n_p, 3)
-    centred = (d[0] + d[1]) / (2.0 * disc.h)
-    c1, c2 = primary_chart_axes(disc)
-    idx = np.arange(n_p)
-    geo = (sphere_geometry_weights(disc) * v[:n_p].T).sum(axis=0)
-    return centred[0, idx, c1] + centred[1, idx, c2] + geo
-
-
 def upwind_differences(disc, field, direction):
     """One-sided chart differences (D1, D2) of a field at primary points.
 
     direction='forward' uses E/N neighbors, 'backward' uses W/S.  Works on
-    scalar fields (n_tot,) or stacked components (n_tot, m).
+    scalar fields (n_tot,), stacked components (n_tot, m) and sparse
+    operands: with E it gives (n_p, n_p) matrices acting on primary values.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', "
                          f"got {direction!r}")
-    d = disc.chart_differences(direction) @ np.asarray(field, dtype=float)
-    d /= disc.h
+    d = disc.chart_differences(direction) @ field / disc.h
     return d[:disc.n_p], d[disc.n_p:]
 
 

@@ -69,8 +69,3 @@ def quadrature_weights(disc):
     ax = disc.axis.astype(np.int64)
     psi = direction_weights(disc.normals)[idx, ax]
     return QuadratureWeights(psi * disc.h ** 2 / np.abs(disc.normals[idx, ax]))
-
-
-def surface_integral(disc, values):
-    """Integrate point samples (all cut points) over the surface."""
-    return quadrature_weights(disc).integrate(values)

@@ -8,8 +8,10 @@ import numpy as np
 from .linalg import resolvent_entry_report, smallest_eigenvalues
 from .operators import laplace_beltrami, reduced_operator
 
+_EIG_SHIFT = 0.5  # the shift-invert shift of laplacian_eigenvalues
 
-def laplacian_eigenvalues(disc, count, form="divergence", sigma=0.5):
+
+def laplacian_eigenvalues(disc, count, form="divergence"):
     """The `count` eigenvalues of smallest magnitude of the reduced operator.
 
     The reduced operator is not symmetric but its spectrum sits near the
@@ -19,7 +21,7 @@ def laplacian_eigenvalues(disc, count, form="divergence", sigma=0.5):
     """
     red = reduced_operator(laplace_beltrami(disc, form), disc)
     vals = smallest_eigenvalues(red, count, disc.positions[:disc.n_p],
-                                sigma=sigma)
+                                sigma=_EIG_SHIFT)
     max_imag = float(np.abs(vals.imag).max(initial=0.0))
     return np.sort(vals.real)[::-1], max_imag
 
@@ -38,12 +40,12 @@ def cluster_errors(eigs, exact_levels, sizes):
     return out
 
 
-def resolvent_report(disc, sigmas, form="divergence", dense_limit=9000):
+def resolvent_report(disc, sigmas):
     """Entrywise signs of (I - sigma h^2 L_red)^{-1} for several sigmas.
 
-    The inverse is formed densely (guarded by dense_limit), so this is a
+    The inverse is formed densely (at most 9000 primaries), so this is a
     diagnostic for coarse grids.  Each row reports the minimum entry, the
     worst row-sum deviation from one, and invertibility.
     """
-    red = reduced_operator(laplace_beltrami(disc, form), disc)
-    return resolvent_entry_report(red, sigmas, disc.h, dense_limit=dense_limit)
+    red = reduced_operator(laplace_beltrami(disc), disc)
+    return resolvent_entry_report(red, sigmas, disc.h)

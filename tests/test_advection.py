@@ -3,7 +3,9 @@ predictor-corrector marcher, and its second-order convergence."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from surfpde import maccormack
 from surfpde.advection import (exact_integral, exact_solution,
                                rotation_velocity, solve_advection)
 from surfpde.experiments import get_discretization
@@ -72,6 +74,28 @@ def test_snapshots_continue_the_same_march():
     assert len(split) == 2
     assert split[0][0] == 0.25 and split[1][0] == 0.5
     assert np.array_equal(split[1][1], single[0][1])
+
+
+def test_folded_operators_annihilate_constants(sphere40, monkeypatch):
+    # each substep is one product with R = -(V1 D1 + V2 D2) E / h on the
+    # primaries; E reproduces constants and differences kill them, so R 1 = 0
+    d = sphere40
+    steps = []
+
+    def record(u, k, rhs, equilibrate, extra_corrector=None):
+        steps.append((rhs, equilibrate))
+        return u
+
+    monkeypatch.setattr(maccormack, "maccormack_step", record)
+    solve_advection(d, [1.0 / 80.0])
+    (rhs, equilibrate), = steps
+    ones = np.ones(d.n_p)
+    assert equilibrate(ones) is ones
+    for direction in ("forward", "backward"):
+        r = rhs(direction, sp.identity(d.n_p, format="csr"))
+        assert r.shape == (d.n_p, d.n_p)
+        assert r.nnz < 4 * d.n_p
+        assert np.abs(rhs(direction, ones)).max() <= 1e-12 * abs(r).max()
 
 
 def test_unaligned_time_is_rejected():

@@ -74,9 +74,12 @@ def test_unknown_surface_exits_two(capsys):
     assert "banana" in err and "catalog" in err
 
 
-def test_unresolvable_grid_exits_two(capsys):
-    # N=6 leaves admissibility gaps on the sphere; the error names the point
-    assert main(["discretize", "--N", "6"]) == 2
+@pytest.mark.parametrize("argv", [["--N", "6"],
+                                  ["--surface", "cassini_oval", "--N", "40"]],
+                         ids=["sphere-6", "cassini-40"])
+def test_unresolvable_grid_exits_two(argv, capsys):
+    # both grids leave admissibility gaps; the error names the point
+    assert main(["discretize", *argv]) == 2
     assert "refine the grid or lower eta" in capsys.readouterr().err
 
 

@@ -12,8 +12,8 @@ from surfpde.operators import (advection_coefficients, artificial_viscosity,
                                chart_metric, divergence_weights,
                                laplace_beltrami, nondivergence_weights,
                                primary_chart_axes, reduced_operator,
-                               row_sign_structure, sphere_surface_divergence,
-                               tangential_projection, upwind_differences)
+                               row_sign_structure, tangential_projection,
+                               upwind_differences)
 
 
 def harmonic3(points):
@@ -232,22 +232,6 @@ def test_advection_coefficients_warn_on_normal_component(sphere40):
         advection_coefficients(sphere40, lambda p: p.copy())
 
 
-def test_sphere_surface_divergence_oracle(sphere40, sphere80):
-    def velocity(p):
-        x, y, z = p[:, 0], p[:, 1], p[:, 2]
-        return np.stack([x * x * z - y, x + x * y * z,
-                         -x * (x * x + y * y)], axis=1)
-
-    errs = []
-    for disc in (sphere40, sphere80):
-        div = sphere_surface_divergence(disc, velocity(disc.positions))
-        p = disc.positions[: disc.n_p]
-        exact = 3.0 * p[:, 0] * p[:, 2]
-        errs.append(np.abs(div - exact).max())
-    assert errs[0] < 0.03
-    assert 3.0 < errs[0] / errs[1] < 5.0
-
-
 def test_upwind_differences_exact_on_coordinates(sphere40):
     x = sphere40.positions[:, 0]
     c1, _ = primary_chart_axes(sphere40)
@@ -321,11 +305,23 @@ def any_disc(request):
     return discretize(make_surface(name), grid)
 
 
-@pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "vector"])
+@pytest.mark.parametrize("shape", [(), (3,), None],
+                         ids=["scalar", "vector", "extension"])
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_chart_differences_match_gathers(any_disc, shape, direction):
     d = any_disc
     rng = np.random.default_rng(31)
+    if shape is None:
+        # the extension matrix as operand: (n_p, n_p) differences that act
+        # on primary values as the differences of the extended field do
+        u_p = rng.normal(size=d.n_p)
+        folded = upwind_differences(d, d.extension_matrix(), direction)
+        for op, want in zip(folded,
+                            upwind_differences(d, d.extend(u_p), direction)):
+            assert op.shape == (d.n_p, d.n_p)
+            assert np.abs(op @ u_p - want).max() <= \
+                1e-13 * np.abs(want).max()
+        return
     f = rng.normal(size=(d.n_tot,) + shape)
     raw = d.chart_differences(direction) @ f
     g1, g2 = gather_differences(d, f, direction)

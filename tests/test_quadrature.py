@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from surfpde.quadrature import (POU_ANGLE, bump, direction_weights,
-                                quadrature_weights, surface_integral)
+                                quadrature_weights)
 
 
 def test_bump_endpoints_and_midpoint():
@@ -67,5 +67,5 @@ def test_sphere_area(sphere40):
 
 def test_surface_integral_odd_function_vanishes(sphere40):
     # z is odd across the equator; the point set is symmetric for the sphere
-    val = surface_integral(sphere40, sphere40.positions[:, 2])
+    val = quadrature_weights(sphere40).integrate(sphere40.positions[:, 2])
     assert abs(val) < 1e-6

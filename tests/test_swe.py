@@ -8,11 +8,12 @@ import pytest
 
 from surfpde import Grid, discretize, make_surface
 from surfpde import maccormack
+from surfpde.advection import rotation_velocity
 from surfpde.discretization import SLOT_E, SLOT_N, SLOT_S, SLOT_W
 from surfpde.experiments import get_discretization
 from surfpde.maccormack import maccormack_step
 from surfpde.operators import primary_chart_axes
-from surfpde.quadrature import surface_integral
+from surfpde.quadrature import quadrature_weights
 from surfpde.serialization import dump_discretization, load_discretization
 from surfpde.swe import (_swe_rhs, _Workspace, coriolis_parameter,
                          exact_energy_integral, exact_height,
@@ -58,8 +59,9 @@ def test_quadrature_matches_integral_closed_forms(params):
     d = get_discretization("sphere", 80)
     p = d.positions
     v = exact_velocity(p, params)
-    mass = surface_integral(d, exact_height(p, params))
-    energy = surface_integral(d, (v * v).sum(axis=1))
+    qw = quadrature_weights(d)
+    mass = qw.integrate(exact_height(p, params))
+    energy = qw.integrate((v * v).sum(axis=1))
     assert mass == pytest.approx(exact_height_integral(params), rel=1e-5)
     assert energy == pytest.approx(exact_energy_integral(params), rel=1e-5)
 
@@ -167,6 +169,22 @@ def test_rhs_matches_gather_formula(params, direction, which,
     assert got.shape == (4, d.n_p)
     scale = np.abs(want).max(axis=0)
     assert (np.abs(got.T - want).max(axis=0) <= 1e-12 * scale).all()
+
+
+def test_mass_row_divergence_oracle(params, sphere40, sphere80):
+    # with Phi = 1 the mass row is minus the surface divergence of the
+    # momentum; the mean of its two one-sided forms converges at second
+    # order to div v = 3 x z for the advection test velocity
+    errs = []
+    for d in (sphere40, sphere80):
+        full = np.vstack([np.ones(d.n_tot), rotation_velocity(d.positions).T])
+        ws = _Workspace(d, params)
+        div = -0.5 * (_swe_rhs(ws, "forward", full)[0]
+                      + _swe_rhs(ws, "backward", full)[0])
+        p = d.positions[:d.n_p]
+        errs.append(np.abs(div - 3.0 * p[:, 0] * p[:, 2]).max())
+    assert errs[0] < 0.03
+    assert 3.0 < errs[0] / errs[1] < 5.0
 
 
 def test_reloaded_discretization_builds_its_own_operators(params, tmp_path):
