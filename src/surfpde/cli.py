@@ -65,18 +65,6 @@ def _int_list(text):
     return values
 
 
-def _jobs(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"worker count must be at least 1, got {value}")
-    return value
-
-
 def _stepper(text):
     if text not in _STEPPERS:
         raise argparse.ArgumentTypeError(
@@ -103,8 +91,6 @@ FLAGS = {
     "days": Flag("--days", _float_list, "D[,D...]", "snapshot days"),
     "sigma": Flag("--sigma", _float_list, "S[,S...]",
                   "resolvent coefficients k/h^2"),
-    "jobs": Flag("--jobs", _jobs, None,
-                 "worker processes for independent runs"),
     "out": Flag("--out", str, None, "output file path"),
 }
 
@@ -195,19 +181,13 @@ def _diffusion(args):
     forms = (("divergence", "nondivergence") if args.form == "both"
              else (_resolve_form(args.form),))
     steppers = ("fe", "bdf2") if args.stepper == "both" else (args.stepper,)
-    if getattr(args, "surface", "sphere") != "sphere":
-        raise SurfPDEError(
-            "diffuse reports exact-solution errors, defined on the sphere "
-            "only; use table-3.2 for other surfaces")
-    return ex.run_diffusion_sphere(args.n, jobs=args.jobs, forms=forms,
-                                   steppers=steppers)
+    return ex.run_diffusion_sphere(args.n, forms=forms, steppers=steppers)
 
 
 def _swe(args, nu=None):
     """swe runs to one end day at --nu; tables 4.2/4.3 fix nu, take --days."""
     days = args.days if nu is not None else (args.t_end,)
-    return ex.run_swe(args.nu if nu is None else nu, args.n, days=days,
-                      jobs=args.jobs)
+    return ex.run_swe(args.nu if nu is None else nu, args.n, days=days)
 
 
 def _curve_resolvent(args):
@@ -219,7 +199,6 @@ def _curve_resolvent(args):
 # `run` takes the merged arguments and returns the records to emit, or None
 # when it reports by itself
 Command = namedtuple("Command", "help defaults run")
-_RUN = {"jobs": 1, "out": None}  # the last flags of most subcommands
 
 COMMANDS = {
     "discretize": Command("build a discretization, optionally dump to npz",
@@ -227,47 +206,45 @@ COMMANDS = {
                            "out": None}, _discretize),
     "diffuse": Command("sphere diffusion with exact-solution errors",
                        {"n": (80,), "form": "nondiv", "stepper": "fe",
-                        "surface": "sphere", **_RUN}, _diffusion),
+                        "out": None}, _diffusion),
     "poisson": Command("sphere Poisson test with bordered constant mode",
-                       {"n": (80, 160), **_RUN},
-                       lambda a: ex.run_poisson(a.n, jobs=a.jobs)),
+                       {"n": (80, 160), "out": None},
+                       lambda a: ex.run_poisson(a.n)),
     "advect": Command("sphere advection test at one end time",
-                      {"n": (80,), "t_end": 1.0, **_RUN},
-                      lambda a: ex.run_advection(a.n, times=(a.t_end,),
-                                                 jobs=a.jobs)),
+                      {"n": (80,), "t_end": 1.0, "out": None},
+                      lambda a: ex.run_advection(a.n, times=(a.t_end,))),
     "swe": Command("rotated steady shallow water state at one end day",
-                   {"n": (80,), "nu": 1.0, "t_end": 1.0, **_RUN}, _swe),
+                   {"n": (80,), "nu": 1.0, "t_end": 1.0, "out": None}, _swe),
     "eig": Command("low eigenvalue clusters of the reduced operator",
-                   {"n": (40,), "form": "div", **_RUN},
-                   lambda a: ex.run_eigenvalues(a.n, jobs=a.jobs,
+                   {"n": (40,), "form": "div", "out": None},
+                   lambda a: ex.run_eigenvalues(a.n,
                                                 form=_resolve_form(a.form))),
     "quad": Command("sphere area by the partition-of-unity quadrature",
-                    {"n": (40, 80, 160), **_RUN},
-                    lambda a: ex.run_quadrature(a.n, jobs=a.jobs)),
+                    {"n": (40, 80, 160), "out": None},
+                    lambda a: ex.run_quadrature(a.n)),
     "curve-resolvent": Command("plane-curve resolvent sign reports",
                                {"n": (80, 160), "curve": ("circle", "ellipse"),
                                 "sigma": (0.75, 1.0, 2.0), "out": None},
                                _curve_resolvent),
     "table-3.1": Command("diffusion errors on the unit sphere",
                          {"n": (80, 160), "form": "both", "stepper": "both",
-                          **_RUN}, _diffusion),
+                          "out": None}, _diffusion),
     "table-3.2": Command("successive-grid diffusion errors, two surfaces",
-                         {"n": (80, 160), **_RUN},
-                         lambda a: ex.run_diffusion_pair(a.n, jobs=a.jobs)),
+                         {"n": (80, 160), "out": None},
+                         lambda a: ex.run_diffusion_pair(a.n)),
     "table-3.3": Command("eigenvalue cluster errors on the sphere",
-                         {"n": (40, 80), **_RUN},
-                         lambda a: ex.run_eigenvalues(a.n, jobs=a.jobs)),
+                         {"n": (40, 80), "out": None},
+                         lambda a: ex.run_eigenvalues(a.n)),
     "table-4.1": Command("advection errors on the sphere",
                          {"n": (80, 160, 320), "times": (1.0, 2.0, 5.0),
-                          **_RUN},
-                         lambda a: ex.run_advection(a.n, times=a.times,
-                                                    jobs=a.jobs)),
+                          "out": None},
+                         lambda a: ex.run_advection(a.n, times=a.times)),
     "table-4.2": Command("shallow water errors, viscosity 1",
-                         {"n": (80, 160), "days": (1.0, 2.0, 5.0), **_RUN},
-                         partial(_swe, nu=1.0)),
+                         {"n": (80, 160), "days": (1.0, 2.0, 5.0),
+                          "out": None}, partial(_swe, nu=1.0)),
     "table-4.3": Command("shallow water errors, viscosity 0.5",
-                         {"n": (80, 160), "days": (1.0, 2.0, 5.0), **_RUN},
-                         partial(_swe, nu=0.5)),
+                         {"n": (80, 160), "days": (1.0, 2.0, 5.0),
+                          "out": None}, partial(_swe, nu=0.5)),
 }
 
 TABLE_COMMANDS = tuple(name for name in COMMANDS if name.startswith("table-"))

@@ -36,7 +36,7 @@ plus O(N^2) per-cut arrays rather than (N+1)^3 values of phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -671,7 +671,6 @@ class QualityReport:
     normal_ratio_max: float        # max over primaries of max_other |n_mu|/|n_nu|
     min_primary_spacing: float     # min pairwise distance between primaries
     max_primary_gap: float         # max distance to the nearest other primary
-    extras: dict = field(default_factory=dict)
 
 
 def quality_report(disc):

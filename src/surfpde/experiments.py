@@ -3,12 +3,19 @@
 Each runner returns a flat record list (N, time, metric, value) in a fixed
 order, so CSV output is byte-identical across runs.  Console rendering adds
 observed-order columns log2(err_N / err_2N) whenever two grids are present.
+
+A runner's independent tasks, one per grid, surface, stepper or form, run
+in a process pool with one worker per CPU (serially on one CPU).  The pool
+sends out the largest grids first, so the longest run does not start last;
+records keep the fixed order whatever order the tasks finish in.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor, as_completed
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -44,11 +51,28 @@ def get_discretization(surface_name, n, eta=0.45):
     return _DISC_CACHE[key]
 
 
-def _pmap(fn, arg_list, jobs):
-    if jobs is None or jobs <= 1 or len(arg_list) <= 1:
-        return [fn(a) for a in arg_list]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, arg_list))
+def _pmap(fn, tasks):
+    """[fn(task) for task in tasks], on one worker process per CPU.
+
+    Each task is a tuple whose first item is its grid size N; the largest
+    grids go out first.  The first task to fail cancels those not yet
+    started, and its error propagates.
+    """
+    workers = min(len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    results = [None] * len(tasks)
+    # workers are spawned: forking a process that runs BLAS threads is unsafe
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context("spawn"))
+    try:
+        largest_first = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
+        futures = {pool.submit(fn, tasks[i]): i for i in largest_first}
+        for future in as_completed(futures):
+            results[futures[future]] = future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +147,12 @@ def _diffusion_sphere_case(args):
     return error_norms(disc.extend(u), exact)
 
 
-def run_diffusion_sphere(n_list=(80, 160), jobs=1,
+def run_diffusion_sphere(n_list=(80, 160),
                          forms=("nondivergence", "divergence"),
                          steppers=("fe", "bdf2")):
     combos = [(form, stepper) for form in forms for stepper in steppers]
     tasks = [(n, stepper, form) for n in n_list for form, stepper in combos]
-    results = _pmap(_diffusion_sphere_case, tasks, jobs)
+    results = _pmap(_diffusion_sphere_case, tasks)
     records = []
     short = {"nondivergence": "nondiv", "divergence": "div"}
     for (n, stepper, form), (emax, el2) in zip(tasks, results):
@@ -142,34 +166,33 @@ def run_diffusion_sphere(n_list=(80, 160), jobs=1,
 # table 3.2: diffusion on ellipsoid / cassini oval, successive-grid errors
 
 def _diffusion_pair_case(args):
-    surface, stepper, n = args
+    n, surface, stepper = args
     solver, k = _time_stepper(stepper, 8.0 / n ** 2, 1.0 / (10.0 * n))
     disc = get_discretization(surface, n)
     p = disc.positions
     u0 = np.cos(p[:, 0] - p[:, 1] + p[:, 2])[:disc.n_p]
     alpha = 0.1
     u = solver(disc, u0, alpha, k, round(1.0 / k), form="divergence")
-    return disc.extend(u)
+    return disc, disc.extend(u)
 
 
-def run_diffusion_pair(n_list=(80, 160), jobs=1,
+def run_diffusion_pair(n_list=(80, 160),
                        surfaces=("ellipsoid", "cassini_oval")):
     n_list = tuple(n_list)
     all_n = tuple(sorted({*n_list, *(2 * n for n in n_list)}))
-    tasks = [(surface, stepper, n)
+    tasks = [(n, surface, stepper)
              for surface in surfaces
              for stepper in ("fe", "bdf2")
              for n in all_n]
-    fields = dict(zip(tasks, _pmap(_diffusion_pair_case, tasks, jobs)))
+    # each run returns its discretization, so a pool's parent builds none
+    runs = dict(zip(tasks, _pmap(_diffusion_pair_case, tasks)))
     records = []
     for surface in surfaces:
         for stepper in ("fe", "bdf2"):
             for n in n_list:
-                coarse = get_discretization(surface, n)
-                fine = get_discretization(surface, 2 * n)
                 emax, el2 = successive_errors(
-                    coarse, fields[(surface, stepper, n)],
-                    fine, fields[(surface, stepper, 2 * n)])
+                    *runs[(n, surface, stepper)],
+                    *runs[(2 * n, surface, stepper)])
                 tag = f"{surface}_{stepper}"
                 records.append((n, 1.0, f"{tag}_max", emax))
                 records.append((n, 1.0, f"{tag}_l2", el2))
@@ -188,8 +211,8 @@ def _eigen_case(args):
     return errs, max_imag
 
 
-def run_eigenvalues(n_list=(40, 80), jobs=1, form="divergence"):
-    results = _pmap(_eigen_case, [(n, form) for n in n_list], jobs)
+def run_eigenvalues(n_list=(40, 80), form="divergence"):
+    results = _pmap(_eigen_case, [(n, form) for n in n_list])
     records = []
     for n, (errs, max_imag) in zip(n_list, results):
         for level, err in enumerate(errs):
@@ -201,7 +224,8 @@ def run_eigenvalues(n_list=(40, 80), jobs=1, form="divergence"):
 # ---------------------------------------------------------------------------
 # poisson problem on the unit sphere
 
-def _poisson_case(n):
+def _poisson_case(args):
+    (n,) = args
     disc = get_discretization("sphere", n)
     p = disc.positions[:disc.n_p]
     s = p[:, 0] + p[:, 1] - 2.0 * p[:, 2]
@@ -212,8 +236,8 @@ def _poisson_case(n):
     return float(np.abs(u - exact).max()), float(beta)
 
 
-def run_poisson(n_list=(80, 160), jobs=1):
-    results = _pmap(_poisson_case, list(n_list), jobs)
+def run_poisson(n_list=(80, 160)):
+    results = _pmap(_poisson_case, [(n,) for n in n_list])
     records = []
     for n, (emax, beta) in zip(n_list, results):
         records.append((n, 0.0, "err_max", emax))
@@ -238,9 +262,9 @@ def _advection_case(args):
         out.append((t, emax, el2, float(rel_int)))
     return out
 
-def run_advection(n_list=(80, 160, 320), times=(1.0, 2.0, 5.0), jobs=1):
+def run_advection(n_list=(80, 160, 320), times=(1.0, 2.0, 5.0)):
     times = tuple(float(t) for t in times)
-    results = _pmap(_advection_case, [(n, times) for n in n_list], jobs)
+    results = _pmap(_advection_case, [(n, times) for n in n_list])
     records = []
     for n, rows in zip(n_list, results):
         for t, emax, el2, rel_int in rows:
@@ -278,9 +302,9 @@ def _swe_case(args):
     return out
 
 
-def run_swe(nu, n_list=(80, 160), days=(1.0, 2.0, 5.0), jobs=1):
+def run_swe(nu, n_list=(80, 160), days=(1.0, 2.0, 5.0)):
     days = tuple(float(d) for d in days)
-    results = _pmap(_swe_case, [(n, days, float(nu)) for n in n_list], jobs)
+    results = _pmap(_swe_case, [(n, days, float(nu)) for n in n_list])
     records = []
     names = ("mom_max", "phi_max", "mom_l2", "phi_l2",
              "energy_int", "mass_int")
@@ -295,15 +319,16 @@ def run_swe(nu, n_list=(80, 160), days=(1.0, 2.0, 5.0), jobs=1):
 # ---------------------------------------------------------------------------
 # surface-integral convergence for the quadrature rule
 
-def _quadrature_case(n):
+def _quadrature_case(args):
+    (n,) = args
     disc = get_discretization("sphere", n)
     qw = quadrature_weights(disc)
     area = float(qw.weights.sum())
     return (area - 4.0 * math.pi) / (4.0 * math.pi)
 
 
-def run_quadrature(n_list=(40, 80, 160), jobs=1):
-    results = _pmap(_quadrature_case, list(n_list), jobs)
+def run_quadrature(n_list=(40, 80, 160)):
+    results = _pmap(_quadrature_case, [(n,) for n in n_list])
     return [(n, 0.0, "area_rel", float(v)) for n, v in zip(n_list, results)]
 
 

@@ -16,18 +16,18 @@ import numpy as np
 
 from .errors import BracketingError, DegenerateGradientError
 
-DEFAULT_FD_STEP = 1e-6
+FD_STEP = 1e-6  # central-difference step of the gradient fallback
 BISECT_TOL = 1e-12  # bisection window, as a fraction of the segment
 
 
-def _fd_gradient(phi, pts, step):
+def _fd_gradient(phi, pts):
     """Central-difference gradient fallback for user surfaces without one."""
     pts = np.asarray(pts, dtype=float)
     out = np.empty(pts.shape)
     for ax in range(pts.shape[-1]):
         e = np.zeros(pts.shape[-1])
-        e[ax] = step
-        out[..., ax] = (phi(pts + e) - phi(pts - e)) / (2.0 * step)
+        e[ax] = FD_STEP
+        out[..., ax] = (phi(pts + e) - phi(pts - e)) / (2.0 * FD_STEP)
     return out
 
 
@@ -42,19 +42,17 @@ class LevelSetSurface:
         Vectorized level-set evaluator, shape (..., 3) -> (...).
     grad : callable, optional
         Vectorized gradient, shape (..., 3) -> (..., 3).  When omitted a
-        central-difference fallback with step `fd_step` is used.
+        central-difference fallback with step `FD_STEP` is used.
     params : dict, optional
         Shape parameters, kept for serialization round trips.
     c0 : float
         Lower bound on |grad phi| near the surface; normals below it raise.
     """
 
-    def __init__(self, kind, phi, grad=None, params=None, c0=1e-8,
-                 fd_step=DEFAULT_FD_STEP):
+    def __init__(self, kind, phi, grad=None, params=None, c0=1e-8):
         self.kind = kind
         self.params = dict(params or {})
         self.c0 = float(c0)
-        self.fd_step = float(fd_step)
         self._phi = phi
         self._grad = grad
 
@@ -65,7 +63,7 @@ class LevelSetSurface:
         pts = np.asarray(pts, dtype=float)
         if self._grad is not None:
             return self._grad(pts)
-        return _fd_gradient(self._phi, pts, self.fd_step)
+        return _fd_gradient(self._phi, pts)
 
     def unit_normal(self, pts):
         """Outward unit normal grad phi / |grad phi|.
@@ -140,10 +138,9 @@ def cassini_oval(a=0.65, b=0.715):
                            c0=0.05)
 
 
-def from_callables(phi, grad=None, c0=1e-8, params=None,
-                   fd_step=DEFAULT_FD_STEP):
+def from_callables(phi, grad=None, c0=1e-8, params=None):
     """Wrap user-supplied callables as a surface (negative-inside convention)."""
-    return LevelSetSurface("user", phi, grad, params, c0=c0, fd_step=fd_step)
+    return LevelSetSurface("user", phi, grad, params, c0=c0)
 
 
 SURFACE_CATALOG = {

@@ -17,8 +17,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import SingularMatrixError
 
-# reciprocal condition below which a matrix counts as numerically singular:
-# the LU pivot ratio of a zero shift, or 1 / (||B|| |B^-1 1|) of a pin
+# reciprocal condition 1 / (||B|| |B^-1 1|) below which a pinned matrix B
+# counts as numerically singular
 _SINGULAR_PIVOT_RTOL = 1e-10
 # nested-dissection parts of at most this many unknowns are not split
 _ND_LEAF = 8
@@ -196,17 +196,16 @@ def bordered_solve(mat, rhs, points):
     return u, beta
 
 
-def smallest_eigenvalues(mat, count, points, sigma=None):
+def smallest_eigenvalues(mat, count, points, sigma):
     """Eigenvalues of smallest magnitude, sorted by |lambda|.
 
-    Uses shift-invert ARPACK around `sigma` (default 0, retried with a tiny
-    positive shift when the matrix is singular: the LU fails, or its
-    smallest pivot is at most _SINGULAR_PIVOT_RTOL of the largest).  The
-    shifted matrix is factored in the nested-dissection order of `points`,
-    the unknowns' (n, d) positions, and applied through that permutation.
-    Falls back to a dense solve for small matrices or when count is too
-    close to the dimension.  Intended for real nonpositive spectra, where
-    any sigma > 0 preserves the by-magnitude ordering.
+    Uses shift-invert ARPACK around `sigma`, which must not be an
+    eigenvalue.  The shifted matrix is factored in the nested-dissection
+    order of `points`, the unknowns' (n, d) positions, and applied through
+    that permutation.  Falls back to a dense solve for small matrices or
+    when count is too close to the dimension.  Intended for real
+    nonpositive spectra, where any sigma > 0 preserves the by-magnitude
+    ordering.
     """
     mat = sp.csc_matrix(mat)
     n = mat.shape[0]
@@ -218,39 +217,21 @@ def smallest_eigenvalues(mat, count, points, sigma=None):
         order = np.argsort(np.abs(vals), kind="stable")
         return vals[order][:count]
 
-    trial_sigmas = ([float(sigma)] if sigma is not None else
-                    [0.0, 1e-6 * max(1.0, abs(mat).sum(axis=1).max())])
-    last_exc = None
-    for s in trial_sigmas:
-        try:
-            fac = Factorization(mat - s * sp.identity(n, format="csc"),
-                                points)
-        except SingularMatrixError as exc:
-            last_exc = exc
-            continue
-        if s != trial_sigmas[-1]:
-            pivots = np.abs(fac._lu.U.diagonal())
-            if pivots.min() <= _SINGULAR_PIVOT_RTOL * pivots.max():
-                last_exc = SingularMatrixError(
-                    f"smallest LU pivot {pivots.min():.3e} at shift {s:g} "
-                    f"is numerically zero")
-                continue
-        op = spla.LinearOperator((n, n), matvec=fac.lu_solve,
-                                 dtype=float)
-        v0 = np.ones(n) / np.sqrt(n)  # fixed start vector for determinism
-        evals, evecs = spla.eigs(op, k=count, which="LM", v0=v0)
-        evals = 1.0 / evals + s
-        # residual check against the original matrix
-        res = np.linalg.norm(mat @ evecs - evecs * evals, axis=0)
-        scale = np.maximum(np.abs(evals), 1.0)
-        if np.any(res / scale > _EIG_RESIDUAL_TOL):
-            raise SingularMatrixError(
-                f"eigensolver residual {res.max():.3e} exceeds "
-                f"{_EIG_RESIDUAL_TOL:.1e}")
-        order = np.argsort(np.abs(evals), kind="stable")
-        return evals[order]
-    raise SingularMatrixError(
-        f"shift-invert factorization failed for all shifts: {last_exc}")
+    sigma = float(sigma)
+    fac = Factorization(mat - sigma * sp.identity(n, format="csc"), points)
+    op = spla.LinearOperator((n, n), matvec=fac.lu_solve, dtype=float)
+    v0 = np.ones(n) / np.sqrt(n)  # fixed start vector for determinism
+    evals, evecs = spla.eigs(op, k=count, which="LM", v0=v0)
+    evals = 1.0 / evals + sigma
+    # residual check against the original matrix
+    res = np.linalg.norm(mat @ evecs - evecs * evals, axis=0)
+    scale = np.maximum(np.abs(evals), 1.0)
+    if np.any(res / scale > _EIG_RESIDUAL_TOL):
+        raise SingularMatrixError(
+            f"eigensolver residual {res.max():.3e} exceeds "
+            f"{_EIG_RESIDUAL_TOL:.1e}")
+    order = np.argsort(np.abs(evals), kind="stable")
+    return evals[order]
 
 
 def resolvent_entry_report(mat_reduced, sigmas, h):

@@ -2,13 +2,16 @@
 and discretization dump/load."""
 
 import inspect
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from surfpde import experiments as ex
 from surfpde.cli import SINGLE_COMMANDS, TABLE_COMMANDS, main
+from surfpde.errors import StencilError
 
 
 def test_list_enumerates_every_subcommand(capsys):
@@ -31,8 +34,9 @@ def test_bad_argument_exits_one(capsys):
     (["table-4.1", "--N", "20", "--times", ","], "at least one number"),
     (["table-4.2", "--days", ""], "at least one number"),
     (["curve-resolvent", "--sigma", ",,"], "at least one number"),
-    (["quad", "--N", "20", "--jobs", "-4"], "at least 1, got -4"),
-    (["quad", "--N", "20", "--jobs", "0"], "at least 1, got 0"),
+    # worker count and diffusion surface are no longer options
+    (["quad", "--N", "20", "--jobs", "2"], "unrecognized arguments: --jobs"),
+    (["diffuse", "--surface", "sphere"], "unrecognized arguments: --surface"),
     (["curve-resolvent", "--N", "20", "--curve", ","], "at least one name")])
 def test_empty_list_or_no_workers_exits_one(argv, message, capsys):
     assert main(argv) == 1
@@ -58,7 +62,7 @@ def test_config_file_is_closed(tmp_path, subprocess_env):
 
 @pytest.mark.parametrize("field,message", [
     ("times = ,", "at least one number"),
-    ("jobs = 0", "at least 1, got 0")])
+    ("jobs = 2", "unknown field 'jobs'")])
 def test_config_rejects_empty_list_or_no_workers(field, message, tmp_path,
                                                  capsys):
     cfg = tmp_path / "bad.cfg"
@@ -140,13 +144,43 @@ def test_csv_output_is_deterministic(tmp_path, capsys):
     assert header == "experiment,N,time,metric,value"
 
 
-def test_worker_pool_output_matches_serial(tmp_path, capsys):
-    paths = {jobs: tmp_path / f"jobs{jobs}.csv" for jobs in (1, 2)}
-    for jobs, path in paths.items():
-        assert main(["quad", "--N", "20,40", "--jobs", str(jobs),
-                     "--out", str(path)]) == 0
-    capsys.readouterr()
-    assert paths[1].read_bytes() == paths[2].read_bytes()
+def test_worker_pool_output_matches_serial(monkeypatch):
+    # Table 3.2's tasks run on every CPU; one CPU runs them in turn
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pooled = ex.run_diffusion_pair((48,), surfaces=("ellipsoid",))
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    serial = ex.run_diffusion_pair((48,), surfaces=("ellipsoid",))
+    assert pooled == serial
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["pool", "serial"])
+def test_failed_table_task_exits_two(cpus, monkeypatch, capsys):
+    # the Cassini oval leaves an admissibility gap at N = 40
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert main(["table-3.2", "--N", "40"]) == 2
+    err = capsys.readouterr().err
+    assert "admissibility gap" in err and "refine the grid" in err
+
+
+def _sleep_or_fail(task):
+    n, log = task
+    if log is None:
+        raise StencilError(f"task of size {n} failed")
+    time.sleep(0.1)
+    with open(log, "a") as fh:
+        fh.write(f"{n}\n")
+
+
+def test_failed_task_cancels_the_queued_ones(tmp_path, monkeypatch):
+    # the failing task is the largest, so it goes out first; the pool
+    # still holds a few tasks in flight when it fails, but not all twenty
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    log = tmp_path / "ran.txt"
+    log.touch()
+    tasks = [(1, str(log))] * 20 + [(2, None)]
+    with pytest.raises(StencilError, match="size 2 failed"):
+        ex._pmap(_sleep_or_fail, tasks)
+    assert len(log.read_text().split()) < 20
 
 
 def test_diffuse_runs_both_steppers(capsys):
@@ -204,7 +238,6 @@ t_end = 0.5
 times = 0.25,0.5
 days = 0.5,1
 sigma = 1.5
-jobs = 3
 out = {out}
 """
 
@@ -216,98 +249,90 @@ BOTH_STEPPERS = ("fe", "bdf2")
 CONTRACT = [
     # no flags: the built-in defaults
     ("diffuse", "diffuse", SPHERE,
-     dict(n_list=(80,), jobs=1, forms=("nondivergence",), steppers=("fe",))),
-    ("poisson", "poisson", "run_poisson", dict(n_list=(80, 160), jobs=1)),
-    ("advect", "advect", "run_advection",
-     dict(n_list=(80,), times=(1.0,), jobs=1)),
-    ("swe", "swe", "run_swe",
-     dict(nu=1.0, n_list=(80,), days=(1.0,), jobs=1)),
-    ("eig", "eig", "run_eigenvalues",
-     dict(n_list=(40,), jobs=1, form="divergence")),
-    ("quad", "quad", "run_quadrature", dict(n_list=(40, 80, 160), jobs=1)),
+     dict(n_list=(80,), forms=("nondivergence",), steppers=("fe",))),
+    ("poisson", "poisson", "run_poisson", dict(n_list=(80, 160))),
+    ("advect", "advect", "run_advection", dict(n_list=(80,), times=(1.0,))),
+    ("swe", "swe", "run_swe", dict(nu=1.0, n_list=(80,), days=(1.0,))),
+    ("eig", "eig", "run_eigenvalues", dict(n_list=(40,), form="divergence")),
+    ("quad", "quad", "run_quadrature", dict(n_list=(40, 80, 160))),
     ("curve-resolvent", "curve-resolvent", "run_curve_resolvent",
      dict(curves=("circle", "ellipse"), n_list=(80, 160),
           sigmas=(0.75, 1.0, 2.0))),
     ("table-3.1", "table-3.1", SPHERE,
-     dict(n_list=(80, 160), jobs=1, forms=BOTH_FORMS,
-          steppers=BOTH_STEPPERS)),
+     dict(n_list=(80, 160), forms=BOTH_FORMS, steppers=BOTH_STEPPERS)),
     ("table-3.2", "table-3.2", "run_diffusion_pair",
-     dict(n_list=(80, 160), jobs=1, surfaces=("ellipsoid", "cassini_oval"))),
+     dict(n_list=(80, 160), surfaces=("ellipsoid", "cassini_oval"))),
     ("table-3.3", "table-3.3", "run_eigenvalues",
-     dict(n_list=(40, 80), jobs=1, form="divergence")),
+     dict(n_list=(40, 80), form="divergence")),
     ("table-4.1", "table-4.1", "run_advection",
-     dict(n_list=(80, 160, 320), times=(1.0, 2.0, 5.0), jobs=1)),
+     dict(n_list=(80, 160, 320), times=(1.0, 2.0, 5.0))),
     ("table-4.2", "table-4.2", "run_swe",
-     dict(nu=1.0, n_list=(80, 160), days=(1.0, 2.0, 5.0), jobs=1)),
+     dict(nu=1.0, n_list=(80, 160), days=(1.0, 2.0, 5.0))),
     ("table-4.3", "table-4.3", "run_swe",
-     dict(nu=0.5, n_list=(80, 160), days=(1.0, 2.0, 5.0), jobs=1)),
+     dict(nu=0.5, n_list=(80, 160), days=(1.0, 2.0, 5.0))),
     # every flag the subcommand takes
     ("diffuse-flags", "diffuse --N 20,40 --form div --stepper bdf2 "
-     "--surface sphere --jobs 2 --out {out}", SPHERE,
-     dict(n_list=(20, 40), jobs=2, forms=("divergence",),
-          steppers=("bdf2",))),
-    ("poisson-flags", "poisson --N 20 --jobs 2 --out {out}", "run_poisson",
-     dict(n_list=(20,), jobs=2)),
-    ("advect-flags", "advect --N 20 --t-end 0.5 --jobs 2 --out {out}",
-     "run_advection", dict(n_list=(20,), times=(0.5,), jobs=2)),
-    ("swe-flags", "swe --N 20 --nu 0.25 --t-end 0.5 --jobs 2 --out {out}",
-     "run_swe", dict(nu=0.25, n_list=(20,), days=(0.5,), jobs=2)),
-    ("eig-flags", "eig --N 20 --form nondiv --jobs 2 --out {out}",
-     "run_eigenvalues", dict(n_list=(20,), jobs=2, form="nondivergence")),
-    ("quad-flags", "quad --N 20 --jobs 2 --out {out}", "run_quadrature",
-     dict(n_list=(20,), jobs=2)),
+     "--out {out}", SPHERE,
+     dict(n_list=(20, 40), forms=("divergence",), steppers=("bdf2",))),
+    ("poisson-flags", "poisson --N 20 --out {out}", "run_poisson",
+     dict(n_list=(20,))),
+    ("advect-flags", "advect --N 20 --t-end 0.5 --out {out}",
+     "run_advection", dict(n_list=(20,), times=(0.5,))),
+    ("swe-flags", "swe --N 20 --nu 0.25 --t-end 0.5 --out {out}",
+     "run_swe", dict(nu=0.25, n_list=(20,), days=(0.5,))),
+    ("eig-flags", "eig --N 20 --form nondiv --out {out}",
+     "run_eigenvalues", dict(n_list=(20,), form="nondivergence")),
+    ("quad-flags", "quad --N 20 --out {out}", "run_quadrature",
+     dict(n_list=(20,))),
     ("curve-resolvent-flags", "curve-resolvent --N 20 --curve ellipse "
      "--sigma 1.5 --out {out}", "run_curve_resolvent",
      dict(curves=("ellipse",), n_list=(20,), sigmas=(1.5,))),
     ("table-3.1-flags", "table-3.1 --N 20 --form nondivergence "
-     "--stepper fe --jobs 2 --out {out}", SPHERE,
-     dict(n_list=(20,), jobs=2, forms=("nondivergence",),
-          steppers=("fe",))),
-    ("table-3.2-flags", "table-3.2 --N 20 --jobs 2 --out {out}",
+     "--stepper fe --out {out}", SPHERE,
+     dict(n_list=(20,), forms=("nondivergence",), steppers=("fe",))),
+    ("table-3.2-flags", "table-3.2 --N 20 --out {out}",
      "run_diffusion_pair",
-     dict(n_list=(20,), jobs=2, surfaces=("ellipsoid", "cassini_oval"))),
-    ("table-3.3-flags", "table-3.3 --N 20 --jobs 2 --out {out}",
-     "run_eigenvalues", dict(n_list=(20,), jobs=2, form="divergence")),
-    ("table-4.1-flags", "table-4.1 --N 20 --times 0.25,0.5 --jobs 2 "
-     "--out {out}", "run_advection",
-     dict(n_list=(20,), times=(0.25, 0.5), jobs=2)),
-    ("table-4.2-flags", "table-4.2 --N 20 --days 0.5 --jobs 2 --out {out}",
-     "run_swe", dict(nu=1.0, n_list=(20,), days=(0.5,), jobs=2)),
-    ("table-4.3-flags", "table-4.3 --N 20 --days 0.5 --jobs 2 --out {out}",
-     "run_swe", dict(nu=0.5, n_list=(20,), days=(0.5,), jobs=2)),
+     dict(n_list=(20,), surfaces=("ellipsoid", "cassini_oval"))),
+    ("table-3.3-flags", "table-3.3 --N 20 --out {out}",
+     "run_eigenvalues", dict(n_list=(20,), form="divergence")),
+    ("table-4.1-flags", "table-4.1 --N 20 --times 0.25,0.5 --out {out}",
+     "run_advection", dict(n_list=(20,), times=(0.25, 0.5))),
+    ("table-4.2-flags", "table-4.2 --N 20 --days 0.5 --out {out}",
+     "run_swe", dict(nu=1.0, n_list=(20,), days=(0.5,))),
+    ("table-4.3-flags", "table-4.3 --N 20 --days 0.5 --out {out}",
+     "run_swe", dict(nu=0.5, n_list=(20,), days=(0.5,))),
     # CONTRACT_CONFIG, with --N overriding its n
     ("diffuse-config", "diffuse --config {cfg} --N 30", SPHERE,
-     dict(n_list=(30,), jobs=3, forms=("divergence",), steppers=("bdf2",))),
+     dict(n_list=(30,), forms=("divergence",), steppers=("bdf2",))),
     ("poisson-config", "poisson --config {cfg} --N 30", "run_poisson",
-     dict(n_list=(30,), jobs=3)),
+     dict(n_list=(30,))),
     ("advect-config", "advect --config {cfg} --N 30", "run_advection",
-     dict(n_list=(30,), times=(0.5,), jobs=3)),
+     dict(n_list=(30,), times=(0.5,))),
     ("swe-config", "swe --config {cfg} --N 30", "run_swe",
-     dict(nu=0.25, n_list=(30,), days=(0.5,), jobs=3)),
+     dict(nu=0.25, n_list=(30,), days=(0.5,))),
     ("eig-config", "eig --config {cfg} --N 30", "run_eigenvalues",
-     dict(n_list=(30,), jobs=3, form="divergence")),
+     dict(n_list=(30,), form="divergence")),
     ("quad-config", "quad --config {cfg} --N 30", "run_quadrature",
-     dict(n_list=(30,), jobs=3)),
+     dict(n_list=(30,))),
     ("curve-resolvent-config", "curve-resolvent --config {cfg} --N 30",
      "run_curve_resolvent",
      dict(curves=("ellipse",), n_list=(30,), sigmas=(1.5,))),
     ("table-3.1-config", "table-3.1 --config {cfg} --N 30", SPHERE,
-     dict(n_list=(30,), jobs=3, forms=("divergence",), steppers=("bdf2",))),
+     dict(n_list=(30,), forms=("divergence",), steppers=("bdf2",))),
     ("table-3.2-config", "table-3.2 --config {cfg} --N 30",
      "run_diffusion_pair",
-     dict(n_list=(30,), jobs=3, surfaces=("ellipsoid", "cassini_oval"))),
+     dict(n_list=(30,), surfaces=("ellipsoid", "cassini_oval"))),
     ("table-3.3-config", "table-3.3 --config {cfg} --N 30",
-     "run_eigenvalues", dict(n_list=(30,), jobs=3, form="divergence")),
+     "run_eigenvalues", dict(n_list=(30,), form="divergence")),
     ("table-4.1-config", "table-4.1 --config {cfg} --N 30", "run_advection",
-     dict(n_list=(30,), times=(0.25, 0.5), jobs=3)),
+     dict(n_list=(30,), times=(0.25, 0.5))),
     ("table-4.2-config", "table-4.2 --config {cfg} --N 30", "run_swe",
-     dict(nu=1.0, n_list=(30,), days=(0.5, 1.0), jobs=3)),
+     dict(nu=1.0, n_list=(30,), days=(0.5, 1.0))),
     ("table-4.3-config", "table-4.3 --config {cfg} --N 30", "run_swe",
-     dict(nu=0.5, n_list=(30,), days=(0.5, 1.0), jobs=3)),
+     dict(nu=0.5, n_list=(30,), days=(0.5, 1.0))),
     # `both` expands to every stepper for diffuse as for table-3.1
     ("diffuse-both", "diffuse --stepper both", SPHERE,
-     dict(n_list=(80,), jobs=1, forms=("nondivergence",),
-          steppers=BOTH_STEPPERS)),
+     dict(n_list=(80,), forms=("nondivergence",), steppers=BOTH_STEPPERS)),
 ]
 
 
@@ -346,8 +371,7 @@ def test_subcommand_calls_its_runner(argv, runner, expected, runner_calls,
     assert out.exists() == ("{out}" in argv or "{cfg}" in argv)
     ((name, arguments),) = runner_calls
     assert name == runner
-    # a runner parameter the CLI leaves out may only be an unused `jobs`
-    assert set(arguments) - set(expected) <= {"jobs"}
+    assert set(arguments) == set(expected)
     assert {key: arguments[key] for key in expected} == expected
 
 

@@ -6,11 +6,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from surfpde import Grid, discretize, linalg, make_surface
+from surfpde import Grid, discretize, make_surface
 from surfpde.errors import SingularMatrixError
 from surfpde.linalg import (Factorization, assemble_csr, bordered_solve,
                             resolvent_entry_report, smallest_eigenvalues)
 from surfpde.operators import laplace_beltrami, reduced_operator
+
+# a shift-invert shift right of the nonpositive spectra below, as in
+# spectrum.laplacian_eigenvalues
+SHIFT = 0.5
 
 
 def periodic_laplacian(n, h=1.0):
@@ -72,27 +76,18 @@ def closed_form_smallest(n, h, count):
 
 def test_periodic_laplacian_eigenvalues_closed_form():
     n, h = 64, 0.1
-    vals = smallest_eigenvalues(periodic_laplacian(n, h), 5, circle(n))
+    vals = smallest_eigenvalues(periodic_laplacian(n, h), 5, circle(n),
+                                sigma=SHIFT)
     assert np.abs(vals.imag).max() < 1e-9
     assert np.abs(np.sort(vals.real) - np.sort(closed_form_smallest(n, h, 5))
                   ).max() < 1e-8
 
 
-def test_shift_invert_path_matches_dense_path(monkeypatch):
-    # large enough to take the iterative branch; singular zero shift retried
+def test_shift_invert_path_matches_dense_path():
+    # large enough to take the iterative branch
     n, h = 2000, 0.1
-    lap = periodic_laplacian(n, h)
-    shifts = []
-
-    class Recording(linalg.Factorization):
-        def __init__(self, mat, points):
-            shifts.append(float(np.max(lap.diagonal() - mat.diagonal())))
-            super().__init__(mat, points)
-
-    monkeypatch.setattr(linalg, "Factorization", Recording)
-    vals = smallest_eigenvalues(lap, 5, circle(n))
-    # the zero shift factors with a pivot near 1e-11 and is not used
-    assert shifts == [0.0, pytest.approx(1e-6 * 4 / h ** 2)]
+    vals = smallest_eigenvalues(periodic_laplacian(n, h), 5, circle(n),
+                                sigma=SHIFT)
     assert np.abs(vals.imag).max() < 1e-7
     assert np.abs(np.sort(vals.real) - np.sort(closed_form_smallest(n, h, 5))
                   ).max() < 1e-6
