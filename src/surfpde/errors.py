@@ -30,7 +30,8 @@ class SingularMatrixError(SurfPDEError):
 
 
 class SolverAbortError(SurfPDEError):
-    """A time integration produced non-finite values."""
+    """A time integration stopped: a state left the finite range, or an
+    implicit step's iterative solve missed its residual bound."""
 
     def __init__(self, message, step=None, time=None):
         super().__init__(message)

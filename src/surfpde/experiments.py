@@ -5,9 +5,11 @@ order, so CSV output is byte-identical across runs.  Console rendering adds
 observed-order columns log2(err_N / err_2N) whenever two grids are present.
 
 A runner's independent tasks, one per grid, surface, stepper or form, run
-in a process pool with one worker per CPU (serially on one CPU).  The pool
-sends out the largest grids first, so the longest run does not start last;
-records keep the fixed order whatever order the tasks finish in.
+in a process pool with one worker per CPU (serially on one CPU).  Table
+3.2's two steppers share one task per surface and grid, so each of its
+grids is built once.  The pool sends out the largest grids first, so the
+longest run does not start last; records keep the fixed order whatever
+order the tasks finish in.
 """
 
 from __future__ import annotations
@@ -166,33 +168,34 @@ def run_diffusion_sphere(n_list=(80, 160),
 # table 3.2: diffusion on ellipsoid / cassini oval, successive-grid errors
 
 def _diffusion_pair_case(args):
-    n, surface, stepper = args
-    solver, k = _time_stepper(stepper, 8.0 / n ** 2, 1.0 / (10.0 * n))
+    n, surface = args
     disc = get_discretization(surface, n)
     p = disc.positions
     u0 = np.cos(p[:, 0] - p[:, 1] + p[:, 2])[:disc.n_p]
     alpha = 0.1
-    u = solver(disc, u0, alpha, k, round(1.0 / k), form="divergence")
-    return disc, disc.extend(u)
+    runs = {}
+    for stepper in ("fe", "bdf2"):
+        solver, k = _time_stepper(stepper, 8.0 / n ** 2, 1.0 / (10.0 * n))
+        u = solver(disc, u0, alpha, k, round(1.0 / k), form="divergence")
+        runs[stepper] = disc.extend(u)
+    return disc, runs
 
 
 def run_diffusion_pair(n_list=(80, 160),
                        surfaces=("ellipsoid", "cassini_oval")):
     n_list = tuple(n_list)
     all_n = tuple(sorted({*n_list, *(2 * n for n in n_list)}))
-    tasks = [(n, surface, stepper)
-             for surface in surfaces
-             for stepper in ("fe", "bdf2")
-             for n in all_n]
-    # each run returns its discretization, so a pool's parent builds none
+    tasks = [(n, surface) for surface in surfaces for n in all_n]
+    # each task returns its discretization, so a pool's parent builds none
     runs = dict(zip(tasks, _pmap(_diffusion_pair_case, tasks)))
     records = []
     for surface in surfaces:
         for stepper in ("fe", "bdf2"):
             for n in n_list:
-                emax, el2 = successive_errors(
-                    *runs[(n, surface, stepper)],
-                    *runs[(2 * n, surface, stepper)])
+                (coarse, u_coarse), (fine, u_fine) = (runs[(n, surface)],
+                                                      runs[(2 * n, surface)])
+                emax, el2 = successive_errors(coarse, u_coarse[stepper],
+                                              fine, u_fine[stepper])
                 tag = f"{surface}_{stepper}"
                 records.append((n, 1.0, f"{tag}_max", emax))
                 records.append((n, 1.0, f"{tag}_l2", el2))

@@ -1,12 +1,14 @@
-"""Sparse direct solves, the bordered mean-zero system, and eigenvalue helpers.
+"""Sparse solves, the bordered mean-zero system, and eigenvalue helpers.
 
 Everything here wraps scipy.sparse machinery behind the small set of
 operations the solvers need: a reusable LU factorization with iterative
 refinement, the mean-constrained (bordered) solve used by the surface
-Poisson problem, shift-invert eigenvalues, and dense resolvent entry reports.
-Every factorization is ordered by geometric nested dissection of the
-unknowns' coordinates (`dissection_order`), so each entry point that
-factors takes `points`, the (n, d) positions of the matrix's unknowns.
+Poisson problem, shift-invert eigenvalues, dense resolvent entry reports,
+and `BiCGSTAB`, the Jacobi-scaled Krylov iteration that solves each
+implicit diffusion step from a guess without factoring.  Every
+factorization is ordered by geometric nested dissection of the unknowns'
+coordinates (`dissection_order`), so each entry point that factors takes
+`points`, the (n, d) positions of the matrix's unknowns.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import SingularMatrixError
+from .errors import SingularMatrixError, SolverAbortError
 
 # reciprocal condition 1 / (||B|| |B^-1 1|) below which a pinned matrix B
 # counts as numerically singular
@@ -28,6 +30,8 @@ _BORDERED_RTOL = 1e-9         # bordered_solve residual bound, relative
 _EIG_RESIDUAL_TOL = 1e-8      # smallest_eigenvalues eigenpair residual bound
 _DENSE_EIG_LIMIT = 1200       # smallest_eigenvalues solves densely up to it
 _DENSE_INVERSE_LIMIT = 9000   # largest matrix resolvent_entry_report inverts
+_KRYLOV_RTOL = 1e-14          # BiCGSTAB residual bound, relative (see there)
+_KRYLOV_MAXITER = 500         # BiCGSTAB iterations per solve, at most
 
 
 def assemble_csr(rows, cols, vals, shape):
@@ -103,6 +107,10 @@ def dissection_order(points, mat):
     return np.argsort(path, kind="stable")
 
 
+def _inf_norm(mat):
+    return float(np.abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
+
+
 class Factorization:
     """Reusable sparse LU factorization with cheap iterative refinement.
 
@@ -121,7 +129,7 @@ class Factorization:
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got {mat.shape}")
         self._mat = mat
-        self._norm = float(np.abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
+        self._norm = _inf_norm(mat)
         self._perm = dissection_order(points, mat)
         try:
             self._lu = spla.splu(mat[self._perm][:, self._perm],
@@ -158,6 +166,82 @@ class Factorization:
             f"solve residual {resid:.3e} exceeds {_SOLVE_RTOL:.1e} x scale "
             f"{scale:.3e} after {_REFINE_PASSES} refinement passes (matrix "
             f"numerically singular)")
+
+
+def _amax(vec):
+    """||vec||_inf without a temporary; nan if vec holds one."""
+    return max(vec.max(initial=0.0), -vec.min(initial=0.0))
+
+
+def _dot(a, b):
+    # numpy's own loop, not BLAS: a threaded BLAS ddot between sparse
+    # products can take milliseconds, and this sum does not depend on the
+    # BLAS thread count
+    return np.einsum("i,i->", a, b)
+
+
+class BiCGSTAB:
+    """Bi-CGSTAB (van der Vorst 1992) on a Jacobi-scaled sparse matrix.
+
+    The rows of A are scaled once to a unit diagonal, D^-1 A.  solve(b, x0)
+    iterates on D^-1 A x = D^-1 b from the guess x0 until the updated
+    residual passes the backward-error test of Factorization.solve on the
+    scaled system, ||r||_inf <= _KRYLOV_RTOL (||D^-1 A||_inf ||x||_inf +
+    ||D^-1 b||_inf), and returns x only when the true residual passes it
+    too; otherwise it restarts from the true residual, as it does after a
+    breakdown.  It raises SolverAbortError naming the true residual when
+    that is not finite or still fails after _KRYLOV_MAXITER iterations.
+    """
+
+    def __init__(self, mat):
+        mat = sp.csr_matrix(mat)
+        self._diag = mat.diagonal()
+        self._mat = sp.csr_matrix(sp.diags(1.0 / self._diag) @ mat)
+        self._norm = _inf_norm(self._mat)
+
+    def solve(self, rhs, x0):
+        mat = self._mat
+        rhs = np.asarray(rhs, dtype=float) / self._diag
+        x = np.array(x0, dtype=float)
+        b_norm = _amax(rhs)
+
+        def converged(r):
+            return _amax(r) <= _KRYLOV_RTOL * (self._norm * _amax(x) + b_norm)
+
+        its = 0
+        while True:
+            r = rhs - mat @ x
+            if converged(r):
+                return x
+            if its >= _KRYLOV_MAXITER or not np.isfinite(_amax(r)):
+                raise SolverAbortError(
+                    f"Bi-CGSTAB residual {_amax(r):.3e} exceeds "
+                    f"{_KRYLOV_RTOL:.0e} x (||A|| ||x|| + ||b||) = "
+                    f"{self._norm * _amax(x) + b_norm:.3e} after {its} "
+                    f"iterations")
+            shadow, p = r.copy(), r.copy()
+            rho = _dot(shadow, r)
+            try:
+                with np.errstate(divide="raise", invalid="raise"):
+                    while its < _KRYLOV_MAXITER:
+                        its += 1
+                        v = mat @ p
+                        alpha = rho / _dot(shadow, v)
+                        x += alpha * p
+                        r -= alpha * v
+                        if converged(r):
+                            break
+                        t = mat @ r
+                        omega = _dot(t, r) / _dot(t, t)
+                        x += omega * r
+                        r -= omega * t
+                        if converged(r):
+                            break
+                        rho, rho_old = _dot(shadow, r), rho
+                        beta = rho / rho_old * alpha / omega
+                        p = r + beta * (p - omega * v)
+            except FloatingPointError:
+                pass  # a breakdown: restart from the true residual
 
 
 def bordered_solve(mat, rhs, points):

@@ -1,11 +1,15 @@
 """Surface diffusion stepping: explicit/implicit marching, reduced-operator
-equivalence, exact-decay accuracy on the sphere, and abort behavior."""
+equivalence, exact-decay accuracy on the sphere, agreement of the Krylov
+BDF2 march with a sparse-LU march, and abort behavior."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from surfpde import linalg
+from surfpde.curve1d import circle, discretize_curve
 from surfpde.diffusion import bdf2_solve, forward_euler_solve
+from surfpde.discretization import Grid
 from surfpde.errors import SolverAbortError
 from surfpde.experiments import get_discretization, run_diffusion_sphere
 from surfpde.linalg import Factorization
@@ -77,6 +81,50 @@ def test_bdf2_startup_is_one_backward_euler_step(sphere40, cubic_harmonic):
                        sphere40.positions[:sphere40.n_p]).solve(cubic_harmonic)
     assert np.abs(bdf2_solve(sphere40, cubic_harmonic, ALPHA, k, 1) - manual) \
         .max() < 1e-12
+
+
+def lu_bdf2(disc, u0_p, alpha, k, n_steps, form):
+    """The BDF2 march with both implicit matrices factored: the oracle."""
+    red = reduced_operator(laplace_beltrami(disc, form), disc)
+    eye = sp.identity(disc.n_p, format="csr")
+    points = disc.positions[:disc.n_p]
+    u_prev = np.asarray(u0_p, dtype=float)
+    u = Factorization(eye - k * alpha * red, points).solve(u_prev)
+    fac = Factorization(eye - (2.0 / 3.0) * k * alpha * red, points)
+    for _ in range(1, n_steps):
+        u, u_prev = fac.solve((4.0 * u - u_prev) / 3.0), u
+    return u
+
+
+@pytest.mark.parametrize("case", ["sphere40 divergence",
+                                  "sphere40 nondivergence",
+                                  "ellipsoid40", "circle80"])
+def test_bdf2_matches_lu_march(case):
+    # each run's own step: Table 3.1, Table 3.2, and k = h/4 on the circle
+    if case == "circle80":
+        disc = discretize_curve(circle(), Grid.square(-1.2, 1.2, 80))
+        alpha, k, form = 1.0, disc.grid.h / 4.0, "divergence"
+    elif case == "ellipsoid40":
+        disc = get_discretization("ellipsoid", 40)
+        alpha, k, form = 0.1, 1.0 / 400, "divergence"
+    else:
+        disc = get_discretization("sphere", 40)
+        alpha, k, form = ALPHA, 1.0 / 80, case.split()[1]
+    p = disc.positions[:disc.n_p]
+    u0 = np.cos(p[:, 0] - p[:, 1] + p[:, -1]) + p[:, 0] * p[:, 1]
+    got = bdf2_solve(disc, u0, alpha, k, 40, form)
+    want = lu_bdf2(disc, u0, alpha, k, 40, form)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_bdf2_stops_at_the_iteration_cap(sphere40, cubic_harmonic,
+                                         monkeypatch):
+    monkeypatch.setattr(linalg, "_KRYLOV_MAXITER", 1)
+    with pytest.raises(SolverAbortError, match="residual") as info:
+        bdf2_solve(sphere40, cubic_harmonic, ALPHA, 1.0 / 400, 10)
+    assert info.value.step == 1
+    assert info.value.time == pytest.approx(1.0 / 400)
+    assert "after 1 iterations" in str(info.value)
 
 
 def test_unstable_step_aborts_with_location(sphere40, cubic_harmonic):

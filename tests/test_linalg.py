@@ -7,9 +7,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from surfpde import Grid, discretize, make_surface
-from surfpde.errors import SingularMatrixError
-from surfpde.linalg import (Factorization, assemble_csr, bordered_solve,
-                            resolvent_entry_report, smallest_eigenvalues)
+from surfpde.errors import SingularMatrixError, SolverAbortError
+from surfpde.linalg import (BiCGSTAB, Factorization, assemble_csr,
+                            bordered_solve, resolvent_entry_report,
+                            smallest_eigenvalues)
 from surfpde.operators import laplace_beltrami, reduced_operator
 
 # a shift-invert shift right of the nonpositive spectra below, as in
@@ -66,6 +67,14 @@ def test_refinement_failure_raises():
     fac._mat = sp.csc_matrix(2.0 * dense)
     with pytest.raises(SingularMatrixError, match="residual"):
         fac.solve(rng.normal(size=40))
+
+
+def test_bicgstab_breakdown_ends_in_abort():
+    # r0 = (1, 1) is orthogonal to A r0, so the first step breaks down
+    # each time the iteration restarts; the abort names the true residual
+    mat = sp.csr_matrix([[1.0, -2.0], [0.0, 1.0]])
+    with pytest.raises(SolverAbortError, match=r"residual 1\.000e\+00 "):
+        BiCGSTAB(mat).solve(np.ones(2), np.zeros(2))
 
 
 def closed_form_smallest(n, h, count):

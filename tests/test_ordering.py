@@ -23,7 +23,12 @@ def disc_at(name, n, seed):
 
 
 def factored_matrices(disc, n):
-    """The three kinds of matrix the package factors on the primaries."""
+    """Three fill cases for the nested-dissection order on the primaries.
+
+    The pinned Poisson and shifted matrices are the ones the package
+    factors.  BDF2 now solves its step matrix iteratively, but that matrix
+    stays here as a third pattern, diagonally dominant, for the order.
+    """
     red = sp.csc_matrix(
         reduced_operator(laplace_beltrami(disc, "divergence"), disc))
     eye = sp.identity(disc.n_p, format="csc")
