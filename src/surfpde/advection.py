@@ -33,7 +33,7 @@ def exact_solution(points, t):
     return r2 / (shifted ** 2 + r2)
 
 
-def exact_integral(t, epsabs=1e-12):
+def exact_integral(t):
     """Surface integral of the exact solution over the unit sphere."""
     def integrand(phi, theta):
         st = np.sin(theta)
@@ -43,7 +43,7 @@ def exact_integral(t, epsabs=1e-12):
         return exact_solution(np.array([x, y, z]), t) * st
 
     val, _ = dblquad(integrand, 0.0, np.pi, 0.0, 2.0 * np.pi,
-                     epsabs=epsabs, epsrel=1e-12)
+                     epsabs=1e-12, epsrel=1e-12)
     return val
 
 

@@ -29,7 +29,6 @@ from .serialization import dump_discretization, load_discretization
 
 OUTDIR_ENV = "SURFPDE_OUTDIR"
 
-_FORM_NAMES = {"div": "divergence", "nondiv": "nondivergence"}
 _STEPPERS = ("fe", "bdf2", "both")
 
 
@@ -134,17 +133,22 @@ def _merge(args, defaults):
 
 
 def _resolve_form(name):
-    form = _FORM_NAMES.get(name, name)
-    if form in _FORM_NAMES.values():
+    form = ex.FORM_NAMES.get(name, name)
+    if form in ex.FORM_NAMES.values():
         return form
     raise SurfPDEError(f"unknown operator form {name!r} (div or nondiv)")
 
 
+def _out_path(args, name):
+    """--out, else `name` in $SURFPDE_OUTDIR when it is set, else None."""
+    if args.out is None and os.environ.get(OUTDIR_ENV):
+        return os.path.join(os.environ[OUTDIR_ENV], name)
+    return args.out
+
+
 def _emit(args, experiment, records):
     print(ex.render_table(experiment, records))
-    out = args.out
-    if out is None and os.environ.get(OUTDIR_ENV):
-        out = os.path.join(os.environ[OUTDIR_ENV], f"{experiment}.csv")
+    out = _out_path(args, f"{experiment}.csv")
     if out:
         ex.write_csv(out, experiment, records)
         print(f"wrote {out}")
@@ -167,10 +171,7 @@ def _discretize(args):
                       Grid.cube(-ex.BOX_HALF, ex.BOX_HALF, n), eta=args.eta)
     print(f"surface={args.surface} N={n}: n_tot={disc.n_tot} "
           f"n_p={disc.n_p} h={disc.grid.h:g}")
-    out = args.out
-    if out is None and os.environ.get(OUTDIR_ENV):
-        out = os.path.join(os.environ[OUTDIR_ENV],
-                           f"{args.surface}-{n}.npz")
+    out = _out_path(args, f"{args.surface}-{n}.npz")
     if out:
         dump_discretization(disc, out)
         print(f"wrote {out}")

@@ -4,10 +4,12 @@ Each runner returns a flat record list (N, time, metric, value) in a fixed
 order, so CSV output is byte-identical across runs.  Console rendering adds
 observed-order columns log2(err_N / err_2N) whenever two grids are present.
 
-A runner's independent tasks, one per grid, surface, stepper or form, run
-in a process pool with one worker per CPU (serially on one CPU).  Table
-3.2's two steppers share one task per surface and grid, so each of its
-grids is built once.  The pool sends out the largest grids first, so the
+A runner's independent tasks, one per grid, surface, curve, stepper or
+form, run in a process pool with one worker per CPU (serially on one CPU).
+Each task's `_case` returns its own records, and `_table` joins them in
+task order.  Table 3.2's records each compare two grids' runs, so its cases
+return the runs; both steppers share one task per surface and grid, so each
+grid is built once.  The pool sends out the largest grids first, so the
 longest run does not start last; records keep the fixed order whatever
 order the tasks finish in.
 """
@@ -26,7 +28,8 @@ from . import advection as adv_mod
 from . import swe as swe_mod
 from .curve1d import discretize_curve, m_matrix_report, make_curve
 from .diffusion import bdf2_solve, forward_euler_solve
-from .discretization import Grid, discretize, interpolation_coefficients
+from .discretization import (SLOT, Grid, discretize,
+                             interpolation_coefficients)
 from .errors import StencilError
 from .fields import error_norms
 from .geometry import make_surface
@@ -39,17 +42,19 @@ from .spectrum import (cluster_errors, laplacian_eigenvalues,
 BOX_HALF = 1.2
 SPHERE_CLUSTERS = tuple(-n * (n + 1) for n in range(7))
 SPHERE_MULTIPLICITIES = tuple(2 * n + 1 for n in range(7))
+# short operator-form names, as the CLI and the record tags spell them
+FORM_NAMES = {"div": "divergence", "nondiv": "nondivergence"}
 
 _DISC_CACHE: dict = {}
 
 
-def get_discretization(surface_name, n, eta=0.45):
-    """Build (and memoize per process) a catalog-surface discretization."""
-    key = (surface_name, int(n), float(eta))
+def get_discretization(surface_name, n):
+    """Build (and memoize per process) a catalog-surface discretization
+    at the default admissibility bound eta."""
+    key = (surface_name, int(n))
     if key not in _DISC_CACHE:
-        surf = make_surface(surface_name)
-        grid = Grid.cube(-BOX_HALF, BOX_HALF, int(n))
-        _DISC_CACHE[key] = discretize(surf, grid, eta=eta)
+        grid = Grid.cube(-BOX_HALF, BOX_HALF, key[1])
+        _DISC_CACHE[key] = discretize(make_surface(surface_name), grid)
     return _DISC_CACHE[key]
 
 
@@ -77,6 +82,11 @@ def _pmap(fn, tasks):
     return results
 
 
+def _table(case, tasks):
+    """The records of every task in task order; each case returns a list."""
+    return [rec for recs in _pmap(case, tasks) for rec in recs]
+
+
 # ---------------------------------------------------------------------------
 # fine-to-coarse comparison
 
@@ -100,9 +110,11 @@ def chart_interpolate(fine, full_values, points):
     _, picked = tree.query(points, k=1)
     owner = hosts[picked]
     nb = fine.chart_neighbors[owner]
-    ids = np.stack([np.stack([nb[:, 0], nb[:, 1], nb[:, 2]], axis=1),
-                    np.stack([nb[:, 3], owner, nb[:, 4]], axis=1),
-                    np.stack([nb[:, 5], nb[:, 6], nb[:, 7]], axis=1)], axis=1)
+    # ids[:, 1 + o1, 1 + o2] is the point at chart offset (o1, o2)
+    ids = np.empty((len(points), 3, 3), dtype=nb.dtype)
+    ids[:, 1, 1] = owner
+    for (o1, o2), slot in SLOT.items():
+        ids[:, 1 + o1, 1 + o2] = nb[:, slot]
     c1, c2 = primary_chart_axes(fine)
     rows = np.arange(len(points))
     d1 = (points[rows, c1[owner]]
@@ -146,7 +158,10 @@ def _diffusion_sphere_case(args):
     n_steps = round(1.0 / k)
     u = solver(disc, u0, alpha, k, n_steps, form=form)
     exact = math.exp(-1.0) * _sphere_initial(disc.positions)
-    return error_norms(disc.extend(u), exact)
+    emax, el2 = error_norms(disc.extend(u), exact)
+    short = {name: s for s, name in FORM_NAMES.items()}[form]
+    tag = f"{stepper}_{short}"
+    return [(n, 1.0, f"{tag}_max", emax), (n, 1.0, f"{tag}_l2", el2)]
 
 
 def run_diffusion_sphere(n_list=(80, 160),
@@ -154,14 +169,7 @@ def run_diffusion_sphere(n_list=(80, 160),
                          steppers=("fe", "bdf2")):
     combos = [(form, stepper) for form in forms for stepper in steppers]
     tasks = [(n, stepper, form) for n in n_list for form, stepper in combos]
-    results = _pmap(_diffusion_sphere_case, tasks)
-    records = []
-    short = {"nondivergence": "nondiv", "divergence": "div"}
-    for (n, stepper, form), (emax, el2) in zip(tasks, results):
-        tag = f"{stepper}_{short[form]}"
-        records.append((n, 1.0, f"{tag}_max", emax))
-        records.append((n, 1.0, f"{tag}_l2", el2))
-    return records
+    return _table(_diffusion_sphere_case, tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +219,13 @@ def _eigen_case(args):
     count = sum(SPHERE_MULTIPLICITIES)
     eigs, max_imag = laplacian_eigenvalues(disc, count, form=form)
     errs = cluster_errors(eigs, SPHERE_CLUSTERS, SPHERE_MULTIPLICITIES)
-    return errs, max_imag
+    return ([(n, 0.0, f"cluster_n{level}", float(err))
+             for level, err in enumerate(errs)]
+            + [(n, 0.0, "max_imag", float(max_imag))])
 
 
 def run_eigenvalues(n_list=(40, 80), form="divergence"):
-    results = _pmap(_eigen_case, [(n, form) for n in n_list])
-    records = []
-    for n, (errs, max_imag) in zip(n_list, results):
-        for level, err in enumerate(errs):
-            records.append((n, 0.0, f"cluster_n{level}", float(err)))
-        records.append((n, 0.0, "max_imag", float(max_imag)))
-    return records
+    return _table(_eigen_case, [(n, form) for n in n_list])
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +240,12 @@ def _poisson_case(args):
     u, beta = poisson_solve(disc, f, form="divergence")
     exact = np.cos(s)
     exact = exact - exact.mean()
-    return float(np.abs(u - exact).max()), float(beta)
+    return [(n, 0.0, "err_max", float(np.abs(u - exact).max())),
+            (n, 0.0, "beta", float(beta))]
 
 
 def run_poisson(n_list=(80, 160)):
-    results = _pmap(_poisson_case, [(n,) for n in n_list])
-    records = []
-    for n, (emax, beta) in zip(n_list, results):
-        records.append((n, 0.0, "err_max", emax))
-        records.append((n, 0.0, "beta", beta))
-    return records
+    return _table(_poisson_case, [(n,) for n in n_list])
 
 
 # ---------------------------------------------------------------------------
@@ -255,26 +255,21 @@ def _advection_case(args):
     n, times = args
     disc = get_discretization("sphere", n)
     qw = quadrature_weights(disc)
-    out = []
+    records = []
     for t, u_p in adv_mod.solve_advection(disc, times):
         full = disc.extend(u_p)
         exact = adv_mod.exact_solution(disc.positions, t)
         emax, el2 = error_norms(full, exact)
         ref = adv_mod.exact_integral(t)
         rel_int = (qw.integrate(full) - ref) / ref
-        out.append((t, emax, el2, float(rel_int)))
-    return out
+        records += [(n, t, "err_max", emax), (n, t, "err_l2", el2),
+                    (n, t, "int_rel", float(rel_int))]
+    return records
+
 
 def run_advection(n_list=(80, 160, 320), times=(1.0, 2.0, 5.0)):
     times = tuple(float(t) for t in times)
-    results = _pmap(_advection_case, [(n, times) for n in n_list])
-    records = []
-    for n, rows in zip(n_list, results):
-        for t, emax, el2, rel_int in rows:
-            records.append((n, t, "err_max", emax))
-            records.append((n, t, "err_l2", el2))
-            records.append((n, t, "int_rel", rel_int))
-    return records
+    return _table(_advection_case, [(n, times) for n in n_list])
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +285,9 @@ def _swe_case(args):
                                                             params)
     mass_ref = swe_mod.exact_height_integral(params)
     energy_ref = swe_mod.exact_energy_integral(params)
-    out = []
+    names = ("mom_max", "phi_max", "mom_l2", "phi_l2",
+             "energy_int", "mass_int")
+    records = []
     for t, phi_p, mom_p in swe_mod.solve_swe(disc, params, days):
         phi = disc.extend(phi_p)
         mom = disc.extend(mom_p)
@@ -299,24 +296,16 @@ def _swe_case(args):
         vel = mom / phi[:, None]
         energy = qw.integrate((vel ** 2).sum(axis=1))
         mass = qw.integrate(phi)
-        out.append((t, mmax, pmax, ml2, pl2,
-                    float((energy - energy_ref) / energy_ref),
-                    float((mass - mass_ref) / mass_ref)))
-    return out
+        values = (mmax, pmax, ml2, pl2,
+                  float((energy - energy_ref) / energy_ref),
+                  float((mass - mass_ref) / mass_ref))
+        records += [(n, t, name, v) for name, v in zip(names, values)]
+    return records
 
 
 def run_swe(nu, n_list=(80, 160), days=(1.0, 2.0, 5.0)):
     days = tuple(float(d) for d in days)
-    results = _pmap(_swe_case, [(n, days, float(nu)) for n in n_list])
-    records = []
-    names = ("mom_max", "phi_max", "mom_l2", "phi_l2",
-             "energy_int", "mass_int")
-    for n, rows in zip(n_list, results):
-        for row in rows:
-            t, values = row[0], row[1:]
-            for name, value in zip(names, values):
-                records.append((n, t, name, value))
-    return records
+    return _table(_swe_case, [(n, days, float(nu)) for n in n_list])
 
 
 # ---------------------------------------------------------------------------
@@ -327,37 +316,38 @@ def _quadrature_case(args):
     disc = get_discretization("sphere", n)
     qw = quadrature_weights(disc)
     area = float(qw.weights.sum())
-    return (area - 4.0 * math.pi) / (4.0 * math.pi)
+    return [(n, 0.0, "area_rel", (area - 4.0 * math.pi) / (4.0 * math.pi))]
 
 
 def run_quadrature(n_list=(40, 80, 160)):
-    results = _pmap(_quadrature_case, [(n,) for n in n_list])
-    return [(n, 0.0, "area_rel", float(v)) for n, v in zip(n_list, results)]
+    return _table(_quadrature_case, [(n,) for n in n_list])
 
 
 # ---------------------------------------------------------------------------
 # resolvent sign reports for plane curves
 
+def _curve_resolvent_case(args):
+    n, kind, sigmas = args
+    disc = discretize_curve(make_curve(kind),
+                            Grid.square(-BOX_HALF, BOX_HALF, n))
+    records = []
+    for rep in resolvent_report(disc, list(sigmas)):
+        tag = f"{kind}_s{rep['sigma']:g}"
+        records += [(n, 0.0, f"{tag}_min_entry", float(rep["min_entry"])),
+                    (n, 0.0, f"{tag}_rowsum_dev",
+                     float(rep["max_rowsum_dev"]))]
+    for sigma in sigmas:
+        rep = m_matrix_report(disc, sigma)
+        records.append((n, 0.0, f"{kind}_s{sigma:g}_m_matrix",
+                        1.0 if rep["is_m_matrix"] else 0.0))
+    return records
+
+
 def run_curve_resolvent(curves=("circle", "ellipse"), n_list=(80, 160),
                         sigmas=(0.75, 1.0, 2.0)):
-    records = []
-    for kind in curves:
-        curve = make_curve(kind)
-        for n in n_list:
-            disc = discretize_curve(curve,
-                                    Grid.square(-BOX_HALF, BOX_HALF, n))
-            reports = resolvent_report(disc, list(sigmas))
-            for rep in reports:
-                tag = f"{kind}_s{rep['sigma']:g}"
-                records.append((n, 0.0, f"{tag}_min_entry",
-                                float(rep["min_entry"])))
-                records.append((n, 0.0, f"{tag}_rowsum_dev",
-                                float(rep["max_rowsum_dev"])))
-            for sigma in sigmas:
-                rep = m_matrix_report(disc, sigma)
-                records.append((n, 0.0, f"{kind}_s{sigma:g}_m_matrix",
-                                1.0 if rep["is_m_matrix"] else 0.0))
-    return records
+    sigmas = tuple(sigmas)
+    return _table(_curve_resolvent_case,
+                  [(n, kind, sigmas) for kind in curves for n in n_list])
 
 
 # ---------------------------------------------------------------------------

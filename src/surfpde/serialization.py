@@ -25,7 +25,7 @@ FORMAT_VERSION = 3
 
 
 def dump_discretization(disc, path):
-    """Write a discretization's record to `path` (npz)."""
+    """Write a discretization's record to `path` itself (npz container)."""
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -41,7 +41,9 @@ def dump_discretization(disc, path):
     payload = {name: getattr(disc, name) for name in RECORD_ARRAYS}
     payload["header"] = np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    np.savez_compressed(path, **payload)
+    # through an open file: given a name, numpy would append ".npz"
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **payload)
 
 
 def _check_record(path, arrays, dim, n_p, n_tot):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 
 import pytest
 
@@ -145,12 +146,16 @@ def test_csv_output_is_deterministic(tmp_path, capsys):
 
 
 def test_worker_pool_output_matches_serial(monkeypatch):
-    # Table 3.2's tasks run on every CPU; one CPU runs them in turn
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    pooled = ex.run_diffusion_pair((48,), surfaces=("ellipsoid",))
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    serial = ex.run_diffusion_pair((48,), surfaces=("ellipsoid",))
-    assert pooled == serial
+    # a table's tasks run on every CPU; one CPU runs them in turn.  Table
+    # 3.2 pairs its tasks' runs itself, the others join their cases' records
+    runs = (partial(ex.run_diffusion_pair, (48,), surfaces=("ellipsoid",)),
+            partial(ex.run_curve_resolvent, ("circle",), (20, 40), (1.0,)),
+            partial(ex.run_quadrature, (20, 40)))
+    for run in runs:
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pooled = run()
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert pooled == run(), run.func.__name__
 
 
 @pytest.mark.parametrize("cpus", [2, 1], ids=["pool", "serial"])
@@ -193,21 +198,24 @@ def test_diffuse_runs_both_steppers(capsys):
 
 def test_outdir_environment_variable(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SURFPDE_OUTDIR", str(tmp_path))
-    assert main(["quad", "--N", "20"]) == 0
-    assert "wrote" in capsys.readouterr().out
-    assert (tmp_path / "quad.csv").exists()
+    for argv, name in ((["quad", "--N", "20"], "quad.csv"),
+                       (["discretize", "--N", "20"], "sphere-20.npz")):
+        assert main(argv) == 0
+        assert f"wrote {tmp_path / name}" in capsys.readouterr().out
+        assert (tmp_path / name).exists()
 
 
 def test_dump_and_load_roundtrip(tmp_path, capsys):
-    path = tmp_path / "sphere-20.npz"
-    assert main(["discretize", "--N", "20", "--out", str(path)]) == 0
-    built = capsys.readouterr().out
-    assert path.exists()
-    assert main(["discretize", "--load", str(path)]) == 0
-    loaded = capsys.readouterr().out
-    for token in ("n_tot=", "n_p="):
-        value = built.split(token)[1].split()[0]
-        assert token + value in loaded
+    # --out names the file written; no .npz is appended to a bare name
+    for path in (tmp_path / "sphere-20.npz", tmp_path / "x"):
+        assert main(["discretize", "--N", "20", "--out", str(path)]) == 0
+        built = capsys.readouterr().out
+        assert f"wrote {path}\n" in built and path.exists()
+        assert main(["discretize", "--load", str(path)]) == 0
+        loaded = capsys.readouterr().out
+        for token in ("n_tot=", "n_p="):
+            value = built.split(token)[1].split()[0]
+            assert token + value in loaded
 
 
 @pytest.mark.parametrize("argv", [["--list"], ["discretize", "--N", "20"]])

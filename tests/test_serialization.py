@@ -48,6 +48,15 @@ def test_curve_round_trip(tmp_path):
     assert (back.extension_matrix() != disc.extension_matrix()).nnz == 0
 
 
+def test_dump_writes_exactly_the_given_path(sphere40, tmp_path):
+    # a path without the .npz suffix gets none appended
+    path = tmp_path / "disc"
+    dump_discretization(sphere40, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["disc"]
+    back = load_discretization(path)
+    np.testing.assert_array_equal(back.positions, sphere40.positions)
+
+
 def test_file_holds_only_the_record(sphere40, tmp_path):
     path = tmp_path / "disc.npz"
     dump_discretization(sphere40, path)
