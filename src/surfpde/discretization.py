@@ -31,6 +31,11 @@ finiteness and box containment on the way, and keeps only the sign-change
 intervals and the last plane's inside flags; the cuts on those intervals
 are then bisected by `geometry._batch_bisect`.  Working memory is one slab
 plus O(N^2) per-cut arrays rather than (N+1)^3 values of phi.
+
+Cut order: the scan returns the cuts sorted by (axis, base index in C
+order), one per interval.  Snapping, dedupe and admissibility only filter,
+so `_cut_points` keeps this order, checks it in O(m), and keeps it within
+the primary and the secondary block without sorting the cuts again.
 """
 
 from __future__ import annotations
@@ -91,8 +96,10 @@ class Grid:
     n_cells: tuple
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise GridError(f"grid spacing must be positive, got {self.h}")
+        if not (math.isfinite(self.h) and self.h > 0
+                and np.isfinite(self.origin).all()):
+            raise GridError(f"grid needs a finite origin and a finite spacing "
+                            f"h > 0, got origin {self.origin}, h {self.h}")
 
     @classmethod
     def _box(cls, lo, hi, n, dim):
@@ -328,8 +335,8 @@ def _scan_sign_changes(surface, grid):
     evaluated once and only the last plane's inside flags carry over to
     the next slab.  Raises GridError at the first non-finite phi, and
     after the pass if a boundary node has phi <= 0.  Returns, per axis,
-    the base indices of the changing intervals in C order and whether
-    each interval's low end is inside.
+    the base indices of the changing intervals in the cut order of the
+    module docstring and whether each interval's low end is inside.
     """
     shape = grid.shape
     dim = len(shape)
@@ -377,8 +384,8 @@ def _admissible_mask(normals, axis, eta):
 
 
 def _locate_cuts(surface, grid, tol=BISECT_TOL):
-    """Per axis, the base indices of all sign-change intervals (C order)
-    and the bisected cut point on each."""
+    """Per axis, the base indices of all sign-change intervals and the
+    bisected cut point on each, in the cut order of the module docstring."""
     origin = np.asarray(grid.origin)
     out = []
     for axis, (base, lo_is_in) in enumerate(_scan_sign_changes(surface, grid)):
@@ -394,20 +401,21 @@ def _locate_cuts(surface, grid, tol=BISECT_TOL):
     return out
 
 
-def _snap_and_dedupe(grid, positions, axis, base, normals):
+def _snap_and_dedupe(surface, grid, positions, axis, base, normals):
     """Snap near-grid-point cuts to grid points exactly and keep only one
-    record per snapped node: the axis of largest |n| component."""
+    record per snapped node: the axis of largest |n| component.  Returns
+    the keep mask, positions and normals (recomputed where snapped)."""
     origin = np.asarray(grid.origin)
     free = positions[np.arange(len(axis)), axis]
     scaled = (free - origin[axis]) / grid.h
     nearest = np.rint(scaled)
     snap = np.abs(scaled - nearest) <= _SNAP_TOL
+    keep = np.ones(len(axis), dtype=bool)
     if not snap.any():
-        return np.ones(len(axis), dtype=bool), positions, False
+        return keep, positions, normals
     positions = positions.copy()
     positions[snap, axis[snap]] = origin[axis[snap]] + grid.h * nearest[snap]
 
-    keep = np.ones(len(axis), dtype=bool)
     node = base.copy()
     node[np.arange(len(axis)), axis] = 0
     node[snap, axis[snap]] = nearest[snap].astype(np.int64)
@@ -424,7 +432,9 @@ def _snap_and_dedupe(grid, positions, axis, base, normals):
             int(np.argmax(np.abs(normals[group, axis[group]])))]
         keep[group] = False
         keep[chosen] = True
-    return keep, positions, True
+    normals = normals.copy()
+    normals[snap] = surface.unit_normal(positions[snap])
+    return keep, positions, normals
 
 
 def _column_key(axis, chart_index, bmax):
@@ -435,12 +445,14 @@ def _column_key(axis, chart_index, bmax):
     return key
 
 
-def _resolve_neighbors(grid, positions, axis, base, n_p):
+def _resolve_neighbors(grid, positions, axis, base, n_p, eta):
     """For each primary point, resolve its chart-stencil neighbor ids.
 
     Candidates share the primary's set Gamma_nu and the queried chart
-    indices; when a chart column crosses several sheets of the level set
-    the candidate nearest in the free coordinate is taken.
+    column; the one nearest in the free coordinate is taken, ties to the
+    lower.  An admissible sheet moves at most sqrt(1-eta^2)/eta per unit of
+    chart distance, so a candidate farther than that times |offset|, plus
+    h, lies on another sheet of the level set and the slot stays -1.
     """
     n_tot, dim = positions.shape
     idx = np.arange(n_tot)
@@ -448,34 +460,27 @@ def _resolve_neighbors(grid, positions, axis, base, n_p):
     bmax = max(grid.n_cells) + 3
     key = _column_key(axis, chart, bmax)
     pos_free = positions[idx, axis]
-    # exact (column, free coordinate) order; the rank of each free
-    # coordinate makes it one int64 sort key for the searches below
-    order = np.lexsort((pos_free, key))
-    distinct, rank = np.unique(pos_free, return_inverse=True)
-    sortval = key * distinct.size + rank
-    s_sortval = sortval[order]
+    # column by column, in free order (a column has one cut per interval)
+    order = np.argsort(key * bmax + base[idx, axis])
     s_key = key[order]
     s_pos = pos_free[order]
+    starts = np.flatnonzero(np.r_[True, s_key[1:] != s_key[:-1], True])
+    widest = int(np.diff(starts).max())
 
-    p_axis = axis[:n_p]
-    p_rank = rank[:n_p]
-    p_pos = pos_free[:n_p]
+    prim = np.arange(n_p)
     offsets = np.asarray(STENCIL_OFFSETS[dim])
-    out = np.full((n_p, len(offsets)), -1, dtype=np.int64)
+    reach = (np.linalg.norm(offsets, axis=1) * math.sqrt(1.0 - eta ** 2)
+             / eta + 1.0) * grid.h
+    out = np.empty((n_p, len(offsets)), dtype=np.int64)
     for slot, off in enumerate(offsets):
-        qkey = _column_key(p_axis, chart[:n_p] + off, bmax)
-        j = np.searchsorted(s_sortval, qkey * distinct.size + p_rank)
-        best = np.full(n_p, -1, dtype=np.int64)
-        best_d = np.full(n_p, np.inf)
-        for cand in (j - 1, j):
-            ok = (cand >= 0) & (cand < n_tot)
-            cc = np.clip(cand, 0, n_tot - 1)
-            ok &= s_key[cc] == qkey
-            d = np.where(ok, np.abs(s_pos[cc] - p_pos), np.inf)
-            better = d < best_d
-            best = np.where(better, order[cc], best)
-            best_d = np.where(better, d, best_d)
-        out[:, slot] = best
+        qkey = _column_key(axis[:n_p], chart[:n_p] + off, bmax)
+        cand = np.searchsorted(s_key, qkey) + np.arange(widest)[:, None]
+        cc = np.minimum(cand, n_tot - 1)
+        d = np.where((cand < n_tot) & (s_key[cc] == qkey),
+                     np.abs(s_pos[cc] - pos_free[:n_p]), np.inf)
+        k = np.argmin(d, axis=0)   # the first of equals: lower free coordinate
+        out[:, slot] = np.where(d[k, prim] <= reach[slot],
+                                order[cc[k, prim]], -1)
     return out
 
 
@@ -483,10 +488,11 @@ def _cut_points(surface, grid, eta, tol=BISECT_TOL):
     """Cut points, roles and chart neighbors of `surface` on `grid`.
 
     The steps shared by curves and surfaces, from the streamed sign-change
-    scan to the stencil lookup.  Returns the per-point arrays under the constructor
-    names of SurfaceDiscretization (primary points first, each block
-    ordered by (axis, base index)) and the number of located cuts that
-    failed the admissibility test.
+    scan to the stencil lookup.  Returns the per-point arrays under the
+    constructor names of SurfaceDiscretization (primary points first, each
+    block in the cut order of the module docstring) and the number of
+    located cuts that failed the admissibility test.  Raises GridError if
+    the located cuts break that order or repeat an interval.
     """
     located = _locate_cuts(surface, grid, tol)
     dim = len(located)
@@ -497,59 +503,52 @@ def _cut_points(surface, grid, eta, tol=BISECT_TOL):
     if positions.shape[0] == 0:
         raise EmptySurfaceError("no grid interval crosses the level set")
 
-    normals = surface.unit_normal(positions)
-    keep, positions, snapped = _snap_and_dedupe(grid, positions, axis, base,
-                                                normals)
-    if not keep.all():
-        base, positions = base[keep], positions[keep]
-        axis, normals = axis[keep], normals[keep]
-    if snapped:
-        normals = surface.unit_normal(positions)
-
+    keep, positions, normals = _snap_and_dedupe(
+        surface, grid, positions, axis, base, surface.unit_normal(positions))
     admissible = _admissible_mask(normals, axis, eta)
-    base, positions = base[admissible], positions[admissible]
-    axis, normals = axis[admissible], normals[admissible]
+    use = keep & admissible
+    base, positions = base[use], positions[use]
+    axis, normals = axis[use], normals[use]
     if positions.shape[0] == 0:
         raise EmptySurfaceError(
-            f"all {admissible.size} located cut points failed the "
+            f"all {int(keep.sum())} located cut points failed the "
             f"admissibility test at eta={eta}")
 
     m = positions.shape[0]
     ids = np.arange(m)
     origin = np.asarray(grid.origin)
     scaled = (positions[ids, axis] - origin[axis]) / grid.h
-    frac = scaled - base[ids, axis]
-    offset = (frac > 0.5).astype(np.int64)
     closest = base.copy()
-    closest[ids, axis] += offset
+    closest[ids, axis] += scaled - base[ids, axis] > 0.5
     theta = np.clip(scaled - closest[ids, axis], -0.5, 0.5)
 
-    # at most one admissible cut per grid interval
+    # the cut order holds: at most one cut per grid interval, in order
     interval_key = np.ravel_multi_index(
         np.vstack([axis.astype(np.int64), base.T]), (dim,) + grid.shape)
-    if np.unique(interval_key).size != m:
-        raise GridError("duplicate cut points on a single grid interval")
+    bad = np.diff(interval_key) <= 0
+    if bad.any():
+        i = int(np.argmax(bad)) + 1
+        raise GridError(f"duplicate or out-of-order cut points: the cut on "
+                        f"the grid interval along axis {axis[i]} from node "
+                        f"{_node_text(grid, base[i])} breaks the cut order")
 
     # primary = smallest |theta| at its grid point; exact ties go to the
     # lowest base index, then the lowest axis
     gp_key = np.ravel_multi_index(closest.T, grid.shape)
-    order = np.lexsort((axis,) + tuple(base[:, ::-1].T)
-                       + (np.abs(theta), gp_key))
+    order = np.lexsort((np.ravel_multi_index(base.T, grid.shape) * dim + axis,
+                        np.abs(theta), gp_key))
     sorted_gp = gp_key[order]
-    first = np.ones(m, dtype=bool)
-    first[1:] = sorted_gp[1:] != sorted_gp[:-1]
+    first = np.r_[True, sorted_gp[1:] != sorted_gp[:-1]]
     is_primary = np.zeros(m, dtype=bool)
     is_primary[order[first]] = True
     # owner primary for every point, via its grid-point group
     group_rep = np.empty(m, dtype=np.int64)
     group_rep[order] = order[first][np.cumsum(first) - 1]
 
-    # deterministic final ordering: primaries then secondaries, each block
-    # sorted by (axis, base index)
-    block_order = np.lexsort(tuple(base[:, ::-1].T)
-                             + (axis, ~is_primary * 1))
-    new_id = np.empty(m, dtype=np.int64)
-    new_id[block_order] = np.arange(m)
+    # primaries then secondaries, each block keeping the cut order, so an
+    # owner's new id is its rank among the primaries
+    block_order = np.argsort(~is_primary, kind="stable")
+    new_id = np.cumsum(is_primary) - 1
     n_p = int(is_primary.sum())
 
     positions = positions[block_order]
@@ -562,8 +561,9 @@ def _cut_points(surface, grid, eta, tol=BISECT_TOL):
         closest_gp=closest[block_order], theta=theta[block_order],
         normals=normals[block_order], n_p=n_p,
         associated_primary=associated,
-        chart_neighbors=_resolve_neighbors(grid, positions, axis, base, n_p))
-    return fields, int(admissible.size - m)
+        chart_neighbors=_resolve_neighbors(grid, positions, axis, base, n_p,
+                                           eta))
+    return fields, int((keep & ~admissible).sum())
 
 
 def _interpolation_data(positions, axis, theta, n_p, associated_primary,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .discretization import (RECORD_ARRAYS, STENCIL_OFFSETS, Grid,
                              SurfaceDiscretization)
-from .errors import FormatError, VersionError
+from .errors import FormatError, GridError, VersionError
 
 FORMAT_NAME = "surfpde-discretization"
 FORMAT_VERSION = 3
@@ -108,7 +108,7 @@ def load_discretization(path):
             grid = Grid(tuple(g["origin"]), float(g["h"]), tuple(g["n_cells"]))
             n_p, n_tot = int(header["n_p"]), int(header["n_tot"])
             eta, dropped = float(header["eta"]), int(header["dropped_cuts"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, GridError) as exc:
             raise FormatError(f"{path}: missing or malformed record {exc}") \
                 from exc
 

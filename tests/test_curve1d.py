@@ -525,6 +525,16 @@ def test_under_resolved_failures_are_loud():
         laplace_beltrami(d)
 
 
+def test_a_neighbour_on_another_sheet_is_no_neighbour():
+    # at eta = 0.65 the nearest admissible cut in a neighbouring chart column
+    # of a primary near a lobe of the perturbed circle lies on the far side
+    # of the curve, about 50h away; it is no neighbour, and the build says
+    # where the stencil is missing
+    with pytest.raises(StencilError, match=r"its primary at \[ ?1\.03489"):
+        discretize_curve(perturbed_circle(), Grid.square(-1.5, 1.5, 80),
+                         eta=0.65)
+
+
 def test_large_eta_reports_coverage_gap():
     # above 1/sqrt(2) whole arcs lose admissibility on both axes; the
     # build completes and counts what it dropped

@@ -2,13 +2,19 @@
 replaced, and its memory, evaluation-count and failure contracts."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from surfpde import discretization
 from surfpde.curve1d import circle, ellipse
-from surfpde.discretization import Grid, _cut_points, _locate_cuts, discretize
+from surfpde.discretization import (STENCIL_OFFSETS, Grid, _admissible_mask,
+                                    _column_key, _cut_points, _locate_cuts,
+                                    _snap_and_dedupe, chart_axes, discretize)
 from surfpde.errors import GridError
 from surfpde.geometry import _batch_bisect, from_callables, make_surface
 
@@ -123,6 +129,200 @@ def test_streamed_scan_matches_dense_scan_on_curves(curve, n, seed, slab,
     got = _cut_points(curve(), grid, ETA, TOL)
     monkeypatch.setattr(discretization, "_locate_cuts", dense_locate_cuts)
     assert_same_fields(got, _cut_points(curve(), grid, ETA, TOL))
+
+
+# -- roles and neighbours by global sorts, kept here as the oracle ---------
+
+def sorted_cut_points(surface, grid, eta, tol):
+    """`_cut_points` with roles and block order from lexsorts over the base
+    columns and neighbours from a search keyed by the rank of every free
+    coordinate; it relies on no order of the located cuts.  Returns the
+    fields, the dropped count and how many slots the sheet reach emptied."""
+    located = _locate_cuts(surface, grid, tol)
+    dim = len(located)
+    base = np.concatenate([b for b, _ in located], axis=0)
+    positions = np.concatenate([q for _, q in located], axis=0)
+    axis = np.concatenate([np.full(b.shape[0], ax, dtype=np.int8)
+                           for ax, (b, _) in enumerate(located)])
+    keep, positions, normals = _snap_and_dedupe(
+        surface, grid, positions, axis, base, surface.unit_normal(positions))
+    admissible = _admissible_mask(normals, axis, eta)
+    use = keep & admissible
+    base, positions = base[use], positions[use]
+    axis, normals = axis[use], normals[use]
+    m = positions.shape[0]
+    ids = np.arange(m)
+    scaled = (positions[ids, axis] - np.asarray(grid.origin)[axis]) / grid.h
+    closest = base.copy()
+    closest[ids, axis] += (scaled - base[ids, axis] > 0.5).astype(np.int64)
+    theta = np.clip(scaled - closest[ids, axis], -0.5, 0.5)
+    interval_key = np.ravel_multi_index(
+        np.vstack([axis.astype(np.int64), base.T]), (dim,) + grid.shape)
+    assert np.unique(interval_key).size == m
+
+    gp_key = np.ravel_multi_index(closest.T, grid.shape)
+    order = np.lexsort((axis,) + tuple(base[:, ::-1].T)
+                       + (np.abs(theta), gp_key))
+    sorted_gp = gp_key[order]
+    first = np.ones(m, dtype=bool)
+    first[1:] = sorted_gp[1:] != sorted_gp[:-1]
+    is_primary = np.zeros(m, dtype=bool)
+    is_primary[order[first]] = True
+    group_rep = np.empty(m, dtype=np.int64)
+    group_rep[order] = order[first][np.cumsum(first) - 1]
+    block_order = np.lexsort(tuple(base[:, ::-1].T)
+                             + (axis, ~is_primary * 1))
+    new_id = np.empty(m, dtype=np.int64)
+    new_id[block_order] = np.arange(m)
+    n_p = int(is_primary.sum())
+    positions, axis = positions[block_order], axis[block_order]
+    base = base[block_order]
+    associated = np.full(m, -1, dtype=np.int64)
+    associated[n_p:] = new_id[group_rep[block_order[n_p:]]]
+    neighbors, emptied = ranked_neighbors(grid, positions, axis, base, n_p,
+                                          eta)
+    fields = dict(
+        positions=positions, axis=axis, base_index=base,
+        closest_gp=closest[block_order], theta=theta[block_order],
+        normals=normals[block_order], n_p=n_p,
+        associated_primary=associated, chart_neighbors=neighbors)
+    return fields, int((keep & ~admissible).sum()), emptied
+
+
+def ranked_neighbors(grid, positions, axis, base, n_p, eta):
+    """Nearest candidate in each queried column by one searchsorted on
+    (column, rank of the free coordinate); a candidate beyond the sheet
+    reach (|offset| sqrt(1-eta^2)/eta + 1) h leaves its slot at -1."""
+    n_tot, dim = positions.shape
+    idx = np.arange(n_tot)
+    chart = np.stack([base[idx, c] for c in chart_axes(axis, dim)], axis=1)
+    bmax = max(grid.n_cells) + 3
+    key = _column_key(axis, chart, bmax)
+    pos_free = positions[idx, axis]
+    order = np.lexsort((pos_free, key))
+    distinct, rank = np.unique(pos_free, return_inverse=True)
+    s_sortval = (key * distinct.size + rank)[order]
+    s_key, s_pos = key[order], pos_free[order]
+    out = np.full((n_p, len(STENCIL_OFFSETS[dim])), -1, dtype=np.int64)
+    emptied = 0
+    for slot, off in enumerate(np.asarray(STENCIL_OFFSETS[dim])):
+        qkey = _column_key(axis[:n_p], chart[:n_p] + off, bmax)
+        j = np.searchsorted(s_sortval, qkey * distinct.size + rank[:n_p])
+        best = np.full(n_p, -1, dtype=np.int64)
+        best_d = np.full(n_p, np.inf)
+        for cand in (j - 1, j):
+            cc = np.clip(cand, 0, n_tot - 1)
+            ok = (cand >= 0) & (cand < n_tot) & (s_key[cc] == qkey)
+            d = np.where(ok, np.abs(s_pos[cc] - pos_free[:n_p]), np.inf)
+            better = d < best_d
+            best = np.where(better, order[cc], best)
+            best_d = np.where(better, d, best_d)
+        reach = (math.hypot(*off) * math.sqrt(1.0 - eta ** 2) / eta
+                 + 1.0) * grid.h
+        far = np.isfinite(best_d) & (best_d > reach)
+        emptied += int(far.sum())
+        out[:, slot] = np.where(far, -1, best)
+    return out, emptied
+
+
+def torus(big=0.7, small=0.3):
+    """A torus about the z axis, with its analytic gradient."""
+    def phi(p):
+        rho = np.hypot(p[..., 0], p[..., 1])
+        return (rho - big) ** 2 + p[..., 2] ** 2 - small ** 2
+
+    def grad(p):
+        rho = np.hypot(p[..., 0], p[..., 1])
+        f = 2.0 * (rho - big) / rho
+        return np.stack([f * p[..., 0], f * p[..., 1], 2.0 * p[..., 2]],
+                        axis=-1)
+    return from_callables(phi, grad=grad)
+
+
+ORACLE_CASES = (
+    [(kind, Grid.cube(-1.2, 1.2, n), seed, ETA)
+     for kind in ("sphere", "ellipsoid", "cassini_oval") for n in (40, 64)
+     for seed in (None, 1, 2)]
+    + [(kind, Grid.square(-1.2, 1.2, n), seed, eta)
+       for kind in ("circle", "ellipse") for n in (40, 80)
+       for seed in (None, 1) for eta in (ETA, 0.75)])
+CURVES = {"circle": circle, "ellipse": ellipse}
+
+
+@pytest.mark.parametrize("kind,grid,seed,eta", ORACLE_CASES)
+def test_cut_order_roles_and_neighbours_match_the_sorted_oracle(kind, grid,
+                                                                seed, eta):
+    surface = CURVES[kind]() if kind in CURVES else make_surface(kind)
+    grid = shifted(grid, seed)
+    *want, emptied = sorted_cut_points(surface, grid, eta, TOL)
+    assert emptied == 0
+    assert_same_fields(_cut_points(surface, grid, eta, TOL), want)
+
+
+@pytest.mark.parametrize("n", [40, 64])
+def test_torus_columns_of_four_cuts_match_the_sorted_oracle(n):
+    grid = Grid.cube(-1.2, 1.2, n)
+    got = _cut_points(torus(), grid, ETA, TOL)
+    *want, _ = sorted_cut_points(torus(), grid, ETA, TOL)
+    assert_same_fields(got, want)
+    fields = got[0]
+    column = fields["base_index"].copy()
+    column[np.arange(column.shape[0]), fields["axis"]] = -1
+    _, counts = np.unique(np.column_stack([fields["axis"], column]), axis=0,
+                          return_counts=True)
+    assert counts.max() == 4
+
+
+# -- the cut order is checked, also under python -O ------------------------
+
+def tampered_locate(how):
+    """`_locate_cuts` with two well-inside cuts of axis 0 swapped, or one
+    of them repeated; both survive snapping and admissibility."""
+    def locate(surface, grid, tol=TOL):
+        located = _locate_cuts(surface, grid, tol)
+        base, q = located[0]
+        frac = (q[:, 0] - grid.origin[0]) / grid.h - base[:, 0]
+        normal = surface.unit_normal(q)[:, 0]
+        i, j = np.flatnonzero((np.abs(normal) > 0.9)
+                              & (np.abs(frac - 0.5) < 0.45))[:2]
+        rows = {"swapped": np.r_[:i, j, i + 1:j, i, j + 1:len(q)],
+                "repeated": np.r_[:i + 1, i, i + 1:len(q)]}[how]
+        return [(base[rows], q[rows])] + located[1:]
+    return locate
+
+
+@pytest.mark.parametrize("how", ["swapped", "repeated"])
+def test_cut_order_is_checked(how, monkeypatch):
+    monkeypatch.setattr(discretization, "_locate_cuts", tampered_locate(how))
+    with pytest.raises(GridError, match="duplicate or out-of-order cut "
+                       r"points: the cut on the grid interval along axis 0"):
+        _cut_points(make_surface("sphere"), Grid.cube(-1.2, 1.2, 20), ETA)
+
+
+def test_cut_order_is_checked_under_optimize_flag(subprocess_env):
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {os.path.dirname(__file__)!r})
+        from surfpde import discretization
+        from surfpde.discretization import Grid, _cut_points
+        from surfpde.errors import GridError
+        from surfpde.geometry import make_surface
+        from test_cut_scan import tampered_locate
+        real = discretization._locate_cuts
+        for how in ("swapped", "repeated"):
+            discretization._locate_cuts = tampered_locate(how)
+            try:
+                _cut_points(make_surface("sphere"), Grid.cube(-1.2, 1.2, 20),
+                            0.45)
+            except GridError:
+                continue
+            finally:
+                discretization._locate_cuts = real
+            raise SystemExit(f"no GridError for {{how}} cuts")
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=subprocess_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
 
 
 # -- memory and evaluation count -------------------------------------------

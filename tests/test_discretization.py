@@ -1,6 +1,7 @@
 """Construction of the cut-point set, checked against an independent
 enumeration of the unit sphere's grid-line crossings."""
 
+import math
 import re
 import subprocess
 import sys
@@ -285,8 +286,12 @@ def test_grid_validation():
     with pytest.raises(GridError):
         # one cell has no interior node
         Grid.cube(-1.0, 1.0, 1)
-    with pytest.raises(GridError):
-        Grid((0.0, 0.0, 0.0), -0.1, (4, 4, 4))
+    bad = [((0.0, 0.0, 0.0), h) for h in (-0.1, 0.0, math.nan, math.inf)]
+    bad += [((0.0, x, 0.0), 0.1) for x in (math.nan, -math.inf)]
+    for origin, h in bad:
+        with pytest.raises(GridError, match="grid needs a finite origin and "
+                           "a finite spacing h > 0"):
+            Grid(origin, h, (4, 4, 4))
 
 
 def test_surface_needs_a_space_grid():

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -200,3 +201,13 @@ def test_load_rejects_header_without_a_field(sphere40, tmp_path, field):
     with pytest.raises(FormatError, match=field):
         load_discretization(path)
 
+
+@pytest.mark.parametrize("h", [float("inf"), float("nan"), -0.1])
+def test_load_rejects_a_bad_header_grid_spacing(sphere40, tmp_path, h):
+    path = tmp_path / "disc.npz"
+    dump_discretization(sphere40, path)
+    rewrite_header(path, lambda header: header["grid"].update(h=h))
+    with pytest.raises(FormatError, match=re.escape(str(path)) + ": missing "
+                       "or malformed record grid needs a finite origin and a "
+                       "finite spacing h > 0"):
+        load_discretization(path)
