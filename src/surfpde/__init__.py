@@ -9,9 +9,8 @@ and standard planar stencils apply on the chart.
 from .advection import exact_integral as advection_exact_integral
 from .advection import exact_solution as advection_exact_solution
 from .advection import rotation_velocity, solve_advection
-from .curve1d import (block_elimination_residual, circle, coefficient_report,
-                      discretize_curve, ellipse, m_matrix_report, make_curve,
-                      perturbed_circle)
+from .curve1d import (circle, discretize_curve, ellipse, m_matrix_report,
+                      make_curve, perturbed_circle)
 from .diffusion import bdf2_solve, forward_euler_solve
 from .discretization import (Grid, Grid3, QualityReport,
                              SurfaceDiscretization, discretize,

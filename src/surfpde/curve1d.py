@@ -25,10 +25,8 @@ import scipy.sparse as sp
 from .discretization import (RECORD_ARRAYS, SurfaceDiscretization,
                              _cut_points)
 from .geometry import LevelSetSurface
-from .linalg import Factorization, assemble_csr
-from .operators import laplace_beltrami, reduced_operator
-
-_RHS_SEED = 0  # of the random right-hand side of block_elimination_residual
+from .linalg import assemble_csr
+from .operators import laplace_beltrami
 
 
 def circle(radius=1.0):
@@ -147,27 +145,6 @@ def _side_coefficients(disc):
                  for side in (0, 1))
 
 
-def coefficient_report(disc):
-    """Size and smoothness diagnostics of the stencil coefficients.
-
-    With c_center = c_minus + c_plus: min_center_half is min of
-    c_center/2 (compare 1/2 - O(h)); max_jump is the largest
-    |neighbor - center/2| (compare O(h)); pointwise_gap is the largest
-    |c_center/2 - gamma^2|, the discrepancy between the averaged and the
-    pointwise readings of the coefficient (O(h^2)).
-    """
-    c_minus, c_plus = _side_coefficients(disc)
-    half = 0.5 * (c_minus + c_plus)
-    idx = np.arange(disc.n_p)
-    gamma = np.abs(disc.normals[idx, disc.axis[:disc.n_p]])
-    return {
-        "min_center_half": float(half.min()),
-        "max_jump": float(np.maximum(np.abs(c_minus - half),
-                                     np.abs(c_plus - half)).max()),
-        "pointwise_gap": float(np.abs(half - gamma ** 2).max()),
-    }
-
-
 def proof_matrix(disc, sigma):
     """The (n_tot x n_tot) matrix A of the positivity argument.
 
@@ -234,29 +211,4 @@ def m_matrix_report(disc, sigma):
         "min_rowsum_after": float(rowsums.min()),
         "is_m_matrix": bool(off_after <= 1e-13 and diag.min() > 0.0
                             and rowsums.min() > 0.0),
-    }
-
-
-def block_elimination_residual(disc, sigma):
-    """Consistency of the proof matrix with the reduced resolvent.
-
-    Solves A (u_p, u_s) = (y, 0) for a seeded random y and measures both
-    the defect of (I - k LB_red) u_p = y and the gap to the direct u_p.
-    """
-    n_p = disc.n_p
-    rng = np.random.default_rng(_RHS_SEED)
-    y = rng.standard_normal(n_p)
-    a = proof_matrix(disc, sigma)
-    rhs = np.concatenate([y, np.zeros(disc.n_s)])
-    u_all = Factorization(a.tocsc(), disc.positions).solve(rhs)
-    u_p = u_all[:n_p]
-    k = sigma * disc.h ** 2
-    red = reduced_operator(laplace_beltrami(disc), disc)
-    lhs = u_p - k * (red @ u_p)
-    direct = Factorization(sp.identity(n_p, format="csc") - k * red.tocsc(),
-                           disc.positions[:n_p]).solve(y)
-    return {
-        "defect": float(np.abs(lhs - y).max() / np.abs(y).max()),
-        "route_gap": float(np.abs(u_p - direct).max()
-                           / max(np.abs(direct).max(), 1e-300)),
     }

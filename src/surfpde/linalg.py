@@ -191,6 +191,10 @@ class BiCGSTAB:
     too; otherwise it restarts from the true residual, as it does after a
     breakdown.  It raises SolverAbortError naming the true residual when
     that is not finite or still fails after _KRYLOV_MAXITER iterations.
+
+    Each instance counts its work over all its solves: `products`, the
+    sparse matrix-vector products, and `restarts`, the restarts from the
+    true residual.
     """
 
     def __init__(self, mat):
@@ -198,6 +202,8 @@ class BiCGSTAB:
         self._diag = mat.diagonal()
         self._mat = sp.csr_matrix(sp.diags(1.0 / self._diag) @ mat)
         self._norm = _inf_norm(self._mat)
+        self.products = 0
+        self.restarts = 0
 
     def solve(self, rhs, x0):
         mat = self._mat
@@ -211,6 +217,7 @@ class BiCGSTAB:
         its = 0
         while True:
             r = rhs - mat @ x
+            self.products += 1
             if converged(r):
                 return x
             if its >= _KRYLOV_MAXITER or not np.isfinite(_amax(r)):
@@ -219,6 +226,8 @@ class BiCGSTAB:
                     f"{_KRYLOV_RTOL:.0e} x (||A|| ||x|| + ||b||) = "
                     f"{self._norm * _amax(x) + b_norm:.3e} after {its} "
                     f"iterations")
+            if its:
+                self.restarts += 1
             shadow, p = r.copy(), r.copy()
             rho = _dot(shadow, r)
             try:
@@ -226,12 +235,14 @@ class BiCGSTAB:
                     while its < _KRYLOV_MAXITER:
                         its += 1
                         v = mat @ p
+                        self.products += 1
                         alpha = rho / _dot(shadow, v)
                         x += alpha * p
                         r -= alpha * v
                         if converged(r):
                             break
                         t = mat @ r
+                        self.products += 1
                         omega = _dot(t, r) / _dot(t, t)
                         x += omega * r
                         r -= omega * t

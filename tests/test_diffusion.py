@@ -1,15 +1,19 @@
 """Surface diffusion stepping: explicit/implicit marching, reduced-operator
 equivalence, exact-decay accuracy on the sphere, agreement of the Krylov
-BDF2 march with a sparse-LU march, abort behavior, and the fine-to-coarse
-chart interpolation behind Table 3.2's successive-grid errors."""
+BDF2 march with a sparse-LU march, the Bi-CGSTAB work of the Table 3.1 and
+3.2 marches, abort behavior, and the fine-to-coarse chart interpolation
+behind Table 3.2's successive-grid errors."""
+
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from surfpde import linalg
+from surfpde import diffusion, linalg
 from surfpde.curve1d import circle, discretize_curve
-from surfpde.diffusion import bdf2_solve, forward_euler_solve
+from surfpde.diffusion import (_MAX_ORDER, _extrapolate, _push, bdf2_solve,
+                               forward_euler_solve)
 from surfpde.discretization import Grid
 from surfpde.errors import SolverAbortError
 from surfpde.experiments import (chart_interpolate, get_discretization,
@@ -117,6 +121,117 @@ def test_bdf2_matches_lu_march(case):
     got = bdf2_solve(disc, u0, alpha, k, 40, form)
     want = lu_bdf2(disc, u0, alpha, k, 40, form)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("order", range(1, _MAX_ORDER + 1))
+def test_extrapolation_is_exact_below_its_order(order):
+    # the order-p guess reproduces every polynomial sequence of degree < p;
+    # one of degree p it misses by p! 0.1^p times the leading coefficient,
+    # and that miss is entry p of the next differences
+    rng = np.random.default_rng(order)
+    for degree in range(order + 1):
+        poly = np.polynomial.Polynomial(rng.standard_normal(degree + 1))
+        diffs = []
+        for t in 0.3 - 0.1 * np.arange(order)[::-1]:   # oldest first
+            _push(diffs, poly(np.array([t])))
+        guess = _extrapolate(diffs, order)[0]
+        _push(diffs, poly(np.array([0.4])))
+        miss = diffs[order][0]
+        assert miss == pytest.approx(poly(0.4) - guess, abs=1e-14)
+        if degree < order:
+            assert abs(miss) <= 1e-13 * np.abs(poly.coef).sum()
+        else:
+            assert abs(miss) == pytest.approx(
+                math.factorial(order) * 0.1 ** order * abs(poly.coef[-1]))
+
+
+def scripted_solver(levels, guesses):
+    """A stand-in for BiCGSTAB that returns `levels` in turn, whatever the
+    system, and records the guess each solve starts from."""
+    script = iter(levels)
+
+    class Scripted:
+        def __init__(self, mat):
+            pass
+
+        def solve(self, rhs, x0):
+            guesses.append(np.array(x0))
+            return next(script).copy()
+
+    return Scripted
+
+
+def weighted_guess(levels, order):
+    """The order-p extrapolation from its weights: C(p, 1) u^n - C(p, 2)
+    u^{n-1} + ... over the p newest levels, newest first."""
+    return sum((-1) ** i * math.comb(order, i + 1) * lev
+               for i, lev in enumerate(levels[:order]))
+
+
+@pytest.mark.parametrize("script,late_order", [("quartic", 5),
+                                               ("alternating", 4)])
+def test_bdf2_starts_from_the_guess_that_missed_less(sphere40, monkeypatch,
+                                                     script, late_order):
+    # a quartic sequence is met exactly by the quartic guess; alternating
+    # noise is amplified 32x by the quartic guess and 16x by the cubic one
+    t = 0.1 * np.arange(13)
+    w = np.random.default_rng(5).uniform(1.0, 2.0, sphere40.n_p)
+    if script == "quartic":
+        values = 1.0 + t - t ** 2 + 0.5 * t ** 3 + 2.0 * t ** 4
+    else:
+        values = 1.0 + t + 1e-3 * (-1.0) ** np.arange(t.size)
+    levels = [v * w for v in values]
+    guesses = []
+    monkeypatch.setattr(diffusion, "BiCGSTAB",
+                        scripted_solver(levels[1:], guesses))
+    bdf2_solve(sphere40, levels[0], ALPHA, 1e-3, t.size - 1)
+    assert len(guesses) == t.size - 1
+    misses = {}
+    for step, guess in enumerate(guesses, start=1):
+        held = levels[step - 1::-1][:_MAX_ORDER]    # newest first
+        top = len(held)
+        order = top if top not in misses else min(
+            (top, top - 1), key=lambda p: misses[p])
+        want = weighted_guess(held, order)
+        assert np.abs(guess - want).max() <= 1e-12 * np.abs(want).max()
+        if step > _MAX_ORDER:
+            assert order == late_order
+        misses = {p: np.abs(weighted_guess(held, p) - levels[step]).max()
+                  for p in (top, top - 1) if p}
+
+
+def bdf2_products(monkeypatch, disc, u0, alpha, k, n_steps):
+    """The sparse products of a BDF2 march, over both of its solvers."""
+    made = []
+
+    class Counting(linalg.BiCGSTAB):
+        def __init__(self, mat):
+            super().__init__(mat)
+            made.append(self)
+
+    monkeypatch.setattr(diffusion, "BiCGSTAB", Counting)
+    bdf2_solve(disc, u0, alpha, k, n_steps)
+    assert len(made) == 2
+    return sum(solver.products for solver in made)
+
+
+def test_table31_march_products(monkeypatch):
+    # sphere N = 80, k = 1/(2N): 1,918 products from the cubic guess alone,
+    # 1,447 from the better of the cubic and quartic guesses
+    disc = get_discretization("sphere", 80)
+    p = disc.positions[:disc.n_p]
+    u0 = 7.0 * (p[:, 0] - 2.0 * p[:, 1]) * (15.0 * p[:, 2] ** 2 - 3.0) / 8.0
+    assert bdf2_products(monkeypatch, disc, u0, ALPHA, 1.0 / 160, 160) \
+        <= 1600
+
+
+def test_table32_march_products(monkeypatch):
+    # ellipsoid N = 40, k = 1/(10N): 2,064 products from the cubic guess
+    # alone, 1,620 from the better of the cubic and quartic guesses
+    disc = get_discretization("ellipsoid", 40)
+    p = disc.positions[:disc.n_p]
+    u0 = np.cos(p[:, 0] - p[:, 1] + p[:, 2])
+    assert bdf2_products(monkeypatch, disc, u0, 0.1, 1.0 / 400, 400) <= 1800
 
 
 def test_bdf2_stops_at_the_iteration_cap(sphere40, cubic_harmonic,

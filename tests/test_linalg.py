@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from surfpde import Grid, discretize, make_surface
+from surfpde import Grid, discretize, linalg, make_surface
 from surfpde.errors import SingularMatrixError, SolverAbortError
 from surfpde.linalg import (BiCGSTAB, Factorization, assemble_csr,
                             bordered_solve, resolvent_entry_report,
@@ -73,8 +73,48 @@ def test_bicgstab_breakdown_ends_in_abort():
     # r0 = (1, 1) is orthogonal to A r0, so the first step breaks down
     # each time the iteration restarts; the abort names the true residual
     mat = sp.csr_matrix([[1.0, -2.0], [0.0, 1.0]])
+    solver = BiCGSTAB(mat)
     with pytest.raises(SolverAbortError, match=r"residual 1\.000e\+00 "):
-        BiCGSTAB(mat).solve(np.ones(2), np.zeros(2))
+        solver.solve(np.ones(2), np.zeros(2))
+    # each pass forms the true residual and one product before breaking
+    # down; every pass after the first is a restart
+    cap = linalg._KRYLOV_MAXITER
+    assert (solver.products, solver.restarts) == (2 * cap + 1, cap - 1)
+
+
+class CountingMatrix:
+    def __init__(self, mat):
+        self.mat, self.count = mat, 0
+
+    def __matmul__(self, vec):
+        self.count += 1
+        return self.mat @ vec
+
+
+def test_bicgstab_products_match_the_products_made():
+    # a nonsymmetric tridiagonal system takes full iterations; every
+    # product the solver makes, and only those, is counted
+    n = 60
+    mat = sp.diags([-1.3, 3.0, -0.7], [-1, 0, 1], shape=(n, n), format="csr")
+    solver = BiCGSTAB(mat)
+    counter = solver._mat = CountingMatrix(solver._mat)
+    rhs = np.random.default_rng(2).normal(size=n)
+    for _ in range(2):
+        x = solver.solve(rhs, np.zeros(n))
+        assert np.abs(mat @ x - rhs).max() <= 1e-12
+    assert counter.count > 10
+    assert (solver.products, solver.restarts) == (counter.count, 0)
+
+
+def test_bicgstab_counts_its_work_over_its_solves():
+    # on the identity one iteration lands on b: the initial residual, one
+    # product and the accepting true residual; from b itself, only the last
+    solver = BiCGSTAB(sp.identity(3, format="csr"))
+    b = np.array([1.0, -2.0, 3.0])
+    assert np.array_equal(solver.solve(b, np.zeros(3)), b)
+    assert (solver.products, solver.restarts) == (3, 0)
+    solver.solve(b, b)
+    assert (solver.products, solver.restarts) == (4, 0)
 
 
 def closed_form_smallest(n, h, count):

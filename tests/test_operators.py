@@ -12,8 +12,7 @@ from surfpde.operators import (advection_coefficients, artificial_viscosity,
                                chart_metric, divergence_weights,
                                laplace_beltrami, nondivergence_weights,
                                primary_chart_axes, reduced_operator,
-                               row_sign_structure, tangential_projection,
-                               upwind_differences)
+                               tangential_projection, upwind_differences)
 
 
 def harmonic3(points):
@@ -146,6 +145,36 @@ def test_nondivergence_restricted_to_sphere(ellipsoid40):
 def test_unknown_form_rejected(sphere40):
     with pytest.raises(ValueError):
         laplace_beltrami(sphere40, "weak")
+
+
+def row_sign_structure(lb, disc):
+    """Diagnostics of the stencil sign pattern of an assembled operator.
+
+    Returns (min_offdiag_uniform, max_center_uniform, min_offdiag_all,
+    max_abs_rowsum): the first two taken over the rows whose stencil carries a
+    uniform-sign g12 (where the sign guarantees apply), the last two global.
+    Stored zeros count as entries.
+    """
+    lb = lb.tocsr()
+    n_p = disc.n_p
+    met = chart_metric(disc)
+    nb = disc.chart_neighbors
+    center = met.g12[:n_p][:, None]
+    # absent slots contribute nothing; count them with the center's sign
+    g12_stencil = np.hstack([np.where(nb >= 0, met.g12[nb], center), center])
+    uniform = (g12_stencil >= 0.0).all(axis=1) | (g12_stencil <= 0.0).all(axis=1)
+
+    rows = np.repeat(np.arange(lb.shape[0]), np.diff(lb.indptr))
+    is_center = lb.indices == rows
+    center = np.bincount(rows[is_center], weights=lb.data[is_center],
+                         minlength=n_p)
+    off_min = np.full(n_p, np.inf)
+    np.minimum.at(off_min, rows[~is_center], lb.data[~is_center])
+    rowsum = np.bincount(rows, weights=lb.data, minlength=n_p)
+    return (float(off_min[uniform].min()),
+            float(center[uniform].max()),
+            float(off_min.min()),
+            float(np.abs(rowsum).max()))
 
 
 def test_row_sign_structure_on_uniform_rows(sphere40):
