@@ -17,9 +17,9 @@ def _extrapolate(diffs, order):
     """The order-`order` guess of the next level from the backward
     differences u^n, u^n - u^{n-1}, ... at the newest: the sum of the first
     `order`, which is exact for every polynomial sequence of degree < order
-    (order 4 is 4u^n - 6u^{n-1} + 4u^{n-2} - u^{n-3}).  Order 1 returns
-    u^n itself, not a copy."""
-    return sum(diffs[1:order], diffs[0])
+    (order 4 is 4u^n - 6u^{n-1} + 4u^{n-2} - u^{n-3}).  The guess is a new
+    array, which the solver may overwrite; order 1 copies u^n."""
+    return sum(diffs[1:order], diffs[0]) if order > 1 else diffs[0].copy()
 
 
 def _push(diffs, u):

@@ -5,13 +5,14 @@ order, so CSV output is byte-identical across runs.  Console rendering adds
 observed-order columns log2(err_N / err_2N) whenever two grids are present.
 
 A runner's independent tasks, one per grid, surface, curve, stepper or
-form, run in a process pool with one worker per CPU (serially on one CPU).
-Each task's `_case` returns its own records, and `_table` joins them in
-task order.  Table 3.2's records each compare two grids' runs, so its cases
-return the runs; both steppers share one task per surface and grid, so each
-grid is built once.  The pool sends out the largest grids first, so the
-longest run does not start last; records keep the fixed order whatever
-order the tasks finish in.
+form, run in a process pool with one worker per CPU (in-process on one CPU
+or when the grids are small).  Each task's `_case` returns its own
+records, and `_table` joins them in task order.  Table 3.2's records each
+compare two grids' runs, so its cases return the runs; it builds every
+grid in-process first, so a grid that cannot be resolved fails before any
+march, and both steppers share one march task per surface and grid.  The
+pool sends out the largest grids first, so the longest run does not start
+last; records keep the fixed order whatever order the tasks finish in.
 """
 
 from __future__ import annotations
@@ -58,15 +59,24 @@ def get_discretization(surface_name, n):
     return _DISC_CACHE[key]
 
 
-def _pmap(fn, tasks):
+# Tasks whose grids hold fewer cells than this in all (N^d summed over the
+# tasks) run in-process: a pool's spawn costs about 1 s, more than such
+# work takes serially (0.02-0.9 s for the tables at N = 20, 40).
+_POOL_MIN_CELLS = 64 ** 3
+
+
+def _pmap(fn, tasks, dim=3):
     """[fn(task) for task in tasks], on one worker process per CPU.
 
-    Each task is a tuple whose first item is its grid size N; the largest
-    grids go out first.  The first task to fail cancels those not yet
+    Each task is a tuple whose first item is its grid size N, on a grid of
+    `dim` dimensions.  Small work (under _POOL_MIN_CELLS cells) runs
+    in-process in task order, as it does on one CPU.  A pool sends the
+    largest grids out first.  The first task to fail cancels those not yet
     started, and its error propagates.
     """
     workers = min(len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
+    if (workers <= 1
+            or sum(task[0] ** dim for task in tasks) < _POOL_MIN_CELLS):
         return [fn(task) for task in tasks]
     results = [None] * len(tasks)
     # workers are spawned: forking a process that runs BLAS threads is unsafe
@@ -82,9 +92,9 @@ def _pmap(fn, tasks):
     return results
 
 
-def _table(case, tasks):
+def _table(case, tasks, dim=3):
     """The records of every task in task order; each case returns a list."""
-    return [rec for recs in _pmap(case, tasks) for rec in recs]
+    return [rec for recs in _pmap(case, tasks, dim) for rec in recs]
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +186,7 @@ def run_diffusion_sphere(n_list=(80, 160),
 # table 3.2: diffusion on ellipsoid / cassini oval, successive-grid errors
 
 def _diffusion_pair_case(args):
-    n, surface = args
-    disc = get_discretization(surface, n)
+    n, surface, disc = args
     p = disc.positions
     u0 = np.cos(p[:, 0] - p[:, 1] + p[:, 2])[:disc.n_p]
     alpha = 0.1
@@ -186,7 +195,7 @@ def _diffusion_pair_case(args):
         solver, k = _time_stepper(stepper, 8.0 / n ** 2, 1.0 / (10.0 * n))
         u = solver(disc, u0, alpha, k, round(1.0 / k), form="divergence")
         runs[stepper] = disc.extend(u)
-    return disc, runs
+    return runs
 
 
 def run_diffusion_pair(n_list=(80, 160),
@@ -194,8 +203,11 @@ def run_diffusion_pair(n_list=(80, 160),
     n_list = tuple(n_list)
     all_n = tuple(sorted({*n_list, *(2 * n for n in n_list)}))
     tasks = [(n, surface) for surface in surfaces for n in all_n]
-    # each task returns its discretization, so a pool's parent builds none
-    runs = dict(zip(tasks, _pmap(_diffusion_pair_case, tasks)))
+    # every grid is built here, and so checked, before any march starts
+    discs = [get_discretization(surface, n) for n, surface in tasks]
+    marches = _pmap(_diffusion_pair_case,
+                    [task + (disc,) for task, disc in zip(tasks, discs)])
+    runs = dict(zip(tasks, zip(discs, marches)))
     records = []
     for surface in surfaces:
         for stepper in ("fe", "bdf2"):
@@ -347,7 +359,8 @@ def run_curve_resolvent(curves=("circle", "ellipse"), n_list=(80, 160),
                         sigmas=(0.75, 1.0, 2.0)):
     sigmas = tuple(sigmas)
     return _table(_curve_resolvent_case,
-                  [(n, kind, sigmas) for kind in curves for n in n_list])
+                  [(n, kind, sigmas) for kind in curves for n in n_list],
+                  dim=2)
 
 
 # ---------------------------------------------------------------------------

@@ -192,9 +192,11 @@ class BiCGSTAB:
     breakdown.  It raises SolverAbortError naming the true residual when
     that is not finite or still fails after _KRYLOV_MAXITER iterations.
 
-    Each instance counts its work over all its solves: `products`, the
-    sparse matrix-vector products, and `restarts`, the restarts from the
-    true residual.
+    The guess x0 is the first iterate and is overwritten (a copy is made
+    only when it is not a float array), so pass a copy to keep it.  Each
+    instance counts its work over all its solves: `products`, the sparse
+    matrix-vector products, and `restarts`, the restarts from the true
+    residual.
     """
 
     def __init__(self, mat):
@@ -208,7 +210,7 @@ class BiCGSTAB:
     def solve(self, rhs, x0):
         mat = self._mat
         rhs = np.asarray(rhs, dtype=float) / self._diag
-        x = np.array(x0, dtype=float)
+        x = np.asarray(x0, dtype=float)
         b_norm = _amax(rhs)
 
         def converged(r):

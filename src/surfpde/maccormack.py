@@ -4,10 +4,14 @@ The forward predictor and backward corrector use mirrored one-sided chart
 differences; the average recovers second order in time and space.  State is
 kept at primary points and extended after each substep, unless the operators
 fold the extension in (advection).  `march` is the one explicit time loop,
-shared by advection, shallow water and forward Euler diffusion.
+shared by advection, shallow water and forward Euler diffusion.  Shallow
+water computes its old-state viscosity (`extra_corrector`) on a worker
+thread while the predictor and corrector run on the calling thread.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import Future
 
 import numpy as np
 
@@ -20,15 +24,24 @@ def maccormack_step(state_p, k, rhs, equilibrate, extra_corrector=None):
     `rhs(direction, full)` evaluates R with 'forward' or 'backward' chart
     differences on `full = equilibrate(state)`, the extended state or, when
     R acts on primaries, the state itself.  `extra_corrector(full_old)` may
-    add a stabilizing increment at the old state (once, after averaging).
+    add a stabilizing increment at the old state once, after averaging.  It
+    is called as soon as the old state is extended, before the predictor,
+    and returns the increment or a `concurrent.futures.Future` of it, which
+    is joined where the increment is added: so a caller can compute it on a
+    worker thread while the predictor and corrector run here.  Nothing
+    writes into `full` before that join; `equilibrate` must return a new
+    array on each call.
     """
     full = equilibrate(state_p)
+    extra = None if extra_corrector is None else extra_corrector(full)
     pred_p = state_p + k * rhs("forward", full)
     full_pred = equilibrate(pred_p)
     corr_p = pred_p + k * rhs("backward", full_pred)
     new_p = 0.5 * (state_p + corr_p)
-    if extra_corrector is not None:
-        new_p = new_p + extra_corrector(full)
+    if isinstance(extra, Future):
+        extra = extra.result()
+    if extra is not None:
+        new_p = new_p + extra
     return new_p
 
 

@@ -204,8 +204,10 @@ def tangential_projection(vectors, normals):
     """Project vectors onto the tangent planes of the given unit normals."""
     vectors = np.asarray(vectors, dtype=float)
     normals = np.asarray(normals, dtype=float)
-    dot = (vectors * normals).sum(axis=-1, keepdims=True)
-    return vectors - dot * normals
+    # one component at a time: a sum over the strided length-3 axis is slow
+    v, n = vectors, normals
+    dot = v[..., 0] * n[..., 0] + v[..., 1] * n[..., 1] + v[..., 2] * n[..., 2]
+    return vectors - dot[..., None] * normals
 
 
 def advection_coefficients(disc, velocity):

@@ -16,6 +16,7 @@ step count of 2N per day matches a grid of 2N intervals across the box.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -122,6 +123,11 @@ class _Workspace:
             grad = sp.csr_matrix((d.data, (c * n_p + i, d.col)),
                                  shape=(3 * n_p, n_tot))
             self.ops[direction] = div, grad
+        # scratch rows of `_swe_rhs`, overwritten by every call; the march
+        # calls it on one thread only
+        self.vel = np.empty((3, n_tot))
+        self.flux = np.empty((3, n_tot))
+        self.adv = np.empty((3, n_p))
 
 
 def _swe_rhs(ws, direction, full):
@@ -135,21 +141,36 @@ def _swe_rhs(ws, direction, full):
     div, grad = ws.ops[direction]
     phi, mom = full[0], full[1:]
     mom_c = mom[:, :n_p]
-    geo = (ws.geo * mom_c).sum(axis=0)
+    geo = ws.geo[0] * mom_c[0]
+    geo += ws.geo[1] * mom_c[1]
+    geo += ws.geo[2] * mom_c[2]
     out = np.empty((4, n_p))
-    out[0] = -(div @ mom.ravel() / h + geo)
+    np.divide(div @ mom.ravel(), h, out=out[0])
+    out[0] += geo
+    np.negative(out[0], out=out[0])
 
     # momentum advection: chart divergence of the point fluxes v_c * m,
     # plus the pressure gradient of Phi^2/2, projected
-    vel = mom / phi
-    adv = np.stack([div @ (vel * m).ravel() for m in mom])
-    adv += (grad @ (0.5 * phi ** 2)).reshape(3, n_p)
+    vel = np.divide(mom, phi, out=ws.vel)
+    adv = ws.adv
+    for row, m in zip(adv, mom):
+        row[:] = div @ np.multiply(vel, m, out=ws.flux).ravel()
+    half_sq = np.multiply(phi, phi, out=ws.flux[0])
+    half_sq *= 0.5
+    adv += (grad @ half_sq).reshape(3, n_p)
     adv /= h
     tangential = tangential_projection(adv.T, ws.normals.T).T
 
+    # row c of the Coriolis term f n x m is f (n_{c+1} m_{c+2} - n_{c+2}
+    # m_{c+1}), from the rolled f n rows
     fn1, fn2 = ws.f_normals
-    coriolis = fn1 * mom_c[[2, 0, 1]] - fn2 * mom_c[[1, 2, 0]]
-    out[1:] = -(tangential + coriolis + (geo / phi[:n_p]) * mom_c)
+    geo /= phi[:n_p]
+    for c, row in enumerate(out[1:]):
+        np.multiply(fn1[c], mom_c[c - 1], out=row)
+        row -= fn2[c] * mom_c[c - 2]
+        row += tangential[c]
+        row += geo * mom_c[c]
+        np.negative(row, out=row)
     return out
 
 
@@ -159,7 +180,11 @@ def solve_swe(disc, params, t_ends):
     Each step, of fixed size k = 1/(2N) for N the largest cell count, is
     predictor-corrector with the switched artificial viscosity evaluated at
     the old state, then projects the momentum back to the tangent plane.
-    Every t_end must be a nonnegative whole number of steps.
+    The viscosity runs on one worker thread, owned by this call, while the
+    predictor and corrector run on the calling thread; the old extended
+    state it reads is written by no one until `maccormack_step` joins it,
+    so the march is the same as with the viscosity inline.  Every t_end
+    must be a nonnegative whole number of steps.
     """
     k = 1.0 / (2.0 * max(disc.grid.n_cells))
     ws = _Workspace(disc, params)
@@ -168,8 +193,8 @@ def solve_swe(disc, params, t_ends):
 
     # E is the identity on the primaries; its rows below are the
     # secondaries' weights, applied to each component row.  Each call fills
-    # a new array: maccormack_step reads the old state's extension after
-    # extending the predictor.
+    # a new array: the viscosity reads the old state's extension on the
+    # worker while the predictor is extended here.
     n_p, weights = disc.n_p, disc.extension_matrix()[disc.n_p:]
 
     def extend(state_p):
@@ -185,14 +210,19 @@ def solve_swe(disc, params, t_ends):
         incr[1:] = artificial_viscosity(disc, full_old[1:].T, params.nu, k).T
         return incr
 
-    extra = viscosity if params.nu != 0.0 else None
     rhs = partial(_swe_rhs, ws)
 
-    def advance(state):
-        state = maccormack.maccormack_step(state, k, rhs, extend,
-                                           extra_corrector=extra)
-        state[1:] = tangential_projection(state[1:].T, ws.normals.T).T
-        return state
+    # the viscosity reads only the old extended state, so one worker thread
+    # computes it while the predictor and corrector run on this one
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        extra = (partial(worker.submit, viscosity) if params.nu != 0.0
+                 else None)
 
-    return [(t, s[0], s[1:].T.copy())
-            for t, s in maccormack.march(state, advance, k, t_ends)]
+        def advance(state):
+            state = maccormack.maccormack_step(state, k, rhs, extend,
+                                               extra_corrector=extra)
+            state[1:] = tangential_projection(state[1:].T, ws.normals.T).T
+            return state
+
+        snapshots = maccormack.march(state, advance, k, t_ends)
+    return [(t, s[0], s[1:].T.copy()) for t, s in snapshots]

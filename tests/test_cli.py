@@ -147,7 +147,9 @@ def test_csv_output_is_deterministic(tmp_path, capsys):
 
 def test_worker_pool_output_matches_serial(monkeypatch):
     # a table's tasks run on every CPU; one CPU runs them in turn.  Table
-    # 3.2 pairs its tasks' runs itself, the others join their cases' records
+    # 3.2 pairs its tasks' runs itself, the others join their cases' records.
+    # These grids are small, so the pool is forced
+    monkeypatch.setattr(ex, "_POOL_MIN_CELLS", 0)
     runs = (partial(ex.run_diffusion_pair, (48,), surfaces=("ellipsoid",)),
             partial(ex.run_curve_resolvent, ("circle",), (20, 40), (1.0,)),
             partial(ex.run_quadrature, (20, 40)))
@@ -167,6 +169,37 @@ def test_failed_table_task_exits_two(cpus, monkeypatch, capsys):
     assert "admissibility gap" in err and "refine the grid" in err
 
 
+def test_table32_builds_every_grid_before_any_march(monkeypatch, capsys):
+    # in task order the ellipsoid grids come before the Cassini oval's
+    # failing N = 40 grid, yet neither of their marches may start
+    marches = []
+
+    def no_march(disc, *args, **kwargs):
+        marches.append(disc.n_p)
+        raise AssertionError("a march ran")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(ex, "forward_euler_solve", no_march)
+    monkeypatch.setattr(ex, "bdf2_solve", no_march)
+    assert main(["table-3.2", "--N", "40"]) == 2
+    assert "admissibility gap" in capsys.readouterr().err
+    assert marches == []
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a pool was started")
+
+
+def test_small_tables_run_in_process(monkeypatch):
+    # a spawn costs about 1 s; these tables take well under that serially
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", _no_pool)
+    assert len(ex.run_curve_resolvent()) == 36
+    assert len(ex.run_quadrature((20, 40))) == 2
+    with pytest.raises(AssertionError, match="pool was started"):
+        ex.run_quadrature((20, 80))
+
+
 def _sleep_or_fail(task):
     n, log = task
     if log is None:
@@ -180,6 +213,7 @@ def test_failed_task_cancels_the_queued_ones(tmp_path, monkeypatch):
     # the failing task is the largest, so it goes out first; the pool
     # still holds a few tasks in flight when it fails, but not all twenty
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ex, "_POOL_MIN_CELLS", 0)
     log = tmp_path / "ran.txt"
     log.touch()
     tasks = [(1, str(log))] * 20 + [(2, None)]

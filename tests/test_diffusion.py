@@ -234,6 +234,23 @@ def test_table32_march_products(monkeypatch):
     assert bdf2_products(monkeypatch, disc, u0, 0.1, 1.0 / 400, 400) <= 1800
 
 
+def test_bdf2_guess_may_be_overwritten(sphere40, cubic_harmonic,
+                                       monkeypatch):
+    # the solver iterates in its guess; a guess that aliased a held level
+    # (order 1 is u^n) would carry the clobbered values into the march
+    want = bdf2_solve(sphere40, cubic_harmonic, ALPHA, 0.01, 8)
+
+    class Clobbering(linalg.BiCGSTAB):
+        def solve(self, rhs, x0):
+            x = super().solve(rhs, x0.copy())
+            x0[:] = np.nan
+            return x
+
+    monkeypatch.setattr(diffusion, "BiCGSTAB", Clobbering)
+    np.testing.assert_array_equal(
+        bdf2_solve(sphere40, cubic_harmonic, ALPHA, 0.01, 8), want)
+
+
 def test_bdf2_stops_at_the_iteration_cap(sphere40, cubic_harmonic,
                                          monkeypatch):
     monkeypatch.setattr(linalg, "_KRYLOV_MAXITER", 1)

@@ -117,6 +117,21 @@ def test_bicgstab_counts_its_work_over_its_solves():
     assert (solver.products, solver.restarts) == (4, 0)
 
 
+def test_bicgstab_iterates_in_a_float_guess():
+    # a float guess becomes the iterate; any other is converted, untouched
+    mat = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(20, 20),
+                   format="csr")
+    rhs = np.arange(20.0)
+    solver = BiCGSTAB(mat)
+    guess = np.zeros(20)
+    x = solver.solve(rhs, guess)
+    assert x is guess
+    assert np.abs(mat @ x - rhs).max() <= 1e-12
+    int_guess = np.zeros(20, dtype=int)
+    np.testing.assert_array_equal(solver.solve(rhs, int_guess), x)
+    assert not int_guess.any()
+
+
 def closed_form_smallest(n, h, count):
     lam = [-(2.0 / h ** 2) * (1 - np.cos(2 * np.pi * m / n))
            for m in range(n)]

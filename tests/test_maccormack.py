@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,48 @@ def test_extra_corrector_receives_old_state():
                           extra_corrector=extra)
     np.testing.assert_array_equal(captured["state"], u)
     assert np.abs(new - (u + 0.25)).max() < 1e-15
+
+
+def test_extra_corrector_starts_before_the_predictor():
+    # the increment is requested at the old state before the predictor's
+    # right-hand side, so a caller can compute it while the step runs
+    seen = []
+
+    def rhs(direction, s):
+        seen.append(direction)
+        return 0 * s
+
+    def extra(full_old):
+        seen.append("extra")
+        return np.zeros_like(full_old)
+
+    maccormack_step(np.ones(2), 0.1, rhs, lambda s: s, extra_corrector=extra)
+    assert seen == ["extra", "forward", "backward"]
+
+
+def test_extra_corrector_future_is_joined():
+    u = np.array([1.0, 2.0])
+
+    def rhs(direction, s):
+        return -s if direction == "forward" else 2.0 * s
+
+    def increment(full_old):
+        return 0.25 * full_old
+
+    want = maccormack_step(u, 0.1, rhs, lambda s: s, extra_corrector=increment)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        got = maccormack_step(u, 0.1, rhs, lambda s: s.copy(),
+                              extra_corrector=lambda s: worker.submit(
+                                  increment, s))
+        np.testing.assert_array_equal(got, want)
+
+        def failing(full_old):
+            raise ArithmeticError("increment failed")
+
+        with pytest.raises(ArithmeticError, match="increment failed"):
+            maccormack_step(u, 0.1, rhs, lambda s: s,
+                            extra_corrector=lambda s: worker.submit(
+                                failing, s))
 
 
 def test_check_finite_passes_and_raises():

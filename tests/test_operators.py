@@ -240,6 +240,21 @@ def test_tangential_projection_properties():
     np.testing.assert_allclose(tangential_projection(t, n), t, atol=1e-14)
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_tangential_projection_dot_matches_the_axis_sum(layout):
+    # the dot product is taken one component at a time; on point-major
+    # (n, 3) arrays and on transposed views of component-major rows it
+    # equals the sum over the last axis bit for bit
+    rng = np.random.default_rng(18)
+    v, n = rng.normal(size=(2, 50_000, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    if layout == "transposed":
+        v, n = np.ascontiguousarray(v.T).T, np.ascontiguousarray(n.T).T
+        assert not v.flags.c_contiguous
+    want = v - (v * n).sum(axis=-1, keepdims=True) * n
+    np.testing.assert_array_equal(tangential_projection(v, n), want)
+
+
 def test_advection_coefficients_components(sphere40):
     def velocity(p):
         x, y, z = p[:, 0], p[:, 1], p[:, 2]

@@ -2,12 +2,14 @@
 invariance, tangency of the evolved momentum, and quadrature cross-checks."""
 
 import dataclasses
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from surfpde import Grid, discretize, make_surface
-from surfpde import maccormack
+from surfpde import maccormack, swe
 from surfpde.advection import rotation_velocity
 from surfpde.discretization import SLOT_E, SLOT_N, SLOT_S, SLOT_W
 from surfpde.experiments import get_discretization
@@ -222,3 +224,72 @@ def test_step_extension_is_the_e_product(params, shifted_sphere40,
     monkeypatch.setattr(maccormack, "maccormack_step", checked_step)
     solve_swe(d, params, [2.0 / 80.0])
     assert len(steps) == 2
+
+
+class InlineExecutor:
+    """A stand-in for the step's worker pool that runs each task at once,
+    on the calling thread."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_worker_viscosity_march_equals_the_inline_march(
+        params, shifted_sphere40, monkeypatch):
+    d = shifted_sphere40
+    times = [4.0 / 80.0, 10.0 / 80.0]
+    threads = set()
+    viscosity = swe.artificial_viscosity
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        return viscosity(*args)
+
+    monkeypatch.setattr(swe, "artificial_viscosity", recording)
+    threaded = solve_swe(d, params, times)
+    assert threads and threading.get_ident() not in threads
+    threads.clear()
+    monkeypatch.setattr(swe, "ThreadPoolExecutor", InlineExecutor)
+    inline = solve_swe(d, params, times)
+    assert threads == {threading.get_ident()}
+    for (t1, phi1, mom1), (t2, phi2, mom2) in zip(threaded, inline,
+                                                  strict=True):
+        assert t1 == t2
+        np.testing.assert_array_equal(phi1, phi2)
+        np.testing.assert_array_equal(mom1, mom2)
+
+
+class ViscosityFault(Exception):
+    pass
+
+
+def test_solve_swe_leaves_no_thread_running(params, monkeypatch):
+    d = get_discretization("sphere", 40)
+    before = threading.active_count()
+    solve_swe(d, params, [2.0 / 80.0])
+    assert threading.active_count() == before
+
+    # the third call is the first of the second step
+    viscosity, calls = swe.artificial_viscosity, []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ViscosityFault("viscosity failed")
+        return viscosity(*args)
+
+    monkeypatch.setattr(swe, "artificial_viscosity", failing)
+    with pytest.raises(ViscosityFault, match="viscosity failed"):
+        solve_swe(d, params, [4.0 / 80.0])
+    assert threading.active_count() == before
