@@ -6,10 +6,10 @@ observed-order columns log2(err_N / err_2N) whenever two grids are present.
 
 A runner's independent tasks, one per grid, surface, curve, stepper or
 form, run in a process pool with one worker per CPU (in-process on one CPU
-or when the grids are small).  Each task's `_case` returns its own
+or when the work is small).  Each task's `_case` returns its own
 records, and `_table` joins them in task order.  Table 3.2's records each
-compare two grids' runs, so its cases return the runs; it builds every
-grid in-process first, so a grid that cannot be resolved fails before any
+compare two grids' runs, so its cases return the runs; its pool first
+builds every grid, so a grid that cannot be resolved fails before any
 march, and both steppers share one march task per surface and grid.  The
 pool sends out the largest grids first, so the longest run does not start
 last; records keep the fixed order whatever order the tasks finish in.
@@ -21,6 +21,8 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -59,42 +61,54 @@ def get_discretization(surface_name, n):
     return _DISC_CACHE[key]
 
 
-# Tasks whose grids hold fewer cells than this in all (N^d summed over the
-# tasks) run in-process: a pool's spawn costs about 1 s, more than such
-# work takes serially (0.02-0.9 s for the tables at N = 20, 40).
-_POOL_MIN_CELLS = 64 ** 3
+# Work whose tasks hold fewer grid cells than this in all (N^d summed over
+# the tasks, one march or solve each) runs in-process: a pool's spawn and
+# its workers' grid builds cost 0.6-1.5 s on 2 cores.  Table 3.1 at one N
+# (four tasks) is the measured crossover: 3.2 s in-process against 3.4 s
+# pooled at N = 128, 3.9 against 3.8 s at 140, 5.2 against 4.3 s at 150.
+_POOL_MIN_CELLS = 4 * 140 ** 3
 
 
-def _pmap(fn, tasks, dim=3):
-    """[fn(task) for task in tasks], on one worker process per CPU.
+@contextmanager
+def _task_map(tasks, dim=3):
+    """A map over `tasks`, and over later stages of the same tasks, on one
+    worker process per CPU: `with _task_map(tasks) as run: run(fn, tasks)`.
 
     Each task is a tuple whose first item is its grid size N, on a grid of
-    `dim` dimensions.  Small work (under _POOL_MIN_CELLS cells) runs
-    in-process in task order, as it does on one CPU.  A pool sends the
-    largest grids out first.  The first task to fail cancels those not yet
-    started, and its error propagates.
+    `dim` dimensions.  Small work (under _POOL_MIN_CELLS cells, a grid
+    counted once per task) runs in-process in task order, as it does on
+    one CPU.  Otherwise one pool serves every stage of the `with` block and
+    sends the largest grids out first.  The first task to fail cancels
+    those not yet started, and its error propagates.
     """
     workers = min(len(tasks), os.cpu_count() or 1)
     if (workers <= 1
             or sum(task[0] ** dim for task in tasks) < _POOL_MIN_CELLS):
-        return [fn(task) for task in tasks]
-    results = [None] * len(tasks)
+        yield lambda fn, stage: [fn(task) for task in stage]
+        return
     # workers are spawned: forking a process that runs BLAS threads is unsafe
     pool = ProcessPoolExecutor(max_workers=workers,
                                mp_context=multiprocessing.get_context("spawn"))
     try:
-        largest_first = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
-        futures = {pool.submit(fn, tasks[i]): i for i in largest_first}
-        for future in as_completed(futures):
-            results[futures[future]] = future.result()
+        yield partial(_pool_map, pool)
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _pool_map(pool, fn, tasks):
+    """[fn(task) for task in tasks] on `pool`, the largest grids first."""
+    results = [None] * len(tasks)
+    largest_first = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
+    futures = {pool.submit(fn, tasks[i]): i for i in largest_first}
+    for future in as_completed(futures):
+        results[futures[future]] = future.result()
     return results
 
 
 def _table(case, tasks, dim=3):
     """The records of every task in task order; each case returns a list."""
-    return [rec for recs in _pmap(case, tasks, dim) for rec in recs]
+    with _task_map(tasks, dim) as run:
+        return [rec for recs in run(case, tasks) for rec in recs]
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +212,21 @@ def _diffusion_pair_case(args):
     return runs
 
 
+def _build_grid(args):
+    n, surface = args
+    return get_discretization(surface, n)
+
+
 def run_diffusion_pair(n_list=(80, 160),
                        surfaces=("ellipsoid", "cassini_oval")):
     n_list = tuple(n_list)
     all_n = tuple(sorted({*n_list, *(2 * n for n in n_list)}))
     tasks = [(n, surface) for surface in surfaces for n in all_n]
-    # every grid is built here, and so checked, before any march starts
-    discs = [get_discretization(surface, n) for n, surface in tasks]
-    marches = _pmap(_diffusion_pair_case,
-                    [task + (disc,) for task, disc in zip(tasks, discs)])
+    # every grid is built, and so checked, before any march starts
+    with _task_map(tasks) as run:
+        discs = run(_build_grid, tasks)
+        marches = run(_diffusion_pair_case,
+                      [task + (disc,) for task, disc in zip(tasks, discs)])
     runs = dict(zip(tasks, zip(discs, marches)))
     records = []
     for surface in surfaces:

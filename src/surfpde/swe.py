@@ -123,11 +123,6 @@ class _Workspace:
             grad = sp.csr_matrix((d.data, (c * n_p + i, d.col)),
                                  shape=(3 * n_p, n_tot))
             self.ops[direction] = div, grad
-        # scratch rows of `_swe_rhs`, overwritten by every call; the march
-        # calls it on one thread only
-        self.vel = np.empty((3, n_tot))
-        self.flux = np.empty((3, n_tot))
-        self.adv = np.empty((3, n_p))
 
 
 def _swe_rhs(ws, direction, full):
@@ -141,36 +136,21 @@ def _swe_rhs(ws, direction, full):
     div, grad = ws.ops[direction]
     phi, mom = full[0], full[1:]
     mom_c = mom[:, :n_p]
-    geo = ws.geo[0] * mom_c[0]
-    geo += ws.geo[1] * mom_c[1]
-    geo += ws.geo[2] * mom_c[2]
+    geo = (ws.geo * mom_c).sum(axis=0)
     out = np.empty((4, n_p))
-    np.divide(div @ mom.ravel(), h, out=out[0])
-    out[0] += geo
-    np.negative(out[0], out=out[0])
+    out[0] = -(div @ mom.ravel() / h + geo)
 
     # momentum advection: chart divergence of the point fluxes v_c * m,
     # plus the pressure gradient of Phi^2/2, projected
-    vel = np.divide(mom, phi, out=ws.vel)
-    adv = ws.adv
-    for row, m in zip(adv, mom):
-        row[:] = div @ np.multiply(vel, m, out=ws.flux).ravel()
-    half_sq = np.multiply(phi, phi, out=ws.flux[0])
-    half_sq *= 0.5
-    adv += (grad @ half_sq).reshape(3, n_p)
+    vel = mom / phi
+    adv = np.stack([div @ (vel * m).ravel() for m in mom])
+    adv += (grad @ (0.5 * phi ** 2)).reshape(3, n_p)
     adv /= h
     tangential = tangential_projection(adv.T, ws.normals.T).T
 
-    # row c of the Coriolis term f n x m is f (n_{c+1} m_{c+2} - n_{c+2}
-    # m_{c+1}), from the rolled f n rows
     fn1, fn2 = ws.f_normals
-    geo /= phi[:n_p]
-    for c, row in enumerate(out[1:]):
-        np.multiply(fn1[c], mom_c[c - 1], out=row)
-        row -= fn2[c] * mom_c[c - 2]
-        row += tangential[c]
-        row += geo * mom_c[c]
-        np.negative(row, out=row)
+    coriolis = fn1 * mom_c[[2, 0, 1]] - fn2 * mom_c[[1, 2, 0]]
+    out[1:] = -(tangential + coriolis + (geo / phi[:n_p]) * mom_c)
     return out
 
 

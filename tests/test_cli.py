@@ -162,11 +162,26 @@ def test_worker_pool_output_matches_serial(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [2, 1], ids=["pool", "serial"])
 def test_failed_table_task_exits_two(cpus, monkeypatch, capsys):
-    # the Cassini oval leaves an admissibility gap at N = 40
+    # the Cassini oval leaves an admissibility gap at N = 40.  On two CPUs
+    # the pool builds the grids, so the error is raised in a worker and
+    # this process builds none
+    pools = []
+
+    class Pool(ex.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(ex, "_POOL_MIN_CELLS", 0)
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(ex, "_DISC_CACHE", {})
     assert main(["table-3.2", "--N", "40"]) == 2
     err = capsys.readouterr().err
     assert "admissibility gap" in err and "refine the grid" in err
+    assert len(pools) == (cpus > 1)
+    assert sorted(ex._DISC_CACHE) == ([] if cpus > 1 else
+                                      [("ellipsoid", 40), ("ellipsoid", 80)])
 
 
 def test_table32_builds_every_grid_before_any_march(monkeypatch, capsys):
@@ -196,8 +211,9 @@ def test_small_tables_run_in_process(monkeypatch):
     monkeypatch.setattr(ex, "ProcessPoolExecutor", _no_pool)
     assert len(ex.run_curve_resolvent()) == 36
     assert len(ex.run_quadrature((20, 40))) == 2
+    assert len(ex.run_diffusion_sphere((20, 40))) == 16
     with pytest.raises(AssertionError, match="pool was started"):
-        ex.run_quadrature((20, 80))
+        ex.run_quadrature((20, 240))
 
 
 def _sleep_or_fail(task):
@@ -218,7 +234,8 @@ def test_failed_task_cancels_the_queued_ones(tmp_path, monkeypatch):
     log.touch()
     tasks = [(1, str(log))] * 20 + [(2, None)]
     with pytest.raises(StencilError, match="size 2 failed"):
-        ex._pmap(_sleep_or_fail, tasks)
+        with ex._task_map(tasks) as run:
+            run(_sleep_or_fail, tasks)
     assert len(log.read_text().split()) < 20
 
 
