@@ -24,13 +24,19 @@ E, the Neumann series of Pi, and `extend(u_p) = E @ u_p`.  Explicit chart
 differences have one route too: the one-sided difference matrices of
 `chart_differences`, built once per discretization like E.
 
-Cut location never holds phi on the whole grid.  One scan streams slabs of
+Cut location never holds phi on the whole grid.  The scan streams slabs of
 whole planes along axis 0 (at most `_SLAB_NODES` nodes per phi call, or a
-single plane when one holds more), evaluates each node once, checks
-finiteness and box containment on the way, and keeps only the sign-change
-intervals and the last plane's inside flags; the cuts on those intervals
-are then bisected by `geometry._batch_bisect`.  Working memory is one slab
-plus O(N^2) per-cut arrays rather than (N+1)^3 values of phi.
+single plane when one holds more) in two runs of consecutive slabs, one
+on the calling thread and one on a worker thread, evaluates each node
+once, checks finiteness and box containment on the way, and keeps only
+the sign-change intervals, phi at their ends and phi on each run's first
+and last plane.  The cuts on those intervals are then located by
+`geometry._batch_illinois`, each axis in two halves, one per thread; the
+stencil lookup splits its slots the same way.  Working memory is two
+slabs plus O(N^2) per-cut arrays rather than (N+1)^3 values of phi.
+Every slab, interval and stencil slot is computed on its own and the
+parts join in order, so the result is the same bit for bit as computing
+the parts one after another.
 
 Cut order: the scan returns the cuts sorted by (axis, base index in C
 order), one per interval.  Snapping, dedupe and admissibility only filter,
@@ -41,6 +47,7 @@ the primary and the secondary block without sorting the cuts again.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +55,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .errors import EmptySurfaceError, GridError, StencilError
-from .geometry import BISECT_TOL, _batch_bisect
+from .geometry import BISECT_TOL, _batch_illinois
 
 # fixed slot order for the 3x3 chart stencil, offsets along (chart1, chart2)
 NEIGHBOR_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
@@ -295,6 +302,13 @@ def _node_text(grid, node):
     return f"{idx} at ({xyz})"
 
 
+def _in_pair(pool, fn, first, second):
+    """(fn(*first), fn(*second)): the second on the one worker of `pool`
+    while this thread computes the first.  The first's exception wins."""
+    later = pool.submit(fn, *second)
+    return fn(*first), later.result()
+
+
 def _boundary_min(f, i0, shape):
     """(phi, node index) of the smallest phi among the box-boundary nodes of
     the slab `f`, whose first plane is plane i0 along axis 0; ties go to the
@@ -313,49 +327,56 @@ def _boundary_min(f, i0, shape):
     return best
 
 
-def _sign_changes(inside, axis, offset):
-    """(base index, low end inside) of every sign change of `inside` along
-    `axis`, in C order; `offset` is the axis-0 index of its first plane."""
+def _sign_changes(f, inside, axis, offset):
+    """(base index, phi at the low end, phi at the high end) of every sign
+    change of `inside` (phi <= 0 on the nodes of `f`) along `axis`, in C
+    order; `offset` is the axis-0 index of the first plane of `f`."""
     lo = [slice(None)] * inside.ndim
     hi = [slice(None)] * inside.ndim
     lo[axis] = slice(None, -1)
     hi[axis] = slice(1, None)
     in_lo = inside[tuple(lo)]
-    flat = np.flatnonzero(in_lo != inside[tuple(hi)])
-    base = np.stack(np.unravel_index(flat, in_lo.shape), axis=1)
+    idx = np.unravel_index(np.flatnonzero(in_lo != inside[tuple(hi)]),
+                           in_lo.shape)
+    up = list(idx)
+    up[axis] = up[axis] + 1
+    base = np.stack(idx, axis=1).astype(np.int64, copy=False)
     base[:, 0] += offset
-    return base.astype(np.int64, copy=False), np.take(in_lo, flat)
+    return base, f[idx], f[tuple(up)]
 
 
-def _scan_sign_changes(surface, grid):
-    """Sign-change intervals of phi between neighbouring grid nodes.
+def _plane_seam(before, after, i):
+    """`_sign_changes` along axis 0 between phi on plane i (`before`) and
+    on plane i + 1 (`after`)."""
+    idx = np.nonzero((before <= 0.0) != (after <= 0.0))
+    base = np.stack((np.full(idx[0].shape, i),) + idx, axis=1)
+    return base.astype(np.int64, copy=False), before[idx], after[idx]
 
-    One pass over slabs of whole planes along axis 0, at most _SLAB_NODES
-    nodes per phi call (one plane when a plane holds more); every node is
-    evaluated once and only the last plane's inside flags carry over to
-    the next slab.  Raises GridError at the first non-finite phi, and
-    after the pass if a boundary node has phi <= 0.  Returns, per axis,
-    the base indices of the changing intervals in the cut order of the
-    module docstring and whether each interval's low end is inside.
-    """
+
+def _scan_run(surface, grid, starts, depth):
+    """One run of the scan: the slabs of `depth` planes along axis 0 that
+    start at the consecutive planes `starts`.  Returns, per axis, the
+    `_sign_changes` parts inside the run in cut order, the run's
+    `_boundary_min`, and phi on its first and on its last plane (None for
+    a run of no slab)."""
     shape = grid.shape
     dim = len(shape)
     coords = [grid.coords(a) for a in range(dim)]
-    depth = max(1, min(shape[0], _SLAB_NODES // math.prod(shape[1:])))
-    pts = np.empty((depth,) + shape[1:] + (dim,))
+    # coordinate-major storage: phi reads each coordinate contiguously
+    pts = np.moveaxis(np.empty((dim, depth) + shape[1:]), 0, -1)
     for a in range(1, dim):
         pts[..., a] = coords[a].reshape((-1,) + (1,) * (dim - 1 - a))
     found = [[] for _ in range(dim)]
     worst = (np.inf, ())
-    prev = None
-    for i0 in range(0, shape[0], depth):
+    first = prev = None
+    for i0 in starts:
         slab = pts[:min(depth, shape[0] - i0)]
         slab[..., 0] = coords[0][i0:i0 + slab.shape[0]].reshape(
             (-1,) + (1,) * (dim - 1))
         f = surface.phi(slab)
-        bad = np.flatnonzero(~np.isfinite(f))
-        if bad.size:
-            node = np.unravel_index(int(bad[0]), f.shape)
+        finite = np.isfinite(f)
+        if not finite.all():
+            node = np.unravel_index(int(np.argmin(finite)), f.shape)
             raise GridError(
                 f"phi evaluated to non-finite values on the grid; first "
                 f"{f[node]} at node "
@@ -363,11 +384,45 @@ def _scan_sign_changes(surface, grid):
         worst = min(worst, _boundary_min(f, i0, shape))
         inside = f <= 0.0
         # axis 0 also crosses the seam from the previous slab's last plane
-        seam = inside if prev is None else np.concatenate([prev[None], inside])
-        found[0].append(_sign_changes(seam, 0, i0 - (prev is not None)))
-        for a in range(1, dim):
-            found[a].append(_sign_changes(inside, a, i0))
-        prev = inside[-1]
+        if prev is not None:
+            found[0].append(_plane_seam(prev, f[0], i0 - 1))
+        for a in range(dim):
+            found[a].append(_sign_changes(f, inside, a, i0))
+        if first is None:
+            first = f[0].copy()
+        prev = f[-1].copy()
+    return found, worst, first, prev
+
+
+def _scan_sign_changes(surface, grid, pool):
+    """Sign-change intervals of phi between neighbouring grid nodes.
+
+    Slabs of whole planes along axis 0, at most _SLAB_NODES nodes per phi
+    call (one plane when a plane holds more), are split into two runs of
+    consecutive slabs, scanned at once by this thread and the one worker
+    of `pool`; every node is evaluated once, and within a run only the
+    last plane's phi carries over to the next slab.  The axis-0 changes
+    across the seam between the runs come from the first run's last plane
+    and the second run's first, and the parts join in run order, so the
+    result does not depend on the split.  Raises GridError at the first
+    non-finite phi (the first run's before the second's), and after the
+    scan if a boundary node has phi <= 0.  Returns, per axis, the base
+    indices of the changing intervals in the cut order of the module
+    docstring and phi at both ends of each.
+    """
+    shape = grid.shape
+    dim = len(shape)
+    depth = max(1, min(shape[0], _SLAB_NODES // math.prod(shape[1:])))
+    starts = range(0, shape[0], depth)
+    cut = (len(starts) + 1) // 2
+    (found, worst, _, last), (parts, run_worst, first, _) = _in_pair(
+        pool, _scan_run, (surface, grid, starts[:cut], depth),
+        (surface, grid, starts[cut:], depth))
+    if first is not None:       # the second run holds a slab
+        found[0].append(_plane_seam(last, first, starts[cut] - 1))
+    for a in range(dim):
+        found[a] += parts[a]
+    worst = min(worst, run_worst)
     if worst[0] <= 0.0:
         raise GridError(
             f"level set is not strictly inside the grid box (min boundary "
@@ -383,21 +438,35 @@ def _admissible_mask(normals, axis, eta):
     return np.abs(normals[np.arange(normals.shape[0]), ax]) >= eta
 
 
+def _interval_cuts(surface, grid, axis, base, f_lo, f_hi, tol):
+    """The cut point on each interval along `axis` from the nodes `base`,
+    given phi at both ends of each."""
+    p_lo = np.asarray(grid.origin) + grid.h * base
+    p_hi = p_lo.copy()
+    p_hi[:, axis] += grid.h
+    lo_is_in = f_lo <= 0.0
+    p_in = np.where(lo_is_in[:, None], p_lo, p_hi)
+    p_out = np.where(lo_is_in[:, None], p_hi, p_lo)
+    return _batch_illinois(surface, p_in, p_out,
+                           np.where(lo_is_in, f_lo, f_hi),
+                           np.where(lo_is_in, f_hi, f_lo), axis, tol)
+
+
 def _locate_cuts(surface, grid, tol=BISECT_TOL):
-    """Per axis, the base indices of all sign-change intervals and the
-    bisected cut point on each, in the cut order of the module docstring."""
-    origin = np.asarray(grid.origin)
+    """Per axis, the base indices of all sign-change intervals and the cut
+    point on each, in the cut order of the module docstring.  The scan and
+    the root steps run on this thread and one worker: each axis's
+    intervals are located in two halves, and the halves join in order."""
     out = []
-    for axis, (base, lo_is_in) in enumerate(_scan_sign_changes(surface, grid)):
-        if base.shape[0] == 0:
-            out.append((base, np.empty((0, base.shape[1]))))
-            continue
-        p_lo = origin + grid.h * base
-        p_hi = p_lo.copy()
-        p_hi[:, axis] += grid.h
-        p_in = np.where(lo_is_in[:, None], p_lo, p_hi)
-        p_out = np.where(lo_is_in[:, None], p_hi, p_lo)
-        out.append((base, _batch_bisect(surface, p_in, p_out, axis, tol)))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for axis, (base, f_lo, f_hi) in enumerate(
+                _scan_sign_changes(surface, grid, pool)):
+            cut = (base.shape[0] + 1) // 2
+            halves = [(surface, grid, axis, base[part], f_lo[part],
+                       f_hi[part], tol)
+                      for part in (slice(None, cut), slice(cut, None))]
+            out.append((base, np.concatenate(
+                _in_pair(pool, _interval_cuts, *halves))))
     return out
 
 
@@ -472,15 +541,22 @@ def _resolve_neighbors(grid, positions, axis, base, n_p, eta):
     reach = (np.linalg.norm(offsets, axis=1) * math.sqrt(1.0 - eta ** 2)
              / eta + 1.0) * grid.h
     out = np.empty((n_p, len(offsets)), dtype=np.int64)
-    for slot, off in enumerate(offsets):
-        qkey = _column_key(axis[:n_p], chart[:n_p] + off, bmax)
-        cand = np.searchsorted(s_key, qkey) + np.arange(widest)[:, None]
-        cc = np.minimum(cand, n_tot - 1)
-        d = np.where((cand < n_tot) & (s_key[cc] == qkey),
-                     np.abs(s_pos[cc] - pos_free[:n_p]), np.inf)
-        k = np.argmin(d, axis=0)   # the first of equals: lower free coordinate
-        out[:, slot] = np.where(d[k, prim] <= reach[slot],
-                                order[cc[k, prim]], -1)
+
+    def fill(slots):
+        for slot in slots:
+            qkey = _column_key(axis[:n_p], chart[:n_p] + offsets[slot], bmax)
+            cand = np.searchsorted(s_key, qkey) + np.arange(widest)[:, None]
+            cc = np.minimum(cand, n_tot - 1)
+            d = np.where((cand < n_tot) & (s_key[cc] == qkey),
+                         np.abs(s_pos[cc] - pos_free[:n_p]), np.inf)
+            k = np.argmin(d, axis=0)   # first of equals: lower free coordinate
+            out[:, slot] = np.where(d[k, prim] <= reach[slot],
+                                    order[cc[k, prim]], -1)
+
+    # each slot fills its own column; half the slots on the worker
+    half = len(offsets) // 2
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        _in_pair(pool, fill, (range(half),), (range(half, len(offsets)),))
     return out
 
 
@@ -637,9 +713,12 @@ def discretize(surface, grid, eta=0.45):
     grid : Grid
         A 3-D grid (GridError otherwise) that strictly contains the
         surface (checked on the boundary faces).  phi is evaluated once
-        per grid node in one streamed pass over slabs of planes, so
-        working memory grows like the number of cut points, O(N^2), not
-        like the (N+1)^3 grid.  A non-finite phi or a boundary node with
+        per grid node, streamed over slabs of planes in two runs on two
+        threads (this one and a worker), so working memory is two slabs
+        plus what grows like the number of cut points, O(N^2), not like
+        the (N+1)^3 grid.  The root steps and the stencil lookup also run
+        on the two threads.
+        A non-finite phi (the first in C order) or a boundary node with
         phi <= 0 raises GridError naming the node.
     eta : float
         Admissibility threshold on |n_nu| at the cut point; 0 < eta < 1/sqrt(3).

@@ -1,22 +1,29 @@
 """The streamed sign-change scan of cut location, against the dense scan it
-replaced, and its memory, evaluation-count and failure contracts."""
+replaced, the Illinois root step against the bisection it replaced, and
+their memory, evaluation-count and failure contracts."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from surfpde import discretization
-from surfpde.curve1d import circle, ellipse
+from surfpde.curve1d import circle, discretize_curve, ellipse
 from surfpde.discretization import (STENCIL_OFFSETS, Grid, _admissible_mask,
                                     _column_key, _cut_points, _locate_cuts,
                                     _snap_and_dedupe, chart_axes, discretize)
 from surfpde.errors import GridError
-from surfpde.geometry import _batch_bisect, from_callables, make_surface
+from surfpde.geometry import _batch_illinois, from_callables, make_surface
 
 ETA = 0.45
 TOL = 1e-12
@@ -37,8 +44,10 @@ def dense_phi(surface, grid):
     return out
 
 
-def dense_locate_cuts(surface, grid, tol):
-    """Sign changes of the dense phi grid via argwhere, then bisection."""
+def dense_intervals(surface, grid):
+    """Per axis, from the dense phi grid via argwhere: the base indices of
+    the sign-change intervals, their inside and outside ends, and phi
+    there."""
     phi_grid = dense_phi(surface, grid)
     if not np.isfinite(phi_grid).all():
         raise GridError("phi evaluated to non-finite values on the grid")
@@ -57,17 +66,54 @@ def dense_locate_cuts(surface, grid, tol):
         in_lo = inside[tuple(lo)]
         change = in_lo != inside[tuple(hi)]
         base = np.argwhere(change).astype(np.int64)
-        if base.shape[0] == 0:
-            out.append((base, np.empty((0, inside.ndim))))
-            continue
         p_lo = origin + grid.h * base
         p_hi = p_lo.copy()
         p_hi[:, axis] += grid.h
+        f_lo = phi_grid[tuple(lo)][change]
+        f_hi = phi_grid[tuple(hi)][change]
         lo_is_in = in_lo[change]
-        p_in = np.where(lo_is_in[:, None], p_lo, p_hi)
-        p_out = np.where(lo_is_in[:, None], p_hi, p_lo)
-        out.append((base, _batch_bisect(surface, p_in, p_out, axis, tol)))
+        side = lo_is_in[:, None]
+        out.append((base, np.where(side, p_lo, p_hi),
+                    np.where(side, p_hi, p_lo),
+                    np.where(lo_is_in, f_lo, f_hi),
+                    np.where(lo_is_in, f_hi, f_lo)))
     return out
+
+
+def dense_locate_cuts(surface, grid, tol):
+    """Sign changes of the dense phi grid, then one Illinois root step on
+    all the intervals of each axis at once."""
+    return [(base, _batch_illinois(surface, p_in, p_out, f_in, f_out, axis,
+                                   tol))
+            for axis, (base, p_in, p_out, f_in, f_out)
+            in enumerate(dense_intervals(surface, grid))]
+
+
+# -- the bisection that the Illinois step replaced, kept as the oracle -----
+
+def batch_bisect(surface, p_in, p_out, axis, tol):
+    """ceil(log2(1/tol)) halvings on every segment (phi(p_in) <= 0), then
+    the midpoint of the last window."""
+    m = p_in.shape[0]
+    lo = np.zeros(m)
+    hi = np.ones(m)
+    delta = p_out[:, axis] - p_in[:, axis]
+    q = p_in.copy()
+    for _ in range(max(1, math.ceil(math.log2(1.0 / tol)))):
+        mid = 0.5 * (lo + hi)
+        q[:, axis] = p_in[:, axis] + mid * delta
+        neg = surface.phi(q) <= 0.0
+        lo = np.where(neg, mid, lo)
+        hi = np.where(neg, hi, mid)
+    q[:, axis] = p_in[:, axis] + 0.5 * (lo + hi) * delta
+    return q
+
+
+def bisected_locate_cuts(surface, grid, tol):
+    """Sign changes of the dense phi grid, then the bisection oracle."""
+    return [(base, batch_bisect(surface, p_in, p_out, axis, tol))
+            for axis, (base, p_in, p_out, _, _)
+            in enumerate(dense_intervals(surface, grid))]
 
 
 def shifted(grid, seed):
@@ -325,6 +371,186 @@ def test_cut_order_is_checked_under_optimize_flag(subprocess_env):
     assert proc.returncode == 0, proc.stderr + proc.stdout
 
 
+# -- the Illinois root step against the bisection it replaced --------------
+
+PARITY_CASES = (
+    [(kind, Grid.cube(-1.2, 1.2, n), seed)
+     for kind in ("sphere", "ellipsoid", "cassini_oval") for n in (80, 160)
+     for seed in (None, 1, 2)]
+    + [("sphere", Grid.cube(-1.2, 1.2, 320), None)]
+    + [(kind, Grid.square(-1.2, 1.2, n), seed)
+       for kind in ("circle", "ellipse") for n in (40, 160)
+       for seed in (None, 1, 2)])
+
+
+def build(kind, grid):
+    if kind in CURVES:
+        return discretize_curve(CURVES[kind](), grid, ETA)
+    return discretize(make_surface(kind), grid, ETA)
+
+
+@pytest.mark.parametrize(
+    "kind,grid,seed", PARITY_CASES,
+    ids=[f"{k}-{g.n_cells[0]}-{s}" for k, g, s in PARITY_CASES])
+def test_illinois_cuts_match_the_bisection_oracle(kind, grid, seed,
+                                                  monkeypatch):
+    grid = shifted(grid, seed)
+    got = build(kind, grid)
+    monkeypatch.setattr(discretization, "_locate_cuts", bisected_locate_cuts)
+    want = build(kind, grid)
+    assert got.n_p == want.n_p and got.dropped_cuts == want.dropped_cuts
+    for name in ("axis", "base_index", "closest_gp", "associated_primary",
+                 "chart_neighbors"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.abs(got.positions - want.positions).max() <= 1e-12 * grid.h
+    for name in ("pi_sp", "pi_ss"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a.indptr, b.indptr), name
+        assert np.array_equal(a.indices, b.indices), name
+    e_got, e_want = got.extension_matrix(), want.extension_matrix()
+    assert np.array_equal(e_got.indptr, e_want.indptr)
+    assert np.array_equal(e_got.indices, e_want.indices)
+    # stronger than the bound: phi's sign changes once on the lattice at
+    # every kept cut, so each is bisection's point bit for bit, and no
+    # primary flips at an exact |theta| tie
+    assert np.array_equal(got.positions, want.positions)
+
+
+HARD_ROOTS = {
+    # regula falsi alone keeps one end for ever on these
+    "cubic": lambda x: (x - 0.3) ** 3,
+    "steep": lambda x: np.tanh(1e4 * (x - 0.6180339887)),
+    "jump": lambda x: np.where(x <= 0.1234, -1.0, 1.0) * (1.0 + x),
+    "flat_then_steep": lambda x: np.expm1(40.0 * (x - 0.9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_ROOTS))
+def test_root_step_ends_at_the_bisection_point_within_its_step_bound(name):
+    g = HARD_ROOTS[name]
+    calls = []
+
+    def phi(p):
+        calls.append(p.shape[0])
+        return g(p[..., 0])
+
+    surface = from_callables(phi)
+    starts = np.linspace(-0.5, 0.05, 7)
+    p_in = np.column_stack([starts, np.zeros(7), np.ones(7)])
+    p_out = p_in.copy()
+    p_out[:, 0] = 1.0
+    got = _batch_illinois(surface, p_in, p_out, phi(p_in), phi(p_out), 0,
+                          TOL)
+    steps = len(calls) - 2
+    assert 1 <= steps <= 4 * math.ceil(math.log2(1.0 / TOL))
+    assert np.array_equal(got, batch_bisect(surface, p_in, p_out, 0, TOL))
+
+
+# -- two threads give the parts in turn -------------------------------------
+
+class InlineExecutor:
+    """A ThreadPoolExecutor stand-in that runs each task when submitted."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+
+
+def thread_recording(surface, threads):
+    """`surface` with a phi that records the thread of every call."""
+    def phi(p):
+        threads.add(threading.get_ident())
+        return surface.phi(p)
+    return from_callables(phi, grad=surface.gradient, c0=surface.c0)
+
+
+@pytest.mark.parametrize("slab", ["one_plane", "default"])
+@pytest.mark.parametrize("kind", ["cassini_oval", "circle"])
+def test_threaded_cut_points_equal_the_parts_in_turn(kind, slab,
+                                                     monkeypatch):
+    base = Grid.square if kind in CURVES else Grid.cube
+    grid = shifted(base(-1.2, 1.2, 80), 1)
+    monkeypatch.setattr(discretization, "_SLAB_NODES", SLABS[slab](grid))
+    surface = CURVES[kind]() if kind in CURVES else make_surface(kind)
+    before = threading.active_count()
+    threads = set()
+    got = _cut_points(thread_recording(surface, threads), grid, ETA, TOL)
+    assert threading.active_count() == before
+    assert len(threads) == 2 and threading.get_ident() in threads
+    monkeypatch.setattr(discretization, "ThreadPoolExecutor", InlineExecutor)
+    threads.clear()
+    assert_same_fields(
+        got, _cut_points(thread_recording(surface, threads), grid, ETA, TOL))
+    assert threads == {threading.get_ident()}
+
+
+# -- fuzzed: rotated ellipsoids at random grid offsets ----------------------
+
+def rotated_ellipsoid(axes, quaternion):
+    """phi(p) = |D R p|^2 - 1 with R the rotation of the unit quaternion and
+    D = diag(1/axes), through `from_callables` with its analytic gradient."""
+    w, x, y, z = np.asarray(quaternion) / np.linalg.norm(quaternion)
+    rot = np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+    scaled = rot / np.asarray(axes)[:, None]       # D R
+
+    def local(p):
+        return [sum(scaled[i, j] * p[..., j] for j in range(3))
+                for i in range(3)]
+
+    def phi(p):
+        u = local(p)
+        return u[0] ** 2 + u[1] ** 2 + u[2] ** 2 - 1.0
+
+    def grad(p):
+        u = local(p)
+        return 2.0 * sum(u[i][..., None] * scaled[i] for i in range(3))
+
+    return from_callables(phi, grad=grad, c0=2.0 / max(axes))
+
+
+unit = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@hypothesis.seed(20191908)
+@settings(max_examples=50, deadline=5000, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(axes=st.tuples(*[st.floats(0.4, 1.1)] * 3),
+       quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+           lambda q: np.linalg.norm(q) > 0.1),
+       offset=st.tuples(unit, unit, unit), n=st.integers(24, 48))
+def test_fuzzed_cuts_stay_within_tol_of_the_bisection_oracle(axes,
+                                                             quaternion,
+                                                             offset, n):
+    surface = rotated_ellipsoid(axes, quaternion)
+    box = Grid.cube(-1.2, 1.2, n)
+    grid = Grid(tuple(np.asarray(box.origin) + box.h * np.asarray(offset)),
+                box.h, box.n_cells)
+    located = _locate_cuts(surface, grid, TOL)
+    for axis, ((b, q), (b_ref, q_ref)) in enumerate(
+            zip(located, bisected_locate_cuts(surface, grid, TOL),
+                strict=True)):
+        assert np.array_equal(b, b_ref)
+        assert np.abs(q - q_ref).max(initial=0.0) <= TOL * grid.h
+        low = grid.origin[axis] + grid.h * b[:, axis]
+        assert ((q[:, axis] >= low) & (q[:, axis] <= low + grid.h)).all()
+
+
 # -- memory and evaluation count -------------------------------------------
 
 def recording_sphere(calls, radius=1.0):
@@ -352,13 +578,16 @@ def test_scan_evaluates_each_node_once_within_the_slab_bound(slab,
     nodes = np.concatenate(scan)
     assert nodes.shape[0] == (n + 1) ** 3
     assert np.unique(nodes, axis=0).shape[0] == (n + 1) ** 3
-    # everything else is bisection: one call per step and axis, on every
-    # sign-change interval of the dense oracle
-    steps = math.ceil(math.log2(1.0 / TOL))
-    located = dense_locate_cuts(make_surface("sphere"), grid, TOL)
-    bisected = steps * sum(b.shape[0] for b, _ in located)
-    assert sum(sizes) == (n + 1) ** 3 + bisected
-    assert len(calls) == len(scan) + 3 * steps
+    # everything else is the root step on every sign-change interval of the
+    # dense oracle: 6.0 evaluations per interval on this sphere, where the
+    # bisection made 40, and one call per step on each half of each axis,
+    # at most 4 ceil(log2(1/tol)) steps
+    intervals = sum(b.shape[0] for b, _ in
+                    dense_locate_cuts(make_surface("sphere"), grid, TOL))
+    roots = sum(sizes) - (n + 1) ** 3
+    assert intervals <= roots <= 6.5 * intervals
+    steps = 4 * math.ceil(math.log2(1.0 / TOL))
+    assert 2 * 3 <= len(calls) - len(scan) <= 2 * 3 * steps
 
 
 # -- located failures ------------------------------------------------------
@@ -378,6 +607,47 @@ def test_non_finite_phi_names_the_first_node():
     with pytest.raises(GridError, match=r"first nan at node \(17, 23, 9\) "
                        r"at \(-0\.18, 0\.18, -0\.66\)"):
         discretize(surface, grid)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_non_finite_phi_names_the_first_node_when_the_second_run_fails_first(
+        dim, monkeypatch):
+    """One plane per slab: the 41 planes split into runs of planes 0-20
+    and 21-40, each with a non-finite node.  The first run waits at its bad
+    plane 17 until the second run has failed at plane 30, and the error
+    still names the first node in C order."""
+    monkeypatch.setattr(discretization, "_SLAB_NODES", 1)
+    grid = (Grid.cube if dim == 3 else Grid.square)(-1.2, 1.2, 40)
+    c = [grid.coords(a) for a in range(dim)]
+    nodes = [(17, 23, 9)[:dim], (30, 2, 5)[:dim]]
+    bad = [tuple(c[a][i] for a, i in enumerate(node)) for node in nodes]
+    ended = []
+    second_ended = threading.Event()
+    real_run = discretization._scan_run
+
+    def run(surface, grid, starts, depth):
+        try:
+            return real_run(surface, grid, starts, depth)
+        finally:
+            ended.append(starts[0])
+            if starts[0] > 0:
+                second_ended.set()
+
+    def phi(p):
+        if p.ndim == dim + 1 and p[(0,) * (dim + 1)] == bad[0][0]:
+            assert second_ended.wait(timeout=30)
+        out = (p ** 2).sum(axis=-1) - 1.0
+        for node in bad:
+            out[(p == node).all(axis=-1)] = np.nan
+        return out
+
+    monkeypatch.setattr(discretization, "_scan_run", run)
+    surface = from_callables(phi, grad=lambda p: 2.0 * p, c0=1.0)
+    build_ = discretize if dim == 3 else discretize_curve
+    with pytest.raises(GridError, match="first nan at node "
+                       + re.escape(str(nodes[0]))):
+        build_(surface, grid)
+    assert ended == [21, 0]
 
 
 def test_non_finite_phi_is_reported_before_containment():
