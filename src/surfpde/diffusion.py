@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from .errors import SolverAbortError
 from .linalg import BiCGSTAB, _amax
 from .maccormack import check_finite, march
-from .operators import laplace_beltrami, reduced_operator
+from .operators import reduced_laplace_beltrami
 
 _MAX_ORDER = 5  # highest guess order: the quartic, from five levels
 
@@ -39,7 +39,7 @@ def forward_euler_solve(disc, u0_p, alpha, k, n_steps, form="divergence"):
     matrix-vector product on the primaries.  n_steps must be nonnegative.
     """
     ka = k * alpha
-    red = reduced_operator(laplace_beltrami(disc, form), disc)
+    red = reduced_laplace_beltrami(disc, form)
     (_, u), = march(np.asarray(u0_p, dtype=float),
                     lambda u: u + ka * (red @ u), k, [n_steps * k])
     return u
@@ -65,7 +65,7 @@ def bdf2_solve(disc, u0_p, alpha, k, n_steps, form="divergence"):
     scaled system; otherwise the march raises SolverAbortError with the
     step, its time and the residual.
     """
-    red = reduced_operator(laplace_beltrami(disc, form), disc)
+    red = reduced_laplace_beltrami(disc, form)
     eye = sp.identity(disc.n_p, format="csr")
     u = np.asarray(u0_p, dtype=float).copy()
     if n_steps == 0:

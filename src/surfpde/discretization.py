@@ -56,6 +56,7 @@ from scipy.spatial import cKDTree
 
 from .errors import EmptySurfaceError, GridError, StencilError
 from .geometry import BISECT_TOL, _batch_illinois
+from .linalg import _in_pair
 
 # fixed slot order for the 3x3 chart stencil, offsets along (chart1, chart2)
 NEIGHBOR_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
@@ -300,13 +301,6 @@ def _node_text(grid, node):
     xyz = ", ".join(f"{float(grid.coords(a)[i]):.6g}"
                     for a, i in enumerate(idx))
     return f"{idx} at ({xyz})"
-
-
-def _in_pair(pool, fn, first, second):
-    """(fn(*first), fn(*second)): the second on the one worker of `pool`
-    while this thread computes the first.  The first's exception wins."""
-    later = pool.submit(fn, *second)
-    return fn(*first), later.result()
 
 
 def _boundary_min(f, i0, shape):

@@ -8,10 +8,17 @@ and `BiCGSTAB`, the Jacobi-scaled Krylov iteration that solves each
 implicit diffusion step from a guess without factoring.  Every
 factorization is ordered by geometric nested dissection of the unknowns'
 coordinates (`dissection_order`), so each entry point that factors takes
-`points`, the (n, d) positions of the matrix's unknowns.
+`points`, the (n, d) positions of the matrix's unknowns.  The ordering
+splits the two halves of its root on the calling thread and one worker
+thread; `_in_pair` is that one two-thread pattern, which `discretization`
+and `operators` use as well.  SuperLU's factorization itself runs on the
+calling thread.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +31,10 @@ from .errors import SingularMatrixError, SolverAbortError
 _SINGULAR_PIVOT_RTOL = 1e-10
 # nested-dissection parts of at most this many unknowns are not split
 _ND_LEAF = 8
+# dissection levels 0 to 39 that the int64 base-3 path has room for, most
+# significant digit first: its largest value 2 * 3**39 is below 2**63, and
+# parts are down to _ND_LEAF by level 39 for any n <= 8 * 2**40
+_ND_LEVELS = 40
 _REFINE_PASSES = 2            # at most, in Factorization.solve
 _SOLVE_RTOL = 1e-10           # its residual bound, relative (see the class)
 _BORDERED_RTOL = 1e-9         # bordered_solve residual bound, relative
@@ -39,6 +50,82 @@ def assemble_csr(rows, cols, vals, shape):
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
+def _in_pair(pool, fn, first, second):
+    """(fn(*first), fn(*second)): the second on the one worker of `pool`
+    while this thread computes the first.  The first's exception wins."""
+    later = pool.submit(fn, *second)
+    return fn(*first), later.result()
+
+
+def _split_parts(cols, rank, ei, ej, path, nodes, sizes, level):
+    """One nested-dissection level over the parts of `nodes` (each part
+    contiguous, of the given `sizes`, each above _ND_LEAF).  Adds each
+    unknown's digit at `level` to `path` and returns the nodes and sizes of
+    the halves, separators left out.  Edges (ei, ej) of other parts or of
+    finished unknowns are ignored, so they need not be filtered out."""
+    n = path.size
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    pid = np.repeat(np.arange(sizes.size), sizes)
+    extent = np.empty((len(cols), sizes.size))
+    for axis, x in enumerate(cols):
+        x = x.take(nodes)
+        extent[axis] = np.maximum.reduceat(x, starts) - np.minimum.reduceat(
+            x, starts)
+    widest = np.argmax(extent, axis=0)
+    nodes = nodes[np.argsort(pid * n + rank[widest[pid], nodes])]
+    half = sizes // 2
+    right = np.arange(nodes.size) - starts[pid] >= half[pid]
+    # 2 * part + (1 if right half); -2 elsewhere, which xors to 1 with no
+    # label, so an edge is cut exactly when it joins the halves of a part
+    label = np.full(n, -2, dtype=ei.dtype)
+    label[nodes] = 2 * pid + right
+    li = label[ei]
+    cut = (li ^ label[ej]) == 1
+    sep = np.zeros(n, dtype=bool)
+    sep[np.where(li[cut] & 1, ej[cut], ei[cut])] = True
+    path[nodes] += np.where(sep[nodes], 2, right) * 3 ** (_ND_LEVELS - 1
+                                                          - level)
+    keep = ~sep[nodes]
+    left_sizes = half - np.bincount(pid[~keep], minlength=sizes.size)
+    return (nodes[keep],
+            np.column_stack([left_sizes, sizes - half]).ravel())
+
+
+def _dissect(cols, rank, ei, ej, path, nodes, sizes, level):
+    """Split the parts of `nodes` from `level` down until every part has at
+    most _ND_LEAF unknowns (see `_split_parts`)."""
+    while True:
+        split = sizes > _ND_LEAF
+        nodes = nodes[np.repeat(split, sizes)]
+        sizes = sizes[split]
+        if not sizes.size:
+            return
+        nodes, sizes = _split_parts(cols, rank, ei, ej, path, nodes, sizes,
+                                    level)
+        level += 1
+
+
+def _edges(mat):
+    """Each edge of A^T + A once, as index arrays (i, j) with i < j."""
+    n = mat.shape[0]
+    coo = sp.coo_matrix(mat)
+    lo, hi = np.minimum(coo.row, coo.col), np.maximum(coo.row, coo.col)
+    off = lo < hi
+    graph = sp.csr_matrix((np.ones(int(off.sum()), dtype=np.int8),
+                           (lo[off], hi[off])), shape=(n, n))
+    return (np.repeat(np.arange(n, dtype=graph.indices.dtype),
+                      np.diff(graph.indptr)), graph.indices)
+
+
+def _ranks(cols):
+    """Rank of each unknown along each axis (row of `cols`), ties by
+    index."""
+    rank = np.empty(cols.shape, dtype=np.int64)
+    for axis, x in enumerate(cols):
+        rank[axis, np.argsort(x, kind="stable")] = np.arange(x.size)
+    return rank
+
+
 def dissection_order(points, mat):
     """Nested-dissection elimination order of the unknowns of `mat`.
 
@@ -48,6 +135,12 @@ def dissection_order(points, mat):
     unknowns sampling a surface it has O(sqrt(n)) of them (George 1973;
     Lipton, Rose and Tarjan 1979).  Returns the post-order of the tree:
     left subtree, right subtree, then the separator, with ties by index.
+
+    A worker thread ranks the unknowns along each axis while the calling
+    thread collects the edges, and the root level is split on the calling
+    thread.  The two halves it leaves share no unknown and no edge, so the
+    left subtree is split on the calling thread while the worker splits
+    the right one.  The order does not depend on the threads.
     """
     n = mat.shape[0]
     pts = np.asarray(points, dtype=float)
@@ -56,54 +149,30 @@ def dissection_order(points, mat):
     if not np.isfinite(pts).all():
         bad = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
         raise ValueError(f"points must be finite; row {bad} is {pts[bad]}")
-    # each edge of A^T + A once, as (i, j) with i < j
-    coo = sp.coo_matrix(mat)
-    lo, hi = np.minimum(coo.row, coo.col), np.maximum(coo.row, coo.col)
-    off = lo < hi
-    graph = sp.csr_matrix((np.ones(int(off.sum()), dtype=np.int8),
-                           (lo[off], hi[off])), shape=(n, n))
-    ei = np.repeat(np.arange(n, dtype=graph.indices.dtype),
-                   np.diff(graph.indptr))
-    ej = graph.indices
-    # rank of each unknown along each axis, ties by index
-    rank = np.empty(pts.shape[::-1], dtype=np.int64)
-    for axis in range(pts.shape[1]):
-        rank[axis, np.argsort(pts[:, axis], kind="stable")] = np.arange(n)
-    # base-3 path in the tree (0 left, 1 right, 2 separator); finished
-    # unknowns pad with 0, and a depth of log2(n / _ND_LEAF) + 1 keeps
-    # 3**depth far inside int64
+    if n <= _ND_LEAF:
+        return np.arange(n)
+    cols = np.ascontiguousarray(pts.T)    # one row per coordinate
+    # base-3 path in the tree (0 left, 1 right, 2 separator), the digit of
+    # level l worth 3**(_ND_LEVELS - 1 - l), so sorting it gives the
+    # post-order
     path = np.zeros(n, dtype=np.int64)
-    nodes = np.arange(n)  # unknowns of unsplit parts, each part contiguous
-    sizes = np.array([n])
-    while True:
-        split = sizes > _ND_LEAF
-        nodes = nodes[np.repeat(split, sizes)]
-        sizes = sizes[split]
-        if not sizes.size:
-            break
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        pid = np.repeat(np.arange(sizes.size), sizes)
-        xyz = pts.take(nodes, axis=0)
-        widest = np.argmax(np.maximum.reduceat(xyz, starts)
-                           - np.minimum.reduceat(xyz, starts), axis=1)
-        nodes = nodes[np.argsort(pid * n + rank[widest[pid], nodes])]
-        half = sizes // 2
-        right = np.arange(nodes.size) - starts[pid] >= half[pid]
-        label = np.full(n, -2)  # 2 * part + (1 if right half)
-        label[nodes] = 2 * pid + right
-        li, lj = label[ei], label[ej]
-        # edges between parts or to finished unknowns never matter again
-        same = ((li >> 1) == (lj >> 1)) & (li >= 0)
-        ei, ej, li, lj = ei[same], ej[same], li[same], lj[same]
-        cut = li != lj
-        sep = np.zeros(n, dtype=bool)
-        sep[np.where(li[cut] & 1, ej[cut], ei[cut])] = True
-        path *= 3
-        path[nodes] += np.where(sep[nodes], 2, right)
-        keep = ~sep[nodes]
-        left_sizes = half - np.bincount(pid[~keep], minlength=sizes.size)
-        sizes = np.column_stack([left_sizes, sizes - half]).ravel()
-        nodes = nodes[keep]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        (ei, ej), rank = _in_pair(pool, lambda build: build(),
+                                  (partial(_edges, mat),),
+                                  (partial(_ranks, cols),))
+        nodes, sizes = _split_parts(cols, rank, ei, ej, path, np.arange(n),
+                                    np.array([n]), 0)
+        side = np.full(n, -1, dtype=np.int8)   # 0 left half, 1 right half
+        side[nodes] = np.repeat([0, 1], sizes)
+        si, sj = side[ei], side[ej]
+        ends = (0, sizes[0], nodes.size)
+        halves = []
+        for s in (0, 1):
+            inner = (si == s) & (sj == s)
+            halves.append((cols, rank, ei[inner], ej[inner], path,
+                           nodes[ends[s]:ends[s + 1]], sizes[s:s + 1], 1))
+        # each half writes only its own unknowns' entries of `path`
+        _in_pair(pool, _dissect, *halves)
     return np.argsort(path, kind="stable")
 
 

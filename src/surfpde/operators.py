@@ -16,7 +16,9 @@ with the extension matrix E as operand they act on primary values alone.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .discretization import (SLOT_E, SLOT_N, SLOT_NE, SLOT_NW, SLOT_S,
                              SLOT_SE, SLOT_SW, SLOT_W, STENCIL_OFFSETS,
                              _axis_slot_pairs, chart_axes)
 from .errors import StencilError
-from .linalg import assemble_csr
+from .linalg import _in_pair, assemble_csr
 
 _TANGENCY_TOL = 1e-10  # relative normal velocity that advection warns above
 
@@ -92,15 +94,13 @@ def divergence_weights(a11_n, a22_n, a12_n, a11_c, a22_c, a12_c, g12_c,
     w = np.zeros((m, width + 1))
     pos = g12_c >= 0.0
 
-    ta1_n = np.where(pos[:, None], a11_n - a12_n, a11_n + a12_n)
-    ta1_c = np.where(pos, a11_c - a12_c, a11_c + a12_c)
-    ta2_n = np.where(pos[:, None], a22_n - a12_n, a22_n + a12_n)
-    ta2_c = np.where(pos, a22_c - a12_c, a22_c + a12_c)
-
-    for (minus, plus), ta_n, ta_c in zip(_axis_slot_pairs(dim),
-                                         (ta1_n, ta2_n), (ta1_c, ta2_c)):
-        w[:, minus] = 0.5 * (ta_n[:, minus] + ta_c)
-        w[:, plus] = 0.5 * (ta_n[:, plus] + ta_c)
+    # each axis reads its coefficient only at its own (minus, plus) slots
+    for pair, aii_n, aii_c in zip(_axis_slot_pairs(dim), (a11_n, a22_n),
+                                  (a11_c, a22_c)):
+        ii_n, i12_n = aii_n[:, pair], a12_n[:, pair]
+        ta_n = np.where(pos[:, None], ii_n - i12_n, ii_n + i12_n)
+        ta_c = np.where(pos, aii_c - a12_c, aii_c + a12_c)
+        w[:, pair] = 0.5 * (ta_n + ta_c[:, None])
     if dim == 3:
         w[:, SLOT_NE] = np.where(pos, 0.5 * (a12_n[:, SLOT_NE] + a12_c), 0.0)
         w[:, SLOT_SW] = np.where(pos, 0.5 * (a12_n[:, SLOT_SW] + a12_c), 0.0)
@@ -198,6 +198,22 @@ def laplace_beltrami(disc, form="divergence"):
 def reduced_operator(op, disc):
     """Fold equilibration into an operator: A_red = A E, acting on primaries."""
     return (op @ disc.extension_matrix()).tocsr()
+
+
+def reduced_laplace_beltrami(disc, form="divergence"):
+    """The reduced Laplace-Beltrami operator L E, (n_p, n_p) on primaries.
+
+    L and the extension matrix E do not depend on each other, so a worker
+    thread builds E (cached on `disc` like every `extension_matrix()`
+    call) while this thread assembles L; the product is taken after both.
+    An error raised assembling L reaches the caller unchanged once E is
+    done.
+    """
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        op, _ = _in_pair(pool, lambda build: build(),
+                         (partial(laplace_beltrami, disc, form),),
+                         (disc.extension_matrix,))
+    return reduced_operator(op, disc)
 
 
 def tangential_projection(vectors, normals):

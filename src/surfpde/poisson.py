@@ -6,6 +6,12 @@ absorbs the component of f outside the discrete range and the solution has
 zero mean over the primaries.  `bordered_solve` factors L with one pinned
 diagonal entry instead of the dense border row and column, in the
 nested-dissection order of the primary positions.
+
+Two steps use a worker thread beside the calling one: the extension
+matrix E is built on the worker while L is assembled
+(`operators.reduced_laplace_beltrami`), and the ordering splits the right
+half of its tree on the worker (`linalg.dissection_order`).  The results
+are the same bit for bit as one thread's.
 """
 
 from __future__ import annotations
@@ -13,15 +19,17 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import bordered_solve
-from .operators import laplace_beltrami, reduced_operator
+from .operators import reduced_laplace_beltrami
 
 
 def poisson_solve(disc, f_p, form="divergence"):
     """Solve L u = f at the primary points; returns (u_p, beta).
 
     beta is the bordering multiplier; for consistent data it shrinks at the
-    rate of the truncation error (O(h^2)).
+    rate of the truncation error (O(h^2)).  E builds on a worker thread
+    while L assembles, and the right half of the ordering splits on one
+    while the left half splits here; the factorization runs here alone.
     """
-    red = reduced_operator(laplace_beltrami(disc, form), disc)
+    red = reduced_laplace_beltrami(disc, form)
     return bordered_solve(red, np.asarray(f_p, dtype=float),
                           disc.positions[:disc.n_p])

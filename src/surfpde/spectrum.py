@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import resolvent_entry_report, smallest_eigenvalues
-from .operators import laplace_beltrami, reduced_operator
+from .operators import reduced_laplace_beltrami
 
 _EIG_SHIFT = 0.5  # the shift-invert shift of laplacian_eigenvalues
 
@@ -19,7 +19,7 @@ def laplacian_eigenvalues(disc, count, form="divergence"):
     ordering under shift-invert.  Returns real parts sorted decreasingly
     (0 first), plus the max imaginary residue as a sanity value.
     """
-    red = reduced_operator(laplace_beltrami(disc, form), disc)
+    red = reduced_laplace_beltrami(disc, form)
     vals = smallest_eigenvalues(red, count, disc.positions[:disc.n_p],
                                 sigma=_EIG_SHIFT)
     max_imag = float(np.abs(vals.imag).max(initial=0.0))
@@ -47,5 +47,5 @@ def resolvent_report(disc, sigmas):
     diagnostic for coarse grids.  Each row reports the minimum entry, the
     worst row-sum deviation from one, and invertibility.
     """
-    red = reduced_operator(laplace_beltrami(disc), disc)
+    red = reduced_laplace_beltrami(disc)
     return resolvent_entry_report(red, sigmas, disc.h)

@@ -28,7 +28,8 @@ from surfpde.discretization import Grid, _interpolation_data
 from surfpde.errors import EmptySurfaceError, GridError, StencilError
 from surfpde.geometry import LevelSetSurface
 from surfpde.linalg import Factorization
-from surfpde.operators import laplace_beltrami, reduced_operator
+from surfpde.operators import (laplace_beltrami, reduced_laplace_beltrami,
+                               reduced_operator)
 from surfpde.spectrum import (cluster_errors, laplacian_eigenvalues,
                               resolvent_report)
 
@@ -583,14 +584,15 @@ def test_a_neighbour_on_another_sheet_is_no_neighbour():
 
 
 @pytest.mark.xfail(strict=True, raises=StencilError, reason=(
-    "known deviation: at eta = 0.75, primaries of the non-convex perturbed "
-    "circle lack a stencil neighbour at every N (8 at N = 160); "
-    "_drop_coverage_gap removes only secondaries, so refining never closes "
-    "the gap"))
-def test_perturbed_circle_above_the_coverage_limit_gives_an_operator():
-    d = discretize_curve(perturbed_circle(), Grid.square(-1.5, 1.5, 160),
+    "known deviation, the perturbed-circle FOUND line of CHANGES.md (line "
+    "33): at eta = 0.75, primaries of the non-convex perturbed circle lack "
+    "a stencil neighbour at every N (8 at N = 160); _drop_coverage_gap "
+    "removes only secondaries, so refining never closes the gap"))
+@pytest.mark.parametrize("n", [80, 160])
+def test_perturbed_circle_above_the_coverage_limit_gives_an_operator(n):
+    d = discretize_curve(perturbed_circle(), Grid.square(-1.5, 1.5, n),
                          eta=0.75)
-    red = reduced_operator(laplace_beltrami(d), d)
+    red = reduced_laplace_beltrami(d)
     assert np.abs(red @ np.ones(d.n_p)).max() <= 1e-10
 
 

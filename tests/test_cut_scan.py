@@ -1,6 +1,7 @@
 """The streamed sign-change scan of cut location, against the dense scan it
-replaced, the Illinois root step against the bisection it replaced, and
-their memory, evaluation-count and failure contracts."""
+replaced, the Illinois root step against the bisection it replaced,
+their memory, evaluation-count and failure contracts, and, fuzzed on
+rotated ellipsoids, the invariants of the operators built on the cuts."""
 
 import math
 import os
@@ -14,6 +15,8 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 import hypothesis
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +25,10 @@ from surfpde.curve1d import circle, discretize_curve, ellipse
 from surfpde.discretization import (STENCIL_OFFSETS, Grid, _admissible_mask,
                                     _column_key, _cut_points, _locate_cuts,
                                     _snap_and_dedupe, chart_axes, discretize)
-from surfpde.errors import GridError
+from surfpde.errors import GridError, SurfPDEError
 from surfpde.geometry import _batch_illinois, from_callables, make_surface
+from surfpde.operators import (laplace_beltrami, reduced_laplace_beltrami,
+                               reduced_operator)
 
 ETA = 0.45
 TOL = 1e-12
@@ -524,23 +529,32 @@ def rotated_ellipsoid(axes, quaternion):
     return from_callables(phi, grad=grad, c0=2.0 / max(axes))
 
 
+def offset_cube(n, offset):
+    """The [-1.2, 1.2]^3 grid of n cells per axis, moved by offset * h."""
+    box = Grid.cube(-1.2, 1.2, n)
+    return Grid(tuple(np.asarray(box.origin) + box.h * np.asarray(offset)),
+                box.h, box.n_cells)
+
+
 unit = st.floats(0.0, 1.0, exclude_max=True)
+# a rotated ellipsoid on an offset grid: its axes, its rotation as a
+# quaternion, the grid offset in cells and the cells per axis
+ROTATED_ELLIPSOIDS = dict(
+    axes=st.tuples(*[st.floats(0.4, 1.1)] * 3),
+    quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: np.linalg.norm(q) > 0.1),
+    offset=st.tuples(unit, unit, unit), n=st.integers(24, 48))
 
 
 @hypothesis.seed(20191908)
 @settings(max_examples=50, deadline=5000, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(axes=st.tuples(*[st.floats(0.4, 1.1)] * 3),
-       quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
-           lambda q: np.linalg.norm(q) > 0.1),
-       offset=st.tuples(unit, unit, unit), n=st.integers(24, 48))
+@given(**ROTATED_ELLIPSOIDS)
 def test_fuzzed_cuts_stay_within_tol_of_the_bisection_oracle(axes,
                                                              quaternion,
                                                              offset, n):
     surface = rotated_ellipsoid(axes, quaternion)
-    box = Grid.cube(-1.2, 1.2, n)
-    grid = Grid(tuple(np.asarray(box.origin) + box.h * np.asarray(offset)),
-                box.h, box.n_cells)
+    grid = offset_cube(n, offset)
     located = _locate_cuts(surface, grid, TOL)
     for axis, ((b, q), (b_ref, q_ref)) in enumerate(
             zip(located, bisected_locate_cuts(surface, grid, TOL),
@@ -549,6 +563,33 @@ def test_fuzzed_cuts_stay_within_tol_of_the_bisection_oracle(axes,
         assert np.abs(q - q_ref).max(initial=0.0) <= TOL * grid.h
         low = grid.origin[axis] + grid.h * b[:, axis]
         assert ((q[:, axis] >= low) & (q[:, axis] <= low + grid.h)).all()
+
+
+@hypothesis.seed(20191908)
+@settings(max_examples=40, deadline=5000, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(**ROTATED_ELLIPSOIDS)
+def test_fuzzed_discretizations_keep_the_operator_invariants(axes,
+                                                             quaternion,
+                                                             offset, n):
+    try:
+        d = discretize(rotated_ellipsoid(axes, quaternion),
+                       offset_cube(n, offset))
+        red = reduced_laplace_beltrami(d)
+    except SurfPDEError:
+        return    # a loud refusal is an allowed outcome
+    assert np.abs(d.pi_ss).sum(axis=1).max() <= 0.5 + 1e-12
+    ref = reduced_operator(laplace_beltrami(d), d)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(red, name), getattr(ref, name))
+    scale = np.abs(red).sum(axis=1).max()
+    assert np.abs(red @ np.ones(d.n_p)).max() <= 1e-10 * scale
+    u_p = np.random.default_rng(n).normal(size=d.n_p)
+    u = d.extension_matrix() @ u_p
+    u_s = spla.spsolve((sp.identity(d.n_s, format="csc") - d.pi_ss).tocsc(),
+                       d.pi_sp @ u_p)
+    assert np.array_equal(u[:d.n_p], u_p)
+    assert np.abs(u[d.n_p:] - u_s).max() <= 1e-12 * np.abs(u_p).max()
 
 
 # -- memory and evaluation count -------------------------------------------

@@ -1,9 +1,12 @@
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from surfpde import Grid, discretize, make_surface
+from surfpde.curve1d import circle, discretize_curve
+from surfpde.diffusion import bdf2_solve
 from surfpde.discretization import (RECORD_ARRAYS, SLOT_E, SLOT_N, SLOT_NE,
                                     SLOT_NW, SLOT_S, SLOT_SE, SLOT_SW, SLOT_W,
                                     SurfaceDiscretization)
@@ -13,6 +16,7 @@ from surfpde.operators import (advection_coefficients, artificial_viscosity,
                                laplace_beltrami, nondivergence_weights,
                                primary_chart_axes, reduced_operator,
                                tangential_projection, upwind_differences)
+from surfpde.poisson import poisson_solve
 
 
 def harmonic3(points):
@@ -439,3 +443,31 @@ def test_missing_axis_neighbor_fails_on_first_use(sphere40, slot):
     assert str(sphere40.positions[i]) in str(err.value)
     with pytest.raises(StencilError):
         artificial_viscosity(broken, sphere40.positions[:, 0], 1.0, 0.01)
+
+
+SOLVES = {
+    "poisson": lambda d: poisson_solve(d, np.zeros(d.n_p)),
+    "bdf2": lambda d: bdf2_solve(d, np.zeros(d.n_p), 1.0, 1e-3, 2),
+}
+
+
+@pytest.mark.parametrize("solve", sorted(SOLVES))
+def test_assembly_error_reaches_the_solver_while_e_builds_on_the_worker(
+        solve):
+    # too coarse for L, fine for E: the worker's E must not hide L's error
+    d = discretize_curve(circle(), Grid.square(-1.2, 1.2, 12))
+    with pytest.raises(StencilError) as direct:
+        laplace_beltrami(d)
+    threads = []
+    build = d.extension_matrix
+
+    def recorded():
+        threads.append(threading.get_ident())
+        return build()
+
+    d.extension_matrix = recorded
+    with pytest.raises(StencilError) as caught:
+        SOLVES[solve](d)
+    assert str(caught.value) == str(direct.value)
+    assert len(threads) == 1 and threads[0] != threading.get_ident()
+    assert d._extension is not None

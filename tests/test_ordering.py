@@ -1,6 +1,7 @@
 """Nested-dissection ordering: a deterministic permutation, checked input,
 solutions equal to a direct solve, and less fill than minimum degree."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -54,6 +55,31 @@ def test_order_is_a_repeatable_permutation(sphere40):
     first = dissection_order(pts, red)
     assert np.array_equal(np.sort(first), np.arange(sphere40.n_p))
     assert np.array_equal(first, dissection_order(pts, red))
+
+
+# SHA-256 of the little-endian int64 order, recorded from the one-thread
+# level loop; splitting the two root halves on two threads must not move it
+ORDER_SHA256 = {
+    ("ellipsoid", 80, 3):
+        "d74654752cd3773610dd9f061b3536713512c9b96b32bb058f9953d9af3db1d4",
+    ("sphere", 160, 1):
+        "39ac47aa93254395af53671fa94d81ea6cce4c8556da8df3e8b8c051d547f5cb",
+}
+
+
+@pytest.mark.parametrize("name,n,seed", sorted(ORDER_SHA256))
+def test_order_matches_the_recorded_digest(name, n, seed):
+    disc = disc_at(name, n, seed)
+    red = reduced_operator(laplace_beltrami(disc), disc)
+    # switch threads often, so a lost update of the shared path would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        order = dissection_order(disc.positions[:disc.n_p], red)
+    finally:
+        sys.setswitchinterval(interval)
+    digest = hashlib.sha256(order.astype("<i8").tobytes()).hexdigest()
+    assert digest == ORDER_SHA256[name, n, seed]
 
 
 def test_root_separator_is_eliminated_last():
