@@ -15,6 +15,7 @@ failures (unknown surface, config errors, solver aborts).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections import namedtuple
@@ -52,7 +53,15 @@ def _list(text, convert, kind):
     return values
 
 
-_float_list = partial(_list, convert=float, kind="number")
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected finite numbers, got {text.strip()!r}")
+    return value
+
+
+_float_list = partial(_list, convert=_finite, kind="number")
 _name_list = partial(_list, convert=str.strip, kind="name")
 
 

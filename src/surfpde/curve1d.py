@@ -9,21 +9,17 @@ interval, and `operators.laplace_beltrami` assembles its second arclength
 derivative as the one-axis divergence form, so the operator, its reduced
 form L E and the resolvent report (`spectrum.resolvent_report`) are the
 surface ones.  This module adds only what is curve-specific: the catalog
-curves, the coverage gap above eta = 1/sqrt(2), and, explicitly, the
-near-M-matrix of the positivity argument and the row operations that
-finish it, so the structural claims can be checked directly instead of
-only observing signs of the inverse.
+curves and, explicitly, the near-M-matrix of the positivity argument and
+the row operations that finish it, so the structural claims can be checked
+directly instead of only observing signs of the inverse.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import scipy.sparse as sp
 
-from .discretization import (RECORD_ARRAYS, SurfaceDiscretization,
-                             _cut_points)
+from .discretization import _discretize
 from .geometry import LevelSetSurface
 from .linalg import assemble_csr
 from .operators import laplace_beltrami
@@ -89,48 +85,14 @@ def make_curve(name, **params):
     return factory(**params)
 
 
-def _drop_coverage_gap(fields):
-    """Remove secondaries whose interpolation stencil is missing or was
-    itself removed, until none is left; returns how many were removed."""
-    n_p = fields["n_p"]
-    m = fields["positions"].shape[0]
-    sec = np.arange(n_p, m)
-    stencil = fields["chart_neighbors"][fields["associated_primary"][sec]]
-    gone = np.zeros(m + 1, dtype=bool)
-    gone[-1] = True                      # an absent neighbor (-1) is gone
-    while True:
-        lost = gone[stencil].any(axis=1) & ~gone[sec]
-        if not lost.any():
-            break
-        gone[sec[lost]] = True
-    keep = ~gone[:-1]
-    if keep.all():
-        return 0
-    new_id = np.cumsum(keep) - 1
-    nb = fields["chart_neighbors"]
-    fields["chart_neighbors"] = np.where((nb >= 0) & keep[nb], new_id[nb], -1)
-    for name in RECORD_ARRAYS:
-        if name != "chart_neighbors":   # rows of primaries, none dropped
-            fields[name] = fields[name][keep]
-    return int(m - keep.sum())
-
-
 def discretize_curve(curve, grid, eta=0.45):
     """Cut-point discretization of a closed plane curve on a 2-D grid.
 
-    eta below 1/sqrt(2) guarantees every crossing keeps an admissible
-    direction; larger values are allowed and the discarded crossings are
-    counted in `dropped_cuts`.
+    eta must lie in (0, 1/sqrt(2)) (ValueError otherwise): a unit normal in
+    the plane has a component of at least 1/sqrt(2), so below that bound
+    every crossing keeps an admissible axis.
     """
-    if not (0.0 < eta < 1.0):
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    grid.require_dim(2, "discretize_curve")
-    fields, dropped = _cut_points(curve, grid, eta)
-    if eta > 1.0 / math.sqrt(2.0):
-        dropped += _drop_coverage_gap(fields)
-    return SurfaceDiscretization(
-        grid=grid, eta=eta, dropped_cuts=dropped, surface_kind=curve.kind,
-        surface_params=curve.params, **fields)
+    return _discretize(curve, grid, eta, 2, "discretize_curve")
 
 
 def _side_coefficients(disc):

@@ -159,10 +159,9 @@ class SurfaceDiscretization:
     Points are ordered primaries first.  `chart_neighbors[i]` lists the
     stencil neighbors of primary i in `offsets` order (-1 when absent).
     `dropped_cuts` counts located crossings discarded by the admissibility
-    test, plus, for a plane curve above eta = 1/sqrt(2), the secondaries
-    left without an interpolation stencil.  Pi_sp and Pi_ss are built here,
-    so a discretization, fresh or loaded, passes the StencilError checks of
-    `_interpolation_data` and `_pi_matrices`.
+    test.  Pi_sp and Pi_ss are built here, so a discretization, fresh or
+    loaded, passes the StencilError checks of `_interpolation_data` and
+    `_pi_matrices`.
     """
 
     def __init__(self, grid, eta, positions, axis, base_index, closest_gp,
@@ -698,6 +697,23 @@ def _pi_matrices(points, coeffs, positions, n_p):
     return pi_sp, pi_ss
 
 
+def _check_eta(eta, dim):
+    """Raise ValueError unless 0 < eta < 1/sqrt(dim) (see `discretize`)."""
+    if not 0.0 < eta < 1.0 / math.sqrt(dim):
+        raise ValueError(f"eta must lie in (0, 1/sqrt({dim})) on a {dim}-D "
+                         f"grid, got {eta}")
+
+
+def _discretize(surface, grid, eta, dim, what):
+    """`discretize` on a dim-D grid; `what` names the caller in errors."""
+    grid.require_dim(dim, what)
+    _check_eta(eta, dim)
+    fields, dropped = _cut_points(surface, grid, eta)
+    return SurfaceDiscretization(
+        grid=grid, eta=eta, surface_kind=surface.kind,
+        surface_params=surface.params, dropped_cuts=dropped, **fields)
+
+
 def discretize(surface, grid, eta=0.45):
     """Build the cut-point discretization of `surface` on `grid`.
 
@@ -715,7 +731,9 @@ def discretize(surface, grid, eta=0.45):
         A non-finite phi (the first in C order) or a boundary node with
         phi <= 0 raises GridError naming the node.
     eta : float
-        Admissibility threshold on |n_nu| at the cut point; 0 < eta < 1/sqrt(3).
+        Admissibility threshold on |n_nu| at the cut point, 0 < eta <
+        1/sqrt(3) (ValueError otherwise): a unit normal has a component of
+        at least 1/sqrt(3), so every crossing keeps an admissible axis.
 
     Returns
     -------
@@ -723,13 +741,7 @@ def discretize(surface, grid, eta=0.45):
     (axis, base index) for deterministic output), and the number of cuts
     dropped by admissibility in `dropped_cuts`.
     """
-    if not 0.0 < eta < 1.0 / math.sqrt(3.0):
-        raise ValueError(f"eta must lie in (0, 1/sqrt(3)), got {eta}")
-    grid.require_dim(3, "discretize")
-    fields, dropped = _cut_points(surface, grid, eta)
-    return SurfaceDiscretization(
-        grid=grid, eta=eta, surface_kind=surface.kind,
-        surface_params=surface.params, dropped_cuts=dropped, **fields)
+    return _discretize(surface, grid, eta, 3, "discretize")
 
 
 # -- discretization quality report ---------------------------------------

@@ -11,6 +11,7 @@ thread while the predictor and corrector run on the calling thread.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import Future
 
 import numpy as np
@@ -56,13 +57,15 @@ def check_finite(state, step, time):
 def march(state, advance, k, t_ends):
     """Apply `advance` step by step; snapshot the state at each of t_ends.
 
-    Every time must be a nonnegative whole number of steps k (to 1e-9), and
-    all are checked before the first step.  Each step is checked for
-    finiteness under one global step count.  Returns a list of
-    (t, copy of the state) in increasing t.
+    Every time must be finite and a nonnegative whole number of steps k (to
+    1e-9), and all are checked before the first step.  Each step is checked
+    for finiteness under one global step count.  Returns a list of (t, copy
+    of the state) in increasing t.
     """
     targets = []
     for t in sorted(t_ends):
+        if not math.isfinite(t):
+            raise ValueError(f"t = {t} is not a finite time")
         n = round(t / k)
         if t < 0 or abs(n * k - t) > 1e-9:
             raise ValueError(

@@ -3,11 +3,13 @@
 Format version 3: a JSON header (format, version, n_tot, n_p, dropped_cuts,
 eta, grid, surface kind and parameters) plus the eight record arrays of
 `discretization.RECORD_ARRAYS`, nothing derived from them.  The loader
-checks the arrays against the header (shape, kind, axis, owner and
-neighbor ranges) and raises FormatError naming the file and the array; the
-constructor then rebuilds Pi with the checks of a fresh build.  Surfaces
-and plane curves share the format.  Versions 1 and 2 (v2 also stored the
-interpolation rows and Pi) are rejected with VersionError.
+checks the header (eta under the rule of `discretize`, dropped_cuts >= 0,
+surface parameters an object) and the arrays against it (shape, kind, axis,
+owner and neighbor ranges), and raises FormatError naming the file and the
+field or array; the constructor then rebuilds Pi with the checks of a
+fresh build.  Surfaces and plane curves share the format.  Versions 1 and
+2 (v2 also stored the interpolation rows and Pi) are rejected with
+VersionError.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import numpy as np
 
 from .discretization import (RECORD_ARRAYS, STENCIL_OFFSETS, Grid,
-                             SurfaceDiscretization)
+                             SurfaceDiscretization, _check_eta)
 from .errors import FormatError, GridError, VersionError
 
 FORMAT_NAME = "surfpde-discretization"
@@ -117,9 +119,20 @@ def load_discretization(path):
         raise FormatError(f"{path}: header grid of dimension {dim} with "
                           f"n_p={n_p}, n_tot={n_tot} describes no "
                           f"discretization")
+    try:
+        _check_eta(eta, dim)
+    except ValueError as exc:
+        raise FormatError(f"{path}: header {exc}") from exc
+    if dropped < 0:
+        raise FormatError(f"{path}: header dropped_cuts must be >= 0, "
+                          f"got {dropped}")
+    params = header.get("surface_params", {})
+    if not isinstance(params, dict):
+        raise FormatError(f"{path}: header surface_params must be a JSON "
+                          f"object, got {params!r}")
     _check_record(path, arrays, dim, n_p, n_tot)
     return SurfaceDiscretization(
         grid=grid, eta=eta, n_p=n_p, dropped_cuts=dropped,
         surface_kind=header.get("surface_kind", "user"),
-        surface_params=header.get("surface_params", {}), **arrays)
+        surface_params=params, **arrays)
 

@@ -44,6 +44,18 @@ def test_empty_list_or_no_workers_exits_one(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag,value", [
+    (["table-4.2", "--N", "20", "--days", "inf"], "--days", "inf"),
+    (["table-4.1", "--N", "20", "--times", "nan"], "--times", "nan"),
+    (["curve-resolvent", "--sigma", "1,-inf"], "--sigma", "-inf")])
+def test_non_finite_value_names_the_flag(argv, flag, value, capsys):
+    # --days inf used to end in an OverflowError traceback from the march,
+    # --times nan in "cannot convert float NaN to integer"
+    assert main(argv) == 1
+    assert (f"argument {flag}: expected finite numbers, got {value!r}"
+            in capsys.readouterr().err)
+
+
 def test_discretize_takes_one_grid_size(capsys):
     # it used to build N=20 and drop 40 without a word
     assert main(["discretize", "--N", "20,40"]) == 1

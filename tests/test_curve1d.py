@@ -28,8 +28,7 @@ from surfpde.discretization import Grid, _interpolation_data
 from surfpde.errors import EmptySurfaceError, GridError, StencilError
 from surfpde.geometry import LevelSetSurface
 from surfpde.linalg import Factorization
-from surfpde.operators import (laplace_beltrami, reduced_laplace_beltrami,
-                               reduced_operator)
+from surfpde.operators import laplace_beltrami, reduced_operator
 from surfpde.spectrum import (cluster_errors, laplacian_eigenvalues,
                               resolvent_report)
 
@@ -525,13 +524,6 @@ def test_marginal_circle_axis_crossings_all_primary():
 # ------------------------------------------------------------ failure paths
 
 
-def test_eta_validation():
-    g = Grid.square(-1.2, 1.2, 40)
-    for eta in (0.0, 1.0, -0.2):
-        with pytest.raises(ValueError):
-            discretize_curve(circle(), g, eta=eta)
-
-
 def test_grid2_validation():
     assert Grid.square(-1.2, 1.2, 40) == Grid((-1.2, -1.2), 2.4 / 40,
                                               (40, 40))
@@ -581,27 +573,3 @@ def test_a_neighbour_on_another_sheet_is_no_neighbour():
     with pytest.raises(StencilError, match=r"its primary at \[ ?1\.03489"):
         discretize_curve(perturbed_circle(), Grid.square(-1.5, 1.5, 80),
                          eta=0.65)
-
-
-@pytest.mark.xfail(strict=True, raises=StencilError, reason=(
-    "known deviation, the perturbed-circle FOUND line of CHANGES.md (line "
-    "33): at eta = 0.75, primaries of the non-convex perturbed circle lack "
-    "a stencil neighbour at every N (8 at N = 160); _drop_coverage_gap "
-    "removes only secondaries, so refining never closes the gap"))
-@pytest.mark.parametrize("n", [80, 160])
-def test_perturbed_circle_above_the_coverage_limit_gives_an_operator(n):
-    d = discretize_curve(perturbed_circle(), Grid.square(-1.5, 1.5, n),
-                         eta=0.75)
-    red = reduced_laplace_beltrami(d)
-    assert np.abs(red @ np.ones(d.n_p)).max() <= 1e-10
-
-
-def test_large_eta_reports_coverage_gap():
-    # above 1/sqrt(2) whole arcs lose admissibility on both axes; the
-    # build completes and counts what it dropped
-    d = discretize_curve(circle(), Grid.square(-1.2, 1.2, 40), eta=0.75)
-    base = discretize_curve(circle(), Grid.square(-1.2, 1.2, 40))
-    assert d.dropped_cuts > base.dropped_cuts
-    assert d.n_tot < base.n_tot
-    gamma = np.abs(d.normals[np.arange(d.n_tot), d.axis])
-    assert gamma.min() >= 0.75

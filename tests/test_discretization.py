@@ -13,6 +13,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
+from surfpde import discretization
+from surfpde.curve1d import circle, discretize_curve
 from surfpde.discretization import (AXIS_SLOTS, RECORD_ARRAYS, SLOT_E, Grid,
                                     SurfaceDiscretization,
                                     _interpolation_data, discretize,
@@ -20,7 +22,7 @@ from surfpde.discretization import (AXIS_SLOTS, RECORD_ARRAYS, SLOT_E, Grid,
                                     quality_report)
 from surfpde.errors import (EmptySurfaceError, GridError, StencilError)
 from surfpde.geometry import from_callables, make_surface
-from surfpde.operators import laplace_beltrami
+from surfpde.operators import laplace_beltrami, reduced_laplace_beltrami
 
 from reference_values import INTERP_HALF
 
@@ -300,12 +302,58 @@ def test_surface_needs_a_space_grid():
         discretize(make_surface("sphere"), Grid.square(-1.2, 1.2, 40))
 
 
-def test_eta_range_is_validated(sphere40):
-    surf = make_surface("sphere")
-    grid = Grid.cube(-1.2, 1.2, 10)
-    for eta in (0.0, 0.65, 1.0):
-        with pytest.raises(ValueError):
-            discretize(surf, grid, eta=eta)
+class CutPointsReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("side", ["negative", "zero", "bound", "above",
+                                  "one", "below"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_eta_rule_for_curves_and_surfaces(dim, side, monkeypatch):
+    """0 < eta < 1/sqrt(dim): outside it ValueError names the bound, just
+    below the bound the build goes on to locate the cuts."""
+    bound = 1.0 / math.sqrt(dim)
+    eta = {"negative": -0.2, "zero": 0.0, "bound": bound,
+           "above": math.nextafter(bound, 1.0), "one": 1.0,
+           "below": math.nextafter(bound, 0.0)}[side]
+
+    def cut_points(surface, grid, eta):
+        raise CutPointsReached(eta)
+
+    monkeypatch.setattr(discretization, "_cut_points", cut_points)
+    if dim == 2:
+        build, surface, grid = discretize_curve, circle(), Grid.square
+    else:
+        build, surface, grid = discretize, make_surface("sphere"), Grid.cube
+    if side == "below":
+        want = pytest.raises(CutPointsReached, match=re.escape(str(eta)))
+    else:
+        want = pytest.raises(ValueError, match=re.escape(
+            f"eta must lie in (0, 1/sqrt({dim})) on a {dim}-D grid, got "
+            f"{eta}"))
+    with want:
+        build(surface, grid(-1.2, 1.2, 10), eta=eta)
+
+
+def shifted_cube(n, seed):
+    """The [-1.2, 1.2]^3 grid of n cells, moved by default_rng(seed)'s
+    uniform offset in [0, h)^3 (not moved for seed 0)."""
+    grid = Grid.cube(-1.2, 1.2, n)
+    if not seed:
+        return grid
+    off = np.random.default_rng(seed).uniform(0.0, grid.h, 3)
+    return Grid(tuple(np.asarray(grid.origin) + off), grid.h, grid.n_cells)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("kind,n", [("sphere", 40), ("sphere", 64),
+                                    ("ellipsoid", 64)])
+def test_admissibility_frontier_builds_at_the_default_eta(kind, n, seed):
+    # the cells of the frontier table that build at eta = 0.45 at every
+    # offset; one that stops building moves the frontier
+    d = discretize(make_surface(kind), shifted_cube(n, seed))
+    red = reduced_laplace_beltrami(d)
+    assert np.abs(red @ np.ones(d.n_p)).max() <= 1e-10 * abs(red).max()
 
 
 def test_surface_missing_every_grid_line():

@@ -1,3 +1,4 @@
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -129,3 +130,13 @@ def test_march_counts_steps_across_snapshots():
 def test_march_rejects_negative_or_fractional_times(t):
     with pytest.raises(ValueError, match=f"t = {t}"):
         march(np.zeros(2), lambda s: s + 1.0, 0.1, [0.2, t])
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_march_rejects_non_finite_times_before_any_step(t):
+    # round(inf / k) would raise OverflowError and round(nan / k) a
+    # ValueError that does not name t
+    calls = []
+    with pytest.raises(ValueError, match=f"t = {t} is not a finite time"):
+        march(np.zeros(2), calls.append, 0.1, [0.2, t])
+    assert calls == []

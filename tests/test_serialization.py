@@ -32,15 +32,16 @@ def test_round_trip(sphere40, tmp_path):
 
 
 def test_curve_round_trip(tmp_path):
-    # eta above 1/sqrt(2) drops crossings; the count survives the trip
-    disc = discretize_curve(circle(), Grid.square(-1.2, 1.2, 40), eta=0.75)
-    assert disc.dropped_cuts == 40
+    # eta = 0.65 drops crossings and leaves secondaries, so the dropped
+    # count and Pi both survive the trip
+    disc = discretize_curve(circle(), Grid.square(-1.2, 1.2, 80), eta=0.65)
+    assert (disc.n_p, disc.n_tot, disc.dropped_cuts) == (188, 204, 64)
     path = tmp_path / "curve.npz"
     dump_discretization(disc, path)
     back = load_discretization(path)
     assert back.grid == disc.grid
     assert (back.n_p, back.dropped_cuts, back.eta, back.surface_kind) == \
-        (disc.n_p, 40, 0.75, "circle")
+        (disc.n_p, 64, 0.65, "circle")
     for name in RECORD_ARRAYS:
         np.testing.assert_array_equal(getattr(back, name),
                                       getattr(disc, name))
@@ -159,6 +160,31 @@ def test_tampered_record_names_the_array(sphere40, tmp_path, case):
         load_discretization(path)
 
 
+SPHERE_ETA_RULE = re.escape("eta must lie in (0, 1/sqrt(3)) on a 3-D grid")
+BAD_HEADERS = {
+    "eta-negative": ({"eta": -1.0}, SPHERE_ETA_RULE),
+    "eta-zero": ({"eta": 0.0}, SPHERE_ETA_RULE),
+    "eta-0.9": ({"eta": 0.9}, SPHERE_ETA_RULE),
+    "eta-1e300": ({"eta": 1e300}, SPHERE_ETA_RULE),
+    "dropped-negative": ({"dropped_cuts": -3},
+                         "dropped_cuts must be >= 0, got -3"),
+    "params-not-object": ({"surface_params": [1, 2]},
+                          "surface_params must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+def test_bad_header_value_names_the_file_and_field(sphere40, tmp_path,
+                                                   case):
+    fields, message = BAD_HEADERS[case]
+    path = tmp_path / "disc.npz"
+    dump_discretization(sphere40, path)
+    rewrite_header(path, lambda header: header.update(fields))
+    with pytest.raises(FormatError,
+                       match=re.escape(f"{path}: header ") + message):
+        load_discretization(path)
+
+
 def test_tampered_record_is_rejected_under_optimize(sphere40, tmp_path,
                                                    subprocess_env):
     path = tmp_path / "disc.npz"
@@ -178,6 +204,48 @@ def test_tampered_record_is_rejected_under_optimize(sphere40, tmp_path,
                           env=subprocess_env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert "array chart_neighbors" in proc.stdout
+
+
+def test_eta_rule_and_header_checks_hold_under_optimize(sphere40, tmp_path,
+                                                      subprocess_env):
+    # one file per bad header; the checks are no asserts, so -O keeps them
+    paths = []
+    for case in sorted(BAD_HEADERS):
+        paths.append(str(tmp_path / f"{case}.npz"))
+        dump_discretization(sphere40, paths[-1])
+        rewrite_header(paths[-1],
+                       lambda header: header.update(BAD_HEADERS[case][0]))
+    script = textwrap.dedent(f"""
+        from surfpde.curve1d import circle, discretize_curve
+        from surfpde.discretization import Grid, discretize
+        from surfpde.errors import FormatError
+        from surfpde.geometry import make_surface
+        from surfpde.serialization import load_discretization
+        builds = [(discretize, make_surface("sphere"), Grid.cube, 0.6),
+                  (discretize_curve, circle(), Grid.square, 0.75)]
+        for build, surface, box, eta in builds:
+            try:
+                build(surface, box(-1.2, 1.2, 10), eta=eta)
+            except ValueError as exc:
+                print(exc)
+            else:
+                raise SystemExit(f"no ValueError at eta={{eta}}")
+        for path in {paths!r}:
+            try:
+                load_discretization(path)
+            except FormatError as exc:
+                print(exc)
+            else:
+                raise SystemExit(f"no FormatError for {{path}}")
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=subprocess_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 + len(paths)
+    assert "(0, 1/sqrt(3))" in lines[0] and "(0, 1/sqrt(2))" in lines[1]
+    for line, path in zip(lines[2:], paths):
+        assert line.startswith(f"{path}: header ")
 
 
 def test_loaded_record_passes_the_pi_checks(sphere40, tmp_path):
