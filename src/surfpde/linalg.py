@@ -12,7 +12,10 @@ coordinates (`dissection_order`), so each entry point that factors takes
 splits the two halves of its root on the calling thread and one worker
 thread; `_in_pair` is that one two-thread pattern, which `discretization`
 and `operators` use as well.  SuperLU's factorization itself runs on the
-calling thread.
+calling thread.  It is made in single precision, which the answer does
+not need beyond its O(h^2) truncation error, and every solve is refined
+in double against the float64 matrix to double roundoff; a matrix whose
+refinement stalls is refactored once in double (see `Factorization`).
 """
 
 from __future__ import annotations
@@ -35,8 +38,11 @@ _ND_LEAF = 8
 # significant digit first: its largest value 2 * 3**39 is below 2**63, and
 # parts are down to _ND_LEAF by level 39 for any n <= 8 * 2**40
 _ND_LEVELS = 40
-_REFINE_PASSES = 2            # at most, in Factorization.solve
-_SOLVE_RTOL = 1e-10           # its residual bound, relative (see the class)
+_SOLVE_RTOL = 1e-10           # Factorization.solve residual bound, relative
+_SINGLE_PASSES = 30           # residuals on its float32 factor, at most, as
+                              # LAPACK DSGESV's ITERMAX
+_REFINE_PASSES = 2            # refinements on its float64 factor, at most
+_EPS = np.finfo(float).eps    # double roundoff, where refinement stops
 _BORDERED_RTOL = 1e-9         # bordered_solve residual bound, relative
 _EIG_RESIDUAL_TOL = 1e-8      # smallest_eigenvalues eigenpair residual bound
 _DENSE_EIG_LIMIT = 1200       # smallest_eigenvalues solves densely up to it
@@ -181,16 +187,31 @@ def _inf_norm(mat):
 
 
 class Factorization:
-    """Reusable sparse LU factorization with cheap iterative refinement.
+    """Sparse LU factorization in single precision, refined in double.
 
-    A is permuted symmetrically by `dissection_order(points, A)` and SuperLU
-    factors it in that order, preferring diagonal pivots (SymmetricMode,
-    partial pivoting kept); on the pinned N = 320 Poisson matrix this fills
-    15.5, where minimum degree on A^T + A fills 20.6-23.4.  `_lu` is the
-    SuperLU object of the permuted matrix and `_mat` the unpermuted A.
-    solve() refines at most twice, until the residual is at roundoff scale
-    relative to ||A||_inf ||x||_inf + ||b||_inf, and raises if it never
-    gets there.
+    A is permuted symmetrically by `dissection_order(points, A)`, and
+    SuperLU factors the permuted A, rounded to float32, in that order,
+    preferring diagonal pivots (SymmetricMode, partial pivoting kept).  On
+    the pinned N = 320 Poisson matrix this fills 15.5, where minimum degree
+    on A^T + A fills 20.6-23.4.  The float32 factor holds the same
+    nonzeros as a float64 one in about two thirds of the memory.
+    `_lu` is the SuperLU object of the live factor, `_mat` the unpermuted
+    float64 A, and `precision` the dtype of the live factor.
+
+    solve() refines in double against `_mat` (Buttari et al., ACM TOMS
+    34(4), 2008).  From the single-precision solve it keeps refining while
+    the max-norm residual at least halves, until it is at double roundoff,
+    eps (||A||_inf ||x||_inf + ||b||_inf), or _SINGLE_PASSES residuals
+    were formed; the best iterate is accepted when its residual is within
+    _SOLVE_RTOL of that scale.  Stopping at _SOLVE_RTOL itself is not
+    enough: `bordered_solve`'s own residual check amplifies the backward
+    error.  When the residual stalls above the bound, or x is not finite,
+    A is refactored once in float64, as LAPACK's DSGESV falls back, and
+    from then on solve() refines at most _REFINE_PASSES times on that
+    factor and raises if the residual never gets within the bound.  A
+    float32 factorization that fails falls back the same way.
+    `refinements` counts the double-precision residuals formed over all
+    solves, as BiCGSTAB counts its products.
     """
 
     def __init__(self, mat, points):
@@ -200,37 +221,87 @@ class Factorization:
         self._mat = mat
         self._norm = _inf_norm(mat)
         self._perm = dissection_order(points, mat)
+        self.refinements = 0
         try:
-            self._lu = spla.splu(mat[self._perm][:, self._perm],
-                                 permc_spec="NATURAL",
-                                 options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise SingularMatrixError(
-                f"sparse LU factorization failed on "
-                f"{mat.shape[0]}x{mat.shape[1]} matrix: {exc}") from exc
+            self._lu = self._factor(np.float32)
+            self.precision = np.dtype(np.float32)
+        except SingularMatrixError:
+            self._refactor()
 
     @property
     def shape(self):
         return self._mat.shape
 
-    def lu_solve(self, rhs):
-        """One unrefined solve with the permuted factors, in A's ordering."""
+    def _factor(self, dtype):
+        """SuperLU factor of the permuted A, rounded to `dtype`."""
+        mat, perm = self._mat, self._perm
+        try:
+            return spla.splu(mat.astype(dtype)[perm][:, perm],
+                             permc_spec="NATURAL",
+                             options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise SingularMatrixError(
+                f"sparse LU factorization failed on "
+                f"{mat.shape[0]}x{mat.shape[1]} matrix: {exc}") from exc
+
+    def _refactor(self):
+        """Make the float64 factor of A the live one."""
+        self._lu = self._factor(np.float64)
+        self.precision = np.dtype(np.float64)
+
+    def _lu_solve(self, rhs):
+        """One unrefined solve with the live factor, in A's ordering.  For
+        the float32 factor the right-hand side is scaled by a power of two
+        near its max norm, which is exact, so that a residual far below 1
+        does not underflow in float32."""
+        b = rhs[self._perm]
+        if self.precision == np.float32:
+            scale = np.ldexp(1.0, np.frexp(_amax(b))[1])
+            b = self._lu.solve((b / scale).astype(np.float32)) * scale
+        else:
+            b = self._lu.solve(b)
         x = np.empty(np.shape(rhs))
-        x[self._perm] = self._lu.solve(rhs[self._perm])
+        x[self._perm] = b
         return x
+
+    def _residual(self, rhs, x):
+        """b - A x, its max norm, and ||A||_inf ||x||_inf + ||b||_inf."""
+        self.refinements += 1
+        r = rhs - self._mat @ x
+        scale = max(self._norm * _amax(x) + _amax(rhs), 1e-300)
+        return r, _amax(r), scale
+
+    def _refine_single(self, rhs):
+        """x refined on the float32 factor (see the class), or None when the
+        best residual is not finite or above the bound."""
+        x, best = self._lu_solve(rhs), None
+        for _ in range(_SINGLE_PASSES):
+            r, resid, scale = self._residual(rhs, x)
+            if not (np.isfinite(resid)
+                    and (best is None or resid <= 0.5 * best[1])):
+                break
+            best = x, resid, scale
+            if resid <= _EPS * scale:
+                break
+            x = x + self._lu_solve(r)
+        if best is None or not best[1] <= _SOLVE_RTOL * best[2]:
+            return None
+        return best[0]
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
-        x = self.lu_solve(rhs)
+        if self.precision == np.float32:
+            x = self._refine_single(rhs)
+            if x is not None:
+                return x
+            self._refactor()
+        x = self._lu_solve(rhs)
         for passes in range(_REFINE_PASSES + 1):
-            r = rhs - self._mat @ x
-            resid = np.abs(r).max(initial=0.0)
-            scale = max(self._norm * np.abs(x).max(initial=0.0)
-                        + np.abs(rhs).max(initial=0.0), 1e-300)
+            r, resid, scale = self._residual(rhs, x)
             if np.isfinite(x).all() and resid <= _SOLVE_RTOL * scale:
                 return x
             if passes < _REFINE_PASSES:
-                x = x + self.lu_solve(r)
+                x = x + self._lu_solve(r)
         raise SingularMatrixError(
             f"solve residual {resid:.3e} exceeds {_SOLVE_RTOL:.1e} x scale "
             f"{scale:.3e} after {_REFINE_PASSES} refinement passes (matrix "
@@ -332,10 +403,14 @@ def bordered_solve(mat, rhs, points):
     No border is built: B = A + d e_j e_j^T pins the largest diagonal entry
     d = |a_jj|, keeps A's pattern and has B 1 = d e_j, so B factors in the
     nested-dissection order of `points`, the unknowns' (n, d) positions.
-    One solve of B on [f, 1] gives v and z; u = v - beta z with beta =
-    v_j / z_j solves A u + beta 1 = f and is shifted to sum(u) = 0.  When
-    A's null space is not the constant vector B is singular, and the
-    condition bound ||B|| |z| or the residual check raises."""
+    One refined solve of B on [f, 1] gives v and z (single-precision
+    factor, double-precision answer: see `Factorization`); u = v - beta z
+    with beta = v_j / z_j solves A u + beta 1 = f and is shifted to
+    sum(u) = 0.  The residual check below amplifies B's backward error by
+    up to |z|, which is why `Factorization.solve` refines to roundoff and
+    not just to its own bound.  When A's null space is not the constant
+    vector B is singular, and the condition bound ||B|| |z| or the
+    residual check raises."""
     mat = sp.csc_matrix(mat)
     n = mat.shape[0]
     rhs = np.asarray(rhs, dtype=float)
@@ -367,8 +442,9 @@ def smallest_eigenvalues(mat, count, points, sigma):
 
     Uses shift-invert ARPACK around `sigma`, which must not be an
     eigenvalue.  The shifted matrix is factored in the nested-dissection
-    order of `points`, the unknowns' (n, d) positions, and applied through
-    that permutation.  Falls back to a dense solve for small matrices or
+    order of `points`, the unknowns' (n, d) positions, and each ARPACK
+    product is a refined `Factorization.solve`: the bare single-precision
+    solve is too rough for the eigenpair residual check.  Falls back to a dense solve for small matrices or
     when count is too close to the dimension.  Intended for real
     nonpositive spectra, where any sigma > 0 preserves the by-magnitude
     ordering.
@@ -385,7 +461,7 @@ def smallest_eigenvalues(mat, count, points, sigma):
 
     sigma = float(sigma)
     fac = Factorization(mat - sigma * sp.identity(n, format="csc"), points)
-    op = spla.LinearOperator((n, n), matvec=fac.lu_solve, dtype=float)
+    op = spla.LinearOperator((n, n), matvec=fac.solve, dtype=float)
     v0 = np.ones(n) / np.sqrt(n)  # fixed start vector for determinism
     evals, evecs = spla.eigs(op, k=count, which="LM", v0=v0)
     evals = 1.0 / evals + sigma

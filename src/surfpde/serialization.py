@@ -5,9 +5,12 @@ eta, grid, surface kind and parameters) plus the eight record arrays of
 `discretization.RECORD_ARRAYS`, nothing derived from them.  The loader
 checks the header (eta under the rule of `discretize`, dropped_cuts >= 0,
 surface parameters an object) and the arrays against it (shape, kind, axis,
-owner and neighbor ranges), and raises FormatError naming the file and the
-field or array; the constructor then rebuilds Pi with the checks of a
-fresh build.  Surfaces and plane curves share the format.  Versions 1 and
+owner and neighbor ranges; each base_index the low node of a grid interval
+along its point's axis, each closest_gp that node or the one above it), and
+raises FormatError naming the file and the field or array.  A member whose
+bytes do not decode (zip, zlib or npy errors) gives a FormatError naming the
+file and the member.  The constructor then rebuilds Pi with the checks of
+a fresh build.  Surfaces and plane curves share the format.  Versions 1 and
 2 (v2 also stored the interpolation rows and Pi) are rejected with
 VersionError.
 """
@@ -48,9 +51,24 @@ def dump_discretization(disc, path):
         np.savez_compressed(fh, **payload)
 
 
-def _check_record(path, arrays, dim, n_p, n_tot):
+def _read_member(path, blob, name):
+    """The array `name` of the open npz file `blob`, or FormatError naming
+    the file and the member when it is missing or its bytes do not decode.
+    Damaged bytes surface as whatever the layer that meets them raises:
+    zipfile (BadZipFile, EOFError, NotImplementedError, RuntimeError),
+    zlib.error, or the npy header parser (ValueError, SyntaxError,
+    tokenize.TokenError), so every Exception becomes the FormatError."""
+    try:
+        return blob[name]
+    except Exception as exc:
+        raise FormatError(f"{path}: cannot read member {name}: "
+                          f"{type(exc).__name__}: {exc}") from exc
+
+
+def _check_record(path, arrays, n_cells, n_p, n_tot):
     """Raise FormatError naming the first record array that does not fit
     the header in shape, kind (finite floats or integers) or range."""
+    dim = len(n_cells)
     point = (n_tot, dim)
     # name: (shape, kind, None or (first point checked, low, high));
     # primaries carry no owner
@@ -80,6 +98,25 @@ def _check_record(path, arrays, dim, n_p, n_tot):
                     f"{path}: array {name} has {len(bad)} entries outside "
                     f"[{lo}, {hi}); first {arr[first:][tuple(bad[0])]} at "
                     f"point {first + int(bad[0, 0])}")
+    # a cut lies on the grid interval from base_index one step along its
+    # axis, and its closest grid point is one of the interval's two ends
+    axis = arrays["axis"]
+    along = np.eye(dim, dtype=np.int64)[axis]
+    base = arrays["base_index"].astype(np.int64)
+    step = arrays["closest_gp"].astype(np.int64) - base
+    for name, bad, what in (
+            ("base_index", ((base < 0) | (base > np.asarray(n_cells) - along)
+                            ).any(axis=1),
+             "outside the grid or at its top end along the point's axis"),
+            ("closest_gp", ((step != 0) & (step != along)).any(axis=1),
+             "neither base_index nor the node above it along the point's "
+             "axis")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise FormatError(
+                f"{path}: array {name} has {int(bad.sum())} points {what}; "
+                f"first {arrays[name][i]} at point {i} (axis {axis[i]}, "
+                f"grid of {tuple(n_cells)} cells)")
 
 
 def load_discretization(path):
@@ -104,8 +141,9 @@ def load_discretization(path):
             raise VersionError(
                 f"{path}: unsupported format version "
                 f"{header.get('version')!r} (expected {FORMAT_VERSION})")
+        arrays = {name: _read_member(path, blob, name)
+                  for name in RECORD_ARRAYS}
         try:
-            arrays = {name: blob[name] for name in RECORD_ARRAYS}
             g = header["grid"]
             grid = Grid(tuple(g["origin"]), float(g["h"]), tuple(g["n_cells"]))
             n_p, n_tot = int(header["n_p"]), int(header["n_tot"])
@@ -130,7 +168,7 @@ def load_discretization(path):
     if not isinstance(params, dict):
         raise FormatError(f"{path}: header surface_params must be a JSON "
                           f"object, got {params!r}")
-    _check_record(path, arrays, dim, n_p, n_tot)
+    _check_record(path, arrays, grid.n_cells, n_p, n_tot)
     return SurfaceDiscretization(
         grid=grid, eta=eta, n_p=n_p, dropped_cuts=dropped,
         surface_kind=header.get("surface_kind", "user"),

@@ -59,14 +59,57 @@ def test_factorize_singular_raises():
 
 
 def test_refinement_failure_raises():
-    # the stored matrix is not the factored one, so refinement cannot
-    # converge; the last residual must raise instead of returning x
+    # the stored matrix is not the factored one, so refinement on the
+    # float32 factor stalls; the float64 refactor is made to factor the old
+    # matrix too, so both paths fail and the last residual must raise
+    # instead of returning x
     rng = np.random.default_rng(4)
     dense = rng.normal(size=(40, 40)) + 40 * np.eye(40)
     fac = Factorization(sp.csr_matrix(dense), line(40))
+    stale = fac._factor(np.float64)
+    refactored = []
+    fac._factor = lambda dtype: refactored.append(dtype) or stale
     fac._mat = sp.csc_matrix(2.0 * dense)
     with pytest.raises(SingularMatrixError, match="residual"):
         fac.solve(rng.normal(size=40))
+    assert refactored == [np.float64]
+    assert fac.precision == np.float64
+
+
+def test_ill_conditioned_matrix_falls_back_to_double():
+    # condition number 1e10: float32 refinement stalls, so the matrix is
+    # refactored in float64 and solved to a backward error below 1e-10
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+    dense = q @ np.diag(np.logspace(0, -10, 40)) @ q.T
+    assert np.linalg.cond(dense) == pytest.approx(1e10, rel=1e-3)
+    mat = sp.csc_matrix(dense)
+    fac = Factorization(mat, line(40))
+    assert fac.precision == np.float32
+    b = rng.normal(size=40)
+    x = fac.solve(b)
+    assert fac.precision == np.float64
+    scale = linalg._inf_norm(mat) * np.abs(x).max() + np.abs(b).max()
+    assert np.abs(b - mat @ x).max() <= 1e-10 * scale
+    # later solves start on the float64 factor
+    before = fac.refinements
+    fac.solve(b)
+    assert fac.precision == np.float64 and fac.refinements - before <= 3
+
+
+def test_single_precision_solve_reaches_double_roundoff():
+    # a well-conditioned matrix stays on its float32 factor; right-hand
+    # sides far outside float32's range are scaled, not flushed to 0 or inf
+    rng = np.random.default_rng(6)
+    dense = rng.normal(size=(40, 40)) + 40 * np.eye(40)
+    mat = sp.csc_matrix(dense)
+    fac = Factorization(mat, line(40))
+    x = rng.normal(size=40)
+    for size in (1.0, 1e-45, 1e45):
+        got = fac.solve(mat @ (size * x))
+        assert np.abs(got - size * x).max() <= 1e-14 * size
+    assert fac.precision == np.float32
+    assert fac.refinements <= 3 * 6
 
 
 def test_bicgstab_breakdown_ends_in_abort():

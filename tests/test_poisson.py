@@ -4,6 +4,7 @@ manufactured solution."""
 import numpy as np
 import pytest
 
+from surfpde import linalg
 from surfpde.experiments import get_discretization
 from surfpde.poisson import poisson_solve
 
@@ -43,3 +44,23 @@ def test_zero_forcing_gives_zero_solution():
     u, beta = poisson_solve(d, np.zeros(d.n_p))
     assert np.abs(u).max() < 1e-10
     assert abs(beta) < 1e-10
+
+
+def test_pinned_factor_stays_single_precision(monkeypatch):
+    # the N = 80 bordered solve refines its float32 factor to double
+    # roundoff in a few passes and never falls back to float64
+    made = []
+
+    class Recorded(linalg.Factorization):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(linalg, "Factorization", Recorded)
+    d = get_discretization("sphere", 80)
+    f, exact = _case(d)
+    u, _ = poisson_solve(d, f)
+    assert np.abs(u - exact).max() < 1.5e-3
+    (fac,) = made
+    assert fac.precision == np.float32
+    assert 1 <= fac.refinements <= 6

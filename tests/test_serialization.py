@@ -1,12 +1,19 @@
+import functools
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from surfpde import discretize, make_surface
 from surfpde.curve1d import circle, discretize_curve
 from surfpde.discretization import RECORD_ARRAYS, Grid
 from surfpde.errors import FormatError, StencilError, VersionError
@@ -158,6 +165,103 @@ def test_tampered_record_names_the_array(sphere40, tmp_path, case):
     rewrite_array(path, name, edit)
     with pytest.raises(FormatError, match=f"disc.npz: array {name} "):
         load_discretization(path)
+
+
+def _set(col, value):
+    return lambda a, i, ax, base: _put(a, (i, col), value)
+
+
+# edits (array, i, the point's axis, its base_index) -> array that leave
+# the grid or the point's interval: one coordinate set to -5 or 10**6,
+# closest_gp two steps up its axis, or one step up another axis; each at
+# the first primary and at the first secondary
+GRID_PROBES = {
+    **{f"{name}-{where}-{col}-{value}": (name, where, _set(col, value))
+       for name in ("base_index", "closest_gp")
+       for where in ("primary", "secondary")
+       for col in range(3) for value in (-5, 10 ** 6)},
+    **{f"closest_gp-{where}-two-steps": (
+        "closest_gp", where,
+        lambda a, i, ax, base: _put(a, (i, ax), base[i, ax] + 2))
+       for where in ("primary", "secondary")},
+    **{f"closest_gp-{where}-other-axis": (
+        "closest_gp", where,
+        lambda a, i, ax, base: _put(a, (i, (ax + 1) % 3),
+                                    base[i, (ax + 1) % 3] + 1))
+       for where in ("primary", "secondary")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_PROBES))
+def test_grid_index_out_of_range_names_the_array(sphere40, tmp_path, case):
+    name, where, edit = GRID_PROBES[case]
+    d = sphere40
+    i = 0 if where == "primary" else d.n_p
+    path = tmp_path / "disc.npz"
+    dump_discretization(d, path)
+    rewrite_array(path, name, lambda a, n_p, n_tot: edit(
+        a, i, int(d.axis[i]), d.base_index))
+    with pytest.raises(FormatError, match=f"disc.npz: array {name} has 1 "
+                       f"points .* first .* at point {i} "):
+        load_discretization(path)
+
+
+def test_grid_ranges_admit_every_built_record(tmp_path):
+    # the top interval along an axis and both interval ends as the closest
+    # grid point occur in a fresh build, and the checks admit them
+    d = discretize(make_surface("sphere"), Grid.cube(-1.05, 1.05, 21))
+    ids = np.arange(d.n_tot)
+    assert (d.base_index[ids, d.axis] == 20).any()
+    step = d.closest_gp[ids, d.axis] - d.base_index[ids, d.axis]
+    assert set(step.tolist()) == {0, 1}
+    path = tmp_path / "disc.npz"
+    dump_discretization(d, path)
+    np.testing.assert_array_equal(load_discretization(path).closest_gp,
+                                  d.closest_gp)
+
+
+@functools.lru_cache(maxsize=None)
+def small_dump():
+    """Bytes of a sphere N = 20 dump (1,062 points) and its record."""
+    disc = discretize(make_surface("sphere"), Grid.cube(-1.2, 1.2, 20))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "disc.npz")
+        dump_discretization(disc, path)
+        with open(path, "rb") as fh:
+            return fh.read(), disc
+
+
+@hypothesis.seed(20191908)
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupt_or_truncated_dump_is_a_format_error_or_the_same(data,
+                                                                tmp_path):
+    raw, disc = small_dump()
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        edits = data.draw(st.lists(
+            st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
+            min_size=1, max_size=4), label="xor at")
+        raw = bytearray(raw)
+        for at, mask in edits:
+            raw[at] ^= mask
+    path = tmp_path / "fuzz.npz"
+    path.write_bytes(bytes(raw))
+    try:
+        back = load_discretization(path)
+    except FormatError as exc:
+        assert str(exc).startswith(f"{path}: ") or \
+            str(exc).startswith(f"cannot read discretization file {path}: ")
+        return
+    for name in RECORD_ARRAYS:
+        np.testing.assert_array_equal(getattr(back, name),
+                                      getattr(disc, name))
+    assert (back.grid, back.n_p, back.eta, back.dropped_cuts,
+            back.surface_kind, back.surface_params) == \
+        (disc.grid, disc.n_p, disc.eta, disc.dropped_cuts,
+         disc.surface_kind, disc.surface_params)
 
 
 SPHERE_ETA_RULE = re.escape("eta must lie in (0, 1/sqrt(3)) on a 3-D grid")
