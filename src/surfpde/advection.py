@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import dblquad
 
 from . import maccormack
 from .operators import advection_coefficients, upwind_differences
@@ -35,6 +34,8 @@ def exact_solution(points, t):
 
 def exact_integral(t):
     """Surface integral of the exact solution over the unit sphere."""
+    from scipy.integrate import dblquad  # only here: it costs every import
+
     def integrand(phi, theta):
         st = np.sin(theta)
         x = st * np.cos(phi)

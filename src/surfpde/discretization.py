@@ -42,17 +42,20 @@ Cut order: the scan returns the cuts sorted by (axis, base index in C
 order), one per interval.  Snapping, dedupe and admissibility only filter,
 so `_cut_points` keeps this order, checks it in O(m), and keeps it within
 the primary and the secondary block without sorting the cuts again.
+Each stage before the stencil lookup runs in its own helper, so the
+located, snapped and unpermuted arrays are freed before
+`_resolve_neighbors` runs beside the permuted record.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .errors import EmptySurfaceError, GridError, StencilError
 from .geometry import BISECT_TOL, _batch_illinois
@@ -245,8 +248,10 @@ class SurfaceDiscretization:
         u(p) - u(q-) for 'backward', with q-/q+ the primary's axis
         neighbors in its own set.  `direction=None` stacks the forward
         blocks over the backward ones.  Entries are +-1; divide the
-        product by h for derivatives.  Raises StencilError on the first
-        call if a primary lacks an axis neighbor.
+        product by h for derivatives.  The forward and backward matrices
+        share the stacked one's data and indices, so none of the three may
+        be written into.  Raises StencilError on the first call if a
+        primary lacks an axis neighbor.
         """
         if self._differences is None:
             pairs = _axis_slot_pairs(self.positions.shape[1])
@@ -260,9 +265,16 @@ class SurfaceDiscretization:
             both = sp.csr_matrix(
                 (np.tile([1.0, -1.0], m), np.stack([hi, lo], axis=1).ravel(),
                  np.arange(0, 2 * m + 1, 2)), shape=(m, self.n_tot))
+            # two entries a row: each half is a slice of data and indices,
+            # and both halves share one indptr (a row slice would copy)
             half = m // 2
-            self._differences = {None: both, "forward": both[:half],
-                                 "backward": both[half:]}
+            self._differences = {None: both}
+            for side, part in (("forward", slice(None, m)),
+                               ("backward", slice(m, None))):
+                self._differences[side] = sp.csr_matrix(
+                    (both.data[part], both.indices[part],
+                     both.indptr[:half + 1]), shape=(half, self.n_tot),
+                    copy=False)
         if direction not in self._differences:
             raise ValueError(f"direction must be 'forward' or 'backward', "
                              f"got {direction!r}")
@@ -387,6 +399,15 @@ def _scan_run(surface, grid, starts, depth):
     return found, worst, first, prev
 
 
+def _physical_memory():
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
+
+
 def _scan_sign_changes(surface, grid, pool):
     """Sign-change intervals of phi between neighbouring grid nodes.
 
@@ -398,14 +419,23 @@ def _scan_sign_changes(surface, grid, pool):
     across the seam between the runs come from the first run's last plane
     and the second run's first, and the parts join in run order, so the
     result does not depend on the split.  Raises GridError at the first
-    non-finite phi (the first run's before the second's), and after the
-    scan if a boundary node has phi <= 0.  Returns, per axis, the base
+    non-finite phi (the first run's before the second's), after the scan
+    if a boundary node has phi <= 0, and before any buffer is made if one
+    slab's buffers exceed physical memory.  Returns, per axis, the base
     indices of the changing intervals in the cut order of the module
     docstring and phi at both ends of each.
     """
     shape = grid.shape
     dim = len(shape)
     depth = max(1, min(shape[0], _SLAB_NODES // math.prod(shape[1:])))
+    # a slab holds dim coordinates and phi per node, all float64
+    slab_bytes = depth * math.prod(shape[1:]) * (dim + 1) * 8
+    memory = _physical_memory()
+    if memory is not None and slab_bytes > memory:
+        raise GridError(
+            f"grid of {grid.n_cells} cells is too large to scan: one slab of "
+            f"{depth} plane(s) needs {slab_bytes} bytes, more than the "
+            f"{memory} bytes of physical memory")
     starts = range(0, shape[0], depth)
     cut = (len(starts) + 1) // 2
     (found, worst, _, last), (parts, run_worst, first, _) = _in_pair(
@@ -561,28 +591,52 @@ def _cut_points(surface, grid, eta, tol=BISECT_TOL):
     constructor names of SurfaceDiscretization (primary points first, each
     block in the cut order of the module docstring) and the number of
     located cuts that failed the admissibility test.  Raises GridError if
-    the located cuts break that order or repeat an interval.
+    the located cuts break that order or repeat an interval.  Each stage
+    before the stencil lookup is a helper, so the located, snapped and
+    unpermuted arrays are freed with its frame and only the permuted
+    record is alive while `_resolve_neighbors` runs.
     """
+    fields, dropped = _ordered_cuts(surface, grid, eta, tol)
+    fields["chart_neighbors"] = _resolve_neighbors(
+        grid, fields["positions"], fields["axis"], fields["base_index"],
+        fields["n_p"], eta)
+    return fields, dropped
+
+
+def _ordered_cuts(surface, grid, eta, tol):
+    """`_primaries_first` of the `_admissible_cuts`, and the number of cuts
+    that failed the admissibility test."""
+    cuts, dropped = _admissible_cuts(surface, grid, eta, tol)
+    return _primaries_first(grid, *cuts), dropped
+
+
+def _admissible_cuts(surface, grid, eta, tol):
+    """The located cuts, snapped and deduplicated, that pass the
+    admissibility test, in cut order: (base, positions, axis, normals),
+    and the number that failed it."""
     located = _locate_cuts(surface, grid, tol)
-    dim = len(located)
     base = np.concatenate([b for b, _ in located], axis=0)
     positions = np.concatenate([q for _, q in located], axis=0)
     axis = np.concatenate([np.full(b.shape[0], ax, dtype=np.int8)
                            for ax, (b, _) in enumerate(located)])
     if positions.shape[0] == 0:
         raise EmptySurfaceError("no grid interval crosses the level set")
-
     keep, positions, normals = _snap_and_dedupe(
         surface, grid, positions, axis, base, surface.unit_normal(positions))
     admissible = _admissible_mask(normals, axis, eta)
     use = keep & admissible
-    base, positions = base[use], positions[use]
-    axis, normals = axis[use], normals[use]
-    if positions.shape[0] == 0:
+    if not use.any():
         raise EmptySurfaceError(
             f"all {int(keep.sum())} located cut points failed the "
             f"admissibility test at eta={eta}")
+    return ((base[use], positions[use], axis[use], normals[use]),
+            int((keep & ~admissible).sum()))
 
+
+def _primaries_first(grid, base, positions, axis, normals):
+    """Check the cut order, give each cut its closest grid point and role,
+    and return the record fields but `chart_neighbors`, primaries first."""
+    dim = positions.shape[1]
     m = positions.shape[0]
     ids = np.arange(m)
     origin = np.asarray(grid.origin)
@@ -619,20 +673,13 @@ def _cut_points(surface, grid, eta, tol=BISECT_TOL):
     block_order = np.argsort(~is_primary, kind="stable")
     new_id = np.cumsum(is_primary) - 1
     n_p = int(is_primary.sum())
-
-    positions = positions[block_order]
-    axis = axis[block_order]
-    base = base[block_order]
     associated = np.full(m, -1, dtype=np.int64)
     associated[n_p:] = new_id[group_rep[block_order[n_p:]]]
-    fields = dict(
-        positions=positions, axis=axis, base_index=base,
-        closest_gp=closest[block_order], theta=theta[block_order],
-        normals=normals[block_order], n_p=n_p,
-        associated_primary=associated,
-        chart_neighbors=_resolve_neighbors(grid, positions, axis, base, n_p,
-                                           eta))
-    return fields, int((keep & ~admissible).sum())
+    return dict(
+        positions=positions[block_order], axis=axis[block_order],
+        base_index=base[block_order], closest_gp=closest[block_order],
+        theta=theta[block_order], normals=normals[block_order], n_p=n_p,
+        associated_primary=associated)
 
 
 def _interpolation_data(positions, axis, theta, n_p, associated_primary,
@@ -766,6 +813,8 @@ def quality_report(disc):
     (sqrt(2)/2) h - O(h^2) and no primary is farther than (3 sqrt(2)/2) h +
     O(h^2) from another.
     """
+    from scipy.spatial import cKDTree  # only here: it costs every import
+
     n_p = disc.n_p
     n = disc.normals[:n_p]
     ax = disc.axis[:n_p].astype(np.int64)

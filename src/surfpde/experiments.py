@@ -25,7 +25,6 @@ from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import advection as adv_mod
 from . import swe as swe_mod
@@ -122,6 +121,8 @@ def chart_interpolate(fine, full_values, points):
     incomplete stencils (possible in steep regions) are skipped in favor of
     the next-nearest complete one.
     """
+    from scipy.spatial import cKDTree  # only here: it costs every import
+
     full_values = np.asarray(full_values, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n_p = fine.n_p

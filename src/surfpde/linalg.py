@@ -42,7 +42,8 @@ _SOLVE_RTOL = 1e-10           # Factorization.solve residual bound, relative
 _SINGLE_PASSES = 30           # residuals on its float32 factor, at most, as
                               # LAPACK DSGESV's ITERMAX
 _REFINE_PASSES = 2            # refinements on its float64 factor, at most
-_EPS = np.finfo(float).eps    # double roundoff, where refinement stops
+_ROUNDOFF = 4 * np.finfo(float).eps  # where float32 refinement stops: a
+                              # computed residual floors at about eps
 _BORDERED_RTOL = 1e-9         # bordered_solve residual bound, relative
 _EIG_RESIDUAL_TOL = 1e-8      # smallest_eigenvalues eigenpair residual bound
 _DENSE_EIG_LIMIT = 1200       # smallest_eigenvalues solves densely up to it
@@ -189,26 +190,28 @@ def _inf_norm(mat):
 class Factorization:
     """Sparse LU factorization in single precision, refined in double.
 
-    A is permuted symmetrically by `dissection_order(points, A)`, and
+    A is permuted symmetrically by `dissection_order(points, A)` once, and
     SuperLU factors the permuted A, rounded to float32, in that order,
     preferring diagonal pivots (SymmetricMode, partial pivoting kept).  On
     the pinned N = 320 Poisson matrix this fills 15.5, where minimum degree
     on A^T + A fills 20.6-23.4.  The float32 factor holds the same
     nonzeros as a float64 one in about two thirds of the memory.
-    `_lu` is the SuperLU object of the live factor, `_mat` the unpermuted
+    `_lu` is the SuperLU object of the live factor, `_mat` the permuted
     float64 A, and `precision` the dtype of the live factor.
 
-    solve() refines in double against `_mat` (Buttari et al., ACM TOMS
-    34(4), 2008).  From the single-precision solve it keeps refining while
-    the max-norm residual at least halves, until it is at double roundoff,
-    eps (||A||_inf ||x||_inf + ||b||_inf), or _SINGLE_PASSES residuals
-    were formed; the best iterate is accepted when its residual is within
-    _SOLVE_RTOL of that scale.  Stopping at _SOLVE_RTOL itself is not
-    enough: `bordered_solve`'s own residual check amplifies the backward
-    error.  When the residual stalls above the bound, or x is not finite,
-    A is refactored once in float64, as LAPACK's DSGESV falls back, and
-    from then on solve() refines at most _REFINE_PASSES times on that
-    factor and raises if the residual never gets within the bound.  A
+    solve() permutes the right-hand side into the factor's ordering on
+    entry and x out of it on exit, and refines in between in double
+    against `_mat` (Buttari et al., ACM TOMS 34(4), 2008).  From the
+    single-precision solve it keeps refining while the max-norm residual
+    at least halves, until it is within _ROUNDOFF (||A||_inf ||x||_inf +
+    ||b||_inf), where a computed residual floors, or _SINGLE_PASSES
+    residuals were formed; the best iterate is accepted when its residual
+    is within _SOLVE_RTOL of that scale.  Stopping at _SOLVE_RTOL itself
+    is not enough: `bordered_solve`'s own residual check amplifies the
+    backward error.  When the residual stalls above the bound, or x is not
+    finite, A is refactored once in float64, as LAPACK's DSGESV falls
+    back, and from then on solve() refines at most _REFINE_PASSES times on
+    that factor and raises if the residual never gets within the bound.  A
     float32 factorization that fails falls back the same way.
     `refinements` counts the double-precision residuals formed over all
     solves, as BiCGSTAB counts its products.
@@ -218,9 +221,9 @@ class Factorization:
         mat = sp.csc_matrix(mat)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got {mat.shape}")
-        self._mat = mat
         self._norm = _inf_norm(mat)
         self._perm = dissection_order(points, mat)
+        self._mat = mat[self._perm][:, self._perm]
         self.refinements = 0
         try:
             self._lu = self._factor(np.float32)
@@ -234,9 +237,9 @@ class Factorization:
 
     def _factor(self, dtype):
         """SuperLU factor of the permuted A, rounded to `dtype`."""
-        mat, perm = self._mat, self._perm
+        mat = self._mat
         try:
-            return spla.splu(mat.astype(dtype)[perm][:, perm],
+            return spla.splu(mat.astype(dtype, copy=False),
                              permc_spec="NATURAL",
                              options={"SymmetricMode": True})
         except RuntimeError as exc:
@@ -250,19 +253,14 @@ class Factorization:
         self.precision = np.dtype(np.float64)
 
     def _lu_solve(self, rhs):
-        """One unrefined solve with the live factor, in A's ordering.  For
+        """One unrefined solve with the live factor, in its ordering.  For
         the float32 factor the right-hand side is scaled by a power of two
         near its max norm, which is exact, so that a residual far below 1
         does not underflow in float32."""
-        b = rhs[self._perm]
         if self.precision == np.float32:
-            scale = np.ldexp(1.0, np.frexp(_amax(b))[1])
-            b = self._lu.solve((b / scale).astype(np.float32)) * scale
-        else:
-            b = self._lu.solve(b)
-        x = np.empty(np.shape(rhs))
-        x[self._perm] = b
-        return x
+            scale = np.ldexp(1.0, np.frexp(_amax(rhs))[1])
+            return self._lu.solve((rhs / scale).astype(np.float32)) * scale
+        return self._lu.solve(rhs)
 
     def _residual(self, rhs, x):
         """b - A x, its max norm, and ||A||_inf ||x||_inf + ||b||_inf."""
@@ -281,20 +279,15 @@ class Factorization:
                     and (best is None or resid <= 0.5 * best[1])):
                 break
             best = x, resid, scale
-            if resid <= _EPS * scale:
+            if resid <= _ROUNDOFF * scale:
                 break
             x = x + self._lu_solve(r)
         if best is None or not best[1] <= _SOLVE_RTOL * best[2]:
             return None
         return best[0]
 
-    def solve(self, rhs):
-        rhs = np.asarray(rhs, dtype=float)
-        if self.precision == np.float32:
-            x = self._refine_single(rhs)
-            if x is not None:
-                return x
-            self._refactor()
+    def _refine_double(self, rhs):
+        """x refined on the float64 factor; raises past _REFINE_PASSES."""
         x = self._lu_solve(rhs)
         for passes in range(_REFINE_PASSES + 1):
             r, resid, scale = self._residual(rhs, x)
@@ -306,6 +299,19 @@ class Factorization:
             f"solve residual {resid:.3e} exceeds {_SOLVE_RTOL:.1e} x scale "
             f"{scale:.3e} after {_REFINE_PASSES} refinement passes (matrix "
             f"numerically singular)")
+
+    def solve(self, rhs):
+        rhs = np.asarray(rhs, dtype=float)[self._perm]
+        x = None
+        if self.precision == np.float32:
+            x = self._refine_single(rhs)
+            if x is None:
+                self._refactor()
+        if x is None:
+            x = self._refine_double(rhs)
+        out = np.empty_like(x)
+        out[self._perm] = x
+        return out
 
 
 def _amax(vec):

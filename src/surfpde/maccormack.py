@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import SolverAbortError
 
+_MAX_STEPS = 2 ** 53  # steps a march may take: n k is exact up to here
+
 
 def maccormack_step(state_p, k, rhs, equilibrate, extra_corrector=None):
     """One predictor-corrector step of u_t = R(u) at the primary points.
@@ -58,9 +60,9 @@ def march(state, advance, k, t_ends):
     """Apply `advance` step by step; snapshot the state at each of t_ends.
 
     Every time must be finite and a nonnegative whole number of steps k (to
-    1e-9), and all are checked before the first step.  Each step is checked
-    for finiteness under one global step count.  Returns a list of (t, copy
-    of the state) in increasing t.
+    1e-9), at most 2**53 of them, and all are checked before the first
+    step.  Each step is checked for finiteness under one global step
+    count.  Returns a list of (t, copy of the state) in increasing t.
     """
     targets = []
     for t in sorted(t_ends):
@@ -70,6 +72,10 @@ def march(state, advance, k, t_ends):
         if t < 0 or abs(n * k - t) > 1e-9:
             raise ValueError(
                 f"t = {t} is not a nonnegative multiple of the step {k}")
+        if n > _MAX_STEPS:
+            raise ValueError(
+                f"t = {t} is {n:.3e} steps of {k}, more than 2**53, past "
+                f"which a step count times k is not exact")
         targets.append((t, n))
     out, step = [], 0
     for t, n in targets:

@@ -7,10 +7,13 @@ on a plane curve (offsets -1 and +1); the chart metric and the
 divergence-form Laplace-Beltrami operator are assembled the same way for
 both, with the chart axes, the stencil slots and the row width taken from
 the discretization.  The nondivergence form (closed-form coefficients) is
-sphere only.  Explicit chart differences (upwinding, switched viscosity)
-are products with the one-sided difference matrices that
-`SurfaceDiscretization.chart_differences` builds once per discretization;
-with the extension matrix E as operand they act on primary values alone.
+sphere only.  L is written straight into CSR from the fixed-width stencil
+rows: columns sorted within each row, absent slots dropped, with no COO
+triplets and no row-index array.  Explicit chart differences (upwinding,
+switched viscosity) are products with the one-sided difference matrices
+that `SurfaceDiscretization.chart_differences` builds once per
+discretization; with the extension matrix E as operand they act on
+primary values alone.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+import scipy.sparse as sp
 
 from .discretization import (SLOT_E, SLOT_N, SLOT_NE, SLOT_NW, SLOT_S,
                              SLOT_SE, SLOT_SW, SLOT_W, STENCIL_OFFSETS,
                              _axis_slot_pairs, chart_axes)
 from .errors import StencilError
-from .linalg import _in_pair, assemble_csr
+from .linalg import _in_pair
 
 _TANGENCY_TOL = 1e-10  # relative normal velocity that advection warns above
 
@@ -159,6 +163,9 @@ def laplace_beltrami(disc, form="divergence"):
     A stencil slot may be unresolved (no cut point on that chart column) as
     long as its weight vanishes; the branch on sign(g12) leaves one diagonal
     pair unused per point, which is what makes steep regions assemblable.
+    Unresolved slots are left out of the matrix; resolved ones are stored
+    even where their weight is 0, and every row's columns are sorted, so
+    the result is in canonical format.
     """
     if form not in ("divergence", "nondivergence"):
         raise ValueError(f"unknown form {form!r}; "
@@ -167,19 +174,15 @@ def laplace_beltrami(disc, form="divergence"):
         raise ValueError(
             "nondivergence form uses closed-form sphere coefficients; "
             f"surface kind is {disc.surface_kind!r} (use form='divergence')")
-    n_p = disc.n_p
+    n_p, n_tot = disc.n_p, disc.n_tot
     nb = disc.chart_neighbors
     if form == "divergence":
-        met = chart_metric(disc)
-        w = divergence_weights(met.a11[nb], met.a22[nb], met.a12[nb],
-                               met.a11[:n_p], met.a22[:n_p], met.a12[:n_p],
-                               met.g12[:n_p], met.sqrt_g[:n_p], disc.h)
+        w = _divergence_form_weights(disc)
     else:
-        g11, g22, g12, b1, b2 = _sphere_chart_coefficients(disc)
-        w = nondivergence_weights(g11, g22, g12, b1, b2, disc.h)
-    cols = np.hstack([nb, np.arange(n_p)[:, None]])
-    absent = cols < 0
-    bad = absent & (w != 0.0)
+        w = nondivergence_weights(*_sphere_chart_coefficients(disc), disc.h)
+    width = nb.shape[1]
+    absent = nb < 0
+    bad = absent & (w[:, :width] != 0.0)
     if bad.any():
         i, s = map(int, np.argwhere(bad)[0])
         raise StencilError(
@@ -189,10 +192,33 @@ def laplace_beltrami(disc, form="divergence"):
             f"(set Gamma_{int(disc.axis[i]) + 1}), offset "
             f"{disc.offsets[s]}. Try a finer grid or a smaller eta "
             f"(eta={disc.eta}).")
-    rows = np.repeat(np.arange(n_p), cols.shape[1])
-    keep = ~absent.ravel()
-    return assemble_csr(rows[keep], cols.ravel()[keep], w.ravel()[keep],
-                        (n_p, disc.n_tot))
+    # the CSR arrays straight from the fixed-width rows: an absent slot
+    # gets column n_tot, which sorts after every point and is dropped
+    itype = np.int32 if max(n_tot, nb.size + n_p) < 2 ** 31 else np.int64
+    cols = np.empty((n_p, width + 1), dtype=itype)
+    cols[:, :width] = np.where(absent, n_tot, nb)
+    cols[:, width] = np.arange(n_p)
+    order = np.argsort(cols, axis=1)
+    cols = np.take_along_axis(cols, order, axis=1)
+    w = np.take_along_axis(w, order, axis=1)
+    keep = cols < n_tot
+    indptr = np.zeros(n_p + 1, dtype=itype)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((w[keep], cols[keep], indptr), shape=(n_p, n_tot))
+
+
+def _divergence_form_weights(disc):
+    """`divergence_weights` of every primary.  Of the ten chart-metric
+    arrays only the five the weights read outlive `chart_metric`."""
+    n_p = disc.n_p
+    met = chart_metric(disc)
+    coeffs = (met.a11, met.a22, met.a12)
+    g12_c, sqrt_g_c = met.g12[:n_p], met.sqrt_g[:n_p]
+    del met
+    nb = disc.chart_neighbors
+    return divergence_weights(*(c[nb] for c in coeffs),
+                              *(c[:n_p] for c in coeffs), g12_c, sqrt_g_c,
+                              disc.h)
 
 
 def reduced_operator(op, disc):

@@ -107,6 +107,25 @@ def test_negative_end_time_exits_two(capsys):
     assert "t = -0.5" in capsys.readouterr().err
 
 
+def test_grid_too_large_for_memory_exits_two(capsys):
+    # one plane of 1e16 nodes: the scan stops before its buffers are
+    # asked for
+    assert main(["discretize", "--N", "100000000"]) == 2
+    err = capsys.readouterr().err
+    assert ("grid of (100000000, 100000000, 100000000) cells is too large "
+            "to scan: one slab of 1 plane(s) needs 320000006400000032 "
+            "bytes, more than the ") in err
+    assert "bytes of physical memory" in err
+
+
+def test_end_time_past_two_to_the_53_steps_exits_two(capsys):
+    # 1e300 is a whole number of steps of k = 0.025, but 4e301 steps
+    # would never end
+    assert main(["advect", "--N", "20", "--t-end", "1e300"]) == 2
+    err = capsys.readouterr().err
+    assert "t = 1e+300 is 4.000e+301 steps of 0.025, more than 2**53" in err
+
+
 def test_config_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults for a quick run\nn = 20\nsurface = sphere\n")
@@ -286,6 +305,17 @@ def test_module_entry_point(argv, subprocess_env):
     proc = subprocess.run([sys.executable, "-m", "surfpde.cli"] + argv,
                           env=subprocess_env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_unused_scipy_subpackages_unloaded(subprocess_env):
+    # scipy.integrate and scipy.spatial are imported by the one function
+    # that uses each, not by every run
+    code = ("import sys, surfpde; print(sorted(m for m in ('scipy.integrate',"
+            " 'scipy.spatial', 'scipy.sparse.linalg') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "['scipy.sparse.linalg']"
 
 
 # ---------------------------------------------------------------------------

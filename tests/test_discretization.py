@@ -281,6 +281,23 @@ def test_surface_must_fit_in_box():
                    Grid.cube(-1.2, 1.2, 20))
 
 
+def test_scan_slab_beyond_physical_memory_fails_before_phi(monkeypatch):
+    # a slab of 21 planes of 21 x 21 nodes holds 4 float64 per node
+    calls = []
+    surf = make_surface("sphere")
+    phi = surf.phi
+    monkeypatch.setattr(surf, "phi", lambda p: calls.append(1) or phi(p))
+    monkeypatch.setattr(discretization, "_physical_memory",
+                        lambda: 21 ** 3 * 32 - 1)
+    with pytest.raises(GridError, match=r"grid of \(20, 20, 20\) cells is "
+                       r"too large to scan: one slab of 21 plane\(s\) needs "
+                       r"296352 bytes, more than the 296351 bytes"):
+        discretize(surf, Grid.cube(-1.2, 1.2, 20))
+    assert calls == []
+    monkeypatch.setattr(discretization, "_physical_memory", lambda: None)
+    assert discretize(surf, Grid.cube(-1.2, 1.2, 20)).n_p > 0
+
+
 def test_grid_validation():
     assert Grid.cube(-1.2, 1.2, 40) == Grid((-1.2,) * 3, 2.4 / 40, (40,) * 3)
     with pytest.raises(GridError):

@@ -140,3 +140,16 @@ def test_march_rejects_non_finite_times_before_any_step(t):
     with pytest.raises(ValueError, match=f"t = {t} is not a finite time"):
         march(np.zeros(2), calls.append, 0.1, [0.2, t])
     assert calls == []
+
+
+def test_march_rejects_step_counts_past_two_to_the_53_before_any_step():
+    # 1e300 is a whole number of steps of 0.025 in floating point, but
+    # 4e301 steps would never end and n k is not exact past 2**53
+    calls = []
+    with pytest.raises(ValueError, match=r"t = 1e\+300 is 4\.000e\+301 "
+                       r"steps of 0\.025, more than 2\*\*53"):
+        march(np.zeros(2), calls.append, 0.025, [0.05, 1e300])
+    assert calls == []
+    k = 2.0 ** -10
+    (_, state), = march(np.zeros(2), lambda s: s + 1.0, k, [3 * k])
+    assert state.tolist() == [3.0, 3.0]

@@ -1,8 +1,10 @@
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from surfpde import Grid, discretize, make_surface
 from surfpde.curve1d import circle, discretize_curve
@@ -11,7 +13,8 @@ from surfpde.discretization import (RECORD_ARRAYS, SLOT_E, SLOT_N, SLOT_NE,
                                     SLOT_NW, SLOT_S, SLOT_SE, SLOT_SW, SLOT_W,
                                     SurfaceDiscretization)
 from surfpde.errors import StencilError
-from surfpde.operators import (advection_coefficients, artificial_viscosity,
+from surfpde.operators import (_sphere_chart_coefficients,
+                               advection_coefficients, artificial_viscosity,
                                chart_metric, divergence_weights,
                                laplace_beltrami, nondivergence_weights,
                                primary_chart_axes, reduced_operator,
@@ -407,6 +410,23 @@ def test_artificial_viscosity_matches_gather_formula(any_disc):
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
+def test_one_sided_chart_differences_share_the_stacked_arrays(any_disc):
+    # two entries a row: the halves are views of the stacked matrix's data
+    # and indices, equal to its row slices
+    d = copy_discretization(any_disc)
+    both = d.chart_differences()
+    half = both.shape[0] // 2
+    for direction, rows in (("forward", slice(None, half)),
+                            ("backward", slice(half, None))):
+        got, want = d.chart_differences(direction), both[rows]
+        for name in ("data", "indices"):
+            assert np.shares_memory(getattr(got, name), getattr(both, name))
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+        assert got.shape == want.shape and (got != want).nnz == 0
+
+
 def test_chart_differences_are_cached(sphere40):
     d = copy_discretization(sphere40)
     calls = []
@@ -471,3 +491,55 @@ def test_assembly_error_reaches_the_solver_while_e_builds_on_the_worker(
     assert str(caught.value) == str(direct.value)
     assert len(threads) == 1 and threads[0] != threading.get_ident()
     assert d._extension is not None
+
+
+def coo_laplace_beltrami(disc, form):
+    """L from COO triplets of the fixed-width stencil rows, absent slots
+    left out: the reference for the direct CSR build."""
+    n_p, nb = disc.n_p, disc.chart_neighbors
+    if form == "divergence":
+        met = chart_metric(disc)
+        w = divergence_weights(met.a11[nb], met.a22[nb], met.a12[nb],
+                               met.a11[:n_p], met.a22[:n_p], met.a12[:n_p],
+                               met.g12[:n_p], met.sqrt_g[:n_p], disc.h)
+    else:
+        w = nondivergence_weights(*_sphere_chart_coefficients(disc), disc.h)
+    cols = np.hstack([nb, np.arange(n_p)[:, None]])
+    keep = (cols >= 0).ravel()
+    rows = np.repeat(np.arange(n_p), cols.shape[1])
+    return sp.coo_matrix((w.ravel()[keep], (rows[keep], cols.ravel()[keep])),
+                         shape=(n_p, disc.n_tot)).tocsr()
+
+
+@pytest.fixture(scope="module")
+def circle40():
+    return discretize_curve(circle(), Grid.square(-1.2, 1.2, 40))
+
+
+@pytest.mark.parametrize("name,form", [
+    ("sphere40", "divergence"), ("sphere40", "nondivergence"),
+    ("ellipsoid40", "divergence"), ("circle40", "divergence")])
+def test_laplace_beltrami_csr_equals_coo_assembly(name, form, request):
+    disc = request.getfixturevalue(name)
+    got = laplace_beltrami(disc, form)
+    want = coo_laplace_beltrami(disc, form)
+    assert got.has_canonical_format and got.shape == want.shape
+    for attr in ("indptr", "indices"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_laplace_beltrami_traced_peak_is_bounded(sphere80):
+    # the temporaries of the assembly stay under 4.5 times the bytes of
+    # the result; COO triplets beside the whole chart metric take 6.8
+    laplace_beltrami(sphere80)
+    tracemalloc.start()
+    try:
+        op = laplace_beltrami(sphere80)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result = op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+    assert peak <= 4.5 * result, peak / result
