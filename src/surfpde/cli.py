@@ -92,7 +92,7 @@ FLAGS = {
     "form": Flag("--form", str, None, "operator form: div | nondiv"),
     "stepper": Flag("--stepper", _stepper, "{" + ",".join(_STEPPERS) + "}",
                     "time integrator"),
-    "nu": Flag("--nu", float, None, "artificial viscosity coefficient"),
+    "nu": Flag("--nu", _finite, None, "artificial viscosity coefficient"),
     "eta": Flag("--eta", float, None, "normal-component admissibility bound"),
     "t_end": Flag("--t-end", float, None, "final time (days for swe)"),
     "times": Flag("--times", _float_list, "T[,T...]", "snapshot times"),

@@ -126,7 +126,10 @@ def proof_row_operations(disc, sigma):
     For each secondary row with a positive entry at one neighbor of its
     primary, add 1/(8 sigma c_that_side) times the primary row.  P has unit
     diagonal and those multipliers in the (secondary, primary) slots.
+    Raises ValueError unless sigma is finite and positive.
     """
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
     c_minus, c_plus = _side_coefficients(disc)
     n_p, n = disc.n_p, disc.n_tot
     sec = np.arange(n_p, n)
@@ -151,8 +154,8 @@ def m_matrix_report(disc, sigma):
     then for PA: the largest off-diagonal, the smallest diagonal, and the
     smallest row sum (strict dominance needs it positive).
     """
-    a = proof_matrix(disc, sigma)
     p = proof_row_operations(disc, sigma)
+    a = proof_matrix(disc, sigma)
     pa = (p @ a).tocsr()
 
     def split(mat):

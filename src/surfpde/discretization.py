@@ -34,9 +34,10 @@ and last plane.  The cuts on those intervals are then located by
 `geometry._batch_illinois`, each axis in two halves, one per thread; the
 stencil lookup splits its slots the same way.  Working memory is two
 slabs plus O(N^2) per-cut arrays rather than (N+1)^3 values of phi.
-Every slab, interval and stencil slot is computed on its own and the
-parts join in order, so the result is the same bit for bit as computing
-the parts one after another.
+Each two-thread step is one `linalg._in_pair` call.  Every slab,
+interval and stencil slot is computed on its own and the parts join in
+order, so the result is the same bit for bit as computing the parts one
+after another.
 
 Cut order: the scan returns the cuts sorted by (axis, base index in C
 order), one per interval.  Snapping, dedupe and admissibility only filter,
@@ -51,8 +52,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -408,13 +409,13 @@ def _physical_memory():
     return pages * size if pages > 0 and size > 0 else None
 
 
-def _scan_sign_changes(surface, grid, pool):
+def _scan_sign_changes(surface, grid):
     """Sign-change intervals of phi between neighbouring grid nodes.
 
     Slabs of whole planes along axis 0, at most _SLAB_NODES nodes per phi
     call (one plane when a plane holds more), are split into two runs of
-    consecutive slabs, scanned at once by this thread and the one worker
-    of `pool`; every node is evaluated once, and within a run only the
+    consecutive slabs, scanned at once by this thread and a worker thread
+    (`_in_pair`); every node is evaluated once, and within a run only the
     last plane's phi carries over to the next slab.  The axis-0 changes
     across the seam between the runs come from the first run's last plane
     and the second run's first, and the parts join in run order, so the
@@ -439,8 +440,8 @@ def _scan_sign_changes(surface, grid, pool):
     starts = range(0, shape[0], depth)
     cut = (len(starts) + 1) // 2
     (found, worst, _, last), (parts, run_worst, first, _) = _in_pair(
-        pool, _scan_run, (surface, grid, starts[:cut], depth),
-        (surface, grid, starts[cut:], depth))
+        partial(_scan_run, surface, grid, starts[:cut], depth),
+        partial(_scan_run, surface, grid, starts[cut:], depth))
     if first is not None:       # the second run holds a slab
         found[0].append(_plane_seam(last, first, starts[cut] - 1))
     for a in range(dim):
@@ -478,18 +479,16 @@ def _interval_cuts(surface, grid, axis, base, f_lo, f_hi, tol):
 def _locate_cuts(surface, grid, tol=BISECT_TOL):
     """Per axis, the base indices of all sign-change intervals and the cut
     point on each, in the cut order of the module docstring.  The scan and
-    the root steps run on this thread and one worker: each axis's
-    intervals are located in two halves, and the halves join in order."""
+    the root steps run on this thread and a worker: each axis's intervals
+    are located in two halves, and the halves join in order."""
     out = []
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for axis, (base, f_lo, f_hi) in enumerate(
-                _scan_sign_changes(surface, grid, pool)):
-            cut = (base.shape[0] + 1) // 2
-            halves = [(surface, grid, axis, base[part], f_lo[part],
-                       f_hi[part], tol)
-                      for part in (slice(None, cut), slice(cut, None))]
-            out.append((base, np.concatenate(
-                _in_pair(pool, _interval_cuts, *halves))))
+    for axis, (base, f_lo, f_hi) in enumerate(
+            _scan_sign_changes(surface, grid)):
+        cut = (base.shape[0] + 1) // 2
+        halves = [partial(_interval_cuts, surface, grid, axis, base[part],
+                          f_lo[part], f_hi[part], tol)
+                  for part in (slice(None, cut), slice(cut, None))]
+        out.append((base, np.concatenate(_in_pair(*halves))))
     return out
 
 
@@ -578,8 +577,8 @@ def _resolve_neighbors(grid, positions, axis, base, n_p, eta):
 
     # each slot fills its own column; half the slots on the worker
     half = len(offsets) // 2
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        _in_pair(pool, fill, (range(half),), (range(half, len(offsets)),))
+    _in_pair(partial(fill, range(half)),
+             partial(fill, range(half, len(offsets))))
     return out
 
 

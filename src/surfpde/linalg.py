@@ -8,14 +8,15 @@ and `BiCGSTAB`, the Jacobi-scaled Krylov iteration that solves each
 implicit diffusion step from a guess without factoring.  Every
 factorization is ordered by geometric nested dissection of the unknowns'
 coordinates (`dissection_order`), so each entry point that factors takes
-`points`, the (n, d) positions of the matrix's unknowns.  The ordering
-splits the two halves of its root on the calling thread and one worker
-thread; `_in_pair` is that one two-thread pattern, which `discretization`
-and `operators` use as well.  SuperLU's factorization itself runs on the
-calling thread.  It is made in single precision, which the answer does
-not need beyond its O(h^2) truncation error, and every solve is refined
-in double against the float64 matrix to double roundoff; a matrix whose
-refinement stalls is refactored once in double (see `Factorization`).
+`points`, the (n, d) positions of the matrix's unknowns.  `_in_pair` is
+the package's one way to use the second core: it runs one callable on a
+worker thread that it starts and joins, and one on the calling thread;
+the ordering, `discretization` and `operators` use it.  SuperLU factors
+on the calling thread in single precision, which the answer does not
+need beyond its O(h^2) truncation error, and one loop refines every
+solve in double against the float64 matrix to double roundoff; a matrix
+whose refinement stalls is refactored once in double (see
+`Factorization`).
 """
 
 from __future__ import annotations
@@ -39,11 +40,10 @@ _ND_LEAF = 8
 # parts are down to _ND_LEAF by level 39 for any n <= 8 * 2**40
 _ND_LEVELS = 40
 _SOLVE_RTOL = 1e-10           # Factorization.solve residual bound, relative
-_SINGLE_PASSES = 30           # residuals on its float32 factor, at most, as
-                              # LAPACK DSGESV's ITERMAX
-_REFINE_PASSES = 2            # refinements on its float64 factor, at most
-_ROUNDOFF = 4 * np.finfo(float).eps  # where float32 refinement stops: a
-                              # computed residual floors at about eps
+_MAX_PASSES = 30              # residuals per refinement, at most, as LAPACK
+                              # DSGESV's ITERMAX
+_ROUNDOFF = 4 * np.finfo(float).eps  # where refinement stops: a computed
+                              # residual floors at about eps
 _BORDERED_RTOL = 1e-9         # bordered_solve residual bound, relative
 _EIG_RESIDUAL_TOL = 1e-8      # smallest_eigenvalues eigenpair residual bound
 _DENSE_EIG_LIMIT = 1200       # smallest_eigenvalues solves densely up to it
@@ -57,11 +57,14 @@ def assemble_csr(rows, cols, vals, shape):
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
-def _in_pair(pool, fn, first, second):
-    """(fn(*first), fn(*second)): the second on the one worker of `pool`
-    while this thread computes the first.  The first's exception wins."""
-    later = pool.submit(fn, *second)
-    return fn(*first), later.result()
+def _in_pair(first, second):
+    """(first(), second()) for two zero-argument callables: `second` runs
+    on a worker thread of its own while this thread calls `first`.  The
+    worker is joined before this returns or raises, and the first's
+    exception wins."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        later = pool.submit(second)
+        return first(), later.result()
 
 
 def _split_parts(cols, rank, ei, ej, path, nodes, sizes, level):
@@ -163,23 +166,21 @@ def dissection_order(points, mat):
     # level l worth 3**(_ND_LEVELS - 1 - l), so sorting it gives the
     # post-order
     path = np.zeros(n, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        (ei, ej), rank = _in_pair(pool, lambda build: build(),
-                                  (partial(_edges, mat),),
-                                  (partial(_ranks, cols),))
-        nodes, sizes = _split_parts(cols, rank, ei, ej, path, np.arange(n),
-                                    np.array([n]), 0)
-        side = np.full(n, -1, dtype=np.int8)   # 0 left half, 1 right half
-        side[nodes] = np.repeat([0, 1], sizes)
-        si, sj = side[ei], side[ej]
-        ends = (0, sizes[0], nodes.size)
-        halves = []
-        for s in (0, 1):
-            inner = (si == s) & (sj == s)
-            halves.append((cols, rank, ei[inner], ej[inner], path,
-                           nodes[ends[s]:ends[s + 1]], sizes[s:s + 1], 1))
-        # each half writes only its own unknowns' entries of `path`
-        _in_pair(pool, _dissect, *halves)
+    (ei, ej), rank = _in_pair(partial(_edges, mat), partial(_ranks, cols))
+    nodes, sizes = _split_parts(cols, rank, ei, ej, path, np.arange(n),
+                                np.array([n]), 0)
+    side = np.full(n, -1, dtype=np.int8)   # 0 left half, 1 right half
+    side[nodes] = np.repeat([0, 1], sizes)
+    si, sj = side[ei], side[ej]
+    ends = (0, sizes[0], nodes.size)
+    halves = []
+    for s in (0, 1):
+        inner = (si == s) & (sj == s)
+        halves.append(partial(_dissect, cols, rank, ei[inner], ej[inner],
+                              path, nodes[ends[s]:ends[s + 1]],
+                              sizes[s:s + 1], 1))
+    # each half writes only its own unknowns' entries of `path`
+    _in_pair(*halves)
     return np.argsort(path, kind="stable")
 
 
@@ -201,17 +202,17 @@ class Factorization:
 
     solve() permutes the right-hand side into the factor's ordering on
     entry and x out of it on exit, and refines in between in double
-    against `_mat` (Buttari et al., ACM TOMS 34(4), 2008).  From the
-    single-precision solve it keeps refining while the max-norm residual
-    at least halves, until it is within _ROUNDOFF (||A||_inf ||x||_inf +
-    ||b||_inf), where a computed residual floors, or _SINGLE_PASSES
-    residuals were formed; the best iterate is accepted when its residual
-    is within _SOLVE_RTOL of that scale.  Stopping at _SOLVE_RTOL itself
-    is not enough: `bordered_solve`'s own residual check amplifies the
-    backward error.  When the residual stalls above the bound, or x is not
-    finite, A is refactored once in float64, as LAPACK's DSGESV falls
-    back, and from then on solve() refines at most _REFINE_PASSES times on
-    that factor and raises if the residual never gets within the bound.  A
+    against `_mat` (Buttari et al., ACM TOMS 34(4), 2008).  One loop
+    serves either factor: from the unrefined solve it refines while the
+    max-norm residual at least halves, until it is within _ROUNDOFF
+    (||A||_inf ||x||_inf + ||b||_inf), where a computed residual floors,
+    or _MAX_PASSES residuals were formed, and keeps the best iterate,
+    accepted when its residual is within _SOLVE_RTOL of that scale.
+    Stopping at _SOLVE_RTOL itself is not enough: `bordered_solve`'s own
+    residual check amplifies the backward error.  When the float32
+    factor's iterate fails the bound, or x is not finite, A is refactored
+    once in float64, as LAPACK's DSGESV falls back, and the same loop runs
+    on that factor from then on; it raises if its iterate fails too.  A
     float32 factorization that fails falls back the same way.
     `refinements` counts the double-precision residuals formed over all
     solves, as BiCGSTAB counts its products.
@@ -253,14 +254,13 @@ class Factorization:
         self.precision = np.dtype(np.float64)
 
     def _lu_solve(self, rhs):
-        """One unrefined solve with the live factor, in its ordering.  For
-        the float32 factor the right-hand side is scaled by a power of two
-        near its max norm, which is exact, so that a residual far below 1
-        does not underflow in float32."""
-        if self.precision == np.float32:
-            scale = np.ldexp(1.0, np.frexp(_amax(rhs))[1])
-            return self._lu.solve((rhs / scale).astype(np.float32)) * scale
-        return self._lu.solve(rhs)
+        """One unrefined solve with the live factor, in its ordering.  The
+        right-hand side is scaled by a power of two near its max norm,
+        which is exact, so that a residual far below 1 does not underflow
+        in float32."""
+        scale = np.ldexp(1.0, np.frexp(_amax(rhs))[1])
+        return self._lu.solve((rhs / scale).astype(self.precision,
+                                                 copy=False)) * scale
 
     def _residual(self, rhs, x):
         """b - A x, its max norm, and ||A||_inf ||x||_inf + ||b||_inf."""
@@ -269,46 +269,31 @@ class Factorization:
         scale = max(self._norm * _amax(x) + _amax(rhs), 1e-300)
         return r, _amax(r), scale
 
-    def _refine_single(self, rhs):
-        """x refined on the float32 factor (see the class), or None when the
-        best residual is not finite or above the bound."""
+    def _refine(self, rhs):
+        """x refined on the live factor (see the class): the best iterate,
+        its residual's max norm and the scale of that residual."""
         x, best = self._lu_solve(rhs), None
-        for _ in range(_SINGLE_PASSES):
+        for _ in range(_MAX_PASSES):
             r, resid, scale = self._residual(rhs, x)
-            if not (np.isfinite(resid)
-                    and (best is None or resid <= 0.5 * best[1])):
+            if best is not None and not resid <= 0.5 * best[1]:
                 break
             best = x, resid, scale
-            if resid <= _ROUNDOFF * scale:
+            if not _ROUNDOFF * scale < resid < np.inf:
                 break
             x = x + self._lu_solve(r)
-        if best is None or not best[1] <= _SOLVE_RTOL * best[2]:
-            return None
-        return best[0]
-
-    def _refine_double(self, rhs):
-        """x refined on the float64 factor; raises past _REFINE_PASSES."""
-        x = self._lu_solve(rhs)
-        for passes in range(_REFINE_PASSES + 1):
-            r, resid, scale = self._residual(rhs, x)
-            if np.isfinite(x).all() and resid <= _SOLVE_RTOL * scale:
-                return x
-            if passes < _REFINE_PASSES:
-                x = x + self._lu_solve(r)
-        raise SingularMatrixError(
-            f"solve residual {resid:.3e} exceeds {_SOLVE_RTOL:.1e} x scale "
-            f"{scale:.3e} after {_REFINE_PASSES} refinement passes (matrix "
-            f"numerically singular)")
+        return best
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)[self._perm]
-        x = None
-        if self.precision == np.float32:
-            x = self._refine_single(rhs)
-            if x is None:
-                self._refactor()
-        if x is None:
-            x = self._refine_double(rhs)
+        x, resid, scale = self._refine(rhs)
+        if not resid <= _SOLVE_RTOL * scale and self.precision == np.float32:
+            self._refactor()
+            x, resid, scale = self._refine(rhs)
+        if not resid <= _SOLVE_RTOL * scale:
+            raise SingularMatrixError(
+                f"solve residual {resid:.3e} exceeds {_SOLVE_RTOL:.1e} x "
+                f"scale {scale:.3e} on the float64 factor (matrix "
+                f"numerically singular)")
         out = np.empty_like(x)
         out[self._perm] = x
         return out

@@ -19,7 +19,6 @@ primary values alone.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -235,10 +234,8 @@ def reduced_laplace_beltrami(disc, form="divergence"):
     An error raised assembling L reaches the caller unchanged once E is
     done.
     """
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        op, _ = _in_pair(pool, lambda build: build(),
-                         (partial(laplace_beltrami, disc, form),),
-                         (disc.extension_matrix,))
+    op, _ = _in_pair(partial(laplace_beltrami, disc, form),
+                     disc.extension_matrix)
     return reduced_operator(op, disc)
 
 

@@ -10,11 +10,8 @@ precision and the solve is refined in double to roundoff, so u and beta
 carry double-precision accuracy; the factor, the largest block of memory
 of the solve, takes about two thirds of a double one's bytes.
 
-Two steps use a worker thread beside the calling one: the extension
-matrix E is built on the worker while L is assembled
-(`operators.reduced_laplace_beltrami`), and the ordering splits the right
-half of its tree on the worker (`linalg.dissection_order`).  The results
-are the same bit for bit as one thread's.
+The assembly and the ordering each use a worker thread beside the calling
+one, with results the same bit for bit as one thread's.
 """
 
 from __future__ import annotations

@@ -46,6 +46,8 @@ class SWEParams:
 
 
 def williamson_params(alpha_degrees=30.0, nu=1.0):
+    if not (math.isfinite(nu) and nu >= 0.0):
+        raise ValueError(f"viscosity nu must be finite and >= 0, got {nu}")
     omega = EARTH_OMEGA * DAY
     u0 = 2.0 * math.pi / 12.0
     phi0 = GH0 * (DAY / EARTH_RADIUS) ** 2

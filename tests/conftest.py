@@ -1,4 +1,5 @@
 import os
+from concurrent.futures import Future
 
 import pytest
 
@@ -6,6 +7,37 @@ from surfpde import Grid, discretize, make_surface
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
+
+
+class InlineExecutor:
+    """A ThreadPoolExecutor stand-in that runs each task on the calling
+    thread when it is submitted."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+@pytest.fixture
+def run_inline(monkeypatch):
+    """run_inline(module) makes `module` run its worker tasks on the calling
+    thread, by replacing its ThreadPoolExecutor with InlineExecutor."""
+    def patch(module):
+        monkeypatch.setattr(module, "ThreadPoolExecutor", InlineExecutor)
+    return patch
 
 
 @pytest.fixture

@@ -56,6 +56,27 @@ def test_non_finite_value_names_the_flag(argv, flag, value, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("value,code,message", [
+    ("nan", 1, "argument --nu: expected finite numbers, got 'nan'"),
+    ("inf", 1, "argument --nu: expected finite numbers, got 'inf'"),
+    ("-1", 2, "viscosity nu must be finite and >= 0, got -1.0")],
+    ids=["nan", "inf", "negative"])
+def test_viscosity_outside_its_range_names_nu(value, code, message, capsys):
+    # each used to lose finiteness in the march and exit 2 without naming
+    # the flag; -1 printed RuntimeWarnings first
+    assert main(["swe", "--N", "20", "--nu", value]) == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"], ids=["zero", "negative"])
+def test_sigma_not_positive_exits_two(value, capsys):
+    # --sigma 0 used to print a divide-by-zero RuntimeWarning and exit 0
+    # with an all-zero M-matrix report
+    assert main(["curve-resolvent", "--N", "40", "--sigma", value]) == 2
+    assert (f"sigma must be finite and > 0, got {float(value)}"
+            in capsys.readouterr().err)
+
+
 def test_discretize_takes_one_grid_size(capsys):
     # it used to build N=20 and drop 40 without a word
     assert main(["discretize", "--N", "20,40"]) == 1

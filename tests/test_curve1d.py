@@ -444,6 +444,16 @@ def test_m_matrix_threshold(circle40, perturbed80):
     assert m_matrix_report(perturbed80, 1.0)["is_m_matrix"]
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, -math.inf],
+                         ids=["zero", "negative", "nan", "inf", "minus_inf"])
+def test_row_operations_need_a_finite_positive_sigma(sigma, circle40):
+    # sigma = 0 used to divide by zero and give an all-zero M-matrix report
+    for report in (proof_row_operations, m_matrix_report):
+        with pytest.raises(ValueError,
+                           match=f"sigma must be finite and > 0, got {sigma}"):
+            report(circle40, sigma)
+
+
 def block_elimination_residual(disc, sigma):
     """Consistency of the proof matrix with the reduced resolvent.
 

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import textwrap
 import threading
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from surfpde import discretization
+from surfpde import discretization, linalg
 from surfpde.curve1d import circle, discretize_curve, ellipse
 from surfpde.discretization import (STENCIL_OFFSETS, Grid, _admissible_mask,
                                     _column_key, _cut_points, _locate_cuts,
@@ -453,27 +452,6 @@ def test_root_step_ends_at_the_bisection_point_within_its_step_bound(name):
 
 # -- two threads give the parts in turn -------------------------------------
 
-class InlineExecutor:
-    """A ThreadPoolExecutor stand-in that runs each task when submitted."""
-
-    def __init__(self, max_workers=None):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        fut = Future()
-        try:
-            fut.set_result(fn(*args))
-        except Exception as exc:
-            fut.set_exception(exc)
-        return fut
-
-
 def thread_recording(surface, threads):
     """`surface` with a phi that records the thread of every call."""
     def phi(p):
@@ -485,7 +463,7 @@ def thread_recording(surface, threads):
 @pytest.mark.parametrize("slab", ["one_plane", "default"])
 @pytest.mark.parametrize("kind", ["cassini_oval", "circle"])
 def test_threaded_cut_points_equal_the_parts_in_turn(kind, slab,
-                                                     monkeypatch):
+                                                     monkeypatch, run_inline):
     base = Grid.square if kind in CURVES else Grid.cube
     grid = shifted(base(-1.2, 1.2, 80), 1)
     monkeypatch.setattr(discretization, "_SLAB_NODES", SLABS[slab](grid))
@@ -494,8 +472,10 @@ def test_threaded_cut_points_equal_the_parts_in_turn(kind, slab,
     threads = set()
     got = _cut_points(thread_recording(surface, threads), grid, ETA, TOL)
     assert threading.active_count() == before
-    assert len(threads) == 2 and threading.get_ident() in threads
-    monkeypatch.setattr(discretization, "ThreadPoolExecutor", InlineExecutor)
+    # the calling thread and at least one other evaluate phi; each step
+    # starts its own worker, and a joined worker's id may be reused
+    assert len(threads) >= 2 and threading.get_ident() in threads
+    run_inline(linalg)
     threads.clear()
     assert_same_fields(
         got, _cut_points(thread_recording(surface, threads), grid, ETA, TOL))

@@ -1,4 +1,6 @@
 import functools
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -6,12 +8,16 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from surfpde import Grid, discretize, linalg, make_surface
+from surfpde import (Grid, discretization, discretize, linalg, make_surface,
+                     operators)
+from surfpde.curve1d import ellipse
+from surfpde.discretization import _cut_points
 from surfpde.errors import SingularMatrixError, SolverAbortError
-from surfpde.linalg import (BiCGSTAB, Factorization, assemble_csr,
-                            bordered_solve, resolvent_entry_report,
-                            smallest_eigenvalues)
-from surfpde.operators import laplace_beltrami, reduced_operator
+from surfpde.linalg import (BiCGSTAB, Factorization, _in_pair, assemble_csr,
+                            bordered_solve, dissection_order,
+                            resolvent_entry_report, smallest_eigenvalues)
+from surfpde.operators import (laplace_beltrami, reduced_laplace_beltrami,
+                               reduced_operator)
 
 # a shift-invert shift right of the nonpositive spectra below, as in
 # spectrum.laplacian_eigenvalues
@@ -279,3 +285,108 @@ def test_factorization_fill_below_colamd(name, request):
     colamd = spla.splu(mat, permc_spec="COLAMD")
     colamd_fill = (colamd.L.nnz + colamd.U.nnz) / mat.nnz
     assert fill <= 0.8 * colamd_fill
+
+
+# -- _in_pair: every caller's two threads give the parts in turn ------------
+
+class FirstFault(Exception):
+    pass
+
+
+def shifted_grid(base, n, seed):
+    grid = base(-1.2, 1.2, n)
+    off = np.random.default_rng(seed).uniform(0.0, grid.h, len(grid.shape))
+    return Grid(tuple(np.asarray(grid.origin) + off), grid.h, grid.shape)
+
+
+@functools.lru_cache(maxsize=None)
+def ordering_problem():
+    disc = disc40("sphere", 1)
+    return (disc.positions[:disc.n_p],
+            reduced_operator(laplace_beltrami(disc), disc))
+
+
+# each caller of _in_pair: the call, and the module and name of the
+# function that its (first) pair's first callable runs
+PAIR_CALLERS = {
+    "cut_points_surface": (
+        lambda: _cut_points(make_surface("ellipsoid"),
+                            shifted_grid(Grid.cube, 40, 1), 0.45),
+        discretization, "_scan_run"),
+    "cut_points_curve": (
+        lambda: _cut_points(ellipse(), shifted_grid(Grid.square, 80, 2),
+                            0.45),
+        discretization, "_scan_run"),
+    # a new discretization each time, so E is built and not taken from
+    # the cache
+    "reduced_laplace_beltrami": (
+        lambda: reduced_laplace_beltrami(
+            discretize(make_surface("sphere"), shifted_grid(Grid.cube, 24,
+                                                            3))),
+        operators, "laplace_beltrami"),
+    "dissection_order": (lambda: dissection_order(*ordering_problem()),
+                         linalg, "_edges"),
+}
+
+
+def assert_identical(a, b):
+    """a and b equal bit for bit: arrays in dtype and value, sparse
+    matrices in format and arrays, dicts and tuples item by item."""
+    if sp.issparse(a):
+        assert a.format == b.format
+        for name in ("indptr", "indices", "data"):
+            assert_identical(getattr(a, name), getattr(b, name))
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_identical(a[key], b[key])
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_identical(x, y)
+    else:
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("caller", sorted(PAIR_CALLERS))
+def test_every_pair_caller_equals_its_parts_in_turn(caller, monkeypatch,
+                                                    run_inline):
+    call, module, name = PAIR_CALLERS[caller]
+    before = threading.active_count()
+    threaded = call()
+    assert threading.active_count() == before
+    # the first callable fails on this thread while the second runs on
+    # the worker: its error reaches the caller, and no worker is left
+    real, here = getattr(module, name), threading.get_ident()
+
+    def failing(*args, **kwargs):
+        if threading.get_ident() == here:
+            raise FirstFault(name)
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, failing)
+        with pytest.raises(FirstFault, match=name):
+            call()
+    assert threading.active_count() == before
+    run_inline(linalg)
+    assert_identical(threaded, call())
+
+
+def test_in_pair_joins_its_worker_before_the_first_error_wins():
+    ended = []
+
+    def first():
+        raise FirstFault("first")
+
+    def second():
+        time.sleep(0.05)
+        ended.append(threading.get_ident())
+        raise ValueError("second")
+
+    before = threading.active_count()
+    with pytest.raises(FirstFault, match="first"):
+        _in_pair(first, second)
+    assert ended and ended[0] != threading.get_ident()
+    assert threading.active_count() == before

@@ -2,8 +2,8 @@
 invariance, tangency of the evolved momentum, and quadrature cross-checks."""
 
 import dataclasses
+import math
 import threading
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -26,6 +26,15 @@ from surfpde.swe import (_swe_rhs, _Workspace, coriolis_parameter,
 @pytest.fixture(scope="module")
 def params():
     return williamson_params()
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -1.0, -1e-300],
+                         ids=["nan", "inf", "negative", "tiny_negative"])
+def test_williamson_params_rejects_nu_outside_zero_to_inf(nu):
+    with pytest.raises(ValueError, match=f"nu must be finite and >= 0, "
+                                         f"got {nu}"):
+        williamson_params(nu=nu)
+    assert williamson_params(nu=0.0).nu == 0.0
 
 
 def test_parameter_values(params):
@@ -226,27 +235,8 @@ def test_step_extension_is_the_e_product(params, shifted_sphere40,
     assert len(steps) == 2
 
 
-class InlineExecutor:
-    """A stand-in for the step's worker pool that runs each task at once,
-    on the calling thread."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 def test_worker_viscosity_march_equals_the_inline_march(
-        params, shifted_sphere40, monkeypatch):
+        params, shifted_sphere40, monkeypatch, run_inline):
     d = shifted_sphere40
     times = [4.0 / 80.0, 10.0 / 80.0]
     threads = set()
@@ -260,7 +250,7 @@ def test_worker_viscosity_march_equals_the_inline_march(
     threaded = solve_swe(d, params, times)
     assert threads and threading.get_ident() not in threads
     threads.clear()
-    monkeypatch.setattr(swe, "ThreadPoolExecutor", InlineExecutor)
+    run_inline(swe)
     inline = solve_swe(d, params, times)
     assert threads == {threading.get_ident()}
     for (t1, phi1, mom1), (t2, phi2, mom2) in zip(threaded, inline,
