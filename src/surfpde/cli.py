@@ -61,7 +61,16 @@ def _finite(text):
     return value
 
 
+def _time(text):
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(
+            f"expected times >= 0, got {text.strip()!r}")
+    return value
+
+
 _float_list = partial(_list, convert=_finite, kind="number")
+_time_list = partial(_list, convert=_time, kind="number")
 _name_list = partial(_list, convert=str.strip, kind="name")
 
 
@@ -94,9 +103,9 @@ FLAGS = {
                     "time integrator"),
     "nu": Flag("--nu", _finite, None, "artificial viscosity coefficient"),
     "eta": Flag("--eta", float, None, "normal-component admissibility bound"),
-    "t_end": Flag("--t-end", float, None, "final time (days for swe)"),
-    "times": Flag("--times", _float_list, "T[,T...]", "snapshot times"),
-    "days": Flag("--days", _float_list, "D[,D...]", "snapshot days"),
+    "t_end": Flag("--t-end", _time, None, "final time (days for swe)"),
+    "times": Flag("--times", _time_list, "T[,T...]", "snapshot times"),
+    "days": Flag("--days", _time_list, "D[,D...]", "snapshot days"),
     "sigma": Flag("--sigma", _float_list, "S[,S...]",
                   "resolvent coefficients k/h^2"),
     "out": Flag("--out", str, None, "output file path"),

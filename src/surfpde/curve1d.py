@@ -120,6 +120,13 @@ def proof_matrix(disc, sigma):
     return sp.vstack([upper, lower], format="csr")
 
 
+def check_sigma(sigma):
+    """Raise ValueError unless the resolvent coefficient sigma = k/h^2 is
+    finite and positive."""
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+
+
 def proof_row_operations(disc, sigma):
     """The matrix P that clears the positive interpolation entries of A.
 
@@ -128,8 +135,7 @@ def proof_row_operations(disc, sigma):
     diagonal and those multipliers in the (secondary, primary) slots.
     Raises ValueError unless sigma is finite and positive.
     """
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    check_sigma(sigma)
     c_minus, c_plus = _side_coefficients(disc)
     n_p, n = disc.n_p, disc.n_tot
     sec = np.arange(n_p, n)

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import advection as adv_mod
 from . import swe as swe_mod
-from .curve1d import discretize_curve, m_matrix_report, make_curve
+from .curve1d import (check_sigma, discretize_curve, m_matrix_report,
+                      make_curve)
 from .diffusion import bdf2_solve, forward_euler_solve
 from .discretization import (SLOT, Grid, discretize,
                              interpolation_coefficients)
@@ -337,6 +338,7 @@ def _swe_case(args):
 
 
 def run_swe(nu, n_list=(80, 160), days=(1.0, 2.0, 5.0)):
+    swe_mod.williamson_params(30.0, nu=float(nu))  # rejects nu before work
     days = tuple(float(d) for d in days)
     return _table(_swe_case, [(n, days, float(nu)) for n in n_list])
 
@@ -379,6 +381,8 @@ def _curve_resolvent_case(args):
 def run_curve_resolvent(curves=("circle", "ellipse"), n_list=(80, 160),
                         sigmas=(0.75, 1.0, 2.0)):
     sigmas = tuple(sigmas)
+    for sigma in sigmas:   # before any curve is built
+        check_sigma(sigma)
     return _table(_curve_resolvent_case,
                   [(n, kind, sigmas) for kind in curves for n in n_list],
                   dim=2)

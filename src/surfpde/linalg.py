@@ -198,7 +198,13 @@ class Factorization:
     on A^T + A fills 20.6-23.4.  The float32 factor holds the same
     nonzeros as a float64 one in about two thirds of the memory.
     `_lu` is the SuperLU object of the live factor, `_mat` the permuted
-    float64 A, and `precision` the dtype of the live factor.
+    float64 A, and `precision` the dtype of the live factor.  The matrix
+    given to SuperLU rounds only `_mat`'s values and shares its index
+    arrays, so the float32 factorization holds one float64 A and its
+    float32 values.  A matrix handed over in a one-element list is taken
+    out of it, and its last reference goes once `_mat` exists, before
+    SuperLU starts (a matrix passed directly stays alive through the call,
+    because the call's arguments hold it).
 
     solve() permutes the right-hand side into the factor's ordering on
     entry and x out of it on exit, and refines in between in double
@@ -219,12 +225,18 @@ class Factorization:
     """
 
     def __init__(self, mat, points):
+        if isinstance(mat, list):   # handed over: see the class docstring
+            mat = mat.pop()
         mat = sp.csc_matrix(mat)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got {mat.shape}")
         self._norm = _inf_norm(mat)
         self._perm = dissection_order(points, mat)
         self._mat = mat[self._perm][:, self._perm]
+        # sorted in place, so the rounded copy that shares these indices is
+        # canonical and splu does not sort them under `_mat`'s values
+        self._mat.sort_indices()
+        del mat
         self.refinements = 0
         try:
             self._lu = self._factor(np.float32)
@@ -237,11 +249,13 @@ class Factorization:
         return self._mat.shape
 
     def _factor(self, dtype):
-        """SuperLU factor of the permuted A, rounded to `dtype`."""
+        """SuperLU factor of the permuted A, rounded to `dtype`.  Only the
+        values are rounded: the index arrays are `_mat`'s own."""
         mat = self._mat
+        rounded = sp.csc_matrix((mat.data.astype(dtype, copy=False),
+                                 mat.indices, mat.indptr), shape=mat.shape)
         try:
-            return spla.splu(mat.astype(dtype, copy=False),
-                             permc_spec="NATURAL",
+            return spla.splu(rounded, permc_spec="NATURAL",
                              options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SingularMatrixError(
@@ -394,22 +408,34 @@ def bordered_solve(mat, rhs, points):
     No border is built: B = A + d e_j e_j^T pins the largest diagonal entry
     d = |a_jj|, keeps A's pattern and has B 1 = d e_j, so B factors in the
     nested-dissection order of `points`, the unknowns' (n, d) positions.
+    B is the one CSC copy made of A: d is added to its stored (j, j) entry
+    in place, as A + d e_j e_j^T would add it (an entry that cancels is
+    dropped, as that sum drops it), and the caller's matrix is not
+    written.  The copy is handed to `Factorization` in a list, so no
+    unpermuted B outlives the permuted `_mat` into SuperLU.
     One refined solve of B on [f, 1] gives v and z (single-precision
     factor, double-precision answer: see `Factorization`); u = v - beta z
     with beta = v_j / z_j solves A u + beta 1 = f and is shifted to
-    sum(u) = 0.  The residual check below amplifies B's backward error by
-    up to |z|, which is why `Factorization.solve` refines to roundoff and
-    not just to its own bound.  When A's null space is not the constant
-    vector B is singular, and the condition bound ||B|| |z| or the
+    sum(u) = 0.  The residual check below takes A u as B u - d u_j e_j
+    through the factor's `_mat` and `_perm`; it amplifies B's backward
+    error by up to |z|, which is why `Factorization.solve` refines to
+    roundoff and not just to its own bound.  When A's null space is not the
+    constant vector B is singular, and the condition bound ||B|| |z| or the
     residual check raises."""
-    mat = sp.csc_matrix(mat)
+    # rebinding `mat` frees a temporary A here, once B exists
+    mat = sp.csc_matrix(mat, dtype=float, copy=True)
     n = mat.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (n,):
         raise ValueError(f"rhs must have shape ({n},), got {rhs.shape}")
+    mat.sum_duplicates()
     j = int(np.argmax(np.abs(mat.diagonal())))
-    pin = sp.csc_matrix(([abs(mat[j, j])], ([j], [j])), shape=(n, n))
-    fac = Factorization(mat + pin, points)
+    d = abs(mat[j, j])
+    col = slice(mat.indptr[j], mat.indptr[j + 1])
+    mat.data[col][mat.indices[col] == j] += d
+    mat.eliminate_zeros()
+    mat = [mat]   # handed over, so B dies once permuted (see Factorization)
+    fac = Factorization(mat, points)
     v, z = fac.solve(np.column_stack([rhs, np.ones(n)])).T
     if not fac._norm * np.abs(z).max() * _SINGULAR_PIVOT_RTOL <= 1.0:
         raise SingularMatrixError(
@@ -419,7 +445,10 @@ def bordered_solve(mat, rhs, points):
     beta = float(v[j] / z[j])
     u = v - beta * z
     u -= u.mean()
-    resid = np.abs(mat @ u + beta - rhs).max()
+    au = np.empty(n)
+    au[fac._perm] = fac._mat @ u[fac._perm]
+    au[j] -= d * u[j]
+    resid = np.abs(au + beta - rhs).max()
     scale = max(np.abs(rhs).max(), np.abs(u).max(), 1.0)
     if not resid <= _BORDERED_RTOL * scale * max(1.0, abs(beta)):
         raise SingularMatrixError(

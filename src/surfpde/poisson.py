@@ -10,6 +10,13 @@ precision and the solve is refined in double to roundoff, so u and beta
 carry double-precision accuracy; the factor, the largest block of memory
 of the solve, takes about two thirds of a double one's bytes.
 
+One float64 copy of the operator reaches the factorization.  The CSR
+reduced operator goes straight to `bordered_solve`, which makes its one
+pinned CSC copy B and so lets the CSR go; `Factorization` keeps B only
+until it is permuted into `_mat`, and rounds `_mat`'s values alone for
+SuperLU.  The residual check takes L u from the factor's `_mat` and
+ordering, as B u less the pinned entry's share.
+
 The assembly and the ordering each use a worker thread beside the calling
 one, with results the same bit for bit as one thread's.
 """
@@ -31,6 +38,6 @@ def poisson_solve(disc, f_p, form="divergence"):
     while the left half splits here; the single-precision factorization
     and its refined solve run here alone.
     """
-    red = reduced_laplace_beltrami(disc, form)
-    return bordered_solve(red, np.asarray(f_p, dtype=float),
+    return bordered_solve(reduced_laplace_beltrami(disc, form),
+                          np.asarray(f_p, dtype=float),
                           disc.positions[:disc.n_p])

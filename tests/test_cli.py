@@ -11,7 +11,7 @@ from functools import partial
 import pytest
 
 from surfpde import experiments as ex
-from surfpde.cli import SINGLE_COMMANDS, TABLE_COMMANDS, main
+from surfpde.cli import FLAGS, SINGLE_COMMANDS, TABLE_COMMANDS, main
 from surfpde.errors import StencilError
 
 
@@ -121,11 +121,40 @@ def test_unresolvable_grid_exits_two(argv, capsys):
     assert "refine the grid or lower eta" in capsys.readouterr().err
 
 
-def test_negative_end_time_exits_two(capsys):
-    # a negative time is no whole number of steps; it used to print the
-    # errors of the unmarched initial state
-    assert main(["advect", "--N", "40", "--t-end", "-0.5"]) == 2
-    assert "t = -0.5" in capsys.readouterr().err
+@pytest.mark.parametrize("argv,message", [
+    (["advect", "--t-end", "-1"], "argument --t-end: expected times >= 0, "
+                                  "got '-1'"),
+    (["advect", "--t-end", "nan"], "argument --t-end: expected finite "
+                                   "numbers, got 'nan'"),
+    (["swe", "--t-end", "-0.5"], "argument --t-end: expected times >= 0, "
+                                 "got '-0.5'"),
+    (["table-4.1", "--times", "-1"], "argument --times: expected times >= 0, "
+                                     "got '-1'")],
+    ids=["advect-negative", "advect-nan", "swe-negative", "table-4.1-negative"])
+def test_time_outside_zero_to_inf_names_the_flag(argv, message, capsys):
+    # each used to exit 2 from the march with a message naming no flag,
+    # some after the grids were built
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_zero_time_is_a_time():
+    assert FLAGS["t_end"].parse("0") == 0.0
+    assert FLAGS["days"].parse("0,1") == (0.0, 1.0)
+
+
+def test_bad_nu_or_sigma_fails_before_any_grid(monkeypatch, capsys):
+    # both used to build the grids (and invert every resolvent) first
+    def built(*args):
+        raise AssertionError("a grid was built before the check")
+
+    monkeypatch.setattr(ex, "get_discretization", built)
+    monkeypatch.setattr(ex, "discretize_curve", built)
+    assert main(["swe", "--N", "160", "--nu", "-1"]) == 2
+    assert ("viscosity nu must be finite and >= 0, got -1.0"
+            in capsys.readouterr().err)
+    assert main(["curve-resolvent", "--N", "640", "--sigma", "1,0"]) == 2
+    assert "sigma must be finite and > 0, got 0.0" in capsys.readouterr().err
 
 
 def test_grid_too_large_for_memory_exits_two(capsys):

@@ -246,10 +246,13 @@ def disc40(name, seed):
 
 
 # the nondivergence form exists for the sphere only
-@pytest.mark.parametrize("name,seed,form", [
+PINNED_CASES = [
     ("sphere", 0, "divergence"), ("sphere", 0, "nondivergence"),
     ("sphere", 1, "divergence"), ("sphere", 1, "nondivergence"),
-    ("ellipsoid", 0, "divergence"), ("ellipsoid", 1, "divergence")])
+    ("ellipsoid", 0, "divergence"), ("ellipsoid", 1, "divergence")]
+
+
+@pytest.mark.parametrize("name,seed,form", PINNED_CASES)
 def test_pinned_solve_matches_explicit_border(name, seed, form):
     disc = disc40(name, seed)
     red = reduced_operator(laplace_beltrami(disc, form), disc)
@@ -260,6 +263,44 @@ def test_pinned_solve_matches_explicit_border(name, seed, form):
     assert np.abs(u - u_ref).max() <= 1e-12 * scale
     assert abs(beta - beta_ref) <= 1e-12 * scale
     assert abs(u.sum()) <= 1e-12 * scale * disc.n_p
+
+
+def summed_pin_solve(mat, rhs, points):
+    """bordered_solve's u and beta with B formed as the sparse sum
+    A + d e_j e_j^T and passed to Factorization directly."""
+    mat = sp.csc_matrix(mat)
+    n = mat.shape[0]
+    j = int(np.argmax(np.abs(mat.diagonal())))
+    pin = sp.csc_matrix(([abs(mat[j, j])], ([j], [j])), shape=(n, n))
+    fac = Factorization(mat + pin, points)
+    v, z = fac.solve(np.column_stack([rhs, np.ones(n)])).T
+    beta = float(v[j] / z[j])
+    u = v - beta * z
+    u -= u.mean()
+    return u, beta
+
+
+@pytest.mark.parametrize("name,seed,form", PINNED_CASES)
+def test_pinned_copy_solves_like_the_summed_pin(name, seed, form):
+    # d added in place to the one CSC copy gives the B of the sparse sum,
+    # so u and beta are the same bit for bit
+    disc = disc40(name, seed)
+    red = reduced_operator(laplace_beltrami(disc, form), disc)
+    f = np.random.default_rng(17).normal(size=disc.n_p)
+    u, beta = bordered_solve(red, f, disc.positions[:disc.n_p])
+    u_ref, beta_ref = summed_pin_solve(red, f, disc.positions[:disc.n_p])
+    assert u.tobytes() == u_ref.tobytes()
+    assert beta == beta_ref
+
+
+def test_bordered_solve_leaves_a_csc_argument_unchanged():
+    disc = disc40("sphere", 1)
+    red = reduced_operator(laplace_beltrami(disc, "divergence"), disc).tocsc()
+    before = [arr.tobytes() for arr in (red.data, red.indices, red.indptr)]
+    bordered_solve(red, np.random.default_rng(17).normal(size=disc.n_p),
+                   disc.positions[:disc.n_p])
+    assert [arr.tobytes() for arr in (red.data, red.indices,
+                                      red.indptr)] == before
 
 
 def test_bordered_solve_rejects_two_dimensional_null_space():

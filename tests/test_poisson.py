@@ -1,8 +1,11 @@
 """Mean-constrained Poisson solves on the sphere against a closed-form
 manufactured solution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from surfpde import linalg
 from surfpde.experiments import get_discretization
@@ -64,3 +67,32 @@ def test_pinned_factor_stays_single_precision(monkeypatch):
     (fac,) = made
     assert fac.precision == np.float32
     assert 1 <= fac.refinements <= 6
+
+
+def test_factor_starts_with_one_float64_copy_of_the_operator(monkeypatch):
+    # at SuperLU's entry the solve holds the permuted float64 L, the
+    # float32 values given to SuperLU and the ordering, beyond the record
+    # and its E; it used to hold L four times in float64
+    d = get_discretization("sphere", 80)
+    d.extension_matrix()
+    f, _ = _case(d)
+    seen = []
+    splu = spla.splu
+
+    def recording(mat, *args, **kwargs):
+        budget = (8 * mat.nnz + mat.indices.nbytes + mat.indptr.nbytes
+                  + mat.data.nbytes + 8 * mat.shape[0])
+        seen.append((tracemalloc.get_traced_memory()[0], budget))
+        return splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        poisson_solve(d, f)
+    finally:
+        if started:
+            tracemalloc.stop()
+    ((held, budget),) = seen
+    assert held - base <= budget + 2 ** 16
