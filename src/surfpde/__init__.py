@@ -23,8 +23,8 @@ from .fields import error_norms
 from .geometry import (SURFACE_CATALOG, LevelSetSurface, cassini_oval,
                        ellipsoid, find_cut, from_callables, make_surface,
                        sphere)
-from .linalg import (Factorization, assemble_csr, bordered_solve,
-                     resolvent_entry_report, smallest_eigenvalues)
+from .linalg import (Factorization, bordered_solve, resolvent_entry_report,
+                     smallest_eigenvalues)
 from .operators import (ChartMetric, advection_coefficients,
                         artificial_viscosity, chart_metric, laplace_beltrami,
                         reduced_operator, tangential_projection)

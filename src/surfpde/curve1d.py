@@ -21,7 +21,6 @@ import scipy.sparse as sp
 
 from .discretization import _discretize
 from .geometry import LevelSetSurface
-from .linalg import assemble_csr
 from .operators import laplace_beltrami
 
 
@@ -146,11 +145,10 @@ def proof_row_operations(disc, sigma):
     # positive entry sits at q_minus for t > 0, q_plus for t < 0
     c_side = np.where(t > 0.0, c_minus[p], c_plus[p])
     diag = np.arange(n)
-    return assemble_csr(np.concatenate([diag, sec]),
-                        np.concatenate([diag, p]),
-                        np.concatenate([np.ones(n),
-                                        1.0 / (8.0 * sigma * c_side)]),
-                        (n, n))
+    return sp.csr_matrix((np.concatenate([np.ones(n),
+                                          1.0 / (8.0 * sigma * c_side)]),
+                          (np.concatenate([diag, sec]),
+                           np.concatenate([diag, p]))), shape=(n, n))
 
 
 def m_matrix_report(disc, sigma):

@@ -21,8 +21,9 @@ checked interpolation blocks Pi_sp and Pi_ss, which make each secondary
 the quadratic interpolant of three points in its primary's chart.  Files
 store only the record.  Equilibration has one route: the extension matrix
 E, the Neumann series of Pi, and `extend(u_p) = E @ u_p`.  Explicit chart
-differences have one route too: the one-sided difference matrices of
-`chart_differences`, built once per discretization like E.
+differences have one route too: the one matrix of `chart_differences`,
+built once per discretization like E, whose rows hold the forward
+differences along each chart axis over the backward ones.
 
 Cut location never holds phi on the whole grid.  The scan streams slabs of
 whole planes along axis 0 (at most `_SLAB_NODES` nodes per phi call, or a
@@ -71,7 +72,6 @@ SLOT_W, SLOT_E = SLOT[(-1, 0)], SLOT[(1, 0)]
 SLOT_S, SLOT_N = SLOT[(0, -1)], SLOT[(0, 1)]
 SLOT_SW, SLOT_NE = SLOT[(-1, -1)], SLOT[(1, 1)]
 SLOT_NW, SLOT_SE = SLOT[(-1, 1)], SLOT[(1, -1)]
-AXIS_SLOTS = (SLOT_W, SLOT_E, SLOT_S, SLOT_N)
 
 # chart-stencil offsets by grid dimension: a curve's chart is one grid line
 STENCIL_OFFSETS = {2: ((-1,), (1,)), 3: NEIGHBOR_OFFSETS}
@@ -241,18 +241,16 @@ class SurfaceDiscretization:
                 [sp.identity(self.n_p, format="csr"), w], format="csr")
         return self._extension
 
-    def chart_differences(self, direction=None):
-        """Cached one-sided chart-difference matrix, built on first use.
+    def chart_differences(self):
+        """Cached chart-difference matrix, built on first use.
 
-        Rows come in blocks of n_p, one block per chart axis (c1, then c2
-        on a surface): u(q+) - u(p) for direction='forward' and
-        u(p) - u(q-) for 'backward', with q-/q+ the primary's axis
-        neighbors in its own set.  `direction=None` stacks the forward
-        blocks over the backward ones.  Entries are +-1; divide the
-        product by h for derivatives.  The forward and backward matrices
-        share the stacked one's data and indices, so none of the three may
-        be written into.  Raises StencilError on the first call if a
-        primary lacks an axis neighbor.
+        One CSR matrix of shape (2 (d-1) n_p, n_tot) in blocks of n_p rows:
+        the forward differences u(q+) - u(p) along each chart axis (c1,
+        then c2 on a surface), then the backward differences u(p) - u(q-)
+        in the same axis order, with q-/q+ the primary's axis neighbors in
+        its own set.  Entries are +-1; divide the product by h for
+        derivatives.  Raises StencilError on the first call if a primary
+        lacks an axis neighbor.
         """
         if self._differences is None:
             pairs = _axis_slot_pairs(self.positions.shape[1])
@@ -263,23 +261,10 @@ class SurfaceDiscretization:
             hi = np.concatenate([nb[:, pairs[:, 1]].T.ravel()] + own)
             lo = np.concatenate(own + [nb[:, pairs[:, 0]].T.ravel()])
             m = hi.size
-            both = sp.csr_matrix(
+            self._differences = sp.csr_matrix(
                 (np.tile([1.0, -1.0], m), np.stack([hi, lo], axis=1).ravel(),
                  np.arange(0, 2 * m + 1, 2)), shape=(m, self.n_tot))
-            # two entries a row: each half is a slice of data and indices,
-            # and both halves share one indptr (a row slice would copy)
-            half = m // 2
-            self._differences = {None: both}
-            for side, part in (("forward", slice(None, m)),
-                               ("backward", slice(m, None))):
-                self._differences[side] = sp.csr_matrix(
-                    (both.data[part], both.indices[part],
-                     both.indptr[:half + 1]), shape=(half, self.n_tot),
-                    copy=False)
-        if direction not in self._differences:
-            raise ValueError(f"direction must be 'forward' or 'backward', "
-                             f"got {direction!r}")
-        return self._differences[direction]
+        return self._differences
 
     # -- stencil checks used by the operators ----------------------------
 

@@ -52,11 +52,6 @@ _KRYLOV_RTOL = 1e-14          # BiCGSTAB residual bound, relative (see there)
 _KRYLOV_MAXITER = 500         # BiCGSTAB iterations per solve, at most
 
 
-def assemble_csr(rows, cols, vals, shape):
-    """COO triplets -> CSR; duplicate entries are summed."""
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-
-
 def _in_pair(first, second):
     """(first(), second()) for two zero-argument callables: `second` runs
     on a worker thread of its own while this thread calls `first`.  The
@@ -464,12 +459,13 @@ def smallest_eigenvalues(mat, count, points, sigma):
     eigenvalue.  The shifted matrix is factored in the nested-dissection
     order of `points`, the unknowns' (n, d) positions, and each ARPACK
     product is a refined `Factorization.solve`: the bare single-precision
-    solve is too rough for the eigenpair residual check.  Falls back to a dense solve for small matrices or
-    when count is too close to the dimension.  Intended for real
-    nonpositive spectra, where any sigma > 0 preserves the by-magnitude
-    ordering.
+    solve is too rough for the eigenpair residual check.  The shifted
+    matrix is handed over in a list, so SuperLU starts with one float64
+    copy of it beyond the caller's `mat`.  Falls back to a dense solve for
+    small matrices or when count is too close to the dimension.  Intended
+    for real nonpositive spectra, where any sigma > 0 preserves the
+    by-magnitude ordering.
     """
-    mat = sp.csc_matrix(mat)
     n = mat.shape[0]
     if count < 1 or count > n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
@@ -480,7 +476,8 @@ def smallest_eigenvalues(mat, count, points, sigma):
         return vals[order][:count]
 
     sigma = float(sigma)
-    fac = Factorization(mat - sigma * sp.identity(n, format="csc"), points)
+    fac = Factorization([mat - sigma * sp.identity(n, format="csc")],
+                        points)
     op = spla.LinearOperator((n, n), matvec=fac.solve, dtype=float)
     v0 = np.ones(n) / np.sqrt(n)  # fixed start vector for determinism
     evals, evecs = spla.eigs(op, k=count, which="LM", v0=v0)

@@ -12,7 +12,6 @@ thread while the predictor and corrector run on the calling thread.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future
 
 import numpy as np
 
@@ -29,8 +28,8 @@ def maccormack_step(state_p, k, rhs, equilibrate, extra_corrector=None):
     R acts on primaries, the state itself.  `extra_corrector(full_old)` may
     add a stabilizing increment at the old state once, after averaging.  It
     is called as soon as the old state is extended, before the predictor,
-    and returns the increment or a `concurrent.futures.Future` of it, which
-    is joined where the increment is added: so a caller can compute it on a
+    and returns a `concurrent.futures.Future` of the increment, which is
+    joined where the increment is added: so a caller can compute it on a
     worker thread while the predictor and corrector run here.  Nothing
     writes into `full` before that join; `equilibrate` must return a new
     array on each call.
@@ -41,10 +40,8 @@ def maccormack_step(state_p, k, rhs, equilibrate, extra_corrector=None):
     full_pred = equilibrate(pred_p)
     corr_p = pred_p + k * rhs("backward", full_pred)
     new_p = 0.5 * (state_p + corr_p)
-    if isinstance(extra, Future):
-        extra = extra.result()
     if extra is not None:
-        new_p = new_p + extra
+        new_p = new_p + extra.result()
     return new_p
 
 

@@ -10,10 +10,11 @@ the discretization.  The nondivergence form (closed-form coefficients) is
 sphere only.  L is written straight into CSR from the fixed-width stencil
 rows: columns sorted within each row, absent slots dropped, with no COO
 triplets and no row-index array.  Explicit chart differences (upwinding,
-switched viscosity) are products with the one-sided difference matrices
-that `SurfaceDiscretization.chart_differences` builds once per
-discretization; with the extension matrix E as operand they act on
-primary values alone.
+switched viscosity) are products with the one matrix that
+`SurfaceDiscretization.chart_differences` builds once per discretization:
+n_p rows per chart axis, the forward blocks over the backward ones.  Each
+operator reads the blocks it needs; with the extension matrix E as
+operand they act on primary values alone.
 """
 
 from __future__ import annotations
@@ -290,34 +291,49 @@ def sphere_geometry_weights(disc):
 
 
 def upwind_differences(disc, field, direction):
-    """One-sided chart differences (D1, D2) of a field at primary points.
+    """One-sided chart differences (D1, D2) of a field at primary points,
+    one per chart axis: (D1,) on a plane curve.
 
-    direction='forward' uses E/N neighbors, 'backward' uses W/S.  Works on
-    scalar fields (n_tot,), stacked components (n_tot, m) and sparse
-    operands: with E it gives (n_p, n_p) matrices acting on primary values.
+    direction='forward' reads the top half of `chart_differences()` (E/N
+    neighbors), 'backward' the bottom half (W/S).  Works on scalar fields
+    (n_tot,), stacked components (n_tot, m) and sparse operands: with E it
+    gives (n_p, n_p) matrices acting on primary values.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', "
                          f"got {direction!r}")
-    d = disc.chart_differences(direction) @ field / disc.h
-    return d[:disc.n_p], d[disc.n_p:]
+    diffs, n_p = disc.chart_differences(), disc.n_p
+    half = diffs.shape[0] // 2
+    rows = slice(None, half) if direction == "forward" else slice(half, None)
+    d = diffs[rows] @ field / disc.h
+    return tuple(d[a:a + n_p] for a in range(0, half, n_p))
+
+
+def _magnitude(diffs):
+    """|D| at each primary from (chart axis, component, n_p) differences;
+    the squares add in place, where `sum` would allocate each partial."""
+    sq = diffs[0] ** 2
+    for d in diffs[1:]:
+        sq += d ** 2
+    return np.sqrt(sq.sum(axis=0))
 
 
 def artificial_viscosity(disc, field, nu, k):
     """Switched diffusion increment nu*k*h * sum_i(|D+|D_i+ - |D-|D_i-).
 
-    The gradient-magnitude switch couples the two chart directions; for
-    vector fields a single magnitude over all components scales every
-    component's differences.  Returns increments at primary points.
+    The gradient-magnitude switch couples the chart directions; for vector
+    fields a single magnitude over all components scales every component's
+    differences.  Returns increments at primary points.
     """
     f = np.asarray(field, dtype=float)
     diffs = disc.chart_differences()
-    # one product per component row, on contiguous rows (m, 4 n_p)
+    # one product per component row, on contiguous rows (m, 2 (d-1) n_p)
     d = np.stack([diffs @ row for row in f.reshape(f.shape[0], -1).T])
     d /= disc.h
-    d = d.reshape(-1, 2, 2, disc.n_p).transpose(1, 2, 0, 3)
-    (dp1, dp2), (dm1, dm2) = d
-    mag_p = np.sqrt((dp1 ** 2 + dp2 ** 2).sum(axis=0))
-    mag_m = np.sqrt((dm1 ** 2 + dm2 ** 2).sum(axis=0))
-    incr = nu * k * disc.h * (mag_p * (dp1 + dp2) - mag_m * (dm1 + dm2))
+    # forward and backward, each (chart axis, component, n_p); the sums
+    # over chart axes run one axis at a time, not strided
+    dp, dm = d.reshape(len(d), 2, -1, disc.n_p).transpose(1, 2, 0, 3)
+    mag_p, mag_m = _magnitude(dp), _magnitude(dm)
+    incr = nu * k * disc.h * (mag_p * sum(dp[1:], dp[0])
+                              - mag_m * sum(dm[1:], dm[0]))
     return incr.T.reshape((disc.n_p,) + f.shape[1:])

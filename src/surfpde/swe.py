@@ -116,9 +116,12 @@ class _Workspace:
                                        params) * self.normals
         self.f_normals = f_normals[[1, 2, 0]], f_normals[[2, 0, 1]]
         comp = np.concatenate(primary_chart_axes(disc))
+        # the forward rows of the chart differences, then the backward rows
+        diffs = disc.chart_differences()
+        half = diffs.shape[0] // 2
         self.ops = {}
-        for direction in ("forward", "backward"):
-            d = disc.chart_differences(direction).tocoo()
+        for s, direction in enumerate(("forward", "backward")):
+            d = diffs[s * half:(s + 1) * half].tocoo()
             c, i = comp[d.row], d.row % n_p
             div = sp.csr_matrix((d.data, (i, c * n_tot + d.col)),
                                 shape=(n_p, 3 * n_tot))

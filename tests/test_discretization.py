@@ -15,8 +15,8 @@ from scipy.spatial import cKDTree
 
 from surfpde import discretization
 from surfpde.curve1d import circle, discretize_curve
-from surfpde.discretization import (AXIS_SLOTS, RECORD_ARRAYS, SLOT_E, Grid,
-                                    SurfaceDiscretization,
+from surfpde.discretization import (RECORD_ARRAYS, SLOT_E, SLOT_N, SLOT_S,
+                                    SLOT_W, Grid, SurfaceDiscretization,
                                     _interpolation_data, discretize,
                                     interpolation_coefficients,
                                     quality_report)
@@ -413,7 +413,8 @@ def test_missing_weighted_neighbor_aborts_assembly(sphere40):
     with pytest.raises(StencilError):
         laplace_beltrami(broken, "divergence")
     with pytest.raises(StencilError):
-        broken.require_full_stencil("axis differences", slots=AXIS_SLOTS)
+        broken.require_full_stencil("axis differences",
+                                    slots=(SLOT_W, SLOT_E, SLOT_S, SLOT_N))
 
 
 @pytest.mark.parametrize("n", [40, 64])

@@ -13,7 +13,7 @@ from surfpde import (Grid, discretization, discretize, linalg, make_surface,
 from surfpde.curve1d import ellipse
 from surfpde.discretization import _cut_points
 from surfpde.errors import SingularMatrixError, SolverAbortError
-from surfpde.linalg import (BiCGSTAB, Factorization, _in_pair, assemble_csr,
+from surfpde.linalg import (BiCGSTAB, Factorization, _in_pair,
                             bordered_solve, dissection_order,
                             resolvent_entry_report, smallest_eigenvalues)
 from surfpde.operators import (laplace_beltrami, reduced_laplace_beltrami,
@@ -29,7 +29,7 @@ def periodic_laplacian(n, h=1.0):
     rows = np.concatenate([i, i, i])
     cols = np.concatenate([i, (i + 1) % n, (i - 1) % n])
     vals = np.concatenate([np.full(n, -2.0), np.ones(n), np.ones(n)]) / h ** 2
-    return assemble_csr(rows, cols, vals, (n, n))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def circle(n):
@@ -40,13 +40,6 @@ def circle(n):
 
 def line(n):
     return np.arange(n, dtype=float)[:, None]
-
-
-def test_assemble_sums_duplicates():
-    mat = assemble_csr([0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0], (2, 2))
-    assert mat[0, 1] == 5.0
-    assert mat[1, 0] == 1.0
-    assert mat.nnz == 2
 
 
 def test_factorize_solves():

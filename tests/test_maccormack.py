@@ -1,8 +1,10 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
+from conftest import InlineExecutor
 
 from surfpde.errors import SolverAbortError
 from surfpde.maccormack import check_finite, maccormack_step, march
@@ -31,6 +33,11 @@ def test_forward_backward_rhs_see_predicted_state():
     assert np.abs(new - 0.05).max() < 1e-15
 
 
+# the hook returns a Future of the increment; these are completed on
+# submission, on the calling thread
+inline = InlineExecutor().submit
+
+
 def test_extra_corrector_receives_old_state():
     u = np.array([1.0, 2.0])
     captured = {}
@@ -40,7 +47,7 @@ def test_extra_corrector_receives_old_state():
         return np.full_like(full_old, 0.25)
 
     new = maccormack_step(u, 0.1, lambda direction, s: 0 * s, lambda s: s,
-                          extra_corrector=extra)
+                          extra_corrector=partial(inline, extra))
     np.testing.assert_array_equal(captured["state"], u)
     assert np.abs(new - (u + 0.25)).max() < 1e-15
 
@@ -58,7 +65,8 @@ def test_extra_corrector_starts_before_the_predictor():
         seen.append("extra")
         return np.zeros_like(full_old)
 
-    maccormack_step(np.ones(2), 0.1, rhs, lambda s: s, extra_corrector=extra)
+    maccormack_step(np.ones(2), 0.1, rhs, lambda s: s,
+                    extra_corrector=partial(inline, extra))
     assert seen == ["extra", "forward", "backward"]
 
 
@@ -71,7 +79,8 @@ def test_extra_corrector_future_is_joined():
     def increment(full_old):
         return 0.25 * full_old
 
-    want = maccormack_step(u, 0.1, rhs, lambda s: s, extra_corrector=increment)
+    want = maccormack_step(u, 0.1, rhs, lambda s: s,
+                           extra_corrector=partial(inline, increment))
     with ThreadPoolExecutor(max_workers=1) as worker:
         got = maccormack_step(u, 0.1, rhs, lambda s: s.copy(),
                               extra_corrector=lambda s: worker.submit(

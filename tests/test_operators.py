@@ -335,20 +335,28 @@ def copy_discretization(d, **changes):
 
 
 def gather_differences(d, f, direction):
-    """The one-sided differences by indexing, before the division by h."""
+    """The one-sided differences by indexing, before the division by h: one
+    per chart axis, (E, N) or (W, S) on a surface, the +1 or -1 offset on
+    a plane curve."""
     nb = d.chart_neighbors
     c = np.arange(d.n_p)
+    if d.offsets == ((-1,), (1,)):
+        return ((f[nb[:, 1]] - f[c],) if direction == "forward"
+                else (f[c] - f[nb[:, 0]],))
     if direction == "forward":
         return f[nb[:, SLOT_E]] - f[c], f[nb[:, SLOT_N]] - f[c]
     return f[c] - f[nb[:, SLOT_W]], f[c] - f[nb[:, SLOT_S]]
 
 
 @pytest.fixture(scope="module", params=[
-    ("sphere", 0), ("sphere", 1), ("ellipsoid", 0), ("ellipsoid", 1)],
+    ("sphere", 0), ("sphere", 1), ("ellipsoid", 0), ("ellipsoid", 1),
+    ("circle", 0)],
     ids=["sphere-centred", "sphere-shifted", "ellipsoid-centred",
-         "ellipsoid-shifted"])
+         "ellipsoid-shifted", "circle"])
 def any_disc(request):
     name, seed = request.param
+    if name == "circle":
+        return discretize_curve(circle(), Grid.square(-1.2, 1.2, 40))
     h = 2.4 / 40
     shift = (np.zeros(3) if seed == 0
              else np.random.default_rng(seed).uniform(0.0, h, 3))
@@ -356,13 +364,18 @@ def any_disc(request):
     return discretize(make_surface(name), grid)
 
 
-@pytest.mark.parametrize("shape", [(), (3,), None],
-                         ids=["scalar", "vector", "extension"])
+def random_field(d, operand, rng):
+    """A scalar field, or one component per grid axis (two on a curve)."""
+    shape = () if operand == "scalar" else d.positions.shape[1:]
+    return rng.normal(size=(d.n_tot,) + shape)
+
+
+@pytest.mark.parametrize("operand", ["scalar", "vector", "extension"])
 @pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_chart_differences_match_gathers(any_disc, shape, direction):
+def test_chart_differences_match_gathers(any_disc, operand, direction):
     d = any_disc
     rng = np.random.default_rng(31)
-    if shape is None:
+    if operand == "extension":
         # the extension matrix as operand: (n_p, n_p) differences that act
         # on primary values as the differences of the extended field do
         u_p = rng.normal(size=d.n_p)
@@ -373,19 +386,23 @@ def test_chart_differences_match_gathers(any_disc, shape, direction):
             assert np.abs(op @ u_p - want).max() <= \
                 1e-13 * np.abs(want).max()
         return
-    f = rng.normal(size=(d.n_tot,) + shape)
-    raw = d.chart_differences(direction) @ f
-    g1, g2 = gather_differences(d, f, direction)
-    np.testing.assert_array_equal(raw, np.concatenate([g1, g2]))
-    d1, d2 = upwind_differences(d, f, direction)
-    for got, want in ((d1, g1 / d.h), (d2, g2 / d.h)):
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    f = random_field(d, operand, rng)
+    both = d.chart_differences() @ f
+    half = both.shape[0] // 2
+    raw = both[:half] if direction == "forward" else both[half:]
+    gathered = gather_differences(d, f, direction)
+    np.testing.assert_array_equal(raw, np.concatenate(gathered))
+    got = upwind_differences(d, f, direction)
+    assert len(got) == len(gathered) == d.positions.shape[1] - 1
+    for g, want in zip(got, gathered):
+        want = want / d.h
+        assert g.shape == want.shape
+        assert np.abs(g - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_stacked_chart_differences_are_forward_over_backward(any_disc):
     d = any_disc
-    f = np.cos(3.0 * d.positions[:, 0]) * d.positions[:, 2]
+    f = np.cos(3.0 * d.positions[:, 0]) * d.positions[:, -1]
     both = d.chart_differences() @ f
     np.testing.assert_array_equal(both, np.concatenate(
         gather_differences(d, f, "forward")
@@ -396,38 +413,23 @@ def test_artificial_viscosity_matches_gather_formula(any_disc):
     d = any_disc
     rng = np.random.default_rng(32)
     nu, k = 0.7, 0.01
-    for f in (rng.normal(size=d.n_tot), rng.normal(size=(d.n_tot, 3))):
-        dp1, dp2 = (g / d.h for g in gather_differences(d, f, "forward"))
-        dm1, dm2 = (g / d.h for g in gather_differences(d, f, "backward"))
-        sq_p, sq_m = dp1 ** 2 + dp2 ** 2, dm1 ** 2 + dm2 ** 2
+    for operand in ("scalar", "vector"):
+        f = random_field(d, operand, rng)
+        dp = [g / d.h for g in gather_differences(d, f, "forward")]
+        dm = [g / d.h for g in gather_differences(d, f, "backward")]
+        sq_p, sq_m = sum(g ** 2 for g in dp), sum(g ** 2 for g in dm)
         if f.ndim == 2:
             sq_p = sq_p.sum(axis=1, keepdims=True)
             sq_m = sq_m.sum(axis=1, keepdims=True)
-        want = nu * k * d.h * (np.sqrt(sq_p) * (dp1 + dp2)
-                               - np.sqrt(sq_m) * (dm1 + dm2))
+        want = nu * k * d.h * (np.sqrt(sq_p) * sum(dp)
+                               - np.sqrt(sq_m) * sum(dm))
         got = artificial_viscosity(d, f, nu, k)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
-def test_one_sided_chart_differences_share_the_stacked_arrays(any_disc):
-    # two entries a row: the halves are views of the stacked matrix's data
-    # and indices, equal to its row slices
-    d = copy_discretization(any_disc)
-    both = d.chart_differences()
-    half = both.shape[0] // 2
-    for direction, rows in (("forward", slice(None, half)),
-                            ("backward", slice(half, None))):
-        got, want = d.chart_differences(direction), both[rows]
-        for name in ("data", "indices"):
-            assert np.shares_memory(getattr(got, name), getattr(both, name))
-        for name in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(getattr(got, name),
-                                          getattr(want, name))
-        assert got.shape == want.shape and (got != want).nnz == 0
-
-
 def test_chart_differences_are_cached(sphere40):
+    # one matrix, built and checked once however many operators read it
     d = copy_discretization(sphere40)
     calls = []
     check = d.require_full_stencil
@@ -439,13 +441,11 @@ def test_chart_differences_are_cached(sphere40):
     d.require_full_stencil = counted
     both = d.chart_differences()
     assert d.chart_differences() is both
-    for direction in ("forward", "backward"):
-        assert d.chart_differences(direction) is \
-            d.chart_differences(direction)
     f = sphere40.positions[:, 1]
     upwind_differences(d, f, "forward")
     upwind_differences(d, f, "backward")
     artificial_viscosity(d, f, 1.0, 0.01)
+    assert d.chart_differences() is both
     assert len(calls) == 1
     assert both.shape == (4 * d.n_p, d.n_tot)
     assert both.nnz == 8 * d.n_p

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from surfpde import Grid, discretize, make_surface
-from surfpde.linalg import Factorization, assemble_csr, dissection_order
+from surfpde.linalg import Factorization, dissection_order
 from surfpde.operators import laplace_beltrami, reduced_operator
 
 
@@ -43,10 +43,11 @@ def factored_matrices(disc, n):
 
 def path_graph(n):
     i = np.arange(n - 1)
-    return assemble_csr(np.concatenate([i, i + 1, np.arange(n)]),
-                        np.concatenate([i + 1, i, np.arange(n)]),
-                        np.concatenate([-np.ones(2 * n - 2),
-                                        np.full(n, 3.0)]), (n, n))
+    return sp.csr_matrix((np.concatenate([-np.ones(2 * n - 2),
+                                          np.full(n, 3.0)]),
+                          (np.concatenate([i, i + 1, np.arange(n)]),
+                           np.concatenate([i + 1, i, np.arange(n)]))),
+                         shape=(n, n))
 
 
 def test_order_is_a_repeatable_permutation(sphere40):

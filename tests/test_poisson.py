@@ -9,6 +9,8 @@ import scipy.sparse.linalg as spla
 
 from surfpde import linalg
 from surfpde.experiments import get_discretization
+from surfpde.linalg import smallest_eigenvalues
+from surfpde.operators import reduced_laplace_beltrami
 from surfpde.poisson import poisson_solve
 
 
@@ -69,13 +71,10 @@ def test_pinned_factor_stays_single_precision(monkeypatch):
     assert 1 <= fac.refinements <= 6
 
 
-def test_factor_starts_with_one_float64_copy_of_the_operator(monkeypatch):
-    # at SuperLU's entry the solve holds the permuted float64 L, the
-    # float32 values given to SuperLU and the ordering, beyond the record
-    # and its E; it used to hold L four times in float64
-    d = get_discretization("sphere", 80)
-    d.extension_matrix()
-    f, _ = _case(d)
+def _held_at_splu(monkeypatch, solve):
+    """Traced bytes that `solve()` holds at its one SuperLU call, beyond
+    those held before it, and the budget of one permuted float64 copy of
+    the matrix given to SuperLU, its float32 values and the ordering."""
     seen = []
     splu = spla.splu
 
@@ -90,9 +89,25 @@ def test_factor_starts_with_one_float64_copy_of_the_operator(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        poisson_solve(d, f)
+        solve()
     finally:
         if started:
             tracemalloc.stop()
     ((held, budget),) = seen
-    assert held - base <= budget + 2 ** 16
+    return held - base, budget
+
+
+def test_factor_starts_with_one_float64_copy_of_the_operator(monkeypatch):
+    # at SuperLU's entry the solve holds the permuted float64 L, the
+    # float32 values given to SuperLU and the ordering, beyond the record
+    # and its E; it used to hold L four times in float64.  The eigenvalue
+    # solve holds the same beyond the caller's reduced operator
+    d = get_discretization("sphere", 80)
+    d.extension_matrix()
+    f, _ = _case(d)
+    held, budget = _held_at_splu(monkeypatch, lambda: poisson_solve(d, f))
+    assert held <= budget + 2 ** 16
+    red = reduced_laplace_beltrami(d)
+    held, budget = _held_at_splu(monkeypatch, lambda: smallest_eigenvalues(
+        red, 1, d.positions[:d.n_p], sigma=0.5))
+    assert held <= budget + 2 ** 16
