@@ -19,8 +19,9 @@ A discretization is its cut-point record (the arrays of `RECORD_ARRAYS`,
 n_p, the grid and eta) plus what the constructor derives from it: the
 checked interpolation blocks Pi_sp and Pi_ss, which make each secondary
 the quadratic interpolant of three points in its primary's chart.  Files
-store only the record.  Equilibration has one route: the extension matrix
-E, the Neumann series of Pi, and `extend(u_p) = E @ u_p`.  Explicit chart
+store the cuts, and a load rebuilds the record from them with the stages
+of a build.  Equilibration has one route: the extension matrix E, the
+Neumann series of Pi, and `extend(u_p) = E @ u_p`.  Explicit chart
 differences have one route too: the one matrix of `chart_differences`,
 built once per discretization like E, whose rows hold the forward
 differences along each chart axis over the backward ones.
@@ -163,9 +164,9 @@ class SurfaceDiscretization:
     Points are ordered primaries first.  `chart_neighbors[i]` lists the
     stencil neighbors of primary i in `offsets` order (-1 when absent).
     `dropped_cuts` counts located crossings discarded by the admissibility
-    test.  Pi_sp and Pi_ss are built here, so a discretization, fresh or
-    loaded, passes the StencilError checks of `_interpolation_data` and
-    `_pi_matrices`.
+    test.  A load rebuilds the record from the cuts as a build does, and
+    Pi is built here, so either passes the StencilError checks of
+    `_interpolation_data` and `_pi_matrices`.
     """
 
     def __init__(self, grid, eta, positions, axis, base_index, closest_gp,
@@ -617,6 +618,12 @@ def _admissible_cuts(surface, grid, eta, tol):
             int((keep & ~admissible).sum()))
 
 
+def _interval_key(grid, axis, base):
+    """Cut-order key: the index of each cut's interval (axis, base index)."""
+    return np.ravel_multi_index(np.vstack([axis.astype(np.int64), base.T]),
+                                (len(grid.shape),) + grid.shape)
+
+
 def _primaries_first(grid, base, positions, axis, normals):
     """Check the cut order, give each cut its closest grid point and role,
     and return the record fields but `chart_neighbors`, primaries first."""
@@ -630,9 +637,7 @@ def _primaries_first(grid, base, positions, axis, normals):
     theta = np.clip(scaled - closest[ids, axis], -0.5, 0.5)
 
     # the cut order holds: at most one cut per grid interval, in order
-    interval_key = np.ravel_multi_index(
-        np.vstack([axis.astype(np.int64), base.T]), (dim,) + grid.shape)
-    bad = np.diff(interval_key) <= 0
+    bad = np.diff(_interval_key(grid, axis, base)) <= 0
     if bad.any():
         i = int(np.argmax(bad)) + 1
         raise GridError(f"duplicate or out-of-order cut points: the cut on "

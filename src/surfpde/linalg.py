@@ -46,7 +46,6 @@ _ROUNDOFF = 4 * np.finfo(float).eps  # where refinement stops: a computed
                               # residual floors at about eps
 _BORDERED_RTOL = 1e-9         # bordered_solve residual bound, relative
 _EIG_RESIDUAL_TOL = 1e-8      # smallest_eigenvalues eigenpair residual bound
-_DENSE_EIG_LIMIT = 1200       # smallest_eigenvalues solves densely up to it
 _DENSE_INVERSE_LIMIT = 9000   # largest matrix resolvent_entry_report inverts
 _KRYLOV_RTOL = 1e-14          # BiCGSTAB residual bound, relative (see there)
 _KRYLOV_MAXITER = 500         # BiCGSTAB iterations per solve, at most
@@ -238,10 +237,6 @@ class Factorization:
             self.precision = np.dtype(np.float32)
         except SingularMatrixError:
             self._refactor()
-
-    @property
-    def shape(self):
-        return self._mat.shape
 
     def _factor(self, dtype):
         """SuperLU factor of the permuted A, rounded to `dtype`.  Only the
@@ -461,19 +456,17 @@ def smallest_eigenvalues(mat, count, points, sigma):
     product is a refined `Factorization.solve`: the bare single-precision
     solve is too rough for the eigenpair residual check.  The shifted
     matrix is handed over in a list, so SuperLU starts with one float64
-    copy of it beyond the caller's `mat`.  Falls back to a dense solve for
-    small matrices or when count is too close to the dimension.  Intended
-    for real nonpositive spectra, where any sigma > 0 preserves the
-    by-magnitude ordering.
+    copy of it beyond the caller's `mat`.  A dense solve serves only count
+    > n - 2, which ARPACK does not accept.  Intended for real nonpositive
+    spectra, where any sigma > 0 preserves the by-magnitude ordering.
     """
     n = mat.shape[0]
     if count < 1 or count > n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
 
-    if n <= _DENSE_EIG_LIMIT or count > n - 2:
+    if count > n - 2:
         vals = np.linalg.eigvals(mat.toarray())
-        order = np.argsort(np.abs(vals), kind="stable")
-        return vals[order][:count]
+        return vals[np.argsort(np.abs(vals), kind="stable")][:count]
 
     sigma = float(sigma)
     fac = Factorization([mat - sigma * sp.identity(n, format="csc")],

@@ -1,41 +1,45 @@
 """Portable dump/load of a cut-point discretization (npz container).
 
-Format version 3: a JSON header (format, version, n_tot, n_p, dropped_cuts,
-eta, grid, surface kind and parameters) plus the eight record arrays of
-`discretization.RECORD_ARRAYS`, nothing derived from them.  The loader
-checks the header (eta under the rule of `discretize`, dropped_cuts >= 0,
-surface parameters an object) and the arrays against it (shape, kind, axis,
-owner and neighbor ranges; each base_index the low node of a grid interval
-along its point's axis, each closest_gp that node or the one above it), and
-raises FormatError naming the file and the field or array.  A member whose
-bytes do not decode (zip, zlib or npy errors) gives a FormatError naming the
-file and the member.  The constructor then rebuilds Pi with the checks of
-a fresh build.  Surfaces and plane curves share the format.  Versions 1 and
-2 (v2 also stored the interpolation rows and Pi) are rejected with
-VersionError.
+Format version 4: a JSON header (format, version, n_tot, dropped_cuts, eta,
+grid, surface kind and parameters) and the cuts, the `CUT_ARRAYS` in cut
+order (`discretization._interval_key`).  The loader checks the header and
+the cuts against it (shape, kind, range; each normal a unit vector
+admissible at eta, as the builder makes them) and raises FormatError
+naming the file and the field, the array or the member whose bytes do not
+decode.  The builder's own stages then rebuild the record
+(`_primaries_first`, `_resolve_neighbors` and the constructor's Pi), so a
+load equals the fresh build bit for bit; a SurfPDEError there, such as a
+repeated or out-of-order cut, becomes a FormatError naming the file.
+Surfaces and plane curves share the format.  VersionError rejects version
+1 (no dropped_cuts), 2 (which also stored the interpolation rows and Pi)
+and 3 (which also stored closest_gp, theta, associated_primary,
+chart_neighbors and n_p, freezing one version of the builder's rules).
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-from .discretization import (RECORD_ARRAYS, STENCIL_OFFSETS, Grid,
-                             SurfaceDiscretization, _check_eta)
-from .errors import FormatError, GridError, VersionError
+from .discretization import (Grid, SurfaceDiscretization, _admissible_mask,
+                             _check_eta, _interval_key, _primaries_first,
+                             _resolve_neighbors)
+from .errors import FormatError, GridError, SurfPDEError, VersionError
 
 FORMAT_NAME = "surfpde-discretization"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+# the per-cut arrays a file stores; the rest of the record derives from them
+CUT_ARRAYS = ("positions", "axis", "base_index", "normals")
 
 
 def dump_discretization(disc, path):
-    """Write a discretization's record to `path` itself (npz container)."""
+    """Write a discretization's cuts to `path` itself (npz container)."""
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "n_tot": disc.n_tot,
-        "n_p": disc.n_p,
         "dropped_cuts": disc.dropped_cuts,
         "eta": disc.eta,
         "grid": {"origin": list(disc.grid.origin), "h": disc.grid.h,
@@ -43,7 +47,8 @@ def dump_discretization(disc, path):
         "surface_kind": disc.surface_kind,
         "surface_params": disc.surface_params,
     }
-    payload = {name: getattr(disc, name) for name in RECORD_ARRAYS}
+    order = np.argsort(_interval_key(disc.grid, disc.axis, disc.base_index))
+    payload = {name: getattr(disc, name)[order] for name in CUT_ARRAYS}
     payload["header"] = np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8)
     # through an open file: given a name, numpy would append ".npz"
@@ -65,58 +70,43 @@ def _read_member(path, blob, name):
                           f"{type(exc).__name__}: {exc}") from exc
 
 
-def _check_record(path, arrays, n_cells, n_p, n_tot):
-    """Raise FormatError naming the first record array that does not fit
-    the header in shape, kind (finite floats or integers) or range."""
-    dim = len(n_cells)
-    point = (n_tot, dim)
-    # name: (shape, kind, None or (first point checked, low, high));
-    # primaries carry no owner
-    spec = {"positions": (point, "f", None),
-            "axis": ((n_tot,), "i", (0, 0, dim)),
-            "base_index": (point, "i", None), "closest_gp": (point, "i", None),
-            "theta": ((n_tot,), "f", None), "normals": (point, "f", None),
-            "associated_primary": ((n_tot,), "i", (n_p, 0, n_p)),
-            "chart_neighbors": ((n_p, len(STENCIL_OFFSETS[dim])), "i",
-                                (0, -1, n_tot))}
-    for name in RECORD_ARRAYS:
-        arr, (shape, kind, bounds) = arrays[name], spec[name]
+def _check_cuts(path, arrays, grid, eta, n_tot):
+    """Raise FormatError naming the first cut array that does not fit the
+    header in shape, kind or range, or holds a normal no build makes."""
+    dim = len(grid.n_cells)
+    for name, shape, kind in (("positions", (n_tot, dim), "f"),
+                              ("axis", (n_tot,), "i"),
+                              ("base_index", (n_tot, dim), "i"),
+                              ("normals", (n_tot, dim), "f")):
+        arr = arrays[name]
         if arr.shape != shape:
             raise FormatError(f"{path}: array {name} has shape {arr.shape}, "
-                              f"expected {shape} for n_tot={n_tot}, n_p={n_p}")
+                              f"expected {shape} for n_tot={n_tot}")
         if kind == "f" and not (arr.dtype.kind == "f"
                                 and np.isfinite(arr).all()):
             raise FormatError(f"{path}: array {name} must hold finite floats")
         if kind == "i" and arr.dtype.kind not in "iu":
             raise FormatError(f"{path}: array {name} must hold integers, "
                               f"got {arr.dtype}")
-        if bounds is not None:
-            first, lo, hi = bounds
-            bad = np.argwhere((arr[first:] < lo) | (arr[first:] >= hi))
-            if bad.size:
-                raise FormatError(
-                    f"{path}: array {name} has {len(bad)} entries outside "
-                    f"[{lo}, {hi}); first {arr[first:][tuple(bad[0])]} at "
-                    f"point {first + int(bad[0, 0])}")
-    # a cut lies on the grid interval from base_index one step along its
-    # axis, and its closest grid point is one of the interval's two ends
-    axis = arrays["axis"]
-    along = np.eye(dim, dtype=np.int64)[axis]
-    base = arrays["base_index"].astype(np.int64)
-    step = arrays["closest_gp"].astype(np.int64) - base
-    for name, bad, what in (
-            ("base_index", ((base < 0) | (base > np.asarray(n_cells) - along)
-                            ).any(axis=1),
-             "outside the grid or at its top end along the point's axis"),
-            ("closest_gp", ((step != 0) & (step != along)).any(axis=1),
-             "neither base_index nor the node above it along the point's "
-             "axis")):
+
+    def reject(name, bad, what):
         if bad.any():
             i = int(np.argmax(bad))
             raise FormatError(
                 f"{path}: array {name} has {int(bad.sum())} points {what}; "
-                f"first {arrays[name][i]} at point {i} (axis {axis[i]}, "
-                f"grid of {tuple(n_cells)} cells)")
+                f"first {arrays[name][i]} at point {i}")
+
+    axis, normals = arrays["axis"], arrays["normals"]
+    reject("axis", (axis < 0) | (axis >= dim), f"outside [0, {dim})")
+    # a cut lies on the grid interval from base_index one step along its axis
+    base = arrays["base_index"]
+    top = np.asarray(grid.n_cells) - np.eye(dim, dtype=np.int64)[axis]
+    reject("base_index", ((base < 0) | (base > top)).any(axis=1),
+           f"outside the grid of {grid.n_cells} cells or at its top end "
+           f"along the point's axis")
+    reject("normals", (np.abs(np.linalg.norm(normals, axis=1) - 1.0)
+                       > 1e-12) | ~_admissible_mask(normals, axis, eta),
+           f"that are not unit normals admissible at eta={eta}")
 
 
 def load_discretization(path):
@@ -142,21 +132,22 @@ def load_discretization(path):
                 f"{path}: unsupported format version "
                 f"{header.get('version')!r} (expected {FORMAT_VERSION})")
         arrays = {name: _read_member(path, blob, name)
-                  for name in RECORD_ARRAYS}
+                  for name in CUT_ARRAYS}
         try:
             g = header["grid"]
             grid = Grid(tuple(g["origin"]), float(g["h"]), tuple(g["n_cells"]))
-            n_p, n_tot = int(header["n_p"]), int(header["n_tot"])
+            n_tot = int(header["n_tot"])
             eta, dropped = float(header["eta"]), int(header["dropped_cuts"])
         except (KeyError, TypeError, ValueError, GridError) as exc:
             raise FormatError(f"{path}: missing or malformed record {exc}") \
                 from exc
 
     dim = len(grid.n_cells)
-    if dim not in STENCIL_OFFSETS or not 0 <= n_p <= n_tot:
-        raise FormatError(f"{path}: header grid of dimension {dim} with "
-                          f"n_p={n_p}, n_tot={n_tot} describes no "
-                          f"discretization")
+    if (dim not in (2, 3) or len(grid.origin) != dim or n_tot < 1
+            or not all(isinstance(n, int) and n > 0 for n in grid.n_cells)
+            or dim * math.prod(grid.shape) >= 2 ** 63):
+        raise FormatError(f"{path}: header grid {header['grid']} with "
+                          f"n_tot={n_tot} describes no discretization")
     try:
         _check_eta(eta, dim)
     except ValueError as exc:
@@ -168,9 +159,18 @@ def load_discretization(path):
     if not isinstance(params, dict):
         raise FormatError(f"{path}: header surface_params must be a JSON "
                           f"object, got {params!r}")
-    _check_record(path, arrays, grid.n_cells, n_p, n_tot)
-    return SurfaceDiscretization(
-        grid=grid, eta=eta, n_p=n_p, dropped_cuts=dropped,
-        surface_kind=header.get("surface_kind", "user"),
-        surface_params=params, **arrays)
-
+    _check_cuts(path, arrays, grid, eta, n_tot)
+    try:    # the builder's stages, on the cuts as read
+        fields = _primaries_first(grid, arrays["base_index"].astype(np.int64),
+                                  arrays["positions"], arrays["axis"],
+                                  arrays["normals"])
+        fields["chart_neighbors"] = _resolve_neighbors(
+            grid, fields["positions"], fields["axis"], fields["base_index"],
+            fields["n_p"], eta)
+        return SurfaceDiscretization(
+            grid=grid, eta=eta, dropped_cuts=dropped,
+            surface_kind=header.get("surface_kind", "user"),
+            surface_params=params, **fields)
+    except SurfPDEError as exc:
+        raise FormatError(f"{path}: the cuts do not rebuild a "
+                          f"discretization: {exc}") from exc

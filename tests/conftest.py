@@ -1,6 +1,8 @@
+import json
 import os
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from surfpde import Grid, discretize, make_surface
@@ -29,6 +31,17 @@ class InlineExecutor:
         except Exception as exc:
             future.set_exception(exc)
         return future
+
+
+def rewrite_dump(path, edit):
+    """Apply `edit` to the members of the discretization file at `path`, a
+    dict of arrays with the header decoded from JSON, and write them back."""
+    blob = dict(np.load(path, allow_pickle=False))
+    blob["header"] = json.loads(bytes(blob["header"]).decode())
+    edit(blob)
+    blob["header"] = np.frombuffer(json.dumps(blob["header"]).encode(),
+                                   dtype=np.uint8)
+    np.savez(path, **blob)
 
 
 @pytest.fixture

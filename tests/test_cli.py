@@ -10,6 +10,7 @@ from functools import partial
 
 import pytest
 
+from conftest import rewrite_dump
 from surfpde import experiments as ex
 from surfpde.cli import FLAGS, SINGLE_COMMANDS, TABLE_COMMANDS, main
 from surfpde.errors import StencilError
@@ -348,6 +349,37 @@ def test_dump_and_load_roundtrip(tmp_path, capsys):
         for token in ("n_tot=", "n_p="):
             value = built.split(token)[1].split()[0]
             assert token + value in loaded
+
+
+def _swap_first_cuts(blob):
+    for name in ("positions", "axis", "base_index", "normals"):
+        blob[name][[0, 1]] = blob[name][[1, 0]]
+
+
+def _tilt_first_normal(blob):
+    blob["normals"][0] = [0.0, 1.0, 0.0]    # the first cut is along axis 0
+
+
+# (edit of the npz members, header decoded, and what the error names)
+BAD_LOADS = {
+    "version-3": (lambda blob: blob["header"].update(version=3),
+                  "unsupported format version 3"),
+    "swapped-cuts": (_swap_first_cuts, "breaks the cut order"),
+    "inadmissible-normal": (_tilt_first_normal, "array normals"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LOADS))
+def test_load_of_a_bad_file_exits_two_naming_it(case, tmp_path, capsys):
+    edit, message = BAD_LOADS[case]
+    path = tmp_path / "sphere-20.npz"
+    assert main(["discretize", "--N", "20", "--out", str(path)]) == 0
+    rewrite_dump(path, edit)
+    capsys.readouterr()
+    assert main(["discretize", "--load", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"surfpde: {path}: ") and message in out.err
+    assert "Traceback" not in out.err + out.out
 
 
 @pytest.mark.parametrize("argv", [["--list"], ["discretize", "--N", "20"]])

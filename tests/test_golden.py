@@ -9,15 +9,8 @@ number on purpose regenerates the files with
     python tests/test_golden.py --write
 
 and names each moved metric and the reason in CHANGES.md.  The golden files
-are the reference: they are never rewritten to make a defect pass.
-
-Rows that come from a dense LAPACK eigensolve (`eig --N 20` and the N = 20
-rows of `table-3.3`, n_p below `linalg._DENSE_EIG_LIMIT`) depend on the
-BLAS thread count: between OPENBLAS_NUM_THREADS=1 and the default,
-`cluster_n0` (an error near 1e-14) moves by up to 2.5e-13 absolute and the
-other rows by about 1e-11 relative.  Those rows only are compared within
-`DENSE_ABS` absolute or `DENSE_REL` relative; every other row, the sparse
-shift-invert N = 40 rows of `table-3.3` included, must match exactly.
+are the reference: they are never rewritten to make a defect pass.  Every
+row must match exactly, under any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -51,13 +44,6 @@ CASES = {
     "curve-resolvent": ["curve-resolvent"],
 }
 
-# rows solved by dense LAPACK, whose digits follow the BLAS thread count:
-# (golden file, N)
-DENSE_ROWS = {("eig", "20"), ("table-3.3", "20")}
-DENSE_ABS = 1e-12
-DENSE_REL = 1e-10
-
-
 def _run(name, directory):
     """Run the case's subcommand and return the path of its CSV."""
     path = os.path.join(directory, f"{name}.csv")
@@ -74,12 +60,7 @@ def _rows(text):
             for line in lines[1:]}
 
 
-def _within_dense_tolerance(old, new):
-    a, b = float(old), float(new)
-    return abs(a - b) <= max(DENSE_ABS, DENSE_REL * abs(a))
-
-
-def _moves(name, old_text, new_text):
+def _moves(old_text, new_text):
     """One line per row that moved, appeared or vanished."""
     old, new = _rows(old_text), _rows(new_text)
     out = []
@@ -90,8 +71,6 @@ def _moves(name, old_text, new_text):
         label = ",".join(key)
         if a is None or b is None:
             out.append(f"{label}: {a} -> {b}")
-            continue
-        if (name, key[1]) in DENSE_ROWS and _within_dense_tolerance(a, b):
             continue
         x, y = float(a), float(b)
         rel = abs(y - x) / abs(x) if x else float("inf")
@@ -109,7 +88,7 @@ def test_table_parity_set_matches_golden_csv(name, tmp_path):
         new = fh.read()
     if new == old:
         return
-    moves = _moves(name, old, new)
+    moves = _moves(old, new)
     assert not moves, (f"{name}: {len(moves)} rows moved from "
                        f"tests/golden/{name}.csv:\n" + "\n".join(moves))
 
@@ -119,17 +98,14 @@ def test_moves_name_each_changed_row():
            "eig,20,0,cluster_n0,1.000000000000e-14\n"
            "quad,20,0,err,2.500000000000e-03\n")
     new = old.replace("2.500000000000e-03", "2.600000000000e-03")
-    assert _moves("quad", old, new) == [
+    assert _moves(old, new) == [
         "quad,20,0,err: 2.500000000000e-03 -> 2.600000000000e-03 "
         "(relative move 4.000e-02)"]
-    # dense rows forgive a BLAS-order move, and only those rows
-    blas = old.replace("1.000000000000e-14", "2.000000000000e-13")
-    assert _moves("eig", old, blas) == []
-    assert len(_moves("quad", old, blas)) == 1
-    edit = old.replace("1.000000000000e-14", "1.000000000000e-11")
-    assert len(_moves("eig", old, edit)) == 1
+    # a move in the last digit of an eigenvalue row is a move too
+    last = old.replace("1.000000000000e-14", "1.000000000001e-14")
+    assert len(_moves(old, last)) == 1
     gone = old.replace("quad,20,0,err,2.500000000000e-03\n", "")
-    assert _moves("quad", old, gone) == [
+    assert _moves(old, gone) == [
         "quad,20,0,err: 2.500000000000e-03 -> None"]
 
 

@@ -189,8 +189,20 @@ def test_periodic_laplacian_eigenvalues_closed_form():
                   ).max() < 1e-8
 
 
+def test_shift_invert_matches_dense_eigenvalues_on_the_sphere():
+    # the 49 eigenvalues of table 3.3 at N = 20, against a dense solve of
+    # the same reduced operator made here
+    d = discretize(make_surface("sphere"), Grid.cube(-1.2, 1.2, 20))
+    red = reduced_laplace_beltrami(d, "nondivergence")
+    assert d.n_p == 714
+    vals = smallest_eigenvalues(red, 49, d.positions[:d.n_p], sigma=SHIFT)
+    dense = np.linalg.eigvals(red.toarray())
+    ref = dense[np.argsort(np.abs(dense), kind="stable")][:49]
+    assert np.abs(np.sort_complex(vals) - np.sort_complex(ref)).max() <= 1e-10
+
+
 def test_shift_invert_path_matches_dense_path():
-    # large enough to take the iterative branch
+    # against the closed form at a size where a dense solve is slow
     n, h = 2000, 0.1
     vals = smallest_eigenvalues(periodic_laplacian(n, h), 5, circle(n),
                                 sigma=SHIFT)
