@@ -15,16 +15,17 @@ results are one `SurfaceDiscretization` class, and the operators read the
 chart axes (`chart_axes`), the stencil (`offsets`) and its axis slot pairs
 from it, so one assembly serves both dimensions.
 
-A discretization is its cut-point record (the arrays of `RECORD_ARRAYS`,
-n_p, the grid and eta) plus what the constructor derives from it: the
-checked interpolation blocks Pi_sp and Pi_ss, which make each secondary
-the quadratic interpolant of three points in its primary's chart.  Files
-store the cuts, and a load rebuilds the record from them with the stages
-of a build.  Equilibration has one route: the extension matrix E, the
-Neumann series of Pi, and `extend(u_p) = E @ u_p`.  Explicit chart
-differences have one route too: the one matrix of `chart_differences`,
-built once per discretization like E, whose rows hold the forward
-differences along each chart axis over the backward ones.
+A discretization is built from its cuts, the `CUT_ARRAYS` in cut order,
+and its grid and eta.  The constructor derives the rest, for a build and a
+load alike: each cut's closest grid point, theta and role, each
+secondary's owner, each primary's chart neighbours (the `RECORD_ARRAYS`
+and n_p), and the checked interpolation blocks Pi_sp and Pi_ss, which make
+each secondary the quadratic interpolant of three points in its primary's
+chart.  Equilibration has one route: the extension matrix E, the Neumann
+series of Pi, and `extend(u_p) = E @ u_p`.  Explicit chart differences
+have one route too: the one matrix of `chart_differences`, built once per
+discretization like E, whose rows hold the forward differences along each
+chart axis over the backward ones.
 
 Cut location never holds phi on the whole grid.  The scan streams slabs of
 whole planes along axis 0 (at most `_SLAB_NODES` nodes per phi call, or a
@@ -43,10 +44,11 @@ after another.
 
 Cut order: the scan returns the cuts sorted by (axis, base index in C
 order), one per interval.  Snapping, dedupe and admissibility only filter,
-so `_cut_points` keeps this order, checks it in O(m), and keeps it within
-the primary and the secondary block without sorting the cuts again.
-Each stage before the stencil lookup runs in its own helper, so the
-located, snapped and unpermuted arrays are freed before
+so `_admissible_cuts` keeps this order; the constructor checks it in O(m)
+and keeps it within the primary and the secondary block without sorting
+the cuts again.  Each stage before the stencil lookup runs in its own
+helper, and the cuts reach the constructor in a dict that the derivation
+empties, so the located, snapped and unpermuted arrays are freed before
 `_resolve_neighbors` runs beside the permuted record.
 """
 
@@ -77,7 +79,9 @@ SLOT_NW, SLOT_SE = SLOT[(-1, 1)], SLOT[(1, -1)]
 # chart-stencil offsets by grid dimension: a curve's chart is one grid line
 STENCIL_OFFSETS = {2: ((-1,), (1,)), 3: NEIGHBOR_OFFSETS}
 
-# the per-point arrays of the cut-point record
+# the per-cut arrays a discretization is built from, in cut order
+CUT_ARRAYS = ("positions", "axis", "base_index", "normals")
+# the per-point arrays of the cut-point record, primaries first
 RECORD_ARRAYS = ("positions", "axis", "base_index", "closest_gp", "theta",
                  "normals", "associated_primary", "chart_neighbors")
 
@@ -159,39 +163,40 @@ def interpolation_coefficients(theta):
 
 
 class SurfaceDiscretization:
-    """The cut-point record and what it derives: Pi, E, chart differences.
+    """A discretization built from its cuts: the record, Pi, E and chart
+    differences.
 
-    Points are ordered primaries first.  `chart_neighbors[i]` lists the
+    `cuts` is a dict of the `CUT_ARRAYS` in cut order, which the
+    constructor empties as it derives the `RECORD_ARRAYS` and n_p (see
+    `_record`) and the checked Pi (`_interpolation_data`, `_pi_matrices`).
+    Points are ordered primaries first; `chart_neighbors[i]` lists the
     stencil neighbors of primary i in `offsets` order (-1 when absent).
-    `dropped_cuts` counts located crossings discarded by the admissibility
-    test.  A load rebuilds the record from the cuts as a build does, and
-    Pi is built here, so either passes the StencilError checks of
-    `_interpolation_data` and `_pi_matrices`.
+    `dropped_cuts` counts located crossings that failed admissibility.
     """
 
-    def __init__(self, grid, eta, positions, axis, base_index, closest_gp,
-                 theta, normals, n_p, associated_primary, chart_neighbors,
-                 surface_kind="user", surface_params=None, dropped_cuts=0):
+    def __init__(self, grid, eta, cuts, surface_kind="user",
+                 surface_params=None, dropped_cuts=0):
         self.grid = grid
         self.eta = float(eta)
         self.dropped_cuts = int(dropped_cuts)
-        self.positions = positions
-        self.axis = axis
-        self.base_index = base_index
-        self.closest_gp = closest_gp
-        self.theta = theta
-        self.normals = normals
-        self.n_p = int(n_p)
-        self.associated_primary = associated_primary
-        self.chart_neighbors = chart_neighbors
         self.surface_kind = surface_kind
         self.surface_params = dict(surface_params or {})
+        record = _record(grid, self.eta, cuts)
+        self.n_p = record.pop("n_p")
+        vars(self).update(record)
         self.pi_sp, self.pi_ss = _pi_matrices(
-            *_interpolation_data(positions, axis, theta, self.n_p,
-                                 associated_primary, chart_neighbors),
-            positions, self.n_p)
+            *_interpolation_data(self.positions, self.axis, self.theta,
+                                 self.n_p, self.associated_primary,
+                                 self.chart_neighbors),
+            self.positions, self.n_p)
         self._extension = None
         self._differences = None
+
+    def cuts(self):
+        """The `CUT_ARRAYS` in cut order: what the constructor takes."""
+        order = np.argsort(_interval_key(self.grid, self.axis,
+                                         self.base_index))
+        return {name: getattr(self, name)[order] for name in CUT_ARRAYS}
 
     # -- basic queries ---------------------------------------------------
 
@@ -448,9 +453,9 @@ def _admissible_mask(normals, axis, eta):
     return np.abs(normals[np.arange(normals.shape[0]), ax]) >= eta
 
 
-def _interval_cuts(surface, grid, axis, base, f_lo, f_hi, tol):
+def _interval_cuts(surface, grid, axis, base, f_lo, f_hi):
     """The cut point on each interval along `axis` from the nodes `base`,
-    given phi at both ends of each."""
+    given phi at both ends of each, to within BISECT_TOL of a step."""
     p_lo = np.asarray(grid.origin) + grid.h * base
     p_hi = p_lo.copy()
     p_hi[:, axis] += grid.h
@@ -459,10 +464,10 @@ def _interval_cuts(surface, grid, axis, base, f_lo, f_hi, tol):
     p_out = np.where(lo_is_in[:, None], p_hi, p_lo)
     return _batch_illinois(surface, p_in, p_out,
                            np.where(lo_is_in, f_lo, f_hi),
-                           np.where(lo_is_in, f_hi, f_lo), axis, tol)
+                           np.where(lo_is_in, f_hi, f_lo), axis, BISECT_TOL)
 
 
-def _locate_cuts(surface, grid, tol=BISECT_TOL):
+def _locate_cuts(surface, grid):
     """Per axis, the base indices of all sign-change intervals and the cut
     point on each, in the cut order of the module docstring.  The scan and
     the root steps run on this thread and a worker: each axis's intervals
@@ -472,7 +477,7 @@ def _locate_cuts(surface, grid, tol=BISECT_TOL):
             _scan_sign_changes(surface, grid)):
         cut = (base.shape[0] + 1) // 2
         halves = [partial(_interval_cuts, surface, grid, axis, base[part],
-                          f_lo[part], f_hi[part], tol)
+                          f_lo[part], f_hi[part])
                   for part in (slice(None, cut), slice(cut, None))]
         out.append((base, np.concatenate(_in_pair(*halves))))
     return out
@@ -568,38 +573,11 @@ def _resolve_neighbors(grid, positions, axis, base, n_p, eta):
     return out
 
 
-def _cut_points(surface, grid, eta, tol=BISECT_TOL):
-    """Cut points, roles and chart neighbors of `surface` on `grid`.
-
-    The steps shared by curves and surfaces, from the streamed sign-change
-    scan to the stencil lookup.  Returns the per-point arrays under the
-    constructor names of SurfaceDiscretization (primary points first, each
-    block in the cut order of the module docstring) and the number of
-    located cuts that failed the admissibility test.  Raises GridError if
-    the located cuts break that order or repeat an interval.  Each stage
-    before the stencil lookup is a helper, so the located, snapped and
-    unpermuted arrays are freed with its frame and only the permuted
-    record is alive while `_resolve_neighbors` runs.
-    """
-    fields, dropped = _ordered_cuts(surface, grid, eta, tol)
-    fields["chart_neighbors"] = _resolve_neighbors(
-        grid, fields["positions"], fields["axis"], fields["base_index"],
-        fields["n_p"], eta)
-    return fields, dropped
-
-
-def _ordered_cuts(surface, grid, eta, tol):
-    """`_primaries_first` of the `_admissible_cuts`, and the number of cuts
-    that failed the admissibility test."""
-    cuts, dropped = _admissible_cuts(surface, grid, eta, tol)
-    return _primaries_first(grid, *cuts), dropped
-
-
-def _admissible_cuts(surface, grid, eta, tol):
+def _admissible_cuts(surface, grid, eta):
     """The located cuts, snapped and deduplicated, that pass the
-    admissibility test, in cut order: (base, positions, axis, normals),
-    and the number that failed it."""
-    located = _locate_cuts(surface, grid, tol)
+    admissibility test, in cut order: a dict of the `CUT_ARRAYS` for the
+    constructor, and the number that failed the test."""
+    located = _locate_cuts(surface, grid)
     base = np.concatenate([b for b, _ in located], axis=0)
     positions = np.concatenate([q for _, q in located], axis=0)
     axis = np.concatenate([np.full(b.shape[0], ax, dtype=np.int8)
@@ -614,7 +592,8 @@ def _admissible_cuts(surface, grid, eta, tol):
         raise EmptySurfaceError(
             f"all {int(keep.sum())} located cut points failed the "
             f"admissibility test at eta={eta}")
-    return ((base[use], positions[use], axis[use], normals[use]),
+    return (dict(positions=positions[use], axis=axis[use],
+                 base_index=base[use], normals=normals[use]),
             int((keep & ~admissible).sum()))
 
 
@@ -624,17 +603,30 @@ def _interval_key(grid, axis, base):
                                 (len(grid.shape),) + grid.shape)
 
 
-def _primaries_first(grid, base, positions, axis, normals):
-    """Check the cut order, give each cut its closest grid point and role,
-    and return the record fields but `chart_neighbors`, primaries first."""
+def _record(grid, eta, cuts):
+    """The record the constructor derives from the dict `cuts` of the
+    `CUT_ARRAYS`: the `RECORD_ARRAYS` and n_p, before Pi.  Raises
+    GridError if the cuts break the cut order or leave their intervals.
+    `_primaries_first` empties `cuts`, so only the permuted record is alive
+    while `_resolve_neighbors` runs."""
+    record = _primaries_first(grid, cuts)
+    record["chart_neighbors"] = _resolve_neighbors(
+        grid, record["positions"], record["axis"], record["base_index"],
+        record["n_p"], eta)
+    return record
+
+
+def _primaries_first(grid, cuts):
+    """Check the cut order and that each cut lies on its interval, give
+    each cut its closest grid point and role, and return the record fields
+    but `chart_neighbors`, primaries first.  Pops the arrays from `cuts`."""
+    positions, axis, base, normals = [cuts.pop(name) for name in CUT_ARRAYS]
     dim = positions.shape[1]
     m = positions.shape[0]
     ids = np.arange(m)
     origin = np.asarray(grid.origin)
     scaled = (positions[ids, axis] - origin[axis]) / grid.h
-    closest = base.copy()
-    closest[ids, axis] += scaled - base[ids, axis] > 0.5
-    theta = np.clip(scaled - closest[ids, axis], -0.5, 0.5)
+    frac = scaled - base[ids, axis]
 
     # the cut order holds: at most one cut per grid interval, in order
     bad = np.diff(_interval_key(grid, axis, base)) <= 0
@@ -643,6 +635,17 @@ def _primaries_first(grid, base, positions, axis, normals):
         raise GridError(f"duplicate or out-of-order cut points: the cut on "
                         f"the grid interval along axis {axis[i]} from node "
                         f"{_node_text(grid, base[i])} breaks the cut order")
+    # each cut lies on its interval, as located (a snapped one at an end)
+    off = ~(np.abs(frac - 0.5) <= 0.5 + _SNAP_TOL)
+    if off.any():
+        i = int(np.argmax(off))
+        raise GridError(f"{int(off.sum())} cut points lie off their grid "
+                        f"intervals; first the cut at {positions[i]}, "
+                        f"{frac[i]:.6g} steps along axis {axis[i]} from node "
+                        f"{_node_text(grid, base[i])}, outside [0, 1]")
+    closest = base.copy()
+    closest[ids, axis] += frac > 0.5
+    theta = np.clip(scaled - closest[ids, axis], -0.5, 0.5)
 
     # primary = smallest |theta| at its grid point; exact ties go to the
     # lowest base index, then the lowest axis
@@ -744,10 +747,9 @@ def _discretize(surface, grid, eta, dim, what):
     """`discretize` on a dim-D grid; `what` names the caller in errors."""
     grid.require_dim(dim, what)
     _check_eta(eta, dim)
-    fields, dropped = _cut_points(surface, grid, eta)
-    return SurfaceDiscretization(
-        grid=grid, eta=eta, surface_kind=surface.kind,
-        surface_params=surface.params, dropped_cuts=dropped, **fields)
+    cuts, dropped = _admissible_cuts(surface, grid, eta)
+    return SurfaceDiscretization(grid, eta, cuts, surface.kind,
+                                 surface.params, dropped)
 
 
 def discretize(surface, grid, eta=0.45):

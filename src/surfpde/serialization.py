@@ -2,18 +2,19 @@
 
 Format version 4: a JSON header (format, version, n_tot, dropped_cuts, eta,
 grid, surface kind and parameters) and the cuts, the `CUT_ARRAYS` in cut
-order (`discretization._interval_key`).  The loader checks the header and
+order (`SurfaceDiscretization.cuts`).  The loader checks the header and
 the cuts against it (shape, kind, range; each normal a unit vector
 admissible at eta, as the builder makes them) and raises FormatError
 naming the file and the field, the array or the member whose bytes do not
-decode.  The builder's own stages then rebuild the record
-(`_primaries_first`, `_resolve_neighbors` and the constructor's Pi), so a
-load equals the fresh build bit for bit; a SurfPDEError there, such as a
-repeated or out-of-order cut, becomes a FormatError naming the file.
-Surfaces and plane curves share the format.  VersionError rejects version
-1 (no dropped_cuts), 2 (which also stored the interpolation rows and Pi)
-and 3 (which also stored closest_gp, theta, associated_primary,
-chart_neighbors and n_p, freezing one version of the builder's rules).
+decode.  It then hands the cuts to the `SurfaceDiscretization`
+constructor, which derives the record and Pi from them as it does for a
+build, so a load equals the fresh build bit for bit; a SurfPDEError there,
+such as a repeated or out-of-order cut or one off its grid interval,
+becomes a FormatError naming the file.  Surfaces and plane curves share
+the format.  VersionError rejects version 1 (no dropped_cuts), 2 (which
+also stored the interpolation rows and Pi) and 3 (which also stored
+closest_gp, theta, associated_primary, chart_neighbors and n_p, freezing
+one version of the builder's rules).
 """
 
 from __future__ import annotations
@@ -23,15 +24,12 @@ import math
 
 import numpy as np
 
-from .discretization import (Grid, SurfaceDiscretization, _admissible_mask,
-                             _check_eta, _interval_key, _primaries_first,
-                             _resolve_neighbors)
+from .discretization import (CUT_ARRAYS, Grid, SurfaceDiscretization,
+                             _admissible_mask, _check_eta)
 from .errors import FormatError, GridError, SurfPDEError, VersionError
 
 FORMAT_NAME = "surfpde-discretization"
 FORMAT_VERSION = 4
-# the per-cut arrays a file stores; the rest of the record derives from them
-CUT_ARRAYS = ("positions", "axis", "base_index", "normals")
 
 
 def dump_discretization(disc, path):
@@ -47,8 +45,7 @@ def dump_discretization(disc, path):
         "surface_kind": disc.surface_kind,
         "surface_params": disc.surface_params,
     }
-    order = np.argsort(_interval_key(disc.grid, disc.axis, disc.base_index))
-    payload = {name: getattr(disc, name)[order] for name in CUT_ARRAYS}
+    payload = disc.cuts()
     payload["header"] = np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8)
     # through an open file: given a name, numpy would append ".npz"
@@ -160,17 +157,11 @@ def load_discretization(path):
         raise FormatError(f"{path}: header surface_params must be a JSON "
                           f"object, got {params!r}")
     _check_cuts(path, arrays, grid, eta, n_tot)
-    try:    # the builder's stages, on the cuts as read
-        fields = _primaries_first(grid, arrays["base_index"].astype(np.int64),
-                                  arrays["positions"], arrays["axis"],
-                                  arrays["normals"])
-        fields["chart_neighbors"] = _resolve_neighbors(
-            grid, fields["positions"], fields["axis"], fields["base_index"],
-            fields["n_p"], eta)
-        return SurfaceDiscretization(
-            grid=grid, eta=eta, dropped_cuts=dropped,
-            surface_kind=header.get("surface_kind", "user"),
-            surface_params=params, **fields)
+    arrays["base_index"] = arrays["base_index"].astype(np.int64, copy=False)
+    try:    # the builder's derivation, on the cuts as read
+        return SurfaceDiscretization(grid, eta, arrays,
+                                     header.get("surface_kind", "user"),
+                                     params, dropped)
     except SurfPDEError as exc:
         raise FormatError(f"{path}: the cuts do not rebuild a "
                           f"discretization: {exc}") from exc

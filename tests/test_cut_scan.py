@@ -11,6 +11,8 @@ import sys
 import tempfile
 import textwrap
 import threading
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,20 +22,22 @@ import scipy.sparse.linalg as spla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import cut_record
 from surfpde import discretization, linalg
 from surfpde.curve1d import circle, discretize_curve, ellipse
 from surfpde.discretization import (RECORD_ARRAYS, STENCIL_OFFSETS, Grid,
                                     _admissible_mask, _column_key,
-                                    _cut_points, _locate_cuts,
-                                    _snap_and_dedupe, chart_axes, discretize)
+                                    _locate_cuts, _snap_and_dedupe,
+                                    chart_axes, discretize)
 from surfpde.errors import GridError, SurfPDEError
-from surfpde.geometry import _batch_illinois, from_callables, make_surface
+from surfpde.geometry import (BISECT_TOL, _batch_illinois, from_callables,
+                              make_surface)
 from surfpde.operators import (laplace_beltrami, reduced_laplace_beltrami,
                                reduced_operator)
 from surfpde.serialization import dump_discretization, load_discretization
 
 ETA = 0.45
-TOL = 1e-12
+TOL = BISECT_TOL    # the root bracket of every build
 
 
 # -- the dense scan, kept here as the oracle -------------------------------
@@ -87,11 +91,11 @@ def dense_intervals(surface, grid):
     return out
 
 
-def dense_locate_cuts(surface, grid, tol):
+def dense_locate_cuts(surface, grid):
     """Sign changes of the dense phi grid, then one Illinois root step on
     all the intervals of each axis at once."""
     return [(base, _batch_illinois(surface, p_in, p_out, f_in, f_out, axis,
-                                   tol))
+                                   TOL))
             for axis, (base, p_in, p_out, f_in, f_out)
             in enumerate(dense_intervals(surface, grid))]
 
@@ -116,9 +120,9 @@ def batch_bisect(surface, p_in, p_out, axis, tol):
     return q
 
 
-def bisected_locate_cuts(surface, grid, tol):
+def bisected_locate_cuts(surface, grid):
     """Sign changes of the dense phi grid, then the bisection oracle."""
-    return [(base, batch_bisect(surface, p_in, p_out, axis, tol))
+    return [(base, batch_bisect(surface, p_in, p_out, axis, TOL))
             for axis, (base, p_in, p_out, _, _)
             in enumerate(dense_intervals(surface, grid))]
 
@@ -160,14 +164,14 @@ def test_streamed_scan_matches_dense_scan(kind, n, seed, slab, monkeypatch):
     surface = make_surface(kind)
     grid = shifted(Grid.cube(-1.2, 1.2, n), seed)
     monkeypatch.setattr(discretization, "_SLAB_NODES", SLABS[slab](grid))
-    streamed = _locate_cuts(surface, grid, TOL)
-    dense = dense_locate_cuts(surface, grid, TOL)
+    streamed = _locate_cuts(surface, grid)
+    dense = dense_locate_cuts(surface, grid)
     for (b, q), (b_ref, q_ref) in zip(streamed, dense, strict=True):
         assert b.dtype == b_ref.dtype and np.array_equal(b, b_ref)
         assert np.array_equal(q, q_ref)
-    got = _cut_points(surface, grid, ETA, TOL)
+    got = cut_record(surface, grid, ETA)
     monkeypatch.setattr(discretization, "_locate_cuts", dense_locate_cuts)
-    assert_same_fields(got, _cut_points(surface, grid, ETA, TOL))
+    assert_same_fields(got, cut_record(surface, grid, ETA))
 
 
 @pytest.mark.parametrize("slab", sorted(SLABS))
@@ -179,19 +183,19 @@ def test_streamed_scan_matches_dense_scan_on_curves(curve, n, seed, slab,
                                                     monkeypatch):
     grid = shifted(Grid.square(-1.2, 1.2, n), seed)
     monkeypatch.setattr(discretization, "_SLAB_NODES", SLABS[slab](grid))
-    got = _cut_points(curve(), grid, ETA, TOL)
+    got = cut_record(curve(), grid, ETA)
     monkeypatch.setattr(discretization, "_locate_cuts", dense_locate_cuts)
-    assert_same_fields(got, _cut_points(curve(), grid, ETA, TOL))
+    assert_same_fields(got, cut_record(curve(), grid, ETA))
 
 
 # -- roles and neighbours by global sorts, kept here as the oracle ---------
 
-def sorted_cut_points(surface, grid, eta, tol):
-    """`_cut_points` with roles and block order from lexsorts over the base
+def sorted_cut_points(surface, grid, eta):
+    """`cut_record` with roles and block order from lexsorts over the base
     columns and neighbours from a search keyed by the rank of every free
     coordinate; it relies on no order of the located cuts.  Returns the
     fields, the dropped count and how many slots the sheet reach emptied."""
-    located = _locate_cuts(surface, grid, tol)
+    located = _locate_cuts(surface, grid)
     dim = len(located)
     base = np.concatenate([b for b, _ in located], axis=0)
     positions = np.concatenate([q for _, q in located], axis=0)
@@ -307,16 +311,16 @@ def test_cut_order_roles_and_neighbours_match_the_sorted_oracle(kind, grid,
                                                                 seed, eta):
     surface = CURVES[kind]() if kind in CURVES else make_surface(kind)
     grid = shifted(grid, seed)
-    *want, emptied = sorted_cut_points(surface, grid, eta, TOL)
+    *want, emptied = sorted_cut_points(surface, grid, eta)
     assert emptied == 0
-    assert_same_fields(_cut_points(surface, grid, eta, TOL), want)
+    assert_same_fields(cut_record(surface, grid, eta), want)
 
 
 @pytest.mark.parametrize("n", [40, 64])
 def test_torus_columns_of_four_cuts_match_the_sorted_oracle(n):
     grid = Grid.cube(-1.2, 1.2, n)
-    got = _cut_points(torus(), grid, ETA, TOL)
-    *want, _ = sorted_cut_points(torus(), grid, ETA, TOL)
+    got = cut_record(torus(), grid, ETA)
+    *want, _ = sorted_cut_points(torus(), grid, ETA)
     assert_same_fields(got, want)
     fields = got[0]
     column = fields["base_index"].copy()
@@ -326,18 +330,23 @@ def test_torus_columns_of_four_cuts_match_the_sorted_oracle(n):
     assert counts.max() == 4
 
 
-# -- the cut order is checked, also under python -O ------------------------
+# -- the cut order and intervals are checked, also under python -O ---------
 
 def tampered_locate(how):
-    """`_locate_cuts` with two well-inside cuts of axis 0 swapped, or one
-    of them repeated; both survive snapping and admissibility."""
-    def locate(surface, grid, tol=TOL):
-        located = _locate_cuts(surface, grid, tol)
+    """`_locate_cuts` with two well-inside cuts of axis 0 swapped, one of
+    them repeated, or one moved 7 h outward along its axis; all survive
+    snapping and admissibility."""
+    def locate(surface, grid):
+        located = _locate_cuts(surface, grid)
         base, q = located[0]
         frac = (q[:, 0] - grid.origin[0]) / grid.h - base[:, 0]
         normal = surface.unit_normal(q)[:, 0]
         i, j = np.flatnonzero((np.abs(normal) > 0.9)
                               & (np.abs(frac - 0.5) < 0.45))[:2]
+        if how == "moved":
+            q = q.copy()
+            q[i, 0] += 7 * grid.h * np.sign(normal[i])
+            return [(base, q)] + located[1:]
         rows = {"swapped": np.r_[:i, j, i + 1:j, i, j + 1:len(q)],
                 "repeated": np.r_[:i + 1, i, i + 1:len(q)]}[how]
         return [(base[rows], q[rows])] + located[1:]
@@ -349,7 +358,17 @@ def test_cut_order_is_checked(how, monkeypatch):
     monkeypatch.setattr(discretization, "_locate_cuts", tampered_locate(how))
     with pytest.raises(GridError, match="duplicate or out-of-order cut "
                        r"points: the cut on the grid interval along axis 0"):
-        _cut_points(make_surface("sphere"), Grid.cube(-1.2, 1.2, 20), ETA)
+        discretize(make_surface("sphere"), Grid.cube(-1.2, 1.2, 20), ETA)
+
+
+def test_cut_off_its_interval_is_checked(monkeypatch):
+    monkeypatch.setattr(discretization, "_locate_cuts",
+                        tampered_locate("moved"))
+    with pytest.raises(GridError, match=r"1 cut points lie off their grid "
+                       r"intervals; first the cut at .*, (-6|7)\.\d+ steps "
+                       r"along axis 0 from node \(\d+, \d+, \d+\) at "
+                       r".*, outside \[0, 1\]$"):
+        discretize(make_surface("sphere"), Grid.cube(-1.2, 1.2, 20), ETA)
 
 
 def test_cut_order_is_checked_under_optimize_flag(subprocess_env):
@@ -357,16 +376,15 @@ def test_cut_order_is_checked_under_optimize_flag(subprocess_env):
         import sys
         sys.path.insert(0, {os.path.dirname(__file__)!r})
         from surfpde import discretization
-        from surfpde.discretization import Grid, _cut_points
+        from surfpde.discretization import Grid, discretize
         from surfpde.errors import GridError
         from surfpde.geometry import make_surface
         from test_cut_scan import tampered_locate
         real = discretization._locate_cuts
-        for how in ("swapped", "repeated"):
+        for how in ("swapped", "repeated", "moved"):
             discretization._locate_cuts = tampered_locate(how)
             try:
-                _cut_points(make_surface("sphere"), Grid.cube(-1.2, 1.2, 20),
-                            0.45)
+                discretize(make_surface("sphere"), Grid.cube(-1.2, 1.2, 20))
             except GridError:
                 continue
             finally:
@@ -473,7 +491,7 @@ def test_threaded_cut_points_equal_the_parts_in_turn(kind, slab,
     surface = CURVES[kind]() if kind in CURVES else make_surface(kind)
     before = threading.active_count()
     threads = set()
-    got = _cut_points(thread_recording(surface, threads), grid, ETA, TOL)
+    got = cut_record(thread_recording(surface, threads), grid, ETA)
     assert threading.active_count() == before
     # the calling thread and at least one other evaluate phi; each step
     # starts its own worker, and a joined worker's id may be reused
@@ -481,7 +499,7 @@ def test_threaded_cut_points_equal_the_parts_in_turn(kind, slab,
     run_inline(linalg)
     threads.clear()
     assert_same_fields(
-        got, _cut_points(thread_recording(surface, threads), grid, ETA, TOL))
+        got, cut_record(thread_recording(surface, threads), grid, ETA))
     assert threads == {threading.get_ident()}
 
 
@@ -540,9 +558,9 @@ def test_fuzzed_cuts_stay_within_tol_of_the_bisection_oracle(axes,
                                                              offset, n):
     surface = rotated_ellipsoid(axes, quaternion)
     grid = offset_cube(n, offset)
-    located = _locate_cuts(surface, grid, TOL)
+    located = _locate_cuts(surface, grid)
     for axis, ((b, q), (b_ref, q_ref)) in enumerate(
-            zip(located, bisected_locate_cuts(surface, grid, TOL),
+            zip(located, bisected_locate_cuts(surface, grid),
                 strict=True)):
         assert np.array_equal(b, b_ref)
         assert np.abs(q - q_ref).max(initial=0.0) <= TOL * grid.h
@@ -625,11 +643,57 @@ def test_scan_evaluates_each_node_once_within_the_slab_bound(slab,
     # bisection made 40, and one call per step on each half of each axis,
     # at most 4 ceil(log2(1/tol)) steps
     intervals = sum(b.shape[0] for b, _ in
-                    dense_locate_cuts(make_surface("sphere"), grid, TOL))
+                    dense_locate_cuts(make_surface("sphere"), grid))
     roots = sum(sizes) - (n + 1) ** 3
     assert intervals <= roots <= 6.5 * intervals
     steps = 4 * math.ceil(math.log2(1.0 / TOL))
     assert 2 * 3 <= len(calls) - len(scan) <= 2 * 3 * steps
+
+
+def held_at_neighbour_lookup(monkeypatch, run):
+    """Traced bytes that `run()` holds when `_resolve_neighbors` starts,
+    beyond those held before it, and the discretization it returns."""
+    seen = []
+    real = discretization._resolve_neighbors
+
+    def recording(*args):
+        seen.append(tracemalloc.get_traced_memory()[0])
+        return real(*args)
+
+    monkeypatch.setattr(discretization, "_resolve_neighbors", recording)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        disc = run()
+    finally:
+        if started:
+            tracemalloc.stop()
+    (held,) = seen
+    return held - base, disc
+
+
+@pytest.mark.parametrize("route", ["build", "load"])
+def test_neighbour_lookup_runs_beside_the_permuted_record_alone(route,
+                                                                monkeypatch,
+                                                                tmp_path):
+    """The cuts reach the constructor in a dict that the derivation
+    empties, so when the stencil lookup starts a build or a load holds the
+    permuted record but its chart neighbours, and none of the located,
+    snapped, unpermuted or file arrays.  Shifted sphere N = 64 (10,682
+    points): the record is 1.21 MB and the build held 13.8 kB beyond it, a
+    load 11.0 kB; holding the cuts through the constructor adds 0.79 MB."""
+    grid = shifted(Grid.cube(-1.2, 1.2, 64), 1)
+    path = tmp_path / "disc.npz"
+    if route == "load":
+        dump_discretization(discretize(make_surface("sphere"), grid), path)
+        run = partial(load_discretization, path)
+    else:
+        run = partial(discretize, make_surface("sphere"), grid)
+    held, d = held_at_neighbour_lookup(monkeypatch, run)
+    record = sum(getattr(d, name).nbytes for name in RECORD_ARRAYS
+                 if name != "chart_neighbors")
+    assert held <= record + 2 ** 16
 
 
 # -- located failures ------------------------------------------------------

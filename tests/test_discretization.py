@@ -15,8 +15,8 @@ from scipy.spatial import cKDTree
 
 from surfpde import discretization
 from surfpde.curve1d import circle, discretize_curve
-from surfpde.discretization import (RECORD_ARRAYS, SLOT_E, SLOT_N, SLOT_S,
-                                    SLOT_W, Grid, SurfaceDiscretization,
+from surfpde.discretization import (SLOT_E, SLOT_N, SLOT_S, SLOT_W, Grid,
+                                    SurfaceDiscretization,
                                     _interpolation_data, discretize,
                                     interpolation_coefficients,
                                     quality_report)
@@ -319,7 +319,7 @@ def test_surface_needs_a_space_grid():
         discretize(make_surface("sphere"), Grid.square(-1.2, 1.2, 40))
 
 
-class CutPointsReached(Exception):
+class CutsReached(Exception):
     pass
 
 
@@ -334,16 +334,16 @@ def test_one_eta_rule_for_curves_and_surfaces(dim, side, monkeypatch):
            "above": math.nextafter(bound, 1.0), "one": 1.0,
            "below": math.nextafter(bound, 0.0)}[side]
 
-    def cut_points(surface, grid, eta):
-        raise CutPointsReached(eta)
+    def admissible_cuts(surface, grid, eta):
+        raise CutsReached(eta)
 
-    monkeypatch.setattr(discretization, "_cut_points", cut_points)
+    monkeypatch.setattr(discretization, "_admissible_cuts", admissible_cuts)
     if dim == 2:
         build, surface, grid = discretize_curve, circle(), Grid.square
     else:
         build, surface, grid = discretize, make_surface("sphere"), Grid.cube
     if side == "below":
-        want = pytest.raises(CutPointsReached, match=re.escape(str(eta)))
+        want = pytest.raises(CutsReached, match=re.escape(str(eta)))
     else:
         want = pytest.raises(ValueError, match=re.escape(
             f"eta must lie in (0, 1/sqrt({dim})) on a {dim}-D grid, got "
@@ -398,18 +398,19 @@ def test_missing_weighted_neighbor_aborts_assembly(sphere40):
     owner = d.associated_primary[sec]
     # owners of a secondary interpolated along their W-E chart line
     interp_we = owner[(d.axis[sec] - d.axis[owner]) % 3 == 1]
-    record = {name: getattr(d, name) for name in RECORD_ARRAYS}
 
     def without_east(i):
         nb = d.chart_neighbors.copy()
         nb[i, SLOT_E] = -1
-        return SurfaceDiscretization(
-            d.grid, d.eta, n_p=d.n_p, **dict(record, chart_neighbors=nb))
+        return nb
 
-    # the record's own interpolation needs the neighbor: construction fails
+    # the record's own interpolation needs the neighbor: Pi cannot be built
     with pytest.raises(StencilError, match="chart neighbors"):
-        without_east(interp_we[0])
-    broken = without_east(np.setdiff1d(np.arange(d.n_p), interp_we)[0])
+        _interpolation_data(d.positions, d.axis, d.theta, d.n_p,
+                            d.associated_primary, without_east(interp_we[0]))
+    broken = SurfaceDiscretization(d.grid, d.eta, d.cuts())
+    broken.chart_neighbors = without_east(
+        np.setdiff1d(np.arange(d.n_p), interp_we)[0])
     with pytest.raises(StencilError):
         laplace_beltrami(broken, "divergence")
     with pytest.raises(StencilError):
@@ -476,7 +477,7 @@ def test_marginal_sphere_axis_crossings_are_primary():
     grid = Grid.cube(-1.2, 1.2, n)
     surf = make_surface("sphere", radius=2.5 * h)
     cuts, axes, nodes, thetas = [], [], [], []
-    for ax, (base, q) in enumerate(_locate_cuts(surf, grid, 1e-12)):
+    for ax, (base, q) in enumerate(_locate_cuts(surf, grid)):
         normals = surf.unit_normal(q)
         keep = _admissible_mask(normals, np.full(len(q), ax), ETA)
         scaled = (q[keep, ax] + 1.2) / h

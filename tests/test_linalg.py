@@ -8,10 +8,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from conftest import cut_record
 from surfpde import (Grid, discretization, discretize, linalg, make_surface,
                      operators)
 from surfpde.curve1d import ellipse
-from surfpde.discretization import _cut_points
 from surfpde.errors import SingularMatrixError, SolverAbortError
 from surfpde.linalg import (BiCGSTAB, Factorization, _in_pair,
                             bordered_solve, dissection_order,
@@ -356,12 +356,12 @@ def ordering_problem():
 # function that its (first) pair's first callable runs
 PAIR_CALLERS = {
     "cut_points_surface": (
-        lambda: _cut_points(make_surface("ellipsoid"),
-                            shifted_grid(Grid.cube, 40, 1), 0.45),
+        lambda: cut_record(make_surface("ellipsoid"),
+                           shifted_grid(Grid.cube, 40, 1), 0.45),
         discretization, "_scan_run"),
     "cut_points_curve": (
-        lambda: _cut_points(ellipse(), shifted_grid(Grid.square, 80, 2),
-                            0.45),
+        lambda: cut_record(ellipse(), shifted_grid(Grid.square, 80, 2),
+                           0.45),
         discretization, "_scan_run"),
     # a new discretization each time, so E is built and not taken from
     # the cache

@@ -9,8 +9,8 @@ import scipy.sparse as sp
 from surfpde import Grid, discretize, make_surface
 from surfpde.curve1d import circle, discretize_curve
 from surfpde.diffusion import bdf2_solve
-from surfpde.discretization import (RECORD_ARRAYS, SLOT_E, SLOT_N, SLOT_NE,
-                                    SLOT_NW, SLOT_S, SLOT_SE, SLOT_SW, SLOT_W,
+from surfpde.discretization import (SLOT_E, SLOT_N, SLOT_NE, SLOT_NW,
+                                    SLOT_S, SLOT_SE, SLOT_SW, SLOT_W,
                                     SurfaceDiscretization)
 from surfpde.errors import StencilError
 from surfpde.operators import (_sphere_chart_coefficients,
@@ -327,11 +327,12 @@ def test_artificial_viscosity_vector_shares_magnitude(sphere40):
 
 
 def copy_discretization(d, **changes):
-    """A fresh SurfaceDiscretization over the arrays of `d` (no caches)."""
-    names = ("grid", "eta", "n_p", "surface_kind", "surface_params",
-             *RECORD_ARRAYS)
-    return SurfaceDiscretization(**dict({k: getattr(d, k) for k in names},
-                                        **changes))
+    """A fresh SurfaceDiscretization built from the cuts of `d` (no
+    caches), with the record arrays in `changes` set after construction."""
+    copy = SurfaceDiscretization(d.grid, d.eta, d.cuts(), d.surface_kind,
+                                 d.surface_params, d.dropped_cuts)
+    vars(copy).update(changes)
+    return copy
 
 
 def gather_differences(d, f, direction):

@@ -168,6 +168,23 @@ def test_swapped_cuts_break_the_cut_order(sphere40, tmp_path):
         load_discretization(path)
 
 
+def test_cut_off_its_interval_is_a_format_error(sphere40, tmp_path):
+    # file point 5 moved 7 h along its axis, off its base_index interval;
+    # theta's clip to [-1/2, 1/2] would hide the move, so the constructor
+    # checks the interval itself
+    path = dumped(sphere40, tmp_path)
+
+    def move(blob):
+        blob["positions"][5, blob["axis"][5]] += 7 * sphere40.h
+
+    rewrite_dump(path, move)
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: the cuts do not rebuild a discretization: 1 cut points "
+            f"lie off their grid intervals; first the cut at ") + ".* steps "
+            "along axis 0 from node .*, outside \\[0, 1\\]$"):
+        load_discretization(path)
+
+
 # base_index set to -5 or 10**6 in one coordinate, at the first primary
 # and at the first secondary of the build
 GRID_PROBES = {f"base_index-{where}-{col}-{value}": (where, col, value)
