@@ -27,20 +27,29 @@ have one route too: the one matrix of `chart_differences`, built once per
 discretization like E, whose rows hold the forward differences along each
 chart axis over the backward ones.
 
-Cut location never holds phi on the whole grid.  The scan streams slabs of
-whole planes along axis 0 (at most `_SLAB_NODES` nodes per phi call, or a
-single plane when one holds more) in two runs of consecutive slabs, one
-on the calling thread and one on a worker thread, evaluates each node
-once, checks finiteness and box containment on the way, and keeps only
-the sign-change intervals, phi at their ends and phi on each run's first
-and last plane.  The cuts on those intervals are then located by
-`geometry._batch_illinois`, each axis in two halves, one per thread; the
-stencil lookup splits its slots the same way.  Working memory is two
-slabs plus O(N^2) per-cut arrays rather than (N+1)^3 values of phi.
-Each two-thread step is one `linalg._in_pair` call.  Every slab,
-interval and stencil slot is computed on its own and the parts join in
-order, so the result is the same bit for bit as computing the parts one
-after another.
+Cut location never holds phi on the whole grid, and with a gradient
+bound it does not evaluate it there either.  A surface's `grad_bound`
+(see `geometry.LevelSetSurface`) certifies blocks of the grid, level by
+level from coarse to fine, in which phi cannot change sign: a block is
+skipped when |phi| at its centre exceeds the bound times its
+half-diagonal.  phi is then evaluated once per node on the box faces,
+for the containment check, and on the nodes of the blocks left, the
+narrow band around the surface (about 6% of the nodes of a sphere at
+N = 320).  Without a bound, or on a grid of one slab, the scan streams
+slabs of whole planes along axis 0 instead and evaluates every node
+once.  Either way a phi call holds at most `_SLAB_NODES` nodes, or one
+plane when one holds more; the evaluations run in two halves, one on
+the calling thread and one on a worker thread, the finiteness and
+containment checks run on the way, and only the sign-change intervals
+and phi at their ends are kept.  The cuts on those intervals are then
+located by `geometry._batch_illinois`, each axis in two halves, one per
+thread; the stencil lookup splits its slots the same way.  Working
+memory is two slabs, or the band's blocks, plus O(N^2) per-cut arrays
+rather than (N+1)^3 values of phi.  Each two-thread step is one
+`linalg._in_pair` call.  Every slab, block, interval and stencil slot is
+computed on its own and the parts join in order, so the result is the
+same bit for bit as computing the parts one after another, and the
+band finds the same intervals, with the same phi, as the full scan.
 
 Cut order: the scan returns the cuts sorted by (axis, base index in C
 order), one per interval.  Snapping, dedupe and admissibility only filter,
@@ -87,6 +96,10 @@ RECORD_ARRAYS = ("positions", "axis", "base_index", "closest_gp", "theta",
 
 _SNAP_TOL = 1e-9  # fraction of h below which a cut is snapped to a grid point
 _SLAB_NODES = 1 << 18  # grid nodes per phi call in the streamed cut scan
+_BLOCK = 3  # cells per side of the finest certified block; odd, so its
+            # centre is a cell centre
+_COARSE_BLOCKS = 1 << 12  # most blocks on the first certification level
+_BOUND_MARGIN = 2.0 ** -20  # relative slack of a certificate over rounding
 
 
 def _axis_slot_pairs(dim):
@@ -403,19 +416,18 @@ def _physical_memory():
 def _scan_sign_changes(surface, grid):
     """Sign-change intervals of phi between neighbouring grid nodes.
 
-    Slabs of whole planes along axis 0, at most _SLAB_NODES nodes per phi
-    call (one plane when a plane holds more), are split into two runs of
-    consecutive slabs, scanned at once by this thread and a worker thread
-    (`_in_pair`); every node is evaluated once, and within a run only the
-    last plane's phi carries over to the next slab.  The axis-0 changes
-    across the seam between the runs come from the first run's last plane
-    and the second run's first, and the parts join in run order, so the
-    result does not depend on the split.  Raises GridError at the first
-    non-finite phi (the first run's before the second's), after the scan
-    if a boundary node has phi <= 0, and before any buffer is made if one
-    slab's buffers exceed physical memory.  Returns, per axis, the base
-    indices of the changing intervals in the cut order of the module
-    docstring and phi at both ends of each.
+    The one scan of cut location, on 2-D and 3-D grids.  Without a
+    gradient bound, or on a grid that fits in one slab, it streams slabs
+    of whole planes (`_slab_scan`); with one it evaluates phi on the box
+    faces and the narrow band of blocks that the bound leaves
+    (`_band_scan`).  Either way each node is evaluated at most once, at
+    most _SLAB_NODES nodes per phi call, or one plane along axis 0 when a
+    plane holds more, on this thread and a worker thread (`_in_pair`).
+    Raises GridError at the first non-finite phi, then if a boundary node
+    has phi <= 0, and before any buffer is made if one slab's buffers, the
+    most any phi call of the scan holds, exceed physical memory.  Returns,
+    per axis, the base indices of the changing intervals in the cut order
+    of the module docstring and phi at both ends of each.
     """
     shape = grid.shape
     dim = len(shape)
@@ -428,6 +440,21 @@ def _scan_sign_changes(surface, grid):
             f"grid of {grid.n_cells} cells is too large to scan: one slab of "
             f"{depth} plane(s) needs {slab_bytes} bytes, more than the "
             f"{memory} bytes of physical memory")
+    if surface.grad_bound is None or depth == shape[0]:
+        return _slab_scan(surface, grid, depth)
+    return _band_scan(surface, grid)
+
+
+def _slab_scan(surface, grid, depth):
+    """The scan of every node: slabs of `depth` planes along axis 0 split
+    into two runs of consecutive slabs, scanned at once by this thread and
+    a worker thread; within a run only the last plane's phi carries over
+    to the next slab.  The axis-0 changes across the seam between the runs
+    come from the first run's last plane and the second run's first, and
+    the parts join in run order, so the result does not depend on the
+    split.  The first run's non-finite phi is reported before the
+    second's."""
+    shape = grid.shape
     starts = range(0, shape[0], depth)
     cut = (len(starts) + 1) // 2
     (found, worst, _, last), (parts, run_worst, first, _) = _in_pair(
@@ -435,14 +462,348 @@ def _scan_sign_changes(surface, grid):
         partial(_scan_run, surface, grid, starts[cut:], depth))
     if first is not None:       # the second run holds a slab
         found[0].append(_plane_seam(last, first, starts[cut] - 1))
-    for a in range(dim):
+    for a in range(len(shape)):
         found[a] += parts[a]
-    worst = min(worst, run_worst)
+    _require_inside(grid, min(worst, run_worst))
+    return [tuple(map(np.concatenate, zip(*parts))) for parts in found]
+
+
+def _require_inside(grid, worst):
+    """Raise GridError naming the node unless the smallest boundary phi,
+    `worst` = (phi, node index), is positive."""
     if worst[0] <= 0.0:
         raise GridError(
             f"level set is not strictly inside the grid box (min boundary "
             f"phi = {worst[0]:.3e} at node {_node_text(grid, worst[1])})")
-    return [tuple(map(np.concatenate, zip(*parts))) for parts in found]
+
+
+# -- the narrow-band scan -------------------------------------------------
+
+
+def _certified(surface, grid, size, blocks):
+    """Whether phi keeps one sign, by the surface's gradient bound, on each
+    block of `size` cells per side; block J, column J of `blocks`, spans
+    the cells from node size * J.  A block is certified when |phi| at its
+    centre exceeds the bound on its box times its half-diagonal, with a
+    relative margin over rounding.  The centre of an odd-sized block is a
+    cell centre, never a grid node; a non-finite phi there leaves the
+    block uncertified."""
+    dim = blocks.shape[0]
+    reach = 0.5 * size * grid.h * math.sqrt(dim) * (1.0 + _BOUND_MARGIN)
+    out = np.empty(blocks.shape[1], dtype=bool)
+    step = max(1, _SLAB_NODES)
+    for i in range(0, blocks.shape[1], step):
+        # coordinate-major boxes: phi and the bound read each coordinate
+        # contiguously
+        lo = (np.asarray(grid.origin)[:, None]
+              + grid.h * size * blocks[:, i:i + step]).T
+        hi = lo + grid.h * size
+        f = surface.phi(0.5 * (lo + hi))
+        out[i:i + step] = np.isfinite(f) & (
+            np.abs(f) > surface.grad_bound(lo, hi) * reach)
+    return out
+
+
+def _live_blocks(surface, grid):
+    """The blocks of _BLOCK cells per side that the gradient bound does not
+    certify, as the columns of a (dim, k) index array in no particular
+    order.  Block J holds the nodes from _BLOCK * J up to but not
+    including _BLOCK * (J + 1) along each axis, and every interval from
+    one of them lies in its box, so a certified block holds none of the
+    sign changes.  Blocks are certified level by level, each three times
+    as wide as the next, from the first level of at most _COARSE_BLOCKS
+    blocks; only the uncertified blocks of a level are split."""
+    n = np.asarray(grid.n_cells)
+    dim = n.size
+    size = _BLOCK
+    while np.prod(n // size + 1) > _COARSE_BLOCKS:
+        size *= 3
+    blocks = np.indices(n // size + 1).reshape(dim, -1)
+    children = np.indices((3,) * dim).reshape(dim, 1, -1)
+    while True:
+        blocks = blocks[:, ~_certified(surface, grid, size, blocks)]
+        if size == _BLOCK:
+            return blocks
+        size //= 3
+        blocks = (3 * blocks[:, :, None] + children).reshape(dim, -1)
+        # the children of the last blocks along an axis may leave the grid
+        last = (n // size)[:, None]
+        if (blocks > last).any():
+            blocks = blocks[:, (blocks <= last).all(axis=0)]
+
+
+def _block_nodes(dim):
+    """Node offsets of a block in C order, shape (_BLOCK**dim, dim)."""
+    return np.indices((_BLOCK,) * dim).reshape(dim, -1).T
+
+
+def _read_masks(dim):
+    """The nodes of a block that the band reads, by the block's bits: all
+    of them for bit 1, and those at offset 0 along axis a for bit 2 << a;
+    shape (2 << dim, _BLOCK**dim)."""
+    offsets = _block_nodes(dim)
+    bits = np.arange(2 << dim)[:, None]
+    out = (bits & 1).astype(bool)
+    for a in range(dim):
+        out = out | (((bits >> (a + 1)) & 1).astype(bool)
+                     & (offsets[:, a] == 0))
+    return out
+
+
+def _faces(n):
+    """The box boundary in pieces, each node in one: piece (a, end) holds
+    the nodes with index `end` along axis a that lie on no face of a lower
+    axis, as index ranges per axis."""
+    out = []
+    for a in range(n.size):
+        for end in (0, int(n[a])):
+            out.append([np.array([end]) if b == a
+                        else np.arange(1, n[b]) if b < a
+                        else np.arange(n[b] + 1) for b in range(n.size)])
+    return out
+
+
+def _face_chunk(surface, grid, ranges, values, rows):
+    """phi on the nodes of a face piece (index `ranges`) whose axis-0 index
+    is one of ranges[0][rows], into values[rows]; returns the first
+    non-finite (ravel index, phi) in C order, or None."""
+    ranges = [ranges[0][rows]] + ranges[1:]
+    dim = len(ranges)
+    pts = np.moveaxis(np.empty((dim,) + tuple(r.size for r in ranges)), 0, -1)
+    for a, r in enumerate(ranges):
+        pts[..., a] = grid.coords(a)[r].reshape((-1,) + (1,) * (dim - 1 - a))
+    f = surface.phi(pts)
+    values[rows] = f
+    finite = np.isfinite(f)
+    if finite.all():
+        return None
+    k = np.unravel_index(int(np.argmin(finite)), f.shape)
+    node = [int(r[i]) for r, i in zip(ranges, k)]
+    return int(np.ravel_multi_index(node, grid.shape)), float(f[k])
+
+
+def _block_chunk(surface, grid, blocks, values, rows, locs, edge):
+    """phi on the nodes at offsets `locs` (in `_block_nodes` order) of the
+    blocks blocks[rows] into the same places of `values`, but, where the
+    blocks reach the `edge` of the grid, not on the box boundary (the face
+    pieces hold it) or off the grid; returns the first non-finite (ravel
+    index, phi) in C order, or None."""
+    dim = blocks.shape[1]
+    offsets = _block_nodes(dim)[locs]
+    first = _BLOCK * blocks[rows]
+    # coordinate-major storage: phi reads each coordinate contiguously
+    pts = np.empty((dim, rows.size, locs.size))
+    for a in range(dim):
+        # an edge block's nodes off the grid take its last coordinate
+        axis = grid.coords(a)[np.minimum(first[:, a, None] + np.arange(_BLOCK),
+                                         grid.n_cells[a])]
+        pts[a] = np.take(axis, offsets[:, a], axis=1)
+    keep = None
+    if edge:
+        idx = [first[:, a, None] + offsets[:, a] for a in range(dim)]
+        keep = np.logical_and.reduce([(i > 0) & (i < m)
+                                      for i, m in zip(idx, grid.n_cells)])
+        pts = pts[:, keep]
+    f = surface.phi(np.moveaxis(pts, 0, -1))
+    if keep is None:
+        values[(rows,) if locs.size == values.shape[1]
+               else (rows[:, None], locs)] = f
+    else:
+        blk, j = np.nonzero(keep)
+        values[rows[blk], locs[j]] = f
+    finite = np.isfinite(f)
+    if finite.all():
+        return None
+    blk, j = (np.nonzero(~finite) if keep is None else
+              (blk[~finite], j[~finite]))
+    keys = np.ravel_multi_index((first[blk] + offsets[j]).T, grid.shape)
+    k = int(np.argmin(keys))
+    return int(keys[k]), float(f[~finite][k])
+
+
+def _band_run(jobs):
+    """One half of the band's evaluations: run `jobs` in turn and return
+    the first non-finite phi among them in C order, (ravel index, phi), or
+    None."""
+    found = [bad for bad in (job() for job in jobs) if bad is not None]
+    return min(found) if found else None
+
+
+def _fill_face(values, blocks, bits, near, ranges, face):
+    """Copy phi on a face piece (node index `ranges`, values `face`) into
+    the rows of `values` of the blocks read, where the masks of their
+    `bits` mark it; only the blocks `near` reach the boundary."""
+    lo = np.array([r[0] for r in ranges])
+    hi = np.array([r[-1] for r in ranges])
+    corner = _BLOCK * blocks[near]
+    near = near[((corner <= hi) & (corner + _BLOCK > lo)).all(axis=1)]
+    nodes = _BLOCK * blocks[near, None] + _block_nodes(blocks.shape[1])
+    blk, loc = np.nonzero(_read_masks(blocks.shape[1])[bits[near]]
+                          & ((nodes >= lo) & (nodes <= hi)).all(axis=2))
+    values[near[blk], loc] = face[tuple((nodes[blk, loc] - lo).T)]
+
+
+def _band_changes(shape, values, inside, live, slots, up_slots, part):
+    """Per axis, the `_sign_changes` on the intervals from the nodes of the
+    live blocks live[part], in no particular order and each base index
+    raveled in the grid `shape`.  `inside` is phi <= 0 on `values`;
+    slots[i] is the row of live block i there, and up_slots[a][i] that of
+    the next block along axis a, whose nodes at offset 0 end the intervals
+    from the block's last layer."""
+    dim = live.shape[1]
+    cube = (-1,) + (_BLOCK,) * dim
+    ids = np.arange(_BLOCK ** dim).reshape(cube[1:])
+    own = slots[part]
+    own_in = inside[own].reshape(cube)
+    out = []
+    for a in range(dim):
+        up = up_slots[a][part]
+        lo, hi = [slice(None)] * (dim + 1), [slice(None)] * (dim + 1)
+        found = []
+        # the intervals inside the block, then those across its high face
+        for rows, high_in, low, high in (
+                (own, own_in, slice(0, -1), slice(1, None)),
+                (up, inside[up].reshape(cube), slice(-1, None), slice(0, 1))):
+            lo[1 + a], hi[1 + a] = low, high
+            lo_ids = ids[tuple(lo[1:])].ravel()
+            hi_ids = ids[tuple(hi[1:])].ravel()
+            flat = np.flatnonzero(own_in[tuple(lo)] != high_in[tuple(hi)])
+            blk, j = np.divmod(flat, lo_ids.size)
+            found.append((blk, lo_ids[j], rows[blk], hi_ids[j]))
+        blk, lo_loc, hi_row, hi_loc = map(np.concatenate, zip(*found))
+        base = _BLOCK * live[part][blk] + _block_nodes(dim)[lo_loc]
+        out.append((np.ravel_multi_index(base.T, shape),
+                    values[own[blk], lo_loc], values[hi_row, hi_loc]))
+    return out
+
+
+def _halves(items, sizes):
+    """The list `items` cut in two where the running total of `sizes`
+    passes half."""
+    total = np.cumsum(sizes)
+    cut = int(np.searchsorted(total, 0.5 * total[-1])) + 1
+    return items[:cut], items[cut:]
+
+
+def _band_scan(surface, grid):
+    """The scan of the narrow band: `_band_parts`, sorted into cut order.
+    The parts come from a frame of their own, so the band's tables are
+    freed before the sort."""
+    out = []
+    for parts in _band_parts(surface, grid):
+        key, f_lo, f_hi = map(np.concatenate, zip(*parts))
+        parts.clear()
+        order = np.argsort(key)
+        out.append((np.stack(np.unravel_index(key[order], grid.shape),
+                             axis=1).astype(np.int64, copy=False),
+                    f_lo[order], f_hi[order]))
+    return out
+
+
+def _read_blocks(key, nb):
+    """The blocks the band reads, as sorted raveled indices in the grid
+    `nb` of blocks, and which of their nodes it reads, as `_read_masks`
+    bits: each live block (sorted raveled indices `key`) whole, bit 1,
+    and the next one along each axis a on their shared face, bit 2 << a."""
+    stride = np.cumprod(np.r_[1, nb[:0:-1]])[::-1]
+    keys = [key] + [key[i < m - 1] + s for i, m, s in
+                    zip(np.unravel_index(key, nb), nb, stride)]
+    bits = np.repeat(1 << np.arange(len(keys)), [k.size for k in keys])
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[starts], np.bitwise_or.reduceat(bits[order], starts)
+
+
+def _band_values(surface, grid, blocks, bits):
+    """phi on the nodes the band reads: a row of `_BLOCK**dim` values per
+    block of `blocks` (one per row, `bits` saying which nodes), and a last
+    row for the missing block past the grid.  Nodes not read or off the
+    grid hold +inf, outside the level set.  phi is evaluated once per
+    node, on the box boundary, which is always evaluated, in face pieces
+    and elsewhere by blocks, in two halves, one per thread; then the
+    boundary values are copied into the rows.  Raises GridError at the
+    first non-finite phi in C order, then if a boundary node has
+    phi <= 0: after that no interval from a node of the grid to one off it
+    changes sign."""
+    n = np.asarray(grid.n_cells)
+    masks = _read_masks(n.size)
+    values = np.full((blocks.shape[0] + 1, _BLOCK ** n.size), np.inf)
+    faces = _faces(n)
+    face_values = [np.empty(tuple(r.size for r in ranges))
+                   for ranges in faces]
+    jobs, sizes = [], []
+    for ranges, face in zip(faces, face_values):
+        # slabs of rows along axis 0; a face across axis 0 is one plane
+        row = math.prod(r.size for r in ranges[1:])
+        depth = max(1, _SLAB_NODES // max(1, row))
+        for i in range(0, ranges[0].size, depth):
+            rows = slice(i, i + depth)
+            jobs.append(partial(_face_chunk, surface, grid, ranges, face,
+                                rows))
+            sizes.append(face[rows].size)
+    # the blocks read, in groups of one mask, apart from the grid's edge
+    nb = n // _BLOCK + 1
+    edge = ((blocks == 0) | (blocks == nb - 1)).any(axis=1)
+    group = 2 * bits + edge
+    for g in np.unique(group):
+        rows = np.flatnonzero(group == g)
+        locs = np.flatnonzero(masks[g // 2])
+        step = max(1, _SLAB_NODES // locs.size)
+        for i in range(0, rows.size, step):
+            jobs.append(partial(_block_chunk, surface, grid, blocks, values,
+                                rows[i:i + step], locs, bool(g % 2)))
+            sizes.append(locs.size * rows[i:i + step].size)
+    bad = [b for b in _in_pair(*(partial(_band_run, half)
+                                 for half in _halves(jobs, sizes)))
+           if b is not None]
+    if bad:
+        at, f = min(bad)
+        raise GridError(
+            f"phi evaluated to non-finite values on the grid; first {f} at "
+            f"node {_node_text(grid, np.unravel_index(at, grid.shape))}")
+    worst = (np.inf, ())
+    near = np.flatnonzero(edge)
+    for ranges, face in zip(faces, face_values):
+        if face.size:
+            k = np.unravel_index(int(np.argmin(face)), face.shape)
+            worst = min(worst, (float(face[k]), tuple(
+                int(r[i]) for r, i in zip(ranges, k))))
+            _fill_face(values, blocks, bits, near, ranges, face)
+    _require_inside(grid, worst)
+    return values
+
+
+def _band_parts(surface, grid):
+    """Per axis, the `_band_changes` parts of the narrow band, the blocks
+    that `_live_blocks` leaves, from phi on the nodes it reads
+    (`_band_values`); the sign changes run in two halves, one per
+    thread."""
+    n = np.asarray(grid.n_cells)
+    dim = n.size
+    nb = n // _BLOCK + 1
+    key = np.sort(np.ravel_multi_index(_live_blocks(surface, grid), nb))
+    live = np.stack(np.unravel_index(key, nb), axis=1)
+    read, bits = _read_blocks(key, nb)
+    values = _band_values(surface, grid,
+                          np.stack(np.unravel_index(read, nb), axis=1), bits)
+    inside = values <= 0.0
+    slots = np.searchsorted(read, key)
+    up_slots = [np.where(live[:, a] < nb[a] - 1,
+                         np.searchsorted(read, key + math.prod(nb[a + 1:])),
+                         read.size) for a in range(dim)]
+    step = max(1, _SLAB_NODES // _BLOCK ** dim)
+    # at least one chunk, so that every axis has a part
+    chunks = [slice(i, i + step) for i in range(0, max(1, key.size), step)]
+
+    def changes(chunks):
+        return [_band_changes(grid.shape, values, inside, live, slots,
+                              up_slots, part) for part in chunks]
+
+    first, second = _in_pair(*(partial(changes, half) for half in
+                               _halves(chunks, np.ones(len(chunks)))))
+    return [[c[a] for c in first + second] for a in range(dim)]
 
 
 def _admissible_mask(normals, axis, eta):
@@ -534,7 +895,9 @@ def _resolve_neighbors(grid, positions, axis, base, n_p, eta):
     column; the one nearest in the free coordinate is taken, ties to the
     lower.  An admissible sheet moves at most sqrt(1-eta^2)/eta per unit of
     chart distance, so a candidate farther than that times |offset|, plus
-    h, lies on another sheet of the level set and the slot stays -1.
+    h, lies on another sheet of the level set and the slot stays -1.  A
+    dense table of the d (N+3)^(d-1) column ids gives each column's head
+    and count among the points sorted by column.
     """
     n_tot, dim = positions.shape
     idx = np.arange(n_tot)
@@ -542,29 +905,37 @@ def _resolve_neighbors(grid, positions, axis, base, n_p, eta):
     bmax = max(grid.n_cells) + 3
     key = _column_key(axis, chart, bmax)
     pos_free = positions[idx, axis]
-    # column by column, in free order (a column has one cut per interval)
-    order = np.argsort(key * bmax + base[idx, axis])
-    s_key = key[order]
+    order = np.argsort(key, kind="stable")
     s_pos = pos_free[order]
-    starts = np.flatnonzero(np.r_[True, s_key[1:] != s_key[:-1], True])
-    widest = int(np.diff(starts).max())
+    count = np.bincount(key, minlength=dim * bmax ** (dim - 1))
+    head = np.cumsum(count) - count
+    widest = int(count.max())
 
-    prim = np.arange(n_p)
+    p_pos = pos_free[:n_p]
     offsets = np.asarray(STENCIL_OFFSETS[dim])
     reach = (np.linalg.norm(offsets, axis=1) * math.sqrt(1.0 - eta ** 2)
              / eta + 1.0) * grid.h
+    # the column key is linear in the chart indices
+    shift = offsets @ bmax ** np.arange(dim - 2, -1, -1)
     out = np.empty((n_p, len(offsets)), dtype=np.int64)
 
     def fill(slots):
         for slot in slots:
-            qkey = _column_key(axis[:n_p], chart[:n_p] + offsets[slot], bmax)
-            cand = np.searchsorted(s_key, qkey) + np.arange(widest)[:, None]
-            cc = np.minimum(cand, n_tot - 1)
-            d = np.where((cand < n_tot) & (s_key[cc] == qkey),
-                         np.abs(s_pos[cc] - pos_free[:n_p]), np.inf)
-            k = np.argmin(d, axis=0)   # first of equals: lower free coordinate
-            out[:, slot] = np.where(d[k, prim] <= reach[slot],
-                                    order[cc[k, prim]], -1)
+            qkey = key[:n_p] + shift[slot]
+            first, many = head[qkey], count[qkey]
+            for k in range(widest):
+                j = np.minimum(first + k, n_tot - 1)
+                pos = s_pos[j]
+                d = np.abs(pos - p_pos)
+                d[many <= k] = np.inf
+                if k == 0:
+                    best, best_d = j, d
+                    continue
+                # nearest; of two at one distance, the lower lies below p
+                better = (d < best_d) | ((d == best_d) & (pos < p_pos))
+                np.copyto(best, j, where=better)
+                np.copyto(best_d, d, where=better)
+            out[:, slot] = np.where(best_d <= reach[slot], order[best], -1)
 
     # each slot fills its own column; half the slots on the worker
     half = len(offsets) // 2
@@ -648,17 +1019,11 @@ def _primaries_first(grid, cuts):
     theta = np.clip(scaled - closest[ids, axis], -0.5, 0.5)
 
     # primary = smallest |theta| at its grid point; exact ties go to the
-    # lowest base index, then the lowest axis
-    gp_key = np.ravel_multi_index(closest.T, grid.shape)
-    order = np.lexsort((np.ravel_multi_index(base.T, grid.shape) * dim + axis,
-                        np.abs(theta), gp_key))
-    sorted_gp = gp_key[order]
-    first = np.r_[True, sorted_gp[1:] != sorted_gp[:-1]]
-    is_primary = np.zeros(m, dtype=bool)
-    is_primary[order[first]] = True
-    # owner primary for every point, via its grid-point group
-    group_rep = np.empty(m, dtype=np.int64)
-    group_rep[order] = order[first][np.cumsum(first) - 1]
+    # lowest base index, then the lowest axis; each cut's owner primary
+    group_rep = _owners(np.ravel_multi_index(closest.T, grid.shape),
+                        np.abs(theta),
+                        np.ravel_multi_index(base.T, grid.shape) * dim + axis)
+    is_primary = group_rep == ids
 
     # primaries then secondaries, each block keeping the cut order, so an
     # owner's new id is its rank among the primaries
@@ -672,6 +1037,25 @@ def _primaries_first(grid, cuts):
         base_index=base[block_order], closest_gp=closest[block_order],
         theta=theta[block_order], normals=normals[block_order], n_p=n_p,
         associated_primary=associated)
+
+
+def _owners(gp_key, size, rank):
+    """The primary of each cut's grid point `gp_key`: the cut of smallest
+    `size` there, exact ties to the smallest `rank`.  The cuts come in cut
+    order, a few runs of near-sorted grid points, which a stable sort
+    merges; two `minimum.reduceat` passes over the groups then pick the
+    primary, so no sort by size is needed."""
+    order = np.argsort(gp_key, kind="stable")
+    first = np.r_[True, np.diff(gp_key[order]) != 0]
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    size = size[order]
+    tie = np.where(size == np.minimum.reduceat(size, starts)[group],
+                   rank[order], np.iinfo(np.int64).max)
+    won = order[tie == np.minimum.reduceat(tie, starts)[group]]
+    owner = np.empty(gp_key.size, dtype=np.int64)
+    owner[order] = won[group]
+    return owner
 
 
 def _interpolation_data(positions, axis, theta, n_p, associated_primary,
@@ -760,14 +1144,19 @@ def discretize(surface, grid, eta=0.45):
     surface : LevelSetSurface
     grid : Grid
         A 3-D grid (GridError otherwise) that strictly contains the
-        surface (checked on the boundary faces).  phi is evaluated once
-        per grid node, streamed over slabs of planes in two runs on two
-        threads (this one and a worker), so working memory is two slabs
-        plus what grows like the number of cut points, O(N^2), not like
-        the (N+1)^3 grid.  The root steps and the stencil lookup also run
-        on the two threads.
-        A non-finite phi (the first in C order) or a boundary node with
-        phi <= 0 raises GridError naming the node.
+        surface (checked on the boundary faces).  With a gradient bound
+        (`surface.grad_bound`) phi is evaluated once per node on the box
+        faces and in the narrow band of grid blocks that the bound does
+        not certify free of sign changes; without one, or when the grid
+        fits in one slab, once per grid node, streamed over slabs of
+        planes.  Either way working memory grows like the number of cut
+        points, O(N^2), not like the (N+1)^3 grid, and the evaluations,
+        the root steps and the stencil lookup run on two threads (this
+        one and a worker).
+        A non-finite phi or a boundary node with phi <= 0 raises
+        GridError naming the node: the first non-finite phi in C order
+        among the nodes evaluated, so a non-finite phi in a certified
+        block, away from the surface and the box faces, is not seen.
     eta : float
         Admissibility threshold on |n_nu| at the cut point, 0 < eta <
         1/sqrt(3) (ValueError otherwise): a unit normal has a component of

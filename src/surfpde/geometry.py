@@ -8,6 +8,11 @@ same class holds surfaces, on (..., 3) points, and the plane curves of
 once), used both by the grid scan of `discretization` and by the
 single-segment `find_cut`.  It stops once the crossing is bracketed to
 `BISECT_TOL` of the segment, at the point that bisection returns.
+
+A surface may carry a certified gradient bound, `grad_bound(lo, hi)` >=
+max |grad phi| over each axis-aligned box [lo, hi].  The catalog surfaces
+take theirs from their closed-form gradients; `discretize` uses it to skip
+the grid blocks that phi cannot change sign in.
 """
 
 from __future__ import annotations
@@ -49,12 +54,21 @@ class LevelSetSurface:
         Shape parameters, kept for serialization round trips.
     c0 : float
         Lower bound on |grad phi| near the surface; normals below it raise.
+    grad_bound : callable, optional
+        Vectorized certified bound, (lo, hi) of shape (..., 3) -> (...):
+        at least max |grad phi| over each box [lo, hi].  `discretize`
+        evaluates phi only where a block of the grid may hold a sign
+        change by this bound.  None (the default) means no bound, and
+        `discretize` evaluates phi at every grid node.  A bound that is
+        too small loses cuts without an error.
     """
 
-    def __init__(self, kind, phi, grad=None, params=None, c0=1e-8):
+    def __init__(self, kind, phi, grad=None, params=None, c0=1e-8,
+                 grad_bound=None):
         self.kind = kind
         self.params = dict(params or {})
         self.c0 = float(c0)
+        self.grad_bound = grad_bound
         self._phi = phi
         self._grad = grad
 
@@ -87,6 +101,16 @@ class LevelSetSurface:
         return f"LevelSetSurface({self.kind}{', ' + ps if ps else ''})"
 
 
+def _square_max(lo, hi):
+    """max of x^2 over [lo, hi], per coordinate."""
+    return np.maximum(lo * lo, hi * hi)
+
+
+def _square_min(lo, hi):
+    """min of x^2 over [lo, hi], per coordinate."""
+    return np.where(lo * hi > 0.0, np.minimum(lo * lo, hi * hi), 0.0)
+
+
 def sphere(radius=1.0):
     r2 = radius * radius
 
@@ -96,8 +120,13 @@ def sphere(radius=1.0):
     def grad(p):
         return 2.0 * p
 
+    def grad_bound(lo, hi):
+        # |grad phi| = 2 |p|
+        return 2.0 * np.sqrt(_square_max(lo, hi).sum(axis=-1))
+
     # |grad phi| = 2r on the surface
-    return LevelSetSurface("sphere", phi, grad, {"radius": radius}, c0=radius)
+    return LevelSetSurface("sphere", phi, grad, {"radius": radius}, c0=radius,
+                           grad_bound=grad_bound)
 
 
 def ellipsoid(a=1.0, b=0.8, c=0.65):
@@ -109,9 +138,12 @@ def ellipsoid(a=1.0, b=0.8, c=0.65):
     def grad(p):
         return 2.0 * p * inv
 
+    def grad_bound(lo, hi):
+        return 2.0 * np.sqrt((_square_max(lo, hi) * inv ** 2).sum(axis=-1))
+
     c0 = 1.0 / max(a, b, c)  # |grad phi| >= 2/max axis on the surface
     return LevelSetSurface("ellipsoid", phi, grad, {"a": a, "b": b, "c": c},
-                           c0=c0)
+                           c0=c0, grad_bound=grad_bound)
 
 
 def cassini_oval(a=0.65, b=0.715):
@@ -134,19 +166,33 @@ def cassini_oval(a=0.65, b=0.715):
         g[..., 2] = 4.0 * p[..., 2] * (s + a2)
         return g
 
+    def grad_bound(lo, hi):
+        # |grad phi|^2 = 16 (rho^2 (s - a^2)^2 + z^2 (s + a^2)^2), each
+        # factor bounded over the box on its own
+        top = _square_max(lo, hi)
+        rho2 = top[..., 0] + top[..., 1]
+        s_max = rho2 + top[..., 2]
+        s_min = _square_min(lo, hi).sum(axis=-1)
+        w = np.maximum(s_max - a2, a2 - s_min)
+        return 4.0 * np.sqrt(rho2 * w ** 2 + top[..., 2] * (s_max + a2) ** 2)
+
     # conservative: measured min |grad phi| over the surface is ~0.6 for the
     # default shape; anything below 0.05 indicates real degeneracy
     return LevelSetSurface("cassini_oval", phi, grad, {"a": a, "b": b},
-                           c0=0.05)
+                           c0=0.05, grad_bound=grad_bound)
 
 
-def from_callables(phi, grad=None, c0=1e-8, params=None):
+def from_callables(phi, grad=None, c0=1e-8, params=None, grad_bound=None):
     """Wrap user-supplied callables as a surface (negative-inside convention).
 
-    `discretize` evaluates phi on two threads at once, and grad may be
-    called the same way, so neither may change state shared between calls.
+    `grad_bound(lo, hi)`, if given, must be at least max |grad phi| over
+    each box [lo, hi] (see `LevelSetSurface`); without one `discretize`
+    evaluates phi at every grid node.  `discretize` evaluates phi on two
+    threads at once, and grad may be called the same way, so neither may
+    change state shared between calls.
     """
-    return LevelSetSurface("user", phi, grad, params, c0=c0)
+    return LevelSetSurface("user", phi, grad, params, c0=c0,
+                           grad_bound=grad_bound)
 
 
 SURFACE_CATALOG = {

@@ -1,7 +1,8 @@
-"""The streamed sign-change scan of cut location, against the dense scan it
-replaced, the Illinois root step against the bisection it replaced,
-their memory, evaluation-count and failure contracts, and, fuzzed on
-rotated ellipsoids, the invariants of the operators built on the cuts."""
+"""The streamed sign-change scan of cut location and its narrow band,
+against the dense scan it replaced, the Illinois root step against the
+bisection it replaced, their memory, evaluation-count and failure
+contracts, and, fuzzed on rotated ellipsoids, the invariants of the
+operators built on the cuts."""
 
 import math
 import os
@@ -29,7 +30,7 @@ from surfpde.discretization import (RECORD_ARRAYS, STENCIL_OFFSETS, Grid,
                                     _admissible_mask, _column_key,
                                     _locate_cuts, _snap_and_dedupe,
                                     chart_axes, discretize)
-from surfpde.errors import GridError, SurfPDEError
+from surfpde.errors import EmptySurfaceError, GridError, SurfPDEError
 from surfpde.geometry import (BISECT_TOL, _batch_illinois, from_callables,
                               make_surface)
 from surfpde.operators import (laplace_beltrami, reduced_laplace_beltrami,
@@ -174,9 +175,19 @@ def test_streamed_scan_matches_dense_scan(kind, n, seed, slab, monkeypatch):
     assert_same_fields(got, cut_record(surface, grid, ETA))
 
 
+def circle_with_bound(radius=1.0):
+    """The catalog circle with the gradient bound 2 max |p| of its box."""
+    curve = circle(radius)
+    return from_callables(
+        curve.phi, grad=curve.gradient, c0=radius,
+        grad_bound=lambda lo, hi: 2.0 * np.sqrt(
+            np.maximum(lo * lo, hi * hi).sum(axis=-1)))
+
+
 @pytest.mark.parametrize("slab", sorted(SLABS))
 @pytest.mark.parametrize("curve,n,seed", [(c, n, seed)
-                                          for c in (circle, ellipse)
+                                          for c in (circle, ellipse,
+                                                    circle_with_bound)
                                           for n in (40, 80)
                                           for seed in (None, 1)])
 def test_streamed_scan_matches_dense_scan_on_curves(curve, n, seed, slab,
@@ -694,6 +705,133 @@ def test_neighbour_lookup_runs_beside_the_permuted_record_alone(route,
     record = sum(getattr(d, name).nbytes for name in RECORD_ARRAYS
                  if name != "chart_neighbors")
     assert held <= record + 2 ** 16
+
+
+# -- the narrow band: blocks that a gradient bound certifies are skipped ---
+
+def bounded_recording_sphere(calls, radius=1.0, nan_at=()):
+    """`recording_sphere` with the catalog sphere's gradient bound, and phi
+    NaN at the points `nan_at`."""
+    bound = make_surface("sphere").grad_bound
+
+    def phi(p):
+        calls.append(np.array(p, copy=True))
+        out = (p ** 2).sum(axis=-1) - radius ** 2
+        for point in nan_at:
+            out[(p == point).all(axis=-1)] = np.nan
+        return out
+    return from_callables(phi, grad=lambda p: 2.0 * p, c0=radius,
+                          grad_bound=bound)
+
+
+def evaluated_nodes(calls, grid):
+    """The grid nodes among the points of `calls`, as index rows; root
+    steps and block centres are never grid nodes."""
+    pts = np.concatenate([c.reshape(-1, len(grid.shape)) for c in calls])
+    coords = [grid.coords(a) for a in range(len(grid.shape))]
+    on = np.logical_and.reduce([np.isin(pts[:, a], x)
+                                for a, x in enumerate(coords)])
+    return np.stack([np.searchsorted(x, pts[on, a])
+                     for a, x in enumerate(coords)], axis=1)
+
+
+def test_band_scan_evaluates_the_faces_and_the_band_once():
+    """Sphere N = 64, its 65^3 nodes more than one slab: phi is evaluated
+    on every box-boundary node and on 32.0% of all nodes (boundary 9.0%),
+    none twice, and the cuts are the dense scan's."""
+    n = 64
+    grid = Grid.cube(-1.2, 1.2, n)
+    calls = []
+    located = _locate_cuts(bounded_recording_sphere(calls), grid)
+    assert max(c.size // 3 for c in calls) <= discretization._SLAB_NODES
+    nodes = evaluated_nodes(calls, grid)
+    assert np.unique(nodes, axis=0).shape[0] == nodes.shape[0]
+    boundary = ((nodes == 0) | (nodes == n)).any(axis=1)
+    assert boundary.sum() == (n + 1) ** 3 - (n - 1) ** 3
+    assert nodes.shape[0] <= 0.33 * (n + 1) ** 3
+    for (b, q), (b_ref, q_ref) in zip(
+            located, dense_locate_cuts(make_surface("sphere"), grid),
+            strict=True):
+        assert np.array_equal(b, b_ref) and np.array_equal(q, q_ref)
+
+
+@pytest.mark.parametrize("node,reported", [
+    ((3, 4, 5), False),       # |phi| > 2 there: a certified block
+    ((58, 32, 32), True),     # phi = -0.049 there: a live block
+    ((0, 10, 10), True),      # the box boundary is always evaluated
+])
+def test_band_scan_reports_non_finite_phi_where_it_evaluates(node, reported):
+    grid = Grid.cube(-1.2, 1.2, 64)
+    point = tuple(grid.coords(a)[i] for a, i in enumerate(node))
+    surface = bounded_recording_sphere([], nan_at=[point])
+    if reported:
+        with pytest.raises(GridError, match="non-finite values on the grid; "
+                           r"first nan at node " + re.escape(str(node))):
+            discretize(surface, grid)
+    else:
+        assert_same_fields(cut_record(surface, grid, ETA),
+                           cut_record(make_surface("sphere"), grid, ETA))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_band_scan_matches_dense_scan_near_the_box(dim, monkeypatch):
+    """A level set 0.01 inside the box: live blocks at the box boundary,
+    where the face pieces hold phi and nodes fall off the grid.  Five
+    planes per slab, so that the curve's grid holds more than one."""
+    if dim == 3:
+        surface, grid = make_surface("sphere", radius=1.19), Grid.cube(
+            -1.2, 1.2, 64)
+    else:
+        surface, grid = circle_with_bound(1.19), Grid.square(-1.2, 1.2, 81)
+    monkeypatch.setattr(discretization, "_SLAB_NODES",
+                        SLABS["five_planes"](grid))
+    for (b, q), (b_ref, q_ref) in zip(_locate_cuts(surface, grid),
+                                      dense_locate_cuts(surface, grid),
+                                      strict=True):
+        assert b.dtype == b_ref.dtype and np.array_equal(b, b_ref)
+        assert np.array_equal(q, q_ref)
+
+
+def test_band_scan_names_the_boundary_node_outside_the_surface():
+    # as test_surface_must_fit_in_box, on a grid of more than one slab
+    with pytest.raises(GridError, match=r"min boundary phi = -1\.225e-01 "
+                       r"at node \(0, 32, 32\) at \(-1\.2, "):
+        discretize(make_surface("sphere", radius=1.25),
+                   Grid.cube(-1.2, 1.2, 64))
+
+
+def test_band_scan_without_a_crossing_finds_no_cut():
+    # a sphere of radius 0.01 inside the cell around the origin
+    grid = offset_cube(64, (0.5, 0.5, 0.5))
+    with pytest.raises(EmptySurfaceError, match="no grid interval crosses"):
+        discretize(make_surface("sphere", radius=0.01), grid)
+
+
+def test_certified_levels_grow_with_the_band_not_the_grid(monkeypatch):
+    """A sphere of radius 1e-3 on 10^5 cells per axis: the first level
+    holds at most _COARSE_BLOCKS blocks, each later one at most 27 per
+    block left by the one before, and the finest blocks left lie near the
+    sphere."""
+    grid = Grid.cube(-1.2, 1.2, 100_000)
+    sizes = []
+    real = discretization._certified
+
+    def recording(surface, grid, size, blocks):
+        certified = real(surface, grid, size, blocks)
+        sizes.append((blocks.shape[1], int((~certified).sum())))
+        return certified
+
+    monkeypatch.setattr(discretization, "_certified", recording)
+    live = discretization._live_blocks(make_surface("sphere", radius=1e-3),
+                                       grid)
+    assert sizes[0][0] <= discretization._COARSE_BLOCKS
+    for (_, left), (tried, _) in zip(sizes, sizes[1:]):
+        assert tried <= 27 * left
+    assert live.shape[1] == sizes[-1][1] > 0
+    centre = (np.asarray(grid.origin)[:, None]
+              + grid.h * discretization._BLOCK * (live + 0.5))
+    assert np.abs(np.linalg.norm(centre, axis=0) - 1e-3).max() < 4 * (
+        discretization._BLOCK * grid.h)
 
 
 # -- located failures ------------------------------------------------------

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from surfpde.curve1d import CURVE_CATALOG, make_curve
 from surfpde.errors import BracketingError, DegenerateGradientError
-from surfpde.geometry import find_cut, from_callables, make_surface
+from surfpde.geometry import (SURFACE_CATALOG, find_cut, from_callables,
+                              make_surface)
 
 from reference_values import CUT_Z_SQ
 
@@ -111,3 +114,27 @@ def test_find_cut_tolerance_scales():
     surf = make_surface("sphere")
     loose = find_cut(surf, [0.6, 0.24, 0.72], [0.6, 0.24, 0.78], tol=1e-4)
     assert abs(loose[2] - math.sqrt(CUT_Z_SQ)) < 1e-4 * 0.06 * 2
+
+
+# -- the certified gradient bounds of the catalog surfaces -----------------
+
+_point = st.tuples(*[st.floats(-1.5, 1.5)] * 3)
+
+
+@seed(20191908)
+@settings(max_examples=300, deadline=None, database=None)
+@given(kind=st.sampled_from(sorted(SURFACE_CATALOG)),
+       a=_point, b=_point, points=st.integers(0, 2 ** 32 - 1))
+def test_gradient_bound_is_a_lipschitz_bound_on_its_box(kind, a, b, points):
+    """|phi(p) - phi(c)| <= grad_bound(box) |p - c| for random points p of
+    a random box in [-1.5, 1.5]^3 with centre c, which is what certifying
+    a grid block from phi(c) takes.  Halving any catalog bound fails it."""
+    surface = make_surface(kind)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    c = 0.5 * (lo + hi)
+    p = lo + (hi - lo) * np.random.default_rng(points).uniform(size=(64, 3))
+    bound = surface.grad_bound(lo, hi)
+    assert np.shape(bound) == ()
+    gap = np.abs(surface.phi(p) - surface.phi(c))
+    assert (gap <= bound * np.linalg.norm(p - c, axis=1) * (1 + 1e-12)
+            + 1e-12).all()
