@@ -35,21 +35,24 @@ skipped when |phi| at its centre exceeds the bound times its
 half-diagonal.  phi is then evaluated once per node on the box faces,
 for the containment check, and on the nodes of the blocks left, the
 narrow band around the surface (about 6% of the nodes of a sphere at
-N = 320).  Without a bound, or on a grid of one slab, the scan streams
-slabs of whole planes along axis 0 instead and evaluates every node
-once.  Either way a phi call holds at most `_SLAB_NODES` nodes, or one
-plane when one holds more; the evaluations run in two halves, one on
-the calling thread and one on a worker thread, the finiteness and
-containment checks run on the way, and only the sign-change intervals
-and phi at their ends are kept.  The cuts on those intervals are then
-located by `geometry._batch_illinois`, each axis in two halves, one per
-thread; the stencil lookup splits its slots the same way.  Working
-memory is two slabs, or the band's blocks, plus O(N^2) per-cut arrays
-rather than (N+1)^3 values of phi.  Each two-thread step is one
-`linalg._in_pair` call.  Every slab, block, interval and stencil slot is
-computed on its own and the parts join in order, so the result is the
-same bit for bit as computing the parts one after another, and the
-band finds the same intervals, with the same phi, as the full scan.
+N = 320).  Without a bound the scan streams slabs of whole planes along
+axis 0 instead and evaluates every node once.  Either way a phi call
+holds at most `_SLAB_NODES` nodes, or one plane when one holds more; the
+evaluations run in two halves, one on the calling thread and one on a
+worker thread, the finiteness and containment checks run on the way,
+and only the sign-change intervals and phi at their ends are kept.  The
+cuts on those intervals are then located by `geometry._batch_illinois`,
+each axis in two halves, one per thread; the stencil lookup splits its
+slots the same way.  Working memory is two slabs, or the band's table
+of blocks, plus O(N^2) per-cut arrays.  The band holds O(N^2) blocks
+when the bound is within a constant factor of |grad phi| near the
+surface, as the catalog's are; a looser bound widens it, and where its
+table would exceed physical memory the scan streams slabs instead.  Each
+two-thread step is one `linalg._in_pair` call.  Every slab, block,
+interval and stencil slot is computed on its own and the parts join in
+order, so the result is the same bit for bit as computing the parts one
+after another, and the band finds the same intervals, with the same phi,
+as the full scan.
 
 Cut order: the scan returns the cuts sorted by (axis, base index in C
 order), one per interval.  Snapping, dedupe and admissibility only filter,
@@ -417,17 +420,21 @@ def _scan_sign_changes(surface, grid):
     """Sign-change intervals of phi between neighbouring grid nodes.
 
     The one scan of cut location, on 2-D and 3-D grids.  Without a
-    gradient bound, or on a grid that fits in one slab, it streams slabs
-    of whole planes (`_slab_scan`); with one it evaluates phi on the box
-    faces and the narrow band of blocks that the bound leaves
-    (`_band_scan`).  Either way each node is evaluated at most once, at
-    most _SLAB_NODES nodes per phi call, or one plane along axis 0 when a
-    plane holds more, on this thread and a worker thread (`_in_pair`).
-    Raises GridError at the first non-finite phi, then if a boundary node
-    has phi <= 0, and before any buffer is made if one slab's buffers, the
-    most any phi call of the scan holds, exceed physical memory.  Returns,
-    per axis, the base indices of the changing intervals in the cut order
-    of the module docstring and phi at both ends of each.
+    gradient bound it streams slabs of whole planes (`_slab_scan`), and
+    holds one slab per thread.  With one it evaluates phi on the box faces
+    and the narrow band of blocks that the bound leaves (`_live_blocks`,
+    `_band_scan`), and holds a table of the blocks read: O(N^2) blocks
+    for a bound within a constant factor of |grad phi| near the surface,
+    up to the whole grid for a looser one.  Where that table would exceed
+    physical memory it streams slabs instead.  Either way each node is
+    evaluated at most once, at most _SLAB_NODES nodes per phi call, or one
+    plane along axis 0 when a plane holds more, on this thread and a
+    worker thread (`_in_pair`).  Raises GridError before any buffer is
+    made if one slab's buffers, the most any phi call holds, exceed
+    physical memory, then at the first non-finite phi, then if a boundary
+    node has phi <= 0.  Returns, per axis, the base indices of the
+    changing intervals in the cut order of the module docstring and phi
+    at both ends of each.
     """
     shape = grid.shape
     dim = len(shape)
@@ -440,9 +447,14 @@ def _scan_sign_changes(surface, grid):
             f"grid of {grid.n_cells} cells is too large to scan: one slab of "
             f"{depth} plane(s) needs {slab_bytes} bytes, more than the "
             f"{memory} bytes of physical memory")
-    if surface.grad_bound is None or depth == shape[0]:
-        return _slab_scan(surface, grid, depth)
-    return _band_scan(surface, grid)
+    if surface.grad_bound is not None:
+        live = _live_blocks(surface, grid)
+        # the band's table: a row of phi and of phi <= 0 per block read,
+        # each live block and at most one neighbour along each axis
+        band_bytes = live.shape[1] * (dim + 1) * _BLOCK ** dim * 9
+        if memory is None or band_bytes <= memory:
+            return _band_scan(surface, grid, live)
+    return _slab_scan(surface, grid, depth)
 
 
 def _slab_scan(surface, grid, depth):
@@ -685,12 +697,12 @@ def _halves(items, sizes):
     return items[:cut], items[cut:]
 
 
-def _band_scan(surface, grid):
-    """The scan of the narrow band: `_band_parts`, sorted into cut order.
-    The parts come from a frame of their own, so the band's tables are
-    freed before the sort."""
+def _band_scan(surface, grid, live):
+    """The scan of the narrow band, the `_live_blocks` `live`:
+    `_band_parts`, sorted into cut order.  The parts come from a frame of
+    their own, so the band's tables are freed before the sort."""
     out = []
-    for parts in _band_parts(surface, grid):
+    for parts in _band_parts(surface, grid, live):
         key, f_lo, f_hi = map(np.concatenate, zip(*parts))
         parts.clear()
         order = np.argsort(key)
@@ -712,7 +724,8 @@ def _read_blocks(key, nb):
     keys = np.concatenate(keys)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    # the keys are non-negative, so the first is a start; none when empty
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
     return keys[starts], np.bitwise_or.reduceat(bits[order], starts)
 
 
@@ -775,15 +788,16 @@ def _band_values(surface, grid, blocks, bits):
     return values
 
 
-def _band_parts(surface, grid):
+def _band_parts(surface, grid, live):
     """Per axis, the `_band_changes` parts of the narrow band, the blocks
-    that `_live_blocks` leaves, from phi on the nodes it reads
+    `live` that `_live_blocks` leaves, from phi on the nodes it reads
     (`_band_values`); the sign changes run in two halves, one per
-    thread."""
+    thread.  With no block left only the box faces are evaluated, and
+    every part is empty."""
     n = np.asarray(grid.n_cells)
     dim = n.size
     nb = n // _BLOCK + 1
-    key = np.sort(np.ravel_multi_index(_live_blocks(surface, grid), nb))
+    key = np.sort(np.ravel_multi_index(live, nb))
     live = np.stack(np.unravel_index(key, nb), axis=1)
     read, bits = _read_blocks(key, nb)
     values = _band_values(surface, grid,
@@ -1147,12 +1161,13 @@ def discretize(surface, grid, eta=0.45):
         surface (checked on the boundary faces).  With a gradient bound
         (`surface.grad_bound`) phi is evaluated once per node on the box
         faces and in the narrow band of grid blocks that the bound does
-        not certify free of sign changes; without one, or when the grid
-        fits in one slab, once per grid node, streamed over slabs of
-        planes.  Either way working memory grows like the number of cut
-        points, O(N^2), not like the (N+1)^3 grid, and the evaluations,
-        the root steps and the stencil lookup run on two threads (this
-        one and a worker).
+        not certify free of sign changes; without one, once per grid
+        node, streamed over slabs of planes.  Working memory grows like
+        the number of cut points, O(N^2), not like the (N+1)^3 grid,
+        unless a bound far above |grad phi| near the surface widens the
+        band (see `_scan_sign_changes`).  The evaluations, the root steps
+        and the stencil lookup run on two threads (this one and a
+        worker).
         A non-finite phi or a boundary node with phi <= 0 raises
         GridError naming the node: the first non-finite phi in C order
         among the nodes evaluated, so a non-finite phi in a certified

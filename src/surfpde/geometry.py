@@ -60,7 +60,9 @@ class LevelSetSurface:
         evaluates phi only where a block of the grid may hold a sign
         change by this bound.  None (the default) means no bound, and
         `discretize` evaluates phi at every grid node.  A bound that is
-        too small loses cuts without an error.
+        too small loses cuts without an error; one far above |grad phi|
+        near the surface widens the band that `discretize` evaluates and
+        holds.
     """
 
     def __init__(self, kind, phi, grad=None, params=None, c0=1e-8,
@@ -182,17 +184,16 @@ def cassini_oval(a=0.65, b=0.715):
                            c0=0.05, grad_bound=grad_bound)
 
 
-def from_callables(phi, grad=None, c0=1e-8, params=None, grad_bound=None):
+def from_callables(phi, grad=None, c0=1e-8, params=None):
     """Wrap user-supplied callables as a surface (negative-inside convention).
 
-    `grad_bound(lo, hi)`, if given, must be at least max |grad phi| over
-    each box [lo, hi] (see `LevelSetSurface`); without one `discretize`
-    evaluates phi at every grid node.  `discretize` evaluates phi on two
-    threads at once, and grad may be called the same way, so neither may
-    change state shared between calls.
+    The surface has no gradient bound, so `discretize` evaluates phi at
+    every grid node; a `LevelSetSurface` built directly may carry one
+    (`grad_bound`).  `discretize` evaluates phi on two threads at once, and
+    grad may be called the same way, so neither may change state shared
+    between calls.
     """
-    return LevelSetSurface("user", phi, grad, params, c0=c0,
-                           grad_bound=grad_bound)
+    return LevelSetSurface("user", phi, grad, params, c0=c0)
 
 
 SURFACE_CATALOG = {

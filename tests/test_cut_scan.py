@@ -31,8 +31,8 @@ from surfpde.discretization import (RECORD_ARRAYS, STENCIL_OFFSETS, Grid,
                                     _locate_cuts, _snap_and_dedupe,
                                     chart_axes, discretize)
 from surfpde.errors import EmptySurfaceError, GridError, SurfPDEError
-from surfpde.geometry import (BISECT_TOL, _batch_illinois, from_callables,
-                              make_surface)
+from surfpde.geometry import (BISECT_TOL, LevelSetSurface, _batch_illinois,
+                              from_callables, make_surface)
 from surfpde.operators import (laplace_beltrami, reduced_laplace_beltrami,
                                reduced_operator)
 from surfpde.serialization import dump_discretization, load_discretization
@@ -178,8 +178,8 @@ def test_streamed_scan_matches_dense_scan(kind, n, seed, slab, monkeypatch):
 def circle_with_bound(radius=1.0):
     """The catalog circle with the gradient bound 2 max |p| of its box."""
     curve = circle(radius)
-    return from_callables(
-        curve.phi, grad=curve.gradient, c0=radius,
+    return LevelSetSurface(
+        "user", curve.phi, curve.gradient, c0=radius,
         grad_bound=lambda lo, hi: 2.0 * np.sqrt(
             np.maximum(lo * lo, hi * hi).sum(axis=-1)))
 
@@ -709,10 +709,10 @@ def test_neighbour_lookup_runs_beside_the_permuted_record_alone(route,
 
 # -- the narrow band: blocks that a gradient bound certifies are skipped ---
 
-def bounded_recording_sphere(calls, radius=1.0, nan_at=()):
-    """`recording_sphere` with the catalog sphere's gradient bound, and phi
-    NaN at the points `nan_at`."""
-    bound = make_surface("sphere").grad_bound
+def bounded_recording_sphere(calls, radius=1.0, nan_at=(), bound=None):
+    """`recording_sphere` with a gradient bound, by default the catalog
+    sphere's, and phi NaN at the points `nan_at`."""
+    bound = bound or make_surface("sphere").grad_bound
 
     def phi(p):
         calls.append(np.array(p, copy=True))
@@ -720,8 +720,8 @@ def bounded_recording_sphere(calls, radius=1.0, nan_at=()):
         for point in nan_at:
             out[(p == point).all(axis=-1)] = np.nan
         return out
-    return from_callables(phi, grad=lambda p: 2.0 * p, c0=radius,
-                          grad_bound=bound)
+    return LevelSetSurface("user", phi, lambda p: 2.0 * p, c0=radius,
+                           grad_bound=bound)
 
 
 def evaluated_nodes(calls, grid):
@@ -736,9 +736,9 @@ def evaluated_nodes(calls, grid):
 
 
 def test_band_scan_evaluates_the_faces_and_the_band_once():
-    """Sphere N = 64, its 65^3 nodes more than one slab: phi is evaluated
-    on every box-boundary node and on 32.0% of all nodes (boundary 9.0%),
-    none twice, and the cuts are the dense scan's."""
+    """Sphere N = 64: phi is evaluated on every box-boundary node and on
+    32.0% of all nodes (boundary 9.0%), none twice, and the cuts are the
+    dense scan's."""
     n = 64
     grid = Grid.cube(-1.2, 1.2, n)
     calls = []
@@ -777,7 +777,7 @@ def test_band_scan_reports_non_finite_phi_where_it_evaluates(node, reported):
 def test_band_scan_matches_dense_scan_near_the_box(dim, monkeypatch):
     """A level set 0.01 inside the box: live blocks at the box boundary,
     where the face pieces hold phi and nodes fall off the grid.  Five
-    planes per slab, so that the curve's grid holds more than one."""
+    planes per slab, so that the band's blocks take several phi calls."""
     if dim == 3:
         surface, grid = make_surface("sphere", radius=1.19), Grid.cube(
             -1.2, 1.2, 64)
@@ -798,6 +798,57 @@ def test_band_scan_names_the_boundary_node_outside_the_surface():
                        r"at node \(0, 32, 32\) at \(-1\.2, "):
         discretize(make_surface("sphere", radius=1.25),
                    Grid.cube(-1.2, 1.2, 64))
+
+
+@pytest.mark.parametrize("surface,error,match", [
+    (make_surface("sphere", radius=5.0), GridError,
+     r"not strictly inside the grid box \(min boundary phi = -2\.356e\+01 "
+     r"at node \(0, 32, 32\) at \(-1\.2, 0, 0\)\)"),
+    (LevelSetSurface("user", lambda p: (p ** 2).sum(axis=-1) + 1.0,
+                     lambda p: 2.0 * p, c0=1.0,
+                     grad_bound=make_surface("sphere").grad_bound),
+     EmptySurfaceError, "no grid interval crosses the level set"),
+], ids=["box-inside-the-surface", "phi-without-a-zero"])
+def test_band_scan_with_every_block_certified(surface, error, match):
+    """No block is left: the faces are still evaluated, so a box inside
+    the level set fails containment, and a phi without a zero finds no
+    cut."""
+    grid = Grid.cube(-1.2, 1.2, 64)
+    assert discretization._live_blocks(surface, grid).shape[1] == 0
+    with pytest.raises(error, match=match):
+        discretize(surface, grid)
+
+
+@pytest.mark.parametrize("spare,scan", [(0, "band"), (-1, "slabs")])
+def test_band_beyond_physical_memory_streams_slabs(spare, scan,
+                                                   monkeypatch):
+    """A bound of 10^3, far above |grad phi| <= 4.2 on the box, leaves
+    every block live.  The band runs while its table, a row per live
+    block and per neighbour, fits in physical memory, and the slabs run
+    once it does not; both evaluate each node once and find the dense
+    scan's cuts."""
+    n = 64
+    grid = Grid.cube(-1.2, 1.2, n)
+    calls = []
+    surface = bounded_recording_sphere(
+        calls, bound=lambda lo, hi: np.full(lo.shape[:-1], 1e3))
+    live = discretization._live_blocks(surface, grid).shape[1]
+    assert live == (n // 3 + 1) ** 3
+    monkeypatch.setattr(discretization, "_physical_memory",
+                        lambda: live * 4 * 27 * 9 + spare)
+    slabs = []
+    slab_scan = discretization._slab_scan
+    monkeypatch.setattr(discretization, "_slab_scan",
+                        lambda *args: slabs.append(1) or slab_scan(*args))
+    calls.clear()
+    located = _locate_cuts(surface, grid)
+    assert len(slabs) == (scan == "slabs")
+    nodes = evaluated_nodes(calls, grid)
+    assert nodes.shape[0] == np.unique(nodes, axis=0).shape[0] == (n + 1) ** 3
+    for (b, q), (b_ref, q_ref) in zip(
+            located, dense_locate_cuts(make_surface("sphere"), grid),
+            strict=True):
+        assert np.array_equal(b, b_ref) and np.array_equal(q, q_ref)
 
 
 def test_band_scan_without_a_crossing_finds_no_cut():

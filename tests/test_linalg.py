@@ -355,10 +355,10 @@ def ordering_problem():
 # each caller of _in_pair: the call, and the module and name of the
 # function that its (first) pair's first callable runs
 PAIR_CALLERS = {
-    # a grid of more than one slab, scanned in the narrow band
+    # a catalog surface, with a gradient bound: the narrow band
     "cut_points_surface": (
         lambda: cut_record(make_surface("ellipsoid"),
-                           shifted_grid(Grid.cube, 64, 1), 0.45),
+                           shifted_grid(Grid.cube, 40, 1), 0.45),
         discretization, "_band_run"),
     "cut_points_curve": (
         lambda: cut_record(ellipse(), shifted_grid(Grid.square, 80, 2),
