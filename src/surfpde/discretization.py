@@ -27,32 +27,31 @@ have one route too: the one matrix of `chart_differences`, built once per
 discretization like E, whose rows hold the forward differences along each
 chart axis over the backward ones.
 
-Cut location never holds phi on the whole grid, and with a gradient
-bound it does not evaluate it there either.  A surface's `grad_bound`
-(see `geometry.LevelSetSurface`) certifies blocks of the grid, level by
-level from coarse to fine, in which phi cannot change sign: a block is
-skipped when |phi| at its centre exceeds the bound times its
-half-diagonal.  phi is then evaluated once per node on the box faces,
-for the containment check, and on the nodes of the blocks left, the
-narrow band around the surface (about 6% of the nodes of a sphere at
-N = 320).  Without a bound the scan streams slabs of whole planes along
-axis 0 instead and evaluates every node once.  Either way a phi call
-holds at most `_SLAB_NODES` nodes, or one plane when one holds more; the
-evaluations run in two halves, one on the calling thread and one on a
-worker thread, the finiteness and containment checks run on the way,
-and only the sign-change intervals and phi at their ends are kept.  The
-cuts on those intervals are then located by `geometry._batch_illinois`,
-each axis in two halves, one per thread; the stencil lookup splits its
-slots the same way.  Working memory is two slabs, or the band's table
-of blocks, plus O(N^2) per-cut arrays.  The band holds O(N^2) blocks
-when the bound is within a constant factor of |grad phi| near the
-surface, as the catalog's are; a looser bound widens it, and where its
-table would exceed physical memory the scan streams slabs instead.  Each
-two-thread step is one `linalg._in_pair` call.  Every slab, block,
-interval and stencil slot is computed on its own and the parts join in
-order, so the result is the same bit for bit as computing the parts one
-after another, and the band finds the same intervals, with the same phi,
-as the full scan.
+Cut location has one scan, the narrow band, and never holds phi on the
+whole grid.  A surface's `grad_bound` (see `geometry.LevelSetSurface`)
+certifies blocks of the grid, level by level from coarse to fine, in
+which phi cannot change sign: a block is skipped when |phi| at its centre
+exceeds the bound times its half-diagonal.  phi is then evaluated once per
+node on the box faces, for the containment check, and on the nodes of the
+blocks left, the narrow band around the surface (about 6% of the nodes of
+a sphere at N = 320).  A surface without a bound leaves every block: phi
+is evaluated once at every node.  A phi call holds at most `_SLAB_NODES`
+nodes, or one plane when one holds more; the evaluations run in two
+halves, one on the calling thread and one on a worker thread, the
+finiteness and containment checks run after them, and only the
+sign-change intervals and phi at their ends are kept.  The cuts on those
+intervals are then located by `geometry._batch_illinois`, each axis in two
+halves, one per thread; the stencil lookup splits its slots the same way.
+Working memory is the band's table of blocks plus O(N^2) per-cut arrays.
+The band holds O(N^2) blocks when the bound is within a constant factor of
+|grad phi| near the surface, as the catalog's are; a looser bound widens
+it, and without one it holds every block, about 13 bytes per grid node.
+A table beyond physical memory raises GridError before it is built.  Each
+two-thread step is one `linalg._in_pair` call.  Every block, interval and
+stencil slot is computed on its own and the parts join in order, so the
+result is the same bit for bit as computing the parts one after another,
+and the band finds the same intervals, with the same phi, as a scan of
+every node.
 
 Cut order: the scan returns the cuts sorted by (axis, base index in C
 order), one per interval.  Snapping, dedupe and admissibility only filter,
@@ -67,6 +66,7 @@ empties, so the located, snapped and unpermuted arrays are freed before
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -98,7 +98,7 @@ RECORD_ARRAYS = ("positions", "axis", "base_index", "closest_gp", "theta",
                  "normals", "associated_primary", "chart_neighbors")
 
 _SNAP_TOL = 1e-9  # fraction of h below which a cut is snapped to a grid point
-_SLAB_NODES = 1 << 18  # grid nodes per phi call in the streamed cut scan
+_SLAB_NODES = 1 << 18  # grid nodes per phi call in the cut scan
 _BLOCK = 3  # cells per side of the finest certified block; odd, so its
             # centre is a cell centre
 _COARSE_BLOCKS = 1 << 12  # most blocks on the first certification level
@@ -133,6 +133,12 @@ class Grid:
                 and np.isfinite(self.origin).all()):
             raise GridError(f"grid needs a finite origin and a finite spacing "
                             f"h > 0, got origin {self.origin}, h {self.h}")
+        if not (len(self.n_cells) == len(self.origin) and all(
+                isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                and n > 0 for n in self.n_cells)):
+            raise GridError(f"grid needs n_cells of positive whole numbers, "
+                            f"one per origin coordinate, got n_cells "
+                            f"{self.n_cells} for origin {self.origin}")
 
     @classmethod
     def _box(cls, lo, hi, n, dim):
@@ -322,91 +328,6 @@ def _node_text(grid, node):
     return f"{idx} at ({xyz})"
 
 
-def _boundary_min(f, i0, shape):
-    """(phi, node index) of the smallest phi among the box-boundary nodes of
-    the slab `f`, whose first plane is plane i0 along axis 0; ties go to the
-    first node in C order."""
-    faces = [(a, end) for a in range(1, f.ndim)
-             for end in (0, f.shape[a] - 1)]
-    faces += [(0, k) for k in {-i0, shape[0] - 1 - i0} if 0 <= k < f.shape[0]]
-    best = (np.inf, ())
-    for a, end in faces:
-        face = np.take(f, end, axis=a)
-        k = int(np.argmin(face))
-        idx = list(np.unravel_index(k, face.shape))
-        idx.insert(a, end)
-        idx[0] += i0
-        best = min(best, (float(face.flat[k]), tuple(int(i) for i in idx)))
-    return best
-
-
-def _sign_changes(f, inside, axis, offset):
-    """(base index, phi at the low end, phi at the high end) of every sign
-    change of `inside` (phi <= 0 on the nodes of `f`) along `axis`, in C
-    order; `offset` is the axis-0 index of the first plane of `f`."""
-    lo = [slice(None)] * inside.ndim
-    hi = [slice(None)] * inside.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    in_lo = inside[tuple(lo)]
-    idx = np.unravel_index(np.flatnonzero(in_lo != inside[tuple(hi)]),
-                           in_lo.shape)
-    up = list(idx)
-    up[axis] = up[axis] + 1
-    base = np.stack(idx, axis=1).astype(np.int64, copy=False)
-    base[:, 0] += offset
-    return base, f[idx], f[tuple(up)]
-
-
-def _plane_seam(before, after, i):
-    """`_sign_changes` along axis 0 between phi on plane i (`before`) and
-    on plane i + 1 (`after`)."""
-    idx = np.nonzero((before <= 0.0) != (after <= 0.0))
-    base = np.stack((np.full(idx[0].shape, i),) + idx, axis=1)
-    return base.astype(np.int64, copy=False), before[idx], after[idx]
-
-
-def _scan_run(surface, grid, starts, depth):
-    """One run of the scan: the slabs of `depth` planes along axis 0 that
-    start at the consecutive planes `starts`.  Returns, per axis, the
-    `_sign_changes` parts inside the run in cut order, the run's
-    `_boundary_min`, and phi on its first and on its last plane (None for
-    a run of no slab)."""
-    shape = grid.shape
-    dim = len(shape)
-    coords = [grid.coords(a) for a in range(dim)]
-    # coordinate-major storage: phi reads each coordinate contiguously
-    pts = np.moveaxis(np.empty((dim, depth) + shape[1:]), 0, -1)
-    for a in range(1, dim):
-        pts[..., a] = coords[a].reshape((-1,) + (1,) * (dim - 1 - a))
-    found = [[] for _ in range(dim)]
-    worst = (np.inf, ())
-    first = prev = None
-    for i0 in starts:
-        slab = pts[:min(depth, shape[0] - i0)]
-        slab[..., 0] = coords[0][i0:i0 + slab.shape[0]].reshape(
-            (-1,) + (1,) * (dim - 1))
-        f = surface.phi(slab)
-        finite = np.isfinite(f)
-        if not finite.all():
-            node = np.unravel_index(int(np.argmin(finite)), f.shape)
-            raise GridError(
-                f"phi evaluated to non-finite values on the grid; first "
-                f"{f[node]} at node "
-                f"{_node_text(grid, (i0 + node[0],) + node[1:])}")
-        worst = min(worst, _boundary_min(f, i0, shape))
-        inside = f <= 0.0
-        # axis 0 also crosses the seam from the previous slab's last plane
-        if prev is not None:
-            found[0].append(_plane_seam(prev, f[0], i0 - 1))
-        for a in range(dim):
-            found[a].append(_sign_changes(f, inside, a, i0))
-        if first is None:
-            first = f[0].copy()
-        prev = f[-1].copy()
-    return found, worst, first, prev
-
-
 def _physical_memory():
     """Bytes of physical memory, or None where the system does not say."""
     try:
@@ -416,77 +337,50 @@ def _physical_memory():
     return pages * size if pages > 0 and size > 0 else None
 
 
+def _require_memory(grid, what, need):
+    """Raise GridError unless `need` bytes, held by `what`, fit in physical
+    memory."""
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise GridError(
+            f"grid of {grid.n_cells} cells is too large to scan: {what} needs "
+            f"{need} bytes, more than the {memory} bytes of physical memory")
+
+
+def _require_table(grid, rows):
+    """`_require_memory` for the band's table of `rows` blocks read: a row
+    of phi and of phi <= 0 per block, and its 4 + 3 dim int64 of block
+    indices and slots, about 13 bytes per grid node on a 3-D grid."""
+    dim = len(grid.shape)
+    _require_memory(grid, f"the band's table of {rows} blocks",
+                    rows * (_BLOCK ** dim * 9 + (4 + 3 * dim) * 8))
+
+
 def _scan_sign_changes(surface, grid):
     """Sign-change intervals of phi between neighbouring grid nodes.
 
-    The one scan of cut location, on 2-D and 3-D grids.  Without a
-    gradient bound it streams slabs of whole planes (`_slab_scan`), and
-    holds one slab per thread.  With one it evaluates phi on the box faces
-    and the narrow band of blocks that the bound leaves (`_live_blocks`,
-    `_band_scan`), and holds a table of the blocks read: O(N^2) blocks
+    The one scan of cut location, on 2-D and 3-D grids: phi on the box
+    faces and on the narrow band of blocks that the surface's gradient
+    bound leaves (`_live_blocks`, `_band_scan`), every block for a surface
+    without a bound.  It holds a table of the blocks read: O(N^2) blocks
     for a bound within a constant factor of |grad phi| near the surface,
-    up to the whole grid for a looser one.  Where that table would exceed
-    physical memory it streams slabs instead.  Either way each node is
-    evaluated at most once, at most _SLAB_NODES nodes per phi call, or one
-    plane along axis 0 when a plane holds more, on this thread and a
-    worker thread (`_in_pair`).  Raises GridError before any buffer is
-    made if one slab's buffers, the most any phi call holds, exceed
-    physical memory, then at the first non-finite phi, then if a boundary
-    node has phi <= 0.  Returns, per axis, the base indices of the
-    changing intervals in the cut order of the module docstring and phi
-    at both ends of each.
+    up to the whole grid for a looser one or none, about 13 bytes per grid
+    node.  Each node is evaluated at most once, at most _SLAB_NODES nodes
+    per phi call, or one plane along axis 0 when a plane holds more, on
+    this thread and a worker thread (`_in_pair`).  Raises GridError before
+    any phi call if the largest phi call's buffers exceed physical memory,
+    then if the table does (before any per-block array for a surface
+    without a bound), then at the first non-finite phi, then if a boundary
+    node has phi <= 0.  Returns, per axis, the base indices of the changing
+    intervals in the cut order of the module docstring and phi at both
+    ends of each.
     """
     shape = grid.shape
-    dim = len(shape)
-    depth = max(1, min(shape[0], _SLAB_NODES // math.prod(shape[1:])))
-    # a slab holds dim coordinates and phi per node, all float64
-    slab_bytes = depth * math.prod(shape[1:]) * (dim + 1) * 8
-    memory = _physical_memory()
-    if memory is not None and slab_bytes > memory:
-        raise GridError(
-            f"grid of {grid.n_cells} cells is too large to scan: one slab of "
-            f"{depth} plane(s) needs {slab_bytes} bytes, more than the "
-            f"{memory} bytes of physical memory")
-    if surface.grad_bound is not None:
-        live = _live_blocks(surface, grid)
-        # the band's table: a row of phi and of phi <= 0 per block read,
-        # each live block and at most one neighbour along each axis
-        band_bytes = live.shape[1] * (dim + 1) * _BLOCK ** dim * 9
-        if memory is None or band_bytes <= memory:
-            return _band_scan(surface, grid, live)
-    return _slab_scan(surface, grid, depth)
-
-
-def _slab_scan(surface, grid, depth):
-    """The scan of every node: slabs of `depth` planes along axis 0 split
-    into two runs of consecutive slabs, scanned at once by this thread and
-    a worker thread; within a run only the last plane's phi carries over
-    to the next slab.  The axis-0 changes across the seam between the runs
-    come from the first run's last plane and the second run's first, and
-    the parts join in run order, so the result does not depend on the
-    split.  The first run's non-finite phi is reported before the
-    second's."""
-    shape = grid.shape
-    starts = range(0, shape[0], depth)
-    cut = (len(starts) + 1) // 2
-    (found, worst, _, last), (parts, run_worst, first, _) = _in_pair(
-        partial(_scan_run, surface, grid, starts[:cut], depth),
-        partial(_scan_run, surface, grid, starts[cut:], depth))
-    if first is not None:       # the second run holds a slab
-        found[0].append(_plane_seam(last, first, starts[cut] - 1))
-    for a in range(len(shape)):
-        found[a] += parts[a]
-    _require_inside(grid, min(worst, run_worst))
-    return [tuple(map(np.concatenate, zip(*parts))) for parts in found]
-
-
-def _require_inside(grid, worst):
-    """Raise GridError naming the node unless the smallest boundary phi,
-    `worst` = (phi, node index), is positive."""
-    if worst[0] <= 0.0:
-        raise GridError(
-            f"level set is not strictly inside the grid box (min boundary "
-            f"phi = {worst[0]:.3e} at node {_node_text(grid, worst[1])})")
+    call = max(math.prod(shape[1:]), min(_SLAB_NODES, math.prod(shape)))
+    # a phi call holds dim coordinates and phi per node, all float64
+    _require_memory(grid, f"one phi call of up to {call} nodes",
+                    call * (len(shape) + 1) * 8)
+    return _band_scan(surface, grid, _live_blocks(surface, grid))
 
 
 # -- the narrow-band scan -------------------------------------------------
@@ -524,9 +418,14 @@ def _live_blocks(surface, grid):
     one of them lies in its box, so a certified block holds none of the
     sign changes.  Blocks are certified level by level, each three times
     as wide as the next, from the first level of at most _COARSE_BLOCKS
-    blocks; only the uncertified blocks of a level are split."""
+    blocks; only the uncertified blocks of a level are split.  Without a
+    bound every block is live, and the table of them all is checked
+    against physical memory before any is listed."""
     n = np.asarray(grid.n_cells)
     dim = n.size
+    if surface.grad_bound is None:
+        _require_table(grid, math.prod(m // _BLOCK + 1 for m in grid.n_cells))
+        return np.indices(n // _BLOCK + 1).reshape(dim, -1)
     size = _BLOCK
     while np.prod(n // size + 1) > _COARSE_BLOCKS:
         size *= 3
@@ -656,9 +555,10 @@ def _fill_face(values, blocks, bits, near, ranges, face):
 
 
 def _band_changes(shape, values, inside, live, slots, up_slots, part):
-    """Per axis, the `_sign_changes` on the intervals from the nodes of the
-    live blocks live[part], in no particular order and each base index
-    raveled in the grid `shape`.  `inside` is phi <= 0 on `values`;
+    """Per axis, the sign changes (base index, phi at the low end, phi at
+    the high end) on the intervals from the nodes of the live blocks
+    live[part], in no particular order and each base index raveled in the
+    grid `shape`.  `inside` is phi <= 0 on `values`;
     slots[i] is the row of live block i there, and up_slots[a][i] that of
     the next block along axis a, whose nodes at offset 0 end the intervals
     from the block's last layer."""
@@ -784,7 +684,10 @@ def _band_values(surface, grid, blocks, bits):
             worst = min(worst, (float(face[k]), tuple(
                 int(r[i]) for r, i in zip(ranges, k))))
             _fill_face(values, blocks, bits, near, ranges, face)
-    _require_inside(grid, worst)
+    if worst[0] <= 0.0:
+        raise GridError(
+            f"level set is not strictly inside the grid box (min boundary "
+            f"phi = {worst[0]:.3e} at node {_node_text(grid, worst[1])})")
     return values
 
 
@@ -800,6 +703,7 @@ def _band_parts(surface, grid, live):
     key = np.sort(np.ravel_multi_index(live, nb))
     live = np.stack(np.unravel_index(key, nb), axis=1)
     read, bits = _read_blocks(key, nb)
+    _require_table(grid, read.size)
     values = _band_values(surface, grid,
                           np.stack(np.unravel_index(read, nb), axis=1), bits)
     inside = values <= 0.0
@@ -1158,16 +1062,17 @@ def discretize(surface, grid, eta=0.45):
     surface : LevelSetSurface
     grid : Grid
         A 3-D grid (GridError otherwise) that strictly contains the
-        surface (checked on the boundary faces).  With a gradient bound
-        (`surface.grad_bound`) phi is evaluated once per node on the box
-        faces and in the narrow band of grid blocks that the bound does
-        not certify free of sign changes; without one, once per grid
-        node, streamed over slabs of planes.  Working memory grows like
-        the number of cut points, O(N^2), not like the (N+1)^3 grid,
-        unless a bound far above |grad phi| near the surface widens the
-        band (see `_scan_sign_changes`).  The evaluations, the root steps
-        and the stencil lookup run on two threads (this one and a
-        worker).
+        surface (checked on the boundary faces).  phi is evaluated once
+        per node on the box faces and in the narrow band of grid blocks
+        that the gradient bound (`surface.grad_bound`) does not certify
+        free of sign changes; with a catalog bound working memory grows
+        like the number of cut points, O(N^2), not like the (N+1)^3
+        grid.  Without a bound the band is every block: phi is evaluated
+        once per grid node and the scan holds about 13 bytes per node,
+        and a grid whose table exceeds physical memory raises GridError
+        before phi is called (see `_scan_sign_changes`).  The
+        evaluations, the root steps and the stencil lookup run on two
+        threads (this one and a worker).
         A non-finite phi or a boundary node with phi <= 0 raises
         GridError naming the node: the first non-finite phi in C order
         among the nodes evaluated, so a non-finite phi in a certified

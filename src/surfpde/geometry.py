@@ -58,11 +58,13 @@ class LevelSetSurface:
         Vectorized certified bound, (lo, hi) of shape (..., 3) -> (...):
         at least max |grad phi| over each box [lo, hi].  `discretize`
         evaluates phi only where a block of the grid may hold a sign
-        change by this bound.  None (the default) means no bound, and
-        `discretize` evaluates phi at every grid node.  A bound that is
-        too small loses cuts without an error; one far above |grad phi|
-        near the surface widens the band that `discretize` evaluates and
-        holds.
+        change by this bound, the narrow band of its one scan.  None (the
+        default) means no bound: the band is the whole grid, so
+        `discretize` evaluates phi at every grid node and holds about 13
+        bytes per node, and raises GridError where that exceeds physical
+        memory (about N = 860 per axis with 8 GB).  A bound that is too
+        small loses cuts without an error; one far above |grad phi| near
+        the surface widens the band that `discretize` evaluates and holds.
     """
 
     def __init__(self, kind, phi, grad=None, params=None, c0=1e-8,
@@ -75,7 +77,15 @@ class LevelSetSurface:
         self._grad = grad
 
     def phi(self, pts):
-        return self._phi(np.asarray(pts, dtype=float))
+        """phi at `pts`, one value per point: shape pts.shape[:-1].
+        Raises ValueError naming both shapes if phi returns another."""
+        pts = np.asarray(pts, dtype=float)
+        f = self._phi(pts)
+        if np.shape(f) != pts.shape[:-1]:
+            raise ValueError(f"phi must return one value per point, shape "
+                             f"{pts.shape[:-1]} for points of shape "
+                             f"{pts.shape}, got shape {np.shape(f)}")
+        return f
 
     def gradient(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -188,10 +198,12 @@ def from_callables(phi, grad=None, c0=1e-8, params=None):
     """Wrap user-supplied callables as a surface (negative-inside convention).
 
     The surface has no gradient bound, so `discretize` evaluates phi at
-    every grid node; a `LevelSetSurface` built directly may carry one
-    (`grad_bound`).  `discretize` evaluates phi on two threads at once, and
-    grad may be called the same way, so neither may change state shared
-    between calls.
+    every grid node and holds about 13 bytes per node, GridError beyond
+    physical memory; a `LevelSetSurface` built directly may carry one
+    (`grad_bound`), and then only the narrow band is evaluated.
+    `discretize` evaluates phi on two threads at once, and grad may be
+    called the same way, so neither may change state shared between
+    calls.
     """
     return LevelSetSurface("user", phi, grad, params, c0=c0)
 

@@ -140,8 +140,7 @@ def load_discretization(path):
                 from exc
 
     dim = len(grid.n_cells)
-    if (dim not in (2, 3) or len(grid.origin) != dim or n_tot < 1
-            or not all(isinstance(n, int) and n > 0 for n in grid.n_cells)
+    if (dim not in (2, 3) or n_tot < 1
             or dim * math.prod(grid.shape) >= 2 ** 63):
         raise FormatError(f"{path}: header grid {header['grid']} with "
                           f"n_tot={n_tot} describes no discretization")

@@ -168,8 +168,8 @@ def test_grid_too_large_for_memory_exits_two(capsys):
     assert main(["discretize", "--N", "100000000"]) == 2
     err = capsys.readouterr().err
     assert ("grid of (100000000, 100000000, 100000000) cells is too large "
-            "to scan: one slab of 1 plane(s) needs 320000006400000032 "
-            "bytes, more than the ") in err
+            "to scan: one phi call of up to 10000000200000001 nodes needs "
+            "320000006400000032 bytes, more than the ") in err
     assert "bytes of physical memory" in err
 
 

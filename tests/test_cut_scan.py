@@ -1,8 +1,9 @@
-"""The streamed sign-change scan of cut location and its narrow band,
-against the dense scan it replaced, the Illinois root step against the
-bisection it replaced, their memory, evaluation-count and failure
-contracts, and, fuzzed on rotated ellipsoids, the invariants of the
-operators built on the cuts."""
+"""The narrow-band sign-change scan of cut location, with a gradient
+bound and without one (every block), against the dense scan it
+replaced, the Illinois root step against the bisection it replaced,
+their memory, evaluation-count and failure contracts, and, fuzzed on
+rotated ellipsoids, the invariants of the operators built on the
+cuts."""
 
 import math
 import os
@@ -12,6 +13,7 @@ import sys
 import tempfile
 import textwrap
 import threading
+import time
 import tracemalloc
 from functools import partial
 
@@ -147,8 +149,8 @@ def assert_same_fields(got, want):
         assert np.array_equal(a, b), name
 
 
-# slab sizes: one plane per phi call, five planes (a short last slab), and
-# the module default
+# `_SLAB_NODES`, the nodes per phi call: one (one block, a face row or a
+# face plane per call), five planes' worth, and the module default
 SLABS = {"one_plane": lambda g: 1,
          "five_planes": lambda g: 5 * math.prod(g.shape[1:]),
          "default": lambda g: discretization._SLAB_NODES}
@@ -389,7 +391,7 @@ def test_cut_order_is_checked_under_optimize_flag(subprocess_env):
         from surfpde import discretization
         from surfpde.discretization import Grid, discretize
         from surfpde.errors import GridError
-        from surfpde.geometry import make_surface
+        from surfpde.geometry import from_callables, make_surface
         from test_cut_scan import tampered_locate
         real = discretization._locate_cuts
         for how in ("swapped", "repeated", "moved"):
@@ -401,6 +403,22 @@ def test_cut_order_is_checked_under_optimize_flag(subprocess_env):
             finally:
                 discretization._locate_cuts = real
             raise SystemExit(f"no GridError for {{how}} cuts")
+        # the grid's cell counts, phi's shape and the band's table
+        discretization._physical_memory = lambda: 10 ** 9
+        for what, error, call in (
+                ("cell counts", GridError,
+                 lambda: Grid((-1.2,) * 3, 0.1, (24, 24, 0))),
+                ("phi shape", ValueError,
+                 lambda: discretize(from_callables(lambda p: 1.0),
+                                    Grid.cube(-1.2, 1.2, 20))),
+                ("table", GridError,
+                 lambda: discretize(from_callables(lambda p: 1.0),
+                                    Grid.cube(-1.2, 1.2, 3000)))):
+            try:
+                call()
+            except error:
+                continue
+            raise SystemExit(f"no {{error.__name__}} for the {{what}}")
     """)
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           env=subprocess_env, capture_output=True, text=True)
@@ -496,9 +514,13 @@ def thread_recording(surface, threads):
 @pytest.mark.parametrize("kind", ["cassini_oval", "circle"])
 def test_threaded_cut_points_equal_the_parts_in_turn(kind, slab,
                                                      monkeypatch, run_inline):
+    """Without a bound, so every block is read; "one_plane" evaluates at
+    most one plane's nodes per phi call."""
     base = Grid.square if kind in CURVES else Grid.cube
     grid = shifted(base(-1.2, 1.2, 80), 1)
-    monkeypatch.setattr(discretization, "_SLAB_NODES", SLABS[slab](grid))
+    size = {"one_plane": math.prod(grid.shape[1:]),
+            "default": discretization._SLAB_NODES}[slab]
+    monkeypatch.setattr(discretization, "_SLAB_NODES", size)
     surface = CURVES[kind]() if kind in CURVES else make_surface(kind)
     before = threading.active_count()
     threads = set()
@@ -632,9 +654,16 @@ def recording_sphere(calls, radius=1.0):
     return from_callables(phi, grad=lambda p: 2.0 * p, c0=radius)
 
 
+def on_grid(call, grid):
+    """Whether every point of the phi call `call` is a grid node."""
+    return evaluated_nodes([call], grid).size == call.size
+
+
 @pytest.mark.parametrize("slab", ["five_planes", "default"])
 def test_scan_evaluates_each_node_once_within_the_slab_bound(slab,
                                                              monkeypatch):
+    """A surface without a bound: the band is every block, phi is
+    evaluated once at every node, at most `_SLAB_NODES` nodes per call."""
     n = 64
     grid = Grid.cube(-1.2, 1.2, n)
     bound = SLABS[slab](grid)
@@ -644,9 +673,9 @@ def test_scan_evaluates_each_node_once_within_the_slab_bound(slab,
 
     sizes = [c.size // 3 for c in calls]
     assert max(sizes) <= bound
-    scan = [c.reshape(-1, 3) for c in calls if c.ndim == 4]
-    assert len(scan) >= 2                    # more than one slab
-    nodes = np.concatenate(scan)
+    scan = [c for c in calls if on_grid(c, grid)]
+    assert len(scan) >= 2                    # more than one call
+    nodes = evaluated_nodes(scan, grid)
     assert nodes.shape[0] == (n + 1) ** 3
     assert np.unique(nodes, axis=0).shape[0] == (n + 1) ** 3
     # everything else is the root step on every sign-change interval of the
@@ -777,7 +806,7 @@ def test_band_scan_reports_non_finite_phi_where_it_evaluates(node, reported):
 def test_band_scan_matches_dense_scan_near_the_box(dim, monkeypatch):
     """A level set 0.01 inside the box: live blocks at the box boundary,
     where the face pieces hold phi and nodes fall off the grid.  Five
-    planes per slab, so that the band's blocks take several phi calls."""
+    planes' nodes per phi call, so that the band's blocks take several."""
     if dim == 3:
         surface, grid = make_surface("sphere", radius=1.19), Grid.cube(
             -1.2, 1.2, 64)
@@ -793,7 +822,7 @@ def test_band_scan_matches_dense_scan_near_the_box(dim, monkeypatch):
 
 
 def test_band_scan_names_the_boundary_node_outside_the_surface():
-    # as test_surface_must_fit_in_box, on a grid of more than one slab
+    # as test_surface_must_fit_in_box, on a grid of more than one phi call
     with pytest.raises(GridError, match=r"min boundary phi = -1\.225e-01 "
                        r"at node \(0, 32, 32\) at \(-1\.2, "):
         discretize(make_surface("sphere", radius=1.25),
@@ -819,36 +848,73 @@ def test_band_scan_with_every_block_certified(surface, error, match):
         discretize(surface, grid)
 
 
-@pytest.mark.parametrize("spare,scan", [(0, "band"), (-1, "slabs")])
-def test_band_beyond_physical_memory_streams_slabs(spare, scan,
-                                                   monkeypatch):
+def table_bytes(rows, dim=3):
+    """The bytes `discretization` counts for the band's table of `rows`
+    blocks: phi and phi <= 0 per node, and 4 + 3 dim int64 per block."""
+    return rows * (3 ** dim * 9 + (4 + 3 * dim) * 8)
+
+
+@pytest.mark.parametrize("spare,scan", [(0, "band"), (-1, "error")])
+def test_band_beyond_physical_memory_raises(spare, scan, monkeypatch):
     """A bound of 10^3, far above |grad phi| <= 4.2 on the box, leaves
-    every block live.  The band runs while its table, a row per live
-    block and per neighbour, fits in physical memory, and the slabs run
-    once it does not; both evaluate each node once and find the dense
-    scan's cuts."""
+    every block live.  The band runs while its table, a row per block
+    read, fits in physical memory, evaluating each node once and finding
+    the dense scan's cuts; one byte less raises GridError before phi is
+    evaluated at a node.  Five planes per phi call, whose buffers fit."""
     n = 64
     grid = Grid.cube(-1.2, 1.2, n)
+    monkeypatch.setattr(discretization, "_SLAB_NODES",
+                        SLABS["five_planes"](grid))
     calls = []
     surface = bounded_recording_sphere(
         calls, bound=lambda lo, hi: np.full(lo.shape[:-1], 1e3))
     live = discretization._live_blocks(surface, grid).shape[1]
     assert live == (n // 3 + 1) ** 3
+    need = table_bytes(live)
     monkeypatch.setattr(discretization, "_physical_memory",
-                        lambda: live * 4 * 27 * 9 + spare)
-    slabs = []
-    slab_scan = discretization._slab_scan
-    monkeypatch.setattr(discretization, "_slab_scan",
-                        lambda *args: slabs.append(1) or slab_scan(*args))
+                        lambda: need + spare)
     calls.clear()
+    if scan == "error":
+        with pytest.raises(GridError, match=(
+                rf"grid of \(64, 64, 64\) cells is too large to scan: the "
+                rf"band's table of {live} blocks needs {need} bytes, more "
+                rf"than the {need - 1} bytes of physical memory")):
+            _locate_cuts(surface, grid)
+        assert evaluated_nodes(calls, grid).shape[0] == 0
+        return
     located = _locate_cuts(surface, grid)
-    assert len(slabs) == (scan == "slabs")
     nodes = evaluated_nodes(calls, grid)
     assert nodes.shape[0] == np.unique(nodes, axis=0).shape[0] == (n + 1) ** 3
     for (b, q), (b_ref, q_ref) in zip(
             located, dense_locate_cuts(make_surface("sphere"), grid),
             strict=True):
         assert np.array_equal(b, b_ref) and np.array_equal(q, q_ref)
+
+
+def test_boundless_table_beyond_physical_memory_fails_before_phi(
+        monkeypatch):
+    """3000 cells per axis without a bound and 1 GB of physical memory:
+    one plane's phi call fits, but the table of every block does not, and
+    GridError comes at once, before any phi call or per-block array."""
+    n = 3000
+    rows = (n // 3 + 1) ** 3
+    need = table_bytes(rows)
+    monkeypatch.setattr(discretization, "_physical_memory", lambda: 10 ** 9)
+    calls = []
+    surface = from_callables(lambda p: calls.append(1) or (p ** 2).sum(-1))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(GridError, match=(
+                rf"grid of \(3000, 3000, 3000\) cells is too large to scan: "
+                rf"the band's table of {rows} blocks needs {need} bytes, "
+                rf"more than the 1000000000 bytes")):
+            discretize(surface, Grid.cube(-1.2, 1.2, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert calls == [] and peak < 2 ** 20
 
 
 def test_band_scan_without_a_crossing_finds_no_cut():
@@ -907,42 +973,44 @@ def test_non_finite_phi_names_the_first_node():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_non_finite_phi_names_the_first_node_when_the_second_run_fails_first(
         dim, monkeypatch):
-    """One plane per slab: the 41 planes split into runs of planes 0-20
-    and 21-40, each with a non-finite node.  The first run waits at its bad
-    plane 17 until the second run has failed at plane 30, and the error
-    still names the first node in C order."""
-    monkeypatch.setattr(discretization, "_SLAB_NODES", 1)
+    """Two non-finite nodes on 40 cells per axis: one on the low face of
+    axis 0, in the first half of the band's evaluations, and one in the
+    last block, in the second half.  The first half waits at its bad node
+    until the second half has ended, and the error still names the first
+    node in C order."""
     grid = (Grid.cube if dim == 3 else Grid.square)(-1.2, 1.2, 40)
     c = [grid.coords(a) for a in range(dim)]
-    nodes = [(17, 23, 9)[:dim], (30, 2, 5)[:dim]]
+    nodes = [(0, 23, 9)[:dim], (39, 39, 39)[:dim]]
     bad = [tuple(c[a][i] for a, i in enumerate(node)) for node in nodes]
+    here = threading.get_ident()
     ended = []
     second_ended = threading.Event()
-    real_run = discretization._scan_run
+    real_run = discretization._band_run
 
-    def run(surface, grid, starts, depth):
+    def run(jobs):
         try:
-            return real_run(surface, grid, starts, depth)
+            return real_run(jobs)
         finally:
-            ended.append(starts[0])
-            if starts[0] > 0:
+            ended.append(threading.get_ident() == here)
+            if threading.get_ident() != here:
                 second_ended.set()
 
     def phi(p):
-        if p.ndim == dim + 1 and p[(0,) * (dim + 1)] == bad[0][0]:
-            assert second_ended.wait(timeout=30)
         out = (p ** 2).sum(axis=-1) - 1.0
         for node in bad:
             out[(p == node).all(axis=-1)] = np.nan
+        if (p == bad[0]).all(axis=-1).any():
+            assert threading.get_ident() == here
+            assert second_ended.wait(timeout=30)
         return out
 
-    monkeypatch.setattr(discretization, "_scan_run", run)
+    monkeypatch.setattr(discretization, "_band_run", run)
     surface = from_callables(phi, grad=lambda p: 2.0 * p, c0=1.0)
     build_ = discretize if dim == 3 else discretize_curve
     with pytest.raises(GridError, match="first nan at node "
                        + re.escape(str(nodes[0]))):
         build_(surface, grid)
-    assert ended == [21, 0]
+    assert ended == [False, True]
 
 
 def test_non_finite_phi_is_reported_before_containment():
@@ -959,10 +1027,11 @@ def test_non_finite_phi_is_reported_before_containment():
 
 
 @pytest.mark.parametrize("face_axis", [1, 2])
-def test_containment_failure_on_a_middle_slab_face(face_axis, monkeypatch):
+def test_containment_failure_on_a_middle_slab_face(face_axis):
     """A unit sphere shifted toward the high face of axis 1 or 2 so that
     exactly one boundary node, in the middle plane along axis 0, has
-    phi <= 0; with one plane per slab that node is seen mid-scan."""
+    phi <= 0: the error names it, after phi at every node and before any
+    root step."""
     n = 20
     grid = Grid.cube(-1.2, 1.2, n)
     centre = np.zeros(3)
@@ -970,10 +1039,9 @@ def test_containment_failure_on_a_middle_slab_face(face_axis, monkeypatch):
     calls = []
 
     def phi(p):
-        calls.append(p.shape)
+        calls.append(np.array(p, copy=True))
         return ((p - centre) ** 2).sum(axis=-1) - 1.0
 
-    monkeypatch.setattr(discretization, "_SLAB_NODES", 1)
     surface = from_callables(phi, grad=lambda p: 2.0 * (p - centre), c0=1.0)
     node = [n // 2, n // 2, n // 2]
     node[face_axis] = n
@@ -981,5 +1049,7 @@ def test_containment_failure_on_a_middle_slab_face(face_axis, monkeypatch):
             r"min boundary phi = -9\.975e-03 at node "
             + r"\(" + ", ".join(map(str, node)) + r"\)")):
         discretize(surface, grid)
-    # one call per plane, no bisection
-    assert calls == [(1, n + 1, n + 1, 3)] * (n + 1)
+    # every node once, and no root step
+    assert all(on_grid(c, grid) for c in calls)
+    nodes = evaluated_nodes(calls, grid)
+    assert nodes.shape[0] == np.unique(nodes, axis=0).shape[0] == (n + 1) ** 3

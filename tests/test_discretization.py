@@ -282,7 +282,8 @@ def test_surface_must_fit_in_box():
 
 
 def test_scan_slab_beyond_physical_memory_fails_before_phi(monkeypatch):
-    # a slab of 21 planes of 21 x 21 nodes holds 4 float64 per node
+    # a phi call of up to 21 planes of 21 x 21 nodes holds 4 float64
+    # per node
     calls = []
     surf = make_surface("sphere")
     phi = surf.phi
@@ -290,8 +291,8 @@ def test_scan_slab_beyond_physical_memory_fails_before_phi(monkeypatch):
     monkeypatch.setattr(discretization, "_physical_memory",
                         lambda: 21 ** 3 * 32 - 1)
     with pytest.raises(GridError, match=r"grid of \(20, 20, 20\) cells is "
-                       r"too large to scan: one slab of 21 plane\(s\) needs "
-                       r"296352 bytes, more than the 296351 bytes"):
+                       r"too large to scan: one phi call of up to 9261 nodes "
+                       r"needs 296352 bytes, more than the 296351 bytes"):
         discretize(surf, Grid.cube(-1.2, 1.2, 20))
     assert calls == []
     monkeypatch.setattr(discretization, "_physical_memory", lambda: None)
@@ -311,6 +312,30 @@ def test_grid_validation():
         with pytest.raises(GridError, match="grid needs a finite origin and "
                            "a finite spacing h > 0"):
             Grid(origin, h, (4, 4, 4))
+
+
+GRID_COUNTS = {
+    # each used to fail inside discretize: IndexError, TypeError, a bare
+    # broadcast ValueError and a misleading EmptySurfaceError
+    "negative": ((-1.2,) * 3, (24, 24, -3)),
+    "float": ((-1.2,) * 3, (24.0, 24, 24)),
+    "origin-of-two": ((-1.2,) * 2, (24, 24, 24)),
+    "zero": ((-1.2,) * 3, (24, 24, 0)),
+    "bool": ((-1.2,) * 3, (24, True, 24)),
+    "counts-of-two": ((-1.2,) * 3, (24, 24)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_COUNTS))
+def test_grid_checks_its_cell_counts(case):
+    origin, n_cells = GRID_COUNTS[case]
+    with pytest.raises(GridError, match=re.escape(
+            f"grid needs n_cells of positive whole numbers, one per origin "
+            f"coordinate, got n_cells {n_cells} for origin {origin}")):
+        discretize(make_surface("sphere"), Grid(origin, 0.1, n_cells))
+    # any integer type will do
+    assert Grid(origin, 0.1, (np.int64(24),) * len(origin)).shape == (
+        (25,) * len(origin))
 
 
 def test_surface_needs_a_space_grid():

@@ -6,9 +6,10 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from surfpde.curve1d import CURVE_CATALOG, make_curve
+from surfpde.discretization import Grid, discretize
 from surfpde.errors import BracketingError, DegenerateGradientError
-from surfpde.geometry import (SURFACE_CATALOG, find_cut, from_callables,
-                              make_surface)
+from surfpde.geometry import (SURFACE_CATALOG, LevelSetSurface, find_cut,
+                              from_callables, make_surface)
 
 from reference_values import CUT_Z_SQ
 
@@ -108,6 +109,31 @@ def test_degenerate_gradient_raises():
     # a plane curve's vanishing gradient is caught the same way
     with pytest.raises(DegenerateGradientError):
         make_curve("circle").unit_normal(np.zeros((1, 2)))
+
+
+PHI_SHAPES = {
+    "scalar": lambda p: (p ** 2).sum() - 1.0,
+    "flattened": lambda p: ((p ** 2).sum(axis=-1) - 1.0).ravel(),
+}
+
+
+@pytest.mark.parametrize("route", ["bounded", "boundless", "find_cut"])
+@pytest.mark.parametrize("shape", sorted(PHI_SHAPES))
+def test_phi_must_return_one_value_per_point(shape, route):
+    """A scalar phi used to end in AttributeError on a scan of every node
+    and in a silent "no grid interval crosses" on the band; a flattened
+    one in IndexError."""
+    phi = PHI_SHAPES[shape]
+    bound = make_surface("sphere").grad_bound if route == "bounded" else None
+    surface = LevelSetSurface("user", phi, lambda p: 2.0 * p, c0=1.0,
+                              grad_bound=bound)
+    with pytest.raises(ValueError, match=r"phi must return one value per "
+                       r"point, shape \(.*\) for points of shape \(.*3,?\), "
+                       r"got shape \(.*\)"):
+        if route == "find_cut":
+            find_cut(surface, [0.5, 0.0, 0.0], [1.5, 0.0, 0.0])
+        else:
+            discretize(surface, Grid.cube(-1.2, 1.2, 20))
 
 
 def test_find_cut_tolerance_scales():

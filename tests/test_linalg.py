@@ -355,7 +355,8 @@ def ordering_problem():
 # each caller of _in_pair: the call, and the module and name of the
 # function that its (first) pair's first callable runs
 PAIR_CALLERS = {
-    # a catalog surface, with a gradient bound: the narrow band
+    # a catalog surface, with a gradient bound, and a curve, without one:
+    # the narrow band and every block
     "cut_points_surface": (
         lambda: cut_record(make_surface("ellipsoid"),
                            shifted_grid(Grid.cube, 40, 1), 0.45),
@@ -363,7 +364,7 @@ PAIR_CALLERS = {
     "cut_points_curve": (
         lambda: cut_record(ellipse(), shifted_grid(Grid.square, 80, 2),
                            0.45),
-        discretization, "_scan_run"),
+        discretization, "_band_run"),
     # a new discretization each time, so E is built and not taken from
     # the cache
     "reduced_laplace_beltrami": (

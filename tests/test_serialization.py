@@ -254,21 +254,27 @@ def test_corrupt_or_truncated_dump_is_a_format_error_or_the_same(data,
     same_record(back, disc)
 
 
-SPHERE_ETA_RULE = re.escape("eta must lie in (0, 1/sqrt(3)) on a 3-D grid")
+SPHERE_ETA_RULE = re.escape("header eta must lie in (0, 1/sqrt(3)) on a "
+                            "3-D grid")
 BAD_HEADERS = {
     "eta-negative": ({"eta": -1.0}, SPHERE_ETA_RULE),
     "eta-zero": ({"eta": 0.0}, SPHERE_ETA_RULE),
     "eta-0.9": ({"eta": 0.9}, SPHERE_ETA_RULE),
     "eta-1e300": ({"eta": 1e300}, SPHERE_ETA_RULE),
     "dropped-negative": ({"dropped_cuts": -3},
-                         "dropped_cuts must be >= 0, got -3"),
+                         "header dropped_cuts must be >= 0, got -3"),
     "params-not-object": ({"surface_params": [1, 2]},
-                          "surface_params must be a JSON object"),
-    # grids no build has: 1-D, fractional, interval ids past int64
+                          "header surface_params must be a JSON object"),
+    # grids no build has: 1-D, fractional, interval ids past int64; the
+    # fractional one fails in the Grid constructor
     **{f"grid-{name}": ({"grid": {"origin": [0.0] * len(n), "h": 0.1,
-                                  "n_cells": n}}, "grid .* describes no")
-       for name, n in (("1d", [20]), ("fractional", [20.5] * 3),
-                       ("huge", [3 * 10 ** 6] * 3))},
+                                  "n_cells": n}}, message)
+       for name, n, message in (
+           ("1d", [20], "header grid .* describes no"),
+           ("fractional", [20.5] * 3, "missing or malformed record grid "
+            r"needs n_cells of positive whole numbers, one per origin "
+            r"coordinate, got n_cells \(20\.5, 20\.5, 20\.5\)"),
+           ("huge", [3 * 10 ** 6] * 3, "header grid .* describes no"))},
 }
 
 
@@ -278,8 +284,7 @@ def test_bad_header_value_names_the_file_and_field(sphere40, tmp_path,
     fields, message = BAD_HEADERS[case]
     path = dumped(sphere40, tmp_path)
     rewrite_dump(path, lambda blob: blob["header"].update(fields))
-    with pytest.raises(FormatError,
-                       match=re.escape(f"{path}: header ") + message):
+    with pytest.raises(FormatError, match=re.escape(f"{path}: ") + message):
         load_discretization(path)
 
 
@@ -343,8 +348,8 @@ def test_eta_rule_and_header_checks_hold_under_optimize(sphere40, tmp_path,
     lines = proc.stdout.splitlines()
     assert len(lines) == 2 + len(paths)
     assert "(0, 1/sqrt(3))" in lines[0] and "(0, 1/sqrt(2))" in lines[1]
-    for line, path in zip(lines[2:], paths):
-        assert line.startswith(f"{path}: header ")
+    for line, path, case in zip(lines[2:], paths, sorted(BAD_HEADERS)):
+        assert re.match(re.escape(f"{path}: ") + BAD_HEADERS[case][1], line)
 
 
 def test_loaded_record_passes_the_pi_checks(sphere40, tmp_path):
