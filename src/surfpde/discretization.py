@@ -31,27 +31,28 @@ Cut location has one scan, the narrow band, and never holds phi on the
 whole grid.  A surface's `grad_bound` (see `geometry.LevelSetSurface`)
 certifies blocks of the grid, level by level from coarse to fine, in
 which phi cannot change sign: a block is skipped when |phi| at its centre
-exceeds the bound times its half-diagonal.  phi is then evaluated once per
-node on the box faces, for the containment check, and on the nodes of the
-blocks left, the narrow band around the surface (about 6% of the nodes of
-a sphere at N = 320).  A surface without a bound leaves every block: phi
-is evaluated once at every node.  A phi call holds at most `_SLAB_NODES`
-nodes, or one plane when one holds more; the evaluations run in two
-halves, one on the calling thread and one on a worker thread, the
-finiteness and containment checks run after them, and only the
-sign-change intervals and phi at their ends are kept.  The cuts on those
-intervals are then located by `geometry._batch_illinois`, each axis in two
-halves, one per thread; the stencil lookup splits its slots the same way.
-Working memory is the band's table of blocks plus O(N^2) per-cut arrays.
-The band holds O(N^2) blocks when the bound is within a constant factor of
-|grad phi| near the surface, as the catalog's are; a looser bound widens
-it, and without one it holds every block, about 13 bytes per grid node.
-A table beyond physical memory raises GridError before it is built.  Each
-two-thread step is one `linalg._in_pair` call.  Every block, interval and
-stencil slot is computed on its own and the parts join in order, so the
-result is the same bit for bit as computing the parts one after another,
-and the band finds the same intervals, with the same phi, as a scan of
-every node.
+exceeds the bound times its half-diagonal.  A surface without a bound
+leaves every block.  The blocks left, the narrow band around the surface
+(about 6% of the nodes of a sphere at N = 320), are walked in groups of
+whole block layers along axis 0: one layer, or as many as keep the
+group's table of phi within one phi call's buffers.  A group reads every
+node it needs through its block's read mask: the nodes of the blocks
+left, the faces of the next blocks that their intervals cross, and the
+box boundary.  So phi is evaluated once per node, at most
+`_PHI_CALL_NODES` nodes per call, in two halves, one on the calling
+thread and one on a worker thread (`linalg._in_pair`).  A group's sign
+changes, the intervals and phi at their ends, are taken once the next
+group's first layer is read, and its phi is then dropped.  Working
+memory is O(N^2) per-cut arrays plus one group, for any phi; a looser
+bound only widens the band and adds groups.  Containment is checked
+after the last group on phi at every box-boundary node, not on the
+blocks' certificates, so phi stays checked on the whole boundary.  The
+cuts on the intervals are then located by `geometry._batch_illinois`,
+each axis in two halves, one per thread; the stencil lookup splits its
+slots the same way.  Every block, interval and stencil slot is computed
+on its own and the parts join in order, so the result is the same bit
+for bit as computing the parts one after another, and the band finds
+the same intervals, with the same phi, as a scan of every node.
 
 Cut order: the scan returns the cuts sorted by (axis, base index in C
 order), one per interval.  Snapping, dedupe and admissibility only filter,
@@ -98,7 +99,8 @@ RECORD_ARRAYS = ("positions", "axis", "base_index", "closest_gp", "theta",
                  "normals", "associated_primary", "chart_neighbors")
 
 _SNAP_TOL = 1e-9  # fraction of h below which a cut is snapped to a grid point
-_SLAB_NODES = 1 << 18  # grid nodes per phi call in the cut scan
+_PHI_CALL_NODES = 1 << 18  # most grid nodes per phi call; a group of the
+                           # band holds phi in no more bytes than its buffers
 _BLOCK = 3  # cells per side of the finest certified block; odd, so its
             # centre is a cell centre
 _COARSE_BLOCKS = 1 << 12  # most blocks on the first certification level
@@ -347,36 +349,25 @@ def _require_memory(grid, what, need):
             f"{need} bytes, more than the {memory} bytes of physical memory")
 
 
-def _require_table(grid, rows):
-    """`_require_memory` for the band's table of `rows` blocks read: a row
-    of phi and of phi <= 0 per block, and its 4 + 3 dim int64 of block
-    indices and slots, about 13 bytes per grid node on a 3-D grid."""
-    dim = len(grid.shape)
-    _require_memory(grid, f"the band's table of {rows} blocks",
-                    rows * (_BLOCK ** dim * 9 + (4 + 3 * dim) * 8))
-
-
 def _scan_sign_changes(surface, grid):
     """Sign-change intervals of phi between neighbouring grid nodes.
 
     The one scan of cut location, on 2-D and 3-D grids: phi on the box
-    faces and on the narrow band of blocks that the surface's gradient
+    boundary and on the narrow band of blocks that the surface's gradient
     bound leaves (`_live_blocks`, `_band_scan`), every block for a surface
-    without a bound.  It holds a table of the blocks read: O(N^2) blocks
-    for a bound within a constant factor of |grad phi| near the surface,
-    up to the whole grid for a looser one or none, about 13 bytes per grid
-    node.  Each node is evaluated at most once, at most _SLAB_NODES nodes
-    per phi call, or one plane along axis 0 when a plane holds more, on
-    this thread and a worker thread (`_in_pair`).  Raises GridError before
-    any phi call if the largest phi call's buffers exceed physical memory,
-    then if the table does (before any per-block array for a surface
-    without a bound), then at the first non-finite phi, then if a boundary
-    node has phi <= 0.  Returns, per axis, the base indices of the changing
+    without a bound.  It holds the O(N^2) per-cut arrays and one group of
+    block layers for any phi: a looser bound, or none, only adds groups.
+    Each node is evaluated at most once, at most _PHI_CALL_NODES nodes per
+    phi call, on this thread and a worker thread (`_in_pair`).  Raises
+    GridError before any phi call if the buffers of the largest phi call,
+    counted as at least one plane along axis 0, exceed physical memory,
+    then at the first non-finite phi, then if a boundary node has
+    phi <= 0.  Returns, per axis, the base indices of the changing
     intervals in the cut order of the module docstring and phi at both
     ends of each.
     """
     shape = grid.shape
-    call = max(math.prod(shape[1:]), min(_SLAB_NODES, math.prod(shape)))
+    call = max(math.prod(shape[1:]), min(_PHI_CALL_NODES, math.prod(shape)))
     # a phi call holds dim coordinates and phi per node, all float64
     _require_memory(grid, f"one phi call of up to {call} nodes",
                     call * (len(shape) + 1) * 8)
@@ -397,7 +388,7 @@ def _certified(surface, grid, size, blocks):
     dim = blocks.shape[0]
     reach = 0.5 * size * grid.h * math.sqrt(dim) * (1.0 + _BOUND_MARGIN)
     out = np.empty(blocks.shape[1], dtype=bool)
-    step = max(1, _SLAB_NODES)
+    step = max(1, _PHI_CALL_NODES)
     for i in range(0, blocks.shape[1], step):
         # coordinate-major boxes: phi and the bound read each coordinate
         # contiguously
@@ -412,20 +403,18 @@ def _certified(surface, grid, size, blocks):
 
 def _live_blocks(surface, grid):
     """The blocks of _BLOCK cells per side that the gradient bound does not
-    certify, as the columns of a (dim, k) index array in no particular
-    order.  Block J holds the nodes from _BLOCK * J up to but not
+    certify, as sorted raveled indices in the grid of n // _BLOCK + 1
+    blocks per axis, or None for a surface without a bound, whose every
+    block is live.  Block J holds the nodes from _BLOCK * J up to but not
     including _BLOCK * (J + 1) along each axis, and every interval from
     one of them lies in its box, so a certified block holds none of the
     sign changes.  Blocks are certified level by level, each three times
     as wide as the next, from the first level of at most _COARSE_BLOCKS
-    blocks; only the uncertified blocks of a level are split.  Without a
-    bound every block is live, and the table of them all is checked
-    against physical memory before any is listed."""
+    blocks; only the uncertified blocks of a level are split."""
+    if surface.grad_bound is None:
+        return None
     n = np.asarray(grid.n_cells)
     dim = n.size
-    if surface.grad_bound is None:
-        _require_table(grid, math.prod(m // _BLOCK + 1 for m in grid.n_cells))
-        return np.indices(n // _BLOCK + 1).reshape(dim, -1)
     size = _BLOCK
     while np.prod(n // size + 1) > _COARSE_BLOCKS:
         size *= 3
@@ -434,7 +423,7 @@ def _live_blocks(surface, grid):
     while True:
         blocks = blocks[:, ~_certified(surface, grid, size, blocks)]
         if size == _BLOCK:
-            return blocks
+            return np.sort(np.ravel_multi_index(blocks, n // _BLOCK + 1))
         size //= 3
         blocks = (3 * blocks[:, :, None] + children).reshape(dim, -1)
         # the children of the last blocks along an axis may leave the grid
@@ -448,280 +437,254 @@ def _block_nodes(dim):
     return np.indices((_BLOCK,) * dim).reshape(dim, -1).T
 
 
-def _read_masks(dim):
-    """The nodes of a block that the band reads, by the block's bits: all
-    of them for bit 1, and those at offset 0 along axis a for bit 2 << a;
-    shape (2 << dim, _BLOCK**dim)."""
-    offsets = _block_nodes(dim)
-    bits = np.arange(2 << dim)[:, None]
-    out = (bits & 1).astype(bool)
-    for a in range(dim):
-        out = out | (((bits >> (a + 1)) & 1).astype(bool)
-                     & (offsets[:, a] == 0))
-    return out
+def _strides(nb):
+    """Raveled-index step along each axis of a C-ordered grid `nb`."""
+    return np.cumprod(np.r_[1, nb[:0:-1]])[::-1]
 
 
-def _faces(n):
-    """The box boundary in pieces, each node in one: piece (a, end) holds
-    the nodes with index `end` along axis a that lie on no face of a lower
-    axis, as index ranges per axis."""
-    out = []
-    for a in range(n.size):
-        for end in (0, int(n[a])):
-            out.append([np.array([end]) if b == a
-                        else np.arange(1, n[b]) if b < a
-                        else np.arange(n[b] + 1) for b in range(n.size)])
-    return out
-
-
-def _face_chunk(surface, grid, ranges, values, rows):
-    """phi on the nodes of a face piece (index `ranges`) whose axis-0 index
-    is one of ranges[0][rows], into values[rows]; returns the first
-    non-finite (ravel index, phi) in C order, or None."""
-    ranges = [ranges[0][rows]] + ranges[1:]
-    dim = len(ranges)
-    pts = np.moveaxis(np.empty((dim,) + tuple(r.size for r in ranges)), 0, -1)
-    for a, r in enumerate(ranges):
-        pts[..., a] = grid.coords(a)[r].reshape((-1,) + (1,) * (dim - 1 - a))
-    f = surface.phi(pts)
-    values[rows] = f
-    finite = np.isfinite(f)
-    if finite.all():
-        return None
-    k = np.unravel_index(int(np.argmin(finite)), f.shape)
-    node = [int(r[i]) for r, i in zip(ranges, k)]
-    return int(np.ravel_multi_index(node, grid.shape)), float(f[k])
-
-
-def _block_chunk(surface, grid, blocks, values, rows, locs, edge):
-    """phi on the nodes at offsets `locs` (in `_block_nodes` order) of the
-    blocks blocks[rows] into the same places of `values`, but, where the
-    blocks reach the `edge` of the grid, not on the box boundary (the face
-    pieces hold it) or off the grid; returns the first non-finite (ravel
-    index, phi) in C order, or None."""
-    dim = blocks.shape[1]
-    offsets = _block_nodes(dim)[locs]
-    first = _BLOCK * blocks[rows]
-    # coordinate-major storage: phi reads each coordinate contiguously
-    pts = np.empty((dim, rows.size, locs.size))
-    for a in range(dim):
-        # an edge block's nodes off the grid take its last coordinate
-        axis = grid.coords(a)[np.minimum(first[:, a, None] + np.arange(_BLOCK),
-                                         grid.n_cells[a])]
-        pts[a] = np.take(axis, offsets[:, a], axis=1)
-    keep = None
-    if edge:
-        idx = [first[:, a, None] + offsets[:, a] for a in range(dim)]
-        keep = np.logical_and.reduce([(i > 0) & (i < m)
-                                      for i, m in zip(idx, grid.n_cells)])
-        pts = pts[:, keep]
-    f = surface.phi(np.moveaxis(pts, 0, -1))
-    if keep is None:
-        values[(rows,) if locs.size == values.shape[1]
-               else (rows[:, None], locs)] = f
+def _read_blocks(key, nb, lo, hi):
+    """The blocks of block layers lo to hi - 1 along axis 0 that the scan
+    reads, as sorted raveled indices in the grid `nb` of blocks, and which
+    of their nodes it reads, as bits (see `_group_values`): each live
+    block (sorted raveled indices `key`, from layer lo - 1 on, or every
+    block for None) whole, bit 1; the next one along each axis a on their
+    shared face, bit 2 << a; and each block at the low and at the high
+    end of axis a on that face of the box, bits 2 << (dim + 2 a) and
+    4 << (dim + 2 a)."""
+    dim = nb.size
+    stride = _strides(nb)
+    layer = int(stride[0])
+    if key is None:
+        # every block is read whole: no face of a next block to add
+        keys = [np.arange(lo * layer, hi * layer)] + [np.arange(0)] * dim
     else:
-        blk, j = np.nonzero(keep)
-        values[rows[blk], locs[j]] = f
+        keys = [key] + [key[i < m - 1] + s for i, m, s in
+                        zip(np.unravel_index(key, nb), nb, stride)]
+    for a in range(dim):
+        for end in (0, nb[a] - 1):
+            ranges = [np.arange(lo, hi)] + [np.arange(m) for m in nb[1:]]
+            ranges[a] = ranges[a][ranges[a] == end]
+            keys.append(sum(r * s for r, s in
+                            zip(np.ix_(*ranges), stride)).ravel())
+    bits = np.repeat(np.left_shift(1, np.arange(len(keys)), dtype=np.int16),
+                     [k.size for k in keys])
+    keys = np.concatenate(keys)
+    mine = (keys >= lo * layer) & (keys < hi * layer)
+    keys, bits = keys[mine], bits[mine]
+    # each list is sorted, so a stable sort merges them
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # the keys are non-negative, so the first is a start; every layer
+    # holds blocks of the box boundary, so there is one
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    bits = np.bitwise_or.reduceat(bits[order], starts)
+    # a block read whole needs no face bit of its own
+    return keys[starts], np.where(bits & 1, bits & ~((2 << dim) - 2), bits)
+
+
+def _block_chunk(surface, grid, nb, blocks, locs, boundary, table, rows):
+    """phi on the nodes at offsets `locs` (in `_block_nodes` order) of the
+    `blocks`, raveled indices in the grid `nb` of blocks, into table[rows]
+    with +inf on the other nodes, unless `table` is None.  Returns the
+    first non-finite (ravel index, phi) in C order, or None, and the
+    smallest phi on the nodes at the offsets locs[boundary], on the box
+    boundary, with the lowest ravel index among ties, (phi, ravel
+    index)."""
+    dim = nb.size
+    first = _BLOCK * np.stack(np.unravel_index(blocks, nb), axis=1)
+    offsets = _block_nodes(dim)[locs]
+    # coordinate-major storage: phi reads each coordinate contiguously
+    pts = np.empty((dim, first.shape[0], locs.size))
+    for a in range(dim):
+        # a last block's offsets past the grid, in no mask, read its last
+        # coordinate
+        axis = grid.origin[a] + grid.h * np.minimum(
+            first[:, a, None] + np.arange(_BLOCK), grid.n_cells[a])
+        np.take(axis, offsets[:, a], axis=1, out=pts[a])
+    f = surface.phi(np.moveaxis(pts, 0, -1))
+    if table is not None and locs.size == table.shape[1]:
+        table[rows] = f
+    elif table is not None:
+        table[rows] = np.inf
+        table[rows[:, None], locs] = f
     finite = np.isfinite(f)
-    if finite.all():
-        return None
-    blk, j = (np.nonzero(~finite) if keep is None else
-              (blk[~finite], j[~finite]))
-    keys = np.ravel_multi_index((first[blk] + offsets[j]).T, grid.shape)
-    k = int(np.argmin(keys))
-    return int(keys[k]), float(f[~finite][k])
+    if not finite.all():
+        blk, j = np.nonzero(~finite)
+        keys = np.ravel_multi_index((first[blk] + offsets[j]).T, grid.shape)
+        k = int(np.argmin(keys))
+        return (int(keys[k]), float(f[blk[k], j[k]])), (math.inf, -1)
+    if not boundary.any():
+        return None, (math.inf, -1)
+    f = f[:, boundary]
+    low = f.min()
+    blk, j = np.nonzero(f == low)
+    keys = np.ravel_multi_index((first[blk] + offsets[boundary][j]).T,
+                                grid.shape)
+    return None, (float(low), int(keys.min()))
 
 
 def _band_run(jobs):
-    """One half of the band's evaluations: run `jobs` in turn and return
-    the first non-finite phi among them in C order, (ravel index, phi), or
-    None."""
-    found = [bad for bad in (job() for job in jobs) if bad is not None]
-    return min(found) if found else None
+    """One half of a group's evaluations: run the `_block_chunk` `jobs` in
+    turn and return the first non-finite phi among them in C order,
+    (ravel index, phi) or None, and the smallest phi on the box boundary,
+    (phi, ravel index)."""
+    found = [job() for job in jobs]
+    bad = [b for b, _ in found if b is not None]
+    return (min(bad) if bad else None,
+            min((low for _, low in found), default=(math.inf, -1)))
 
 
-def _fill_face(values, blocks, bits, near, ranges, face):
-    """Copy phi on a face piece (node index `ranges`, values `face`) into
-    the rows of `values` of the blocks read, where the masks of their
-    `bits` mark it; only the blocks `near` reach the boundary."""
-    lo = np.array([r[0] for r in ranges])
-    hi = np.array([r[-1] for r in ranges])
-    corner = _BLOCK * blocks[near]
-    near = near[((corner <= hi) & (corner + _BLOCK > lo)).all(axis=1)]
-    nodes = _BLOCK * blocks[near, None] + _block_nodes(blocks.shape[1])
-    blk, loc = np.nonzero(_read_masks(blocks.shape[1])[bits[near]]
-                          & ((nodes >= lo) & (nodes <= hi)).all(axis=2))
-    values[near[blk], loc] = face[tuple((nodes[blk, loc] - lo).T)]
-
-
-def _band_changes(shape, values, inside, live, slots, up_slots, part):
-    """Per axis, the sign changes (base index, phi at the low end, phi at
-    the high end) on the intervals from the nodes of the live blocks
-    live[part], in no particular order and each base index raveled in the
-    grid `shape`.  `inside` is phi <= 0 on `values`;
-    slots[i] is the row of live block i there, and up_slots[a][i] that of
-    the next block along axis a, whose nodes at offset 0 end the intervals
-    from the block's last layer."""
-    dim = live.shape[1]
-    cube = (-1,) + (_BLOCK,) * dim
-    ids = np.arange(_BLOCK ** dim).reshape(cube[1:])
-    own = slots[part]
-    own_in = inside[own].reshape(cube)
-    out = []
-    for a in range(dim):
-        up = up_slots[a][part]
-        lo, hi = [slice(None)] * (dim + 1), [slice(None)] * (dim + 1)
-        found = []
-        # the intervals inside the block, then those across its high face
-        for rows, high_in, low, high in (
-                (own, own_in, slice(0, -1), slice(1, None)),
-                (up, inside[up].reshape(cube), slice(-1, None), slice(0, 1))):
-            lo[1 + a], hi[1 + a] = low, high
-            lo_ids = ids[tuple(lo[1:])].ravel()
-            hi_ids = ids[tuple(hi[1:])].ravel()
-            flat = np.flatnonzero(own_in[tuple(lo)] != high_in[tuple(hi)])
-            blk, j = np.divmod(flat, lo_ids.size)
-            found.append((blk, lo_ids[j], rows[blk], hi_ids[j]))
-        blk, lo_loc, hi_row, hi_loc = map(np.concatenate, zip(*found))
-        base = _BLOCK * live[part][blk] + _block_nodes(dim)[lo_loc]
-        out.append((np.ravel_multi_index(base.T, shape),
-                    values[own[blk], lo_loc], values[hi_row, hi_loc]))
-    return out
-
-
-def _halves(items, sizes):
-    """The list `items` cut in two where the running total of `sizes`
-    passes half."""
-    total = np.cumsum(sizes)
-    cut = int(np.searchsorted(total, 0.5 * total[-1])) + 1
-    return items[:cut], items[cut:]
-
-
-def _band_scan(surface, grid, live):
-    """The scan of the narrow band, the `_live_blocks` `live`:
-    `_band_parts`, sorted into cut order.  The parts come from a frame of
-    their own, so the band's tables are freed before the sort."""
-    out = []
-    for parts in _band_parts(surface, grid, live):
-        key, f_lo, f_hi = map(np.concatenate, zip(*parts))
-        parts.clear()
-        order = np.argsort(key)
-        out.append((np.stack(np.unravel_index(key[order], grid.shape),
-                             axis=1).astype(np.int64, copy=False),
-                    f_lo[order], f_hi[order]))
-    return out
-
-
-def _read_blocks(key, nb):
-    """The blocks the band reads, as sorted raveled indices in the grid
-    `nb` of blocks, and which of their nodes it reads, as `_read_masks`
-    bits: each live block (sorted raveled indices `key`) whole, bit 1,
-    and the next one along each axis a on their shared face, bit 2 << a."""
-    stride = np.cumprod(np.r_[1, nb[:0:-1]])[::-1]
-    keys = [key] + [key[i < m - 1] + s for i, m, s in
-                    zip(np.unravel_index(key, nb), nb, stride)]
-    bits = np.repeat(1 << np.arange(len(keys)), [k.size for k in keys])
-    keys = np.concatenate(keys)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    # the keys are non-negative, so the first is a start; none when empty
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    return keys[starts], np.bitwise_or.reduceat(bits[order], starts)
-
-
-def _band_values(surface, grid, blocks, bits):
-    """phi on the nodes the band reads: a row of `_BLOCK**dim` values per
-    block of `blocks` (one per row, `bits` saying which nodes), and a last
-    row for the missing block past the grid.  Nodes not read or off the
-    grid hold +inf, outside the level set.  phi is evaluated once per
-    node, on the box boundary, which is always evaluated, in face pieces
-    and elsewhere by blocks, in two halves, one per thread; then the
-    boundary values are copied into the rows.  Raises GridError at the
-    first non-finite phi in C order, then if a boundary node has
-    phi <= 0: after that no interval from a node of the grid to one off it
-    changes sign."""
-    n = np.asarray(grid.n_cells)
-    masks = _read_masks(n.size)
-    values = np.full((blocks.shape[0] + 1, _BLOCK ** n.size), np.inf)
-    faces = _faces(n)
-    face_values = [np.empty(tuple(r.size for r in ranges))
-                   for ranges in faces]
-    jobs, sizes = [], []
-    for ranges, face in zip(faces, face_values):
-        # slabs of rows along axis 0; a face across axis 0 is one plane
-        row = math.prod(r.size for r in ranges[1:])
-        depth = max(1, _SLAB_NODES // max(1, row))
-        for i in range(0, ranges[0].size, depth):
-            rows = slice(i, i + depth)
-            jobs.append(partial(_face_chunk, surface, grid, ranges, face,
-                                rows))
-            sizes.append(face[rows].size)
-    # the blocks read, in groups of one mask, apart from the grid's edge
-    nb = n // _BLOCK + 1
-    edge = ((blocks == 0) | (blocks == nb - 1)).any(axis=1)
-    group = 2 * bits + edge
-    for g in np.unique(group):
-        rows = np.flatnonzero(group == g)
-        locs = np.flatnonzero(masks[g // 2])
-        step = max(1, _SLAB_NODES // locs.size)
-        for i in range(0, rows.size, step):
-            jobs.append(partial(_block_chunk, surface, grid, blocks, values,
-                                rows[i:i + step], locs, bool(g % 2)))
-            sizes.append(locs.size * rows[i:i + step].size)
-    bad = [b for b in _in_pair(*(partial(_band_run, half)
-                                 for half in _halves(jobs, sizes)))
-           if b is not None]
+def _group_values(surface, grid, nb, key, lo, hi):
+    """phi on the nodes that the scan reads in block layers lo to hi - 1
+    along axis 0, given the live blocks `key` from layer lo - 1 on, or
+    None for every block (see `_read_blocks`).  A block's bits give its
+    read mask: every node for bit 1, those at offset 0 along axis a for a
+    seam face or the low box face, and those at the grid's last node's
+    offset along a for the high box face; a last block's nodes off the
+    grid are in no mask.  The blocks of each mask are evaluated in two
+    halves, one per thread.  Returns the blocks read whole or on a seam
+    face, as sorted raveled indices, and their table, a row of phi per
+    block with +inf on the nodes not read; a block read only for the box
+    boundary gets no row.  Also returns the smallest phi on the box
+    boundary, (phi, ravel index).  Raises GridError at the first
+    non-finite phi in C order."""
+    dim = nb.size
+    blocks, bits = _read_blocks(key, nb, lo, hi)
+    row = (bits & ((2 << dim) - 1)) != 0
+    slot = np.cumsum(row) - 1
+    table = np.empty((int(row.sum()), _BLOCK ** dim))
+    order = np.argsort(bits, kind="stable")
+    starts = np.flatnonzero(np.diff(bits[order], prepend=-1))
+    codes = bits[order[starts]]
+    # each code's read mask, and the box boundary within it
+    bit = (codes[:, None, None] >> np.arange(1 + 3 * dim)) & 1 == 1
+    seam = bit[..., 1:1 + dim]
+    low, high = bit[..., 1 + dim::2], bit[..., 2 + dim::2]
+    offsets = _block_nodes(dim)
+    last = np.asarray(grid.n_cells) - _BLOCK * (nb - 1)
+    at0 = offsets == 0
+    boundary = ((low & at0) | (high & (offsets == last))).any(axis=2)
+    read = (bit[..., 0] | (seam & at0).any(axis=2) | boundary) & ~(
+        high & (offsets > last)).any(axis=2)
+    reads = [(np.flatnonzero(r), b[r]) for r, b in zip(read, boundary)]
+    # each code's blocks in two halves, one per thread
+    halves = ([], [])
+    for (locs, on_box), members in zip(reads, np.split(order, starts[1:])):
+        step = max(1, _PHI_CALL_NODES // locs.size)
+        for half, part in zip(halves, np.array_split(members, 2)):
+            for i in range(0, part.size, step):
+                some = part[i:i + step]
+                half.append(partial(
+                    _block_chunk, surface, grid, nb, blocks[some], locs,
+                    on_box, table if row[some[0]] else None, slot[some]))
+    (bad_a, low_a), (bad_b, low_b) = _in_pair(
+        *(partial(_band_run, half) for half in halves))
+    bad = [b for b in (bad_a, bad_b) if b is not None]
     if bad:
         at, f = min(bad)
         raise GridError(
             f"phi evaluated to non-finite values on the grid; first {f} at "
             f"node {_node_text(grid, np.unravel_index(at, grid.shape))}")
-    worst = (np.inf, ())
-    near = np.flatnonzero(edge)
-    for ranges, face in zip(faces, face_values):
-        if face.size:
-            k = np.unravel_index(int(np.argmin(face)), face.shape)
-            worst = min(worst, (float(face[k]), tuple(
-                int(r[i]) for r, i in zip(ranges, k))))
-            _fill_face(values, blocks, bits, near, ranges, face)
-    if worst[0] <= 0.0:
-        raise GridError(
-            f"level set is not strictly inside the grid box (min boundary "
-            f"phi = {worst[0]:.3e} at node {_node_text(grid, worst[1])})")
-    return values
+    return blocks[row], table, min(low_a, low_b)
 
 
-def _band_parts(surface, grid, live):
-    """Per axis, the `_band_changes` parts of the narrow band, the blocks
-    `live` that `_live_blocks` leaves, from phi on the nodes it reads
-    (`_band_values`); the sign changes run in two halves, one per
-    thread.  With no block left only the box faces are evaluated, and
-    every part is empty."""
+def _group_changes(shape, nb, key, rows, table, head, out):
+    """Append to out[a], per axis a, the sign changes (base indices, phi
+    at the low end, phi at the high end) in cut order on the intervals
+    from the nodes of the live blocks `key`, sorted raveled indices in the
+    grid `nb` of blocks.  `table` and then `head`, the rows of the next
+    group's first layer, hold phi by blocks, a row per block of the sorted
+    raveled indices `rows`, which list every live block and each next
+    block along an axis whose face the intervals from its last layer end
+    on; a missing block past the grid reads +inf, outside the level
+    set."""
+    dim = nb.size
+    width = _BLOCK ** dim
+    cube = (-1,) + (_BLOCK,) * dim
+    head = np.concatenate([head, np.full((1, width), np.inf)])
+    inside = np.concatenate([table <= 0.0, head <= 0.0])
+    own = np.searchsorted(rows, key)
+    own_in = inside[own].reshape(cube)
+    high_in = np.empty_like(own_in)
+    block = np.stack(np.unravel_index(key, nb), axis=1)
+    first, offsets = _BLOCK * block, _block_nodes(dim)
+    # a node's raveled index: its block's first node's plus its offset's
+    corner = np.ravel_multi_index(first.T, shape)
+    step = np.ravel_multi_index(offsets.T, shape)
+    flat = table.ravel()
+    for a, (stride, s) in enumerate(zip(_strides(nb),
+                                        _strides(np.full(dim, _BLOCK)))):
+        up = np.where(block[:, a] < nb[a] - 1,
+                      np.searchsorted(rows, key + stride), rows.size)
+        # the node after each along a: in its block, or from the block's
+        # last layer at offset 0 of the next block
+        mine, after = (np.moveaxis(x, 1 + a, 1) for x in (own_in, high_in))
+        after[:, :-1] = mine[:, 1:]
+        after[:, -1] = np.moveaxis(inside.reshape(cube), 1 + a, 1)[up, 0]
+        blk, loc = np.divmod(np.flatnonzero(own_in != high_in), width)
+        order = np.argsort(corner[blk] + step[loc])
+        blk, loc = blk[order], loc[order]
+        across = offsets[loc, a] == _BLOCK - 1
+        hi_row = np.where(across, up[blk], own[blk])
+        hi_loc = loc + np.where(across, (1 - _BLOCK) * s, s)
+        # the high ends in the next group's first layer read its rows
+        f_hi = flat[np.minimum(hi_row, len(table) - 1) * width + hi_loc]
+        later = np.flatnonzero(hi_row >= len(table))
+        f_hi[later] = head[hi_row[later] - len(table), hi_loc[later]]
+        out[a].append((first[blk] + offsets[loc],
+                       flat[own[blk] * width + loc], f_hi))
+
+
+def _band_scan(surface, grid, live):
+    """The scan of the narrow band, the `_live_blocks` `live` (every block
+    for None), in groups of whole block layers along axis 0, each of one
+    layer or of at most (dim + 1) _PHI_CALL_NODES nodes of live blocks,
+    so that its table holds no more than one phi call's buffers.  A
+    group's nodes are read once (`_group_values`); its sign changes
+    (`_group_changes`) are taken once the next group's first layer is
+    read, and its table is then dropped.  Raises GridError after the last
+    group if a boundary node has phi <= 0: after that no interval from a
+    node of the grid to one off it changes sign.  Returns, per axis, the
+    base indices of the changing intervals in cut order and phi at both
+    ends of each."""
     n = np.asarray(grid.n_cells)
     dim = n.size
     nb = n // _BLOCK + 1
-    key = np.sort(np.ravel_multi_index(live, nb))
-    live = np.stack(np.unravel_index(key, nb), axis=1)
-    read, bits = _read_blocks(key, nb)
-    _require_table(grid, read.size)
-    values = _band_values(surface, grid,
-                          np.stack(np.unravel_index(read, nb), axis=1), bits)
-    inside = values <= 0.0
-    slots = np.searchsorted(read, key)
-    up_slots = [np.where(live[:, a] < nb[a] - 1,
-                         np.searchsorted(read, key + math.prod(nb[a + 1:])),
-                         read.size) for a in range(dim)]
-    step = max(1, _SLAB_NODES // _BLOCK ** dim)
-    # at least one chunk, so that every axis has a part
-    chunks = [slice(i, i + step) for i in range(0, max(1, key.size), step)]
-
-    def changes(chunks):
-        return [_band_changes(grid.shape, values, inside, live, slots,
-                              up_slots, part) for part in chunks]
-
-    first, second = _in_pair(*(partial(changes, half) for half in
-                               _halves(chunks, np.ones(len(chunks)))))
-    return [[c[a] for c in first + second] for a in range(dim)]
+    layer = math.prod(nb[1:])
+    count = (np.full(nb[0], layer) if live is None
+             else np.bincount(live // layer, minlength=nb[0]))
+    # a phi call holds dim + 1 float64 per node, a table one
+    cap = _PHI_CALL_NODES * (dim + 1) // _BLOCK ** dim
+    starts, held = [0], 0
+    for i, c in enumerate(count):
+        if held and held + c > cap:
+            starts.append(i)
+            held = 0
+        held += c
+    out = [[] for _ in range(dim)]
+    worst, prev = (math.inf, -1), None
+    for lo, hi in zip(starts, starts[1:] + [nb[0]]):
+        # the live blocks from the layer before, for their seams into this
+        # group; without a bound every block is live and read whole
+        start = max(lo - 1, 0) * layer
+        key = None if live is None else live[
+            np.searchsorted(live, start):np.searchsorted(live, hi * layer)]
+        rows, table, low = _group_values(surface, grid, nb, key, lo, hi)
+        worst = min(worst, low)
+        if prev is not None:
+            head = np.searchsorted(rows, (lo + 1) * layer)
+            _group_changes(grid.shape, nb, prev[0],
+                           np.concatenate([prev[1], rows[:head]]), prev[2],
+                           table[:head], out)
+        prev = (np.arange(lo * layer, hi * layer) if key is None
+                else key[key >= lo * layer]), rows, table
+    _group_changes(grid.shape, nb, *prev, table[:0], out)
+    if worst[0] <= 0.0:
+        raise GridError(
+            f"level set is not strictly inside the grid box (min boundary "
+            f"phi = {worst[0]:.3e} at node "
+            f"{_node_text(grid, np.unravel_index(worst[1], grid.shape))})")
+    return [tuple(map(np.concatenate, zip(*parts))) for parts in out]
 
 
 def _admissible_mask(normals, axis, eta):
@@ -1039,7 +1002,10 @@ def _pi_matrices(points, coeffs, positions, n_p):
 
 
 def _check_eta(eta, dim):
-    """Raise ValueError unless 0 < eta < 1/sqrt(dim) (see `discretize`)."""
+    """Raise ValueError unless eta is a real number and 0 < eta <
+    1/sqrt(dim) (see `discretize`)."""
+    if not isinstance(eta, numbers.Real):
+        raise ValueError(f"eta must be a real number, got {eta!r}")
     if not 0.0 < eta < 1.0 / math.sqrt(dim):
         raise ValueError(f"eta must lie in (0, 1/sqrt({dim})) on a {dim}-D "
                          f"grid, got {eta}")
@@ -1062,25 +1028,24 @@ def discretize(surface, grid, eta=0.45):
     surface : LevelSetSurface
     grid : Grid
         A 3-D grid (GridError otherwise) that strictly contains the
-        surface (checked on the boundary faces).  phi is evaluated once
-        per node on the box faces and in the narrow band of grid blocks
-        that the gradient bound (`surface.grad_bound`) does not certify
-        free of sign changes; with a catalog bound working memory grows
-        like the number of cut points, O(N^2), not like the (N+1)^3
-        grid.  Without a bound the band is every block: phi is evaluated
-        once per grid node and the scan holds about 13 bytes per node,
-        and a grid whose table exceeds physical memory raises GridError
-        before phi is called (see `_scan_sign_changes`).  The
-        evaluations, the root steps and the stencil lookup run on two
-        threads (this one and a worker).
+        surface (checked on phi at every box-boundary node).  phi is
+        evaluated once per node on the box faces and in the narrow band
+        of grid blocks that the gradient bound (`surface.grad_bound`)
+        does not certify free of sign changes; without a bound the band
+        is every block and phi is evaluated once per grid node.  For any
+        phi, working memory is the O(N^2) per-cut arrays plus one group
+        of block layers, not the (N+1)^3 grid (see
+        `_scan_sign_changes`).  The evaluations, the root steps and the
+        stencil lookup run on two threads (this one and a worker).
         A non-finite phi or a boundary node with phi <= 0 raises
         GridError naming the node: the first non-finite phi in C order
         among the nodes evaluated, so a non-finite phi in a certified
         block, away from the surface and the box faces, is not seen.
     eta : float
-        Admissibility threshold on |n_nu| at the cut point, 0 < eta <
-        1/sqrt(3) (ValueError otherwise): a unit normal has a component of
-        at least 1/sqrt(3), so every crossing keeps an admissible axis.
+        Admissibility threshold on |n_nu| at the cut point, a real number
+        with 0 < eta < 1/sqrt(3) (ValueError otherwise): a unit normal
+        has a component of at least 1/sqrt(3), so every crossing keeps an
+        admissible axis.
 
     Returns
     -------

@@ -60,11 +60,11 @@ class LevelSetSurface:
         evaluates phi only where a block of the grid may hold a sign
         change by this bound, the narrow band of its one scan.  None (the
         default) means no bound: the band is the whole grid, so
-        `discretize` evaluates phi at every grid node and holds about 13
-        bytes per node, and raises GridError where that exceeds physical
-        memory (about N = 860 per axis with 8 GB).  A bound that is too
-        small loses cuts without an error; one far above |grad phi| near
-        the surface widens the band that `discretize` evaluates and holds.
+        `discretize` evaluates phi at every grid node, which takes time
+        like the (N+1)^3 nodes; its memory stays the O(N^2) per-cut arrays
+        plus one group of block layers, as with a bound.  A bound that is
+        too small loses cuts without an error; one far above |grad phi|
+        near the surface widens the band that `discretize` evaluates.
     """
 
     def __init__(self, kind, phi, grad=None, params=None, c0=1e-8,
@@ -198,9 +198,9 @@ def from_callables(phi, grad=None, c0=1e-8, params=None):
     """Wrap user-supplied callables as a surface (negative-inside convention).
 
     The surface has no gradient bound, so `discretize` evaluates phi at
-    every grid node and holds about 13 bytes per node, GridError beyond
-    physical memory; a `LevelSetSurface` built directly may carry one
-    (`grad_bound`), and then only the narrow band is evaluated.
+    every grid node, in groups of block layers, and holds the O(N^2)
+    per-cut arrays plus one group; a `LevelSetSurface` built directly may
+    carry one (`grad_bound`), and then only the narrow band is evaluated.
     `discretize` evaluates phi on two threads at once, and grad may be
     called the same way, so neither may change state shared between
     calls.

@@ -13,7 +13,6 @@ import sys
 import tempfile
 import textwrap
 import threading
-import time
 import tracemalloc
 from functools import partial
 
@@ -149,11 +148,11 @@ def assert_same_fields(got, want):
         assert np.array_equal(a, b), name
 
 
-# `_SLAB_NODES`, the nodes per phi call: one (one block, a face row or a
-# face plane per call), five planes' worth, and the module default
+# `_PHI_CALL_NODES`, the nodes per phi call: one (one block per call and
+# one block layer per group), five planes' worth, and the module default
 SLABS = {"one_plane": lambda g: 1,
          "five_planes": lambda g: 5 * math.prod(g.shape[1:]),
-         "default": lambda g: discretization._SLAB_NODES}
+         "default": lambda g: discretization._PHI_CALL_NODES}
 
 
 CASES = [(kind, n, seed) for kind, n in
@@ -166,7 +165,7 @@ CASES = [(kind, n, seed) for kind, n in
 def test_streamed_scan_matches_dense_scan(kind, n, seed, slab, monkeypatch):
     surface = make_surface(kind)
     grid = shifted(Grid.cube(-1.2, 1.2, n), seed)
-    monkeypatch.setattr(discretization, "_SLAB_NODES", SLABS[slab](grid))
+    monkeypatch.setattr(discretization, "_PHI_CALL_NODES", SLABS[slab](grid))
     streamed = _locate_cuts(surface, grid)
     dense = dense_locate_cuts(surface, grid)
     for (b, q), (b_ref, q_ref) in zip(streamed, dense, strict=True):
@@ -195,7 +194,7 @@ def circle_with_bound(radius=1.0):
 def test_streamed_scan_matches_dense_scan_on_curves(curve, n, seed, slab,
                                                     monkeypatch):
     grid = shifted(Grid.square(-1.2, 1.2, n), seed)
-    monkeypatch.setattr(discretization, "_SLAB_NODES", SLABS[slab](grid))
+    monkeypatch.setattr(discretization, "_PHI_CALL_NODES", SLABS[slab](grid))
     got = cut_record(curve(), grid, ETA)
     monkeypatch.setattr(discretization, "_locate_cuts", dense_locate_cuts)
     assert_same_fields(got, cut_record(curve(), grid, ETA))
@@ -403,17 +402,13 @@ def test_cut_order_is_checked_under_optimize_flag(subprocess_env):
             finally:
                 discretization._locate_cuts = real
             raise SystemExit(f"no GridError for {{how}} cuts")
-        # the grid's cell counts, phi's shape and the band's table
-        discretization._physical_memory = lambda: 10 ** 9
+        # the grid's cell counts and phi's shape
         for what, error, call in (
                 ("cell counts", GridError,
                  lambda: Grid((-1.2,) * 3, 0.1, (24, 24, 0))),
                 ("phi shape", ValueError,
                  lambda: discretize(from_callables(lambda p: 1.0),
-                                    Grid.cube(-1.2, 1.2, 20))),
-                ("table", GridError,
-                 lambda: discretize(from_callables(lambda p: 1.0),
-                                    Grid.cube(-1.2, 1.2, 3000)))):
+                                    Grid.cube(-1.2, 1.2, 20)))):
             try:
                 call()
             except error:
@@ -519,8 +514,8 @@ def test_threaded_cut_points_equal_the_parts_in_turn(kind, slab,
     base = Grid.square if kind in CURVES else Grid.cube
     grid = shifted(base(-1.2, 1.2, 80), 1)
     size = {"one_plane": math.prod(grid.shape[1:]),
-            "default": discretization._SLAB_NODES}[slab]
-    monkeypatch.setattr(discretization, "_SLAB_NODES", size)
+            "default": discretization._PHI_CALL_NODES}[slab]
+    monkeypatch.setattr(discretization, "_PHI_CALL_NODES", size)
     surface = CURVES[kind]() if kind in CURVES else make_surface(kind)
     before = threading.active_count()
     threads = set()
@@ -663,11 +658,11 @@ def on_grid(call, grid):
 def test_scan_evaluates_each_node_once_within_the_slab_bound(slab,
                                                              monkeypatch):
     """A surface without a bound: the band is every block, phi is
-    evaluated once at every node, at most `_SLAB_NODES` nodes per call."""
+    evaluated once at every node, at most `_PHI_CALL_NODES` nodes per call."""
     n = 64
     grid = Grid.cube(-1.2, 1.2, n)
     bound = SLABS[slab](grid)
-    monkeypatch.setattr(discretization, "_SLAB_NODES", bound)
+    monkeypatch.setattr(discretization, "_PHI_CALL_NODES", bound)
     calls = []
     discretize(recording_sphere(calls), grid)
 
@@ -772,7 +767,7 @@ def test_band_scan_evaluates_the_faces_and_the_band_once():
     grid = Grid.cube(-1.2, 1.2, n)
     calls = []
     located = _locate_cuts(bounded_recording_sphere(calls), grid)
-    assert max(c.size // 3 for c in calls) <= discretization._SLAB_NODES
+    assert max(c.size // 3 for c in calls) <= discretization._PHI_CALL_NODES
     nodes = evaluated_nodes(calls, grid)
     assert np.unique(nodes, axis=0).shape[0] == nodes.shape[0]
     boundary = ((nodes == 0) | (nodes == n)).any(axis=1)
@@ -805,14 +800,15 @@ def test_band_scan_reports_non_finite_phi_where_it_evaluates(node, reported):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_band_scan_matches_dense_scan_near_the_box(dim, monkeypatch):
     """A level set 0.01 inside the box: live blocks at the box boundary,
-    where the face pieces hold phi and nodes fall off the grid.  Five
-    planes' nodes per phi call, so that the band's blocks take several."""
+    whose read masks hold the boundary nodes and leave those off the
+    grid.  Five planes' nodes per phi call, so that the band's blocks
+    take several."""
     if dim == 3:
         surface, grid = make_surface("sphere", radius=1.19), Grid.cube(
             -1.2, 1.2, 64)
     else:
         surface, grid = circle_with_bound(1.19), Grid.square(-1.2, 1.2, 81)
-    monkeypatch.setattr(discretization, "_SLAB_NODES",
+    monkeypatch.setattr(discretization, "_PHI_CALL_NODES",
                         SLABS["five_planes"](grid))
     for (b, q), (b_ref, q_ref) in zip(_locate_cuts(surface, grid),
                                       dense_locate_cuts(surface, grid),
@@ -843,45 +839,36 @@ def test_band_scan_with_every_block_certified(surface, error, match):
     the level set fails containment, and a phi without a zero finds no
     cut."""
     grid = Grid.cube(-1.2, 1.2, 64)
-    assert discretization._live_blocks(surface, grid).shape[1] == 0
+    assert discretization._live_blocks(surface, grid).size == 0
     with pytest.raises(error, match=match):
         discretize(surface, grid)
 
 
 def table_bytes(rows, dim=3):
-    """The bytes `discretization` counts for the band's table of `rows`
-    blocks: phi and phi <= 0 per node, and 4 + 3 dim int64 per block."""
+    """The bytes of a table of `rows` blocks held at once: phi and
+    phi <= 0 per node, and 4 + 3 dim int64 of indices per block."""
     return rows * (3 ** dim * 9 + (4 + 3 * dim) * 8)
 
 
-@pytest.mark.parametrize("spare,scan", [(0, "band"), (-1, "error")])
+@pytest.mark.parametrize("spare,scan", [(0, "band")])
 def test_band_beyond_physical_memory_raises(spare, scan, monkeypatch):
     """A bound of 10^3, far above |grad phi| <= 4.2 on the box, leaves
-    every block live.  The band runs while its table, a row per block
-    read, fits in physical memory, evaluating each node once and finding
-    the dense scan's cuts; one byte less raises GridError before phi is
-    evaluated at a node.  Five planes per phi call, whose buffers fit."""
+    every block live.  The band streams them in groups with physical
+    memory of only what a table of every block would take, evaluating
+    each node once and finding the dense scan's cuts.  Five planes per
+    phi call, whose buffers fit."""
     n = 64
     grid = Grid.cube(-1.2, 1.2, n)
-    monkeypatch.setattr(discretization, "_SLAB_NODES",
+    monkeypatch.setattr(discretization, "_PHI_CALL_NODES",
                         SLABS["five_planes"](grid))
     calls = []
     surface = bounded_recording_sphere(
         calls, bound=lambda lo, hi: np.full(lo.shape[:-1], 1e3))
-    live = discretization._live_blocks(surface, grid).shape[1]
+    live = discretization._live_blocks(surface, grid).size
     assert live == (n // 3 + 1) ** 3
-    need = table_bytes(live)
     monkeypatch.setattr(discretization, "_physical_memory",
-                        lambda: need + spare)
+                        lambda: table_bytes(live) + spare)
     calls.clear()
-    if scan == "error":
-        with pytest.raises(GridError, match=(
-                rf"grid of \(64, 64, 64\) cells is too large to scan: the "
-                rf"band's table of {live} blocks needs {need} bytes, more "
-                rf"than the {need - 1} bytes of physical memory")):
-            _locate_cuts(surface, grid)
-        assert evaluated_nodes(calls, grid).shape[0] == 0
-        return
     located = _locate_cuts(surface, grid)
     nodes = evaluated_nodes(calls, grid)
     assert nodes.shape[0] == np.unique(nodes, axis=0).shape[0] == (n + 1) ** 3
@@ -891,30 +878,29 @@ def test_band_beyond_physical_memory_raises(spare, scan, monkeypatch):
         assert np.array_equal(b, b_ref) and np.array_equal(q, q_ref)
 
 
-def test_boundless_table_beyond_physical_memory_fails_before_phi(
-        monkeypatch):
-    """3000 cells per axis without a bound and 1 GB of physical memory:
-    one plane's phi call fits, but the table of every block does not, and
-    GridError comes at once, before any phi call or per-block array."""
-    n = 3000
-    rows = (n // 3 + 1) ** 3
-    need = table_bytes(rows)
-    monkeypatch.setattr(discretization, "_physical_memory", lambda: 10 ** 9)
-    calls = []
-    surface = from_callables(lambda p: calls.append(1) or (p ** 2).sum(-1))
+def scan_peak(n, monkeypatch):
+    """Traced peak bytes of the cut scan of a sphere without a gradient
+    bound on n cells per axis, at most one plane's nodes per phi call and
+    so one block layer per group."""
+    grid = Grid.cube(-1.2, 1.2, n)
+    monkeypatch.setattr(discretization, "_PHI_CALL_NODES",
+                        math.prod(grid.shape[1:]))
+    surface = from_callables(lambda p: (p ** 2).sum(axis=-1) - 1.0)
     tracemalloc.start()
-    start = time.perf_counter()
     try:
-        with pytest.raises(GridError, match=(
-                rf"grid of \(3000, 3000, 3000\) cells is too large to scan: "
-                rf"the band's table of {rows} blocks needs {need} bytes, "
-                rf"more than the 1000000000 bytes")):
-            discretize(surface, Grid.cube(-1.2, 1.2, n))
-        peak = tracemalloc.get_traced_memory()[1]
+        discretization._scan_sign_changes(surface, grid)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert time.perf_counter() - start < 1.0
-    assert calls == [] and peak < 2 ** 20
+
+
+def test_boundless_scan_memory_grows_like_the_cuts(monkeypatch):
+    """Without a bound every block is live, but the scan holds one group
+    of block layers at a time beside the O(N^2) per-cut arrays: doubling
+    N took the traced peak up 3.7 times (1.3 to 4.8 MiB), where a scan
+    that held a table of every block took it up 6.6 times, near the 8 of
+    the (N+1)^3 grid."""
+    assert scan_peak(128, monkeypatch) < 5 * scan_peak(64, monkeypatch)
 
 
 def test_band_scan_without_a_crossing_finds_no_cut():
@@ -939,12 +925,15 @@ def test_certified_levels_grow_with_the_band_not_the_grid(monkeypatch):
         return certified
 
     monkeypatch.setattr(discretization, "_certified", recording)
-    live = discretization._live_blocks(make_surface("sphere", radius=1e-3),
-                                       grid)
+    key = discretization._live_blocks(make_surface("sphere", radius=1e-3),
+                                      grid)
     assert sizes[0][0] <= discretization._COARSE_BLOCKS
     for (_, left), (tried, _) in zip(sizes, sizes[1:]):
         assert tried <= 27 * left
-    assert live.shape[1] == sizes[-1][1] > 0
+    assert key.size == sizes[-1][1] > 0
+    assert np.array_equal(key, np.unique(key))
+    live = np.stack(np.unravel_index(
+        key, np.asarray(grid.n_cells) // discretization._BLOCK + 1))
     centre = (np.asarray(grid.origin)[:, None]
               + grid.h * discretization._BLOCK * (live + 0.5))
     assert np.abs(np.linalg.norm(centre, axis=0) - 1e-3).max() < 4 * (
@@ -973,14 +962,15 @@ def test_non_finite_phi_names_the_first_node():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_non_finite_phi_names_the_first_node_when_the_second_run_fails_first(
         dim, monkeypatch):
-    """Two non-finite nodes on 40 cells per axis: one on the low face of
-    axis 0, in the first half of the band's evaluations, and one in the
-    last block, in the second half.  The first half waits at its bad node
-    until the second half has ended, and the error still names the first
-    node in C order."""
+    """Two non-finite nodes on 40 cells per axis, one group of blocks:
+    one on the low face of axis 0, in the first half of its blocks'
+    evaluations, on this thread, and one in an interior block in the
+    second half of theirs, on the worker.  The first half waits at its
+    bad node until the second half has ended, and the error still names
+    the first node in C order."""
     grid = (Grid.cube if dim == 3 else Grid.square)(-1.2, 1.2, 40)
     c = [grid.coords(a) for a in range(dim)]
-    nodes = [(0, 23, 9)[:dim], (39, 39, 39)[:dim]]
+    nodes = [(0, 3, 9)[:dim], (30, 20, 20)[:dim]]
     bad = [tuple(c[a][i] for a, i in enumerate(node)) for node in nodes]
     here = threading.get_ident()
     ended = []

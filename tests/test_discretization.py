@@ -349,15 +349,18 @@ class CutsReached(Exception):
 
 
 @pytest.mark.parametrize("side", ["negative", "zero", "bound", "above",
-                                  "one", "below"])
+                                  "one", "below", "string", "complex",
+                                  "none"])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_one_eta_rule_for_curves_and_surfaces(dim, side, monkeypatch):
     """0 < eta < 1/sqrt(dim): outside it ValueError names the bound, just
-    below the bound the build goes on to locate the cuts."""
+    below the bound the build goes on to locate the cuts; an eta that is
+    not a real number raises ValueError naming eta."""
     bound = 1.0 / math.sqrt(dim)
     eta = {"negative": -0.2, "zero": 0.0, "bound": bound,
            "above": math.nextafter(bound, 1.0), "one": 1.0,
-           "below": math.nextafter(bound, 0.0)}[side]
+           "below": math.nextafter(bound, 0.0), "string": "0.4",
+           "complex": 0.4 + 0j, "none": None}[side]
 
     def admissible_cuts(surface, grid, eta):
         raise CutsReached(eta)
@@ -369,6 +372,9 @@ def test_one_eta_rule_for_curves_and_surfaces(dim, side, monkeypatch):
         build, surface, grid = discretize, make_surface("sphere"), Grid.cube
     if side == "below":
         want = pytest.raises(CutsReached, match=re.escape(str(eta)))
+    elif side in ("string", "complex", "none"):
+        want = pytest.raises(ValueError, match=re.escape(
+            f"eta must be a real number, got {eta!r}"))
     else:
         want = pytest.raises(ValueError, match=re.escape(
             f"eta must lie in (0, 1/sqrt({dim})) on a {dim}-D grid, got "

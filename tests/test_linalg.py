@@ -342,7 +342,7 @@ class FirstFault(Exception):
 def shifted_grid(base, n, seed):
     grid = base(-1.2, 1.2, n)
     off = np.random.default_rng(seed).uniform(0.0, grid.h, len(grid.shape))
-    return Grid(tuple(np.asarray(grid.origin) + off), grid.h, grid.shape)
+    return Grid(tuple(np.asarray(grid.origin) + off), grid.h, grid.n_cells)
 
 
 @functools.lru_cache(maxsize=None)
